@@ -42,9 +42,6 @@ class LevelRecord:
     max_conservation_residual: float = np.nan
     b_norm: float = np.nan
     nonlinear_residual: float = np.nan
-    cond_A: float = None
-    cond_A1: float = None
-    cond_A0: float = None
     wall_clock: float = 0.0
 
 

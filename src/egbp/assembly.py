@@ -25,9 +25,7 @@ from .fespace import DofMap
 __all__ = [
     "ProblemSpec",
     "BlockSystem",
-    "assemble_a",
     "assemble_s",
-    "assemble_rhs",
     "assemble_system",
     "assemble_M_J",
     "p1_mass_matrix",
@@ -280,15 +278,11 @@ def _f_on_elements(mesh, spec):
 
 
 def _eval_field(f, X, Y):
-    try:
-        out = np.asarray(f(X, Y), dtype=float)
-        if out.shape != X.shape:
-            out = np.broadcast_to(out, X.shape).astype(float)
-        return out
-    except (TypeError, ValueError):
-        return np.array(
-            [f(x, y) for x, y in zip(np.ravel(X), np.ravel(Y))], dtype=float
-        ).reshape(X.shape)
+    """f at the points (X, Y); f must accept and return numpy arrays."""
+    out = np.asarray(f(X, Y), dtype=float)
+    if out.shape != X.shape:
+        out = np.broadcast_to(out, X.shape).astype(float)
+    return out
 
 
 def p1_mass_matrix(mesh):
@@ -338,30 +332,6 @@ def assemble_system(mesh, spec, dofs=None, lift=None):
         M0_diag=area,
         dofs=dofs,
     )
-
-
-def assemble_a(mesh, spec, dofs):
-    """Matrices of a_h only (no RHS)."""
-    system = assemble_system(mesh, spec, dofs)
-    system.b1 = None
-    system.b0 = None
-    return system
-
-
-def assemble_rhs(mesh, spec, dofs, lift, system=None):
-    """RHS blocks (f, v) - a_h(lift, v), split by the DofMap."""
-    if system is None or system.A_all is None:
-        system = assemble_system(mesh, spec, dofs, lift)
-        return system.b1, system.b0
-    fv, f0 = _f_on_elements(mesh, spec)
-    bfull = np.concatenate([fv, f0])
-    if lift is not None:
-        if np.any(lift.const_coeffs != 0.0):
-            raise ValueError("Dirichlet lift must have zero constant part")
-        lvec = np.concatenate([lift.linear_coeffs, np.zeros(mesh.num_elements)])
-        bfull = bfull - system.A_all @ lvec
-    nv = mesh.num_vertices
-    return bfull[dofs.interior_vertex_ids], bfull[nv + dofs.element_ids]
 
 
 def assemble_M_J(mesh, dofs=None):

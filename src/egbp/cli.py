@@ -29,7 +29,7 @@ from .analysis import (
     jump_norm,
 )
 from .assembly import ProblemSpec, assemble_system
-from .fespace import DofMap, write_egfunction
+from .fespace import DofMap, dirichlet_lift, write_egfunction
 from .mesh import build_structured, refine_uniform
 from .solver import solve_bound_preserving, solve_standard_eg, write_trace
 
@@ -53,26 +53,30 @@ CSV_HEADER = (
 
 @dataclass
 class StudyConfig:
-    """Flat experiment configuration; experiment defaults fill gaps."""
+    """Flat experiment configuration.
+
+    Fields left at None are filled by :func:`apply_experiment_defaults`,
+    so any value the user sets explicitly wins over the defaults.
+    """
 
     experiment: str = "smooth"
-    levels: int = 5
-    nx: int = 8
-    ny: int = 4
-    x0: float = 0.0
-    y0: float = 0.0
-    x1: float = 1.0
-    y1: float = 1.0
-    epsilon: float = 1e-5
-    mu: float = 1.0
-    gamma: float = 10.0
-    beta: int = 4
-    alpha: float = 1.0
-    omega: float = 0.5
-    bound_a: float = 0.0
-    bound_b: float = 1.0
-    tol_inner: float = 1e-9
-    tol_outer: float = 1e-12
+    levels: int | None = None
+    nx: int | None = None
+    ny: int | None = None
+    x0: float | None = None
+    y0: float | None = None
+    x1: float | None = None
+    y1: float | None = None
+    epsilon: float | None = None
+    mu: float | None = None
+    gamma: float | None = None
+    beta: int | None = None
+    alpha: float | None = None
+    omega: float | None = None
+    bound_a: float | None = None
+    bound_b: float | None = None
+    tol_inner: float | None = None
+    tol_outer: float | None = None
     max_inner: int = 500
     max_outer: int = 200
     drop_inner_coupling: bool = False
@@ -103,21 +107,17 @@ class StudyConfig:
         return ProblemSpec(**kwargs)
 
 
+_DEFAULTS = dict(
+    levels=5, nx=8, ny=4, x0=0.0, y0=0.0, x1=1.0, y1=1.0,
+    epsilon=1e-5, mu=1.0, gamma=10.0, beta=4, alpha=1.0, omega=0.5,
+    bound_a=0.0, bound_b=1.0, tol_inner=1e-9, tol_outer=1e-12,
+)
+
+# Per experiment, the values that differ from _DEFAULTS.
 _EXPERIMENT_DEFAULTS = {
-    "smooth": dict(
-        levels=5, nx=8, ny=4, x0=-1.0, y0=0.0, x1=1.0, y1=1.0,
-        epsilon=1e-5, mu=1.0, gamma=10.0, beta=4, alpha=1.0, omega=0.5,
-        bound_a=0.0, bound_b=1.0, tol_inner=1e-9, tol_outer=1e-12,
-    ),
-    "layer": dict(
-        levels=2, nx=12, ny=12, x0=0.0, y0=0.0, x1=1.0, y1=1.0,
-        epsilon=1e-7, mu=1.0, gamma=10.0, beta=4, alpha=1.0, omega=0.5,
-        bound_a=0.0, bound_b=1.0, tol_inner=1e-9, tol_outer=1e-12,
-    ),
-    "condition": dict(
-        levels=5, nx=2, ny=2, x0=0.0, y0=0.0, x1=1.0, y1=1.0,
-        epsilon=1.0, mu=1.0, gamma=10.0, beta=1, alpha=1.0,
-    ),
+    "smooth": dict(x0=-1.0),
+    "layer": dict(levels=2, nx=12, ny=12, epsilon=1e-7),
+    "condition": dict(nx=2, ny=2, epsilon=1.0, beta=1),
     "custom": dict(),
 }
 
@@ -151,15 +151,11 @@ class StudyReport:
 
 
 def apply_experiment_defaults(config):
-    """Fill experiment defaults for every field the user did not set."""
+    """Fill every field the user left at None with its experiment default."""
     if config.experiment not in _EXPERIMENT_DEFAULTS:
         raise ValueError("unknown experiment %r" % config.experiment)
-    base = StudyConfig()
-    updates = {}
-    for key, val in _EXPERIMENT_DEFAULTS[config.experiment].items():
-        if getattr(config, key) == getattr(base, key):
-            updates[key] = val
-    return replace(config, **updates)
+    defaults = {**_DEFAULTS, **_EXPERIMENT_DEFAULTS[config.experiment]}
+    return replace(config, **{k: v for k, v in defaults.items() if getattr(config, k) is None})
 
 
 def smooth_exact():
@@ -204,47 +200,81 @@ def _mesh_sequence(config):
 
 
 def _record_solution(mesh, spec, system, solution, elapsed):
-    u_plus = getattr(solution, "u_plus", solution)
+    u_plus = solution.u_plus
     residuals = conservation_report(mesh, system, solution)
     mn, mx, _ = bound_violation(mesh, u_plus, spec.bounds, tol=1e-10)
-    trace = getattr(solution, "trace", None)
     return LevelRecord(
         n_elements=mesh.num_elements,
         h=mesh.h,
         jump_norm=jump_norm(mesh, spec, u_plus.const_coeffs),
         const_l2=float(np.sqrt(u_plus.const_coeffs @ (system.M0_diag * u_plus.const_coeffs))),
-        outer_iters=trace.outer_iters if trace is not None else 0,
+        outer_iters=solution.trace.outer_iters,
         min_val=mn,
         max_val=mx,
         max_conservation_residual=float(np.max(np.abs(residuals))),
         b_norm=float(np.linalg.norm(np.concatenate([system.b1, system.b0]))),
-        nonlinear_residual=(
-            trace.nonlinear_residual if trace is not None else np.nan
-        ),
+        nonlinear_residual=solution.trace.nonlinear_residual,
         wall_clock=elapsed,
     )
+
+
+def _standard_row(mesh, spec, dofs, lift):
+    """Standard EG comparator on one level: range, violations, conservation."""
+    system = assemble_system(mesh, spec, dofs, lift)
+    u_std = solve_standard_eg(mesh, spec, dofs, system, lift)
+    mn, mx, nviol = bound_violation(mesh, u_std, spec.bounds, tol=1e-10)
+    res_std = conservation_report(mesh, system, u_std)
+    row = dict(
+        n_elements=mesh.num_elements,
+        h=mesh.h,
+        min_val=mn,
+        max_val=mx,
+        violations=nviol,
+        max_conservation_residual=float(np.max(np.abs(res_std))),
+        b_norm=float(np.linalg.norm(np.concatenate([system.b1, system.b0]))),
+    )
+    return row, u_std
+
+
+def _run_levels(config, spec, name, exact=None, spec_std=None):
+    """Bound-preserving solve on every level of the mesh sequence.
+
+    ``exact`` = (u, grad u) adds the L2/H1 errors; ``spec_std`` adds the
+    standard EG comparator rows under ``report.extra["standard"]``.
+    """
+    report = StudyReport(config=config)
+    standard_rows = []
+    for level, mesh in enumerate(_mesh_sequence(config)):
+        t0 = time.perf_counter()
+        dofs = DofMap.from_mesh(mesh)
+        lift = dirichlet_lift(mesh, spec.u_D)
+        system = assemble_system(mesh, spec, dofs, lift)
+        solution = solve_bound_preserving(mesh, spec, dofs, system, lift)
+        rec = _record_solution(mesh, spec, system, solution, time.perf_counter() - t0)
+        if exact is not None:
+            rec.err_l2 = error_l2(mesh, exact[0], solution.u_plus)
+            rec.err_h1 = error_h1_linear(mesh, exact[1], solution.u_plus)
+        report.records.append(rec)
+        report.all_converged &= solution.trace.converged
+        if spec_std is None:
+            _maybe_emit_fields(config, solution.u_plus, "%s_level%d" % (name, level))
+        else:
+            row, u_std = _standard_row(mesh, spec_std, dofs, lift)
+            standard_rows.append(row)
+            _maybe_emit_fields(config, solution.u_plus, "%s_bp_level%d" % (name, level))
+            _maybe_emit_fields(config, u_std, "%s_standard_level%d" % (name, level))
+        _maybe_emit_trace(config, solution.trace, level, name)
+    if spec_std is not None:
+        report.extra["standard"] = standard_rows
+    return report
 
 
 def run_smooth(config):
     """Convergence study with the manufactured smooth solution."""
     config = apply_experiment_defaults(config)
     u, grad_u, make_f = smooth_exact()
-    f = make_f(config.epsilon, config.mu)
-    spec = config.problem_spec(f=f, u_D=u)
-    report = StudyReport(config=config)
-    for level, mesh in enumerate(_mesh_sequence(config)):
-        t0 = time.perf_counter()
-        dofs = DofMap.from_mesh(mesh)
-        system = assemble_system(mesh, spec, dofs, _lift(mesh, spec))
-        solution = solve_bound_preserving(mesh, spec, dofs, system)
-        rec = _record_solution(mesh, spec, system, solution, time.perf_counter() - t0)
-        rec.err_l2 = error_l2(mesh, u, solution.u_plus)
-        rec.err_h1 = error_h1_linear(mesh, grad_u, solution.u_plus)
-        report.records.append(rec)
-        report.all_converged &= solution.trace.converged
-        _maybe_emit_fields(config, solution.u_plus, "smooth_level%d" % level)
-        _maybe_emit_trace(config, solution.trace, level, "smooth")
-    return report
+    spec = config.problem_spec(f=make_f(config.epsilon, config.mu), u_D=u)
+    return _run_levels(config, spec, "smooth", exact=(u, grad_u))
 
 
 def run_layer(config):
@@ -253,43 +283,9 @@ def run_layer(config):
     config = apply_experiment_defaults(config)
     if config.nx % 4 or config.ny % 4:
         raise ValueError("layer study requires nx, ny divisible by 4")
-    u_D = lambda x, y: 0.0 * np.asarray(x)
-    spec_bp = config.problem_spec(f=layer_source, u_D=u_D, f_quadrature="centroid")
-    spec_std = config.problem_spec(
-        f=layer_source, u_D=u_D, f_quadrature="centroid", beta=1, alpha=0.0
-    )
-    report = StudyReport(config=config)
-    standard_rows = []
-    for level, mesh in enumerate(_mesh_sequence(config)):
-        t0 = time.perf_counter()
-        dofs = DofMap.from_mesh(mesh)
-        system = assemble_system(mesh, spec_bp, dofs, _lift(mesh, spec_bp))
-        solution = solve_bound_preserving(mesh, spec_bp, dofs, system)
-        rec = _record_solution(mesh, spec_bp, system, solution, time.perf_counter() - t0)
-        report.records.append(rec)
-        report.all_converged &= solution.trace.converged
-
-        system_std = assemble_system(mesh, spec_std, dofs, _lift(mesh, spec_std))
-        u_std = solve_standard_eg(mesh, spec_std, dofs, system_std)
-        mn, mx, nviol = bound_violation(mesh, u_std, spec_std.bounds, tol=1e-10)
-        res_std = conservation_report(mesh, system_std, u_std)
-        b_norm = float(np.linalg.norm(np.concatenate([system_std.b1, system_std.b0])))
-        standard_rows.append(
-            dict(
-                n_elements=mesh.num_elements,
-                h=mesh.h,
-                min_val=mn,
-                max_val=mx,
-                violations=nviol,
-                max_conservation_residual=float(np.max(np.abs(res_std))),
-                b_norm=b_norm,
-            )
-        )
-        _maybe_emit_fields(config, solution.u_plus, "layer_bp_level%d" % level)
-        _maybe_emit_fields(config, u_std, "layer_standard_level%d" % level)
-        _maybe_emit_trace(config, solution.trace, level, "layer")
-    report.extra["standard"] = standard_rows
-    return report
+    spec = config.problem_spec(f=layer_source, u_D=_zero, f_quadrature="centroid")
+    spec_std = replace(spec, beta=1, alpha=0.0)
+    return _run_levels(config, spec, "layer", spec_std=spec_std)
 
 
 def run_condition(config, betas=(1, 2, 4)):
@@ -325,32 +321,15 @@ def run_condition(config, betas=(1, 2, 4)):
 
 def run_custom(config, f=None, u_D=None):
     """Bound-preserving solve on a user-defined configuration."""
-    config_filled = apply_experiment_defaults(config)
+    config = apply_experiment_defaults(config)
     if f is None:
         f = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
-    if u_D is None:
-        u_D = lambda x, y: 0.0 * np.asarray(x)
-    spec = config_filled.problem_spec(f=f, u_D=u_D)
-    report = StudyReport(config=config_filled)
-    for level, mesh in enumerate(_mesh_sequence(config_filled)):
-        t0 = time.perf_counter()
-        dofs = DofMap.from_mesh(mesh)
-        system = assemble_system(mesh, spec, dofs, _lift(mesh, spec))
-        solution = solve_bound_preserving(mesh, spec, dofs, system)
-        rec = _record_solution(mesh, spec, system, solution, time.perf_counter() - t0)
-        report.records.append(rec)
-        report.all_converged &= solution.trace.converged
-        _maybe_emit_fields(config_filled, solution.u_plus, "custom_level%d" % level)
-    return report
+    spec = config.problem_spec(f=f, u_D=_zero if u_D is None else u_D)
+    return _run_levels(config, spec, "custom")
 
 
-def _lift(mesh, spec):
-    from .fespace import dirichlet_lift, EGFunction
-    import numpy as _np
-
-    if spec.u_D is None:
-        return EGFunction(_np.zeros(mesh.num_vertices), _np.zeros(mesh.num_elements))
-    return dirichlet_lift(mesh, spec.u_D)
+def _zero(x, y):
+    return 0.0 * np.asarray(x)
 
 
 def _maybe_emit_fields(config, func, name):

@@ -37,7 +37,6 @@ class Mesh:
     facet_normal : (nf, 2) unit normals, outward with respect to the owner.
     boundary_vertex : (nv,) bool flags.
     node_patches : per-vertex tuple of incident element indices (omega_i).
-    element_patches : per-element tuple of vertex-adjacent elements (omega_T).
     h_elem : (nt,) element diameters h_T.
     h_vertex : (nv,) h_i = max h_T over the node patch.
     """
@@ -51,7 +50,6 @@ class Mesh:
     facet_normal: np.ndarray = field(repr=False)
     boundary_vertex: np.ndarray = field(repr=False)
     node_patches: tuple = field(repr=False)
-    element_patches: tuple = field(repr=False)
     h_elem: np.ndarray = field(repr=False)
     h_vertex: np.ndarray = field(repr=False)
     h: float = 0.0
@@ -144,12 +142,6 @@ def _build_mesh(vertices, triangles):
             patches[int(v)].append(t)
     node_patches = tuple(_freeze(np.array(pl, dtype=np.int64)) for pl in patches)
 
-    element_patches = []
-    for t in range(nt):
-        adj = np.concatenate([node_patches[int(v)] for v in triangles[t]])
-        element_patches.append(_freeze(np.unique(adj)))
-    element_patches = tuple(element_patches)
-
     edges = vertices[triangles[:, [1, 2, 0]]] - vertices[triangles[:, [0, 1, 2]]]
     h_elem = np.hypot(edges[..., 0], edges[..., 1]).max(axis=1)
     h_vertex = np.array([h_elem[node_patches[i]].max() for i in range(nv)])
@@ -164,7 +156,6 @@ def _build_mesh(vertices, triangles):
         facet_normal=_freeze(facet_normal),
         boundary_vertex=_freeze(boundary_vertex),
         node_patches=node_patches,
-        element_patches=element_patches,
         h_elem=_freeze(h_elem),
         h_vertex=_freeze(h_vertex),
         h=float(h_elem.max()),

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_system
-from .fespace import DofMap, EGFunction, dirichlet_lift
+from .fespace import DofMap, EGFunction, dirichlet_lift, zero_function
 from .limiter import apply_P, feasibility_check, patch_extremes, truncate_values
 
 __all__ = [
@@ -95,20 +95,26 @@ class SpdFactor:
             raise SolverError("factorization of %s failed: %s" % (name, exc)) from exc
 
     def solve(self, b, rel_tol=1e-12, max_refine=4):
+        """A^{-1} b to relative residual rel_tol; SolverError if refinement misses it."""
         x = self.lu.solve(b)
         if not np.all(np.isfinite(x)):
             raise SolverError("solve with %s produced non-finite values" % self.name)
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros_like(b)
-        # One to four refinement sweeps recover accuracy lost to the
+        # Up to max_refine refinement sweeps recover accuracy lost to the
         # ill-conditioning of over-penalized monolithic systems.
-        for _ in range(max_refine):
+        for sweep in range(max_refine + 1):
             r = b - self.A @ x
-            if np.linalg.norm(r) <= rel_tol * bnorm:
-                break
-            x = x + self.lu.solve(r)
-        return x
+            rnorm = np.linalg.norm(r)
+            if rnorm <= rel_tol * bnorm:
+                return x
+            if sweep < max_refine:
+                x = x + self.lu.solve(r)
+        raise SolverError(
+            "solve with %s missed relative residual %.1e after %d refinement sweeps (%.3e)"
+            % (self.name, rel_tol, max_refine, rnorm / bnorm)
+        )
 
 
 def solve_spd(A, b, rel_tol=1e-12, name="system"):
@@ -120,10 +126,7 @@ def _prepare(mesh, spec, dofs, system, lift):
     if dofs is None:
         dofs = system.dofs if system is not None else DofMap.from_mesh(mesh)
     if lift is None:
-        if spec.u_D is not None:
-            lift = dirichlet_lift(mesh, spec.u_D)
-        else:
-            lift = EGFunction(np.zeros(mesh.num_vertices), np.zeros(mesh.num_elements))
+        lift = zero_function(mesh) if spec.u_D is None else dirichlet_lift(mesh, spec.u_D)
     if system is None:
         system = assemble_system(mesh, spec, dofs, lift)
     return dofs, system, lift
@@ -258,21 +261,20 @@ def nonlinear_residual(system, spec, dofs, solution):
 def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None, polish=True):
     """Nested fixed-point solve of the bound-preserving EG scheme.
 
-    Starts from the standard EG solution, alternates the inner Richardson
-    loop with the decoupled constant-part solve, and stops when the L2
-    increment of the constants drops below spec.tol_outer.
+    Factors only A11 and A00.  Starts from one decoupled sweep
+    u1 = A11^{-1} b1, u0 = A00^{-1} (b0 - A10^T u1), alternates the inner
+    Richardson loop with the decoupled constant-part solve, and stops when
+    the L2 increment of the constants drops below spec.tol_outer.
     """
     dofs, system, lift = _prepare(mesh, spec, dofs, system, lift)
     a11_factor = SpdFactor(system.A11, name="A11")
     a00_factor = SpdFactor(system.A00, name="A00")
 
-    u_init = solve_standard_eg(mesh, spec, dofs, system, lift)
-    u1 = u_init.linear_coeffs[dofs.interior_vertex_ids].copy()
-    u0 = u_init.const_coeffs.copy()
+    u1 = a11_factor.solve(system.b1, rel_tol=1e-13)
+    u0 = a00_factor.solve(system.b0 - system.A10.T @ u1, rel_tol=1e-13)
 
     trace = SolveTrace()
     damping_state = {"damping": spec.omega}
-    damping_floor = spec.omega / 32.0
 
     def one_outer(u1, u0, inner_tol):
         extremes = patch_extremes(mesh, u0, dofs)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -167,6 +169,13 @@ def test_nonfinite_source_rejected():
     mesh = build_structured(2, 2)
     with pytest.raises(ValueError):
         assemble_system(mesh, make_spec(f=lambda x, y: np.full_like(x, np.nan)))
+
+
+def test_non_vectorized_source_fails_loudly():
+    # scalar-only data is an error, not a reason to evaluate point by point
+    mesh = build_structured(2, 2)
+    with pytest.raises(TypeError):
+        assemble_system(mesh, make_spec(f=lambda x, y: math.sin(x) * math.sin(y)))
 
 
 @pytest.mark.parametrize(

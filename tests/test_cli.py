@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import egbp.cli
 from egbp.analysis import LevelRecord
 from egbp.cli import (
     CSV_HEADER,
@@ -135,6 +136,34 @@ def test_apply_experiment_defaults():
     assert config.epsilon == 1.0 and config.beta == 1
     with pytest.raises(ValueError):
         apply_experiment_defaults(StudyConfig(experiment="bogus"))
+
+
+def _layer_config_from_main(monkeypatch, tmp_path, argv):
+    """Filled config that ``main`` hands to the layer study, without solving."""
+    seen = []
+
+    def fake_run_layer(config):
+        seen.append(apply_experiment_defaults(config))
+        return StudyReport(config=seen[-1])
+
+    monkeypatch.setattr(egbp.cli, "run_layer", fake_run_layer)
+    assert main(["layer", "--out", str(tmp_path)] + argv) == 0
+    return seen[0]
+
+
+def test_levels_flag_wins_over_experiment_default(monkeypatch, tmp_path):
+    # 5 is also the generic default; the layer study's own default is 2
+    config = _layer_config_from_main(monkeypatch, tmp_path, ["--levels", "5"])
+    assert config.levels == 5
+    assert config.epsilon == 1e-7
+
+
+def test_config_file_value_wins_over_experiment_default(monkeypatch, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epsilon = 1e-5\n")
+    config = _layer_config_from_main(monkeypatch, tmp_path, ["--config", str(cfg)])
+    assert config.epsilon == 1e-5
+    assert config.levels == 2
 
 
 def test_smooth_exact_consistency():

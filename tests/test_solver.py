@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from egbp.assembly import ProblemSpec, assemble_system
+import egbp.solver
+from egbp.assembly import BlockSystem, ProblemSpec, assemble_system
+from egbp.cli import StudyConfig, apply_experiment_defaults, smooth_exact
 from egbp.fespace import DofMap, dirichlet_lift, element_vertex_values
 from egbp.limiter import patch_extremes
 from egbp.mesh import build_structured, refine_uniform
@@ -56,6 +59,15 @@ def test_spd_factor_rejects_bad_matrices():
         SpdFactor(sp.csc_matrix(np.zeros((3, 4))))
     with pytest.raises(SolverError):
         SpdFactor(sp.csc_matrix(np.diag([1.0, -2.0, 3.0])))
+
+
+def test_spd_factor_raises_when_refinement_misses():
+    # factors of 2A halve the residual per sweep: four sweeps cannot reach 1e-12
+    A = sp.csc_matrix(np.diag([2.0, 3.0, 4.0]) + 0.5)
+    factor = SpdFactor(A, name="A")
+    factor.lu = spla.splu(sp.csc_matrix(2.0 * A))
+    with pytest.raises(SolverError, match="refinement"):
+        factor.solve(np.ones(3))
 
 
 def test_standard_eg_zero_data_gives_zero():
@@ -184,6 +196,45 @@ def test_bound_preserving_solve_smooth_problem():
     assert vals[interior].min() >= -1e-10
     assert vals[interior].max() <= 1.0 + 1e-10
     assert sol.trace.nonlinear_residual <= 1e-10
+
+
+def test_bound_preserving_factors_only_A11_and_A00(monkeypatch):
+    names = []
+
+    class RecordingFactor(SpdFactor):
+        def __init__(self, A, name="system"):
+            names.append(name)
+            super().__init__(A, name=name)
+
+    def monolithic(*args, **kwargs):
+        raise AssertionError("the bound-preserving solve used the monolithic system")
+
+    monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
+    monkeypatch.setattr(egbp.solver, "solve_standard_eg", monolithic)
+    monkeypatch.setattr(BlockSystem, "full_matrix", monolithic)
+    mesh = build_structured(4, 4)
+    spec = make_spec(epsilon=1e-3, beta=4, f=lambda x, y: 1.0 + 0.0 * x, bounds=(0.0, 1.0))
+    sol = solve_bound_preserving(mesh, spec)
+    assert sol.trace.converged
+    assert sorted(names) == ["A00", "A11"]
+
+
+def test_smooth_study_bounds_hold_at_interior_vertices():
+    # The bounds are guaranteed at interior vertices only: at a Dirichlet
+    # vertex u+ is the untruncated lift plus the element constant.
+    config = apply_experiment_defaults(StudyConfig(experiment="smooth"))
+    u, _, make_f = smooth_exact()
+    spec = config.problem_spec(f=make_f(config.epsilon, config.mu), u_D=u)
+    a, b = spec.bounds
+    mesh = build_structured(config.nx, config.ny, (config.x0, config.y0, config.x1, config.y1))
+    for _ in range(3):
+        sol = solve_bound_preserving(mesh, spec)
+        assert sol.trace.converged
+        vals = element_vertex_values(mesh, sol.u_plus)
+        interior = ~mesh.boundary_vertex[mesh.triangles]
+        assert vals[interior].min() >= a - 1e-10
+        assert vals[interior].max() <= b + 1e-10
+        mesh = refine_uniform(mesh)
 
 
 def test_bound_preserving_matches_standard_when_inactive():
