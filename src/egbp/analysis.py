@@ -176,12 +176,17 @@ def condition_number(A, dense_cutoff=2000, tol=1e-6):
         eig = np.abs(scipy.linalg.eigvalsh(A.toarray()))
         lmin, lmax = eig.min(), eig.max()
     else:
+        # A fixed start vector makes the Lanczos runs, and so the result,
+        # deterministic; a generic one cannot be orthogonal to the extreme
+        # eigenvectors by a symmetry of the mesh, as a constant vector can.
+        v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
         lmax = abs(
-            spla.eigsh(A, k=1, which="LM", tol=tol, return_eigenvectors=False)[0]
+            spla.eigsh(A, k=1, which="LM", tol=tol, v0=v0, return_eigenvectors=False)[0]
         )
         lmin = abs(
             spla.eigsh(
-                A.tocsc(), k=1, sigma=0.0, which="LM", tol=tol, return_eigenvectors=False
+                A.tocsc(), k=1, sigma=0.0, which="LM", tol=tol, v0=v0,
+                return_eigenvectors=False,
             )[0]
         )
     if lmin <= lmax * 1e-14:

@@ -19,7 +19,6 @@ from .fespace import EGFunction
 __all__ = [
     "PatchExtremes",
     "patch_extremes",
-    "truncate_node",
     "truncate_values",
     "apply_P",
     "apply_Q",
@@ -51,19 +50,11 @@ def patch_extremes(mesh, w0, dofs=None):
         vertex_ids = np.arange(mesh.num_vertices)
     else:
         vertex_ids = dofs.interior_vertex_ids
-    under = np.empty(vertex_ids.size)
-    over = np.empty(vertex_ids.size)
-    for k, i in enumerate(vertex_ids):
-        patch = w0[mesh.node_patches[i]]
-        under[k] = patch.min()
-        over[k] = patch.max()
+    values = w0[mesh.patch_elements]
+    starts = mesh.patch_indptr[:-1]
+    under = np.minimum.reduceat(values, starts)[vertex_ids]
+    over = np.maximum.reduceat(values, starts)[vertex_ids]
     return PatchExtremes(under=under, over=over)
-
-
-def truncate_node(v1_at_i, under_i, over_i, bounds):
-    """Clamped nodal value max[a - under, min(v, b - over)]."""
-    a, b = bounds
-    return max(a - under_i, min(v1_at_i, b - over_i))
 
 
 def truncate_values(v1, extremes, bounds):

@@ -36,9 +36,13 @@ class Mesh:
     facet_length : (nf,) facet lengths h_F.
     facet_normal : (nf, 2) unit normals, outward with respect to the owner.
     boundary_vertex : (nv,) bool flags.
-    node_patches : per-vertex tuple of incident element indices (omega_i).
+    patch_indptr : (nv + 1,) int array, vertex->element CSR row pointer.
+    patch_elements : (3 * nt,) int array; the node patch omega_i is
+        patch_elements[patch_indptr[i]:patch_indptr[i + 1]], ascending.
     h_elem : (nt,) element diameters h_T.
     h_vertex : (nv,) h_i = max h_T over the node patch.
+
+    Facets are numbered in ascending order of their sorted endpoint pair.
     """
 
     vertices: np.ndarray
@@ -49,7 +53,8 @@ class Mesh:
     facet_length: np.ndarray = field(repr=False)
     facet_normal: np.ndarray = field(repr=False)
     boundary_vertex: np.ndarray = field(repr=False)
-    node_patches: tuple = field(repr=False)
+    patch_indptr: np.ndarray = field(repr=False)
+    patch_elements: np.ndarray = field(repr=False)
     h_elem: np.ndarray = field(repr=False)
     h_vertex: np.ndarray = field(repr=False)
     h: float = 0.0
@@ -103,30 +108,27 @@ def _build_mesh(vertices, triangles):
     if np.any(areas <= 0.0):
         raise ValueError("mesh contains degenerate or clockwise triangles")
 
-    # Undirected edges keyed by sorted endpoint pair; owner = incident
-    # element of smallest index, normal derived from its CCW traversal.
-    edge_map = {}
-    for t in range(nt):
-        tri = triangles[t]
-        for k in range(3):
-            a, b = int(tri[k]), int(tri[(k + 1) % 3])
-            key = (a, b) if a < b else (b, a)
-            edge_map.setdefault(key, []).append((t, a, b))
-
-    keys = sorted(edge_map)
-    nf = len(keys)
-    facet_vertices = np.empty((nf, 2), dtype=np.int64)
-    facet_left = np.empty(nf, dtype=np.int64)
-    facet_right = np.full(nf, -1, dtype=np.int64)
-    for i, key in enumerate(keys):
-        incident = sorted(edge_map[key])
-        if len(incident) > 2:
-            raise ValueError("facet %s has more than two incident elements" % (key,))
-        t, a, b = incident[0]
-        facet_vertices[i] = (a, b)
-        facet_left[i] = t
-        if len(incident) == 2:
-            facet_right[i] = incident[1][0]
+    # Undirected facets from the 3*nt directed edges (t, a, b), grouped by
+    # the key of their sorted endpoint pair.  The stable sort keeps each
+    # group's elements ascending, so its first edge belongs to the owner
+    # (the smallest element), whose CCW order gives (a, b) and the normal.
+    elem = np.repeat(np.arange(nt), 3)
+    a = triangles.ravel()
+    b = triangles[:, [1, 2, 0]].ravel()
+    key = np.minimum(a, b) * nv + np.maximum(a, b)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    count = np.diff(np.r_[first, key.size])
+    if np.any(count > 2):
+        pair = divmod(int(key[first[np.argmax(count > 2)]]), nv)
+        raise ValueError("facet %s has more than two incident elements" % (pair,))
+    owner = order[first]
+    facet_vertices = np.column_stack((a[owner], b[owner]))
+    facet_left = elem[owner]
+    facet_right = np.full(first.size, -1, dtype=np.int64)
+    shared = count == 2
+    facet_right[shared] = elem[order[first[shared] + 1]]
 
     tang = vertices[facet_vertices[:, 1]] - vertices[facet_vertices[:, 0]]
     facet_length = np.hypot(tang[:, 0], tang[:, 1])
@@ -136,15 +138,16 @@ def _build_mesh(vertices, triangles):
     bmask = facet_right < 0
     boundary_vertex[facet_vertices[bmask].ravel()] = True
 
-    patches = [[] for _ in range(nv)]
-    for t in range(nt):
-        for v in triangles[t]:
-            patches[int(v)].append(t)
-    node_patches = tuple(_freeze(np.array(pl, dtype=np.int64)) for pl in patches)
+    # Vertex->element CSR; the stable sort keeps each patch ascending.
+    patch_size = np.bincount(a, minlength=nv)
+    if np.any(patch_size == 0):
+        raise ValueError("vertex %d belongs to no triangle" % np.argmin(patch_size))
+    patch_indptr = np.concatenate(([0], np.cumsum(patch_size)))
+    patch_elements = elem[np.argsort(a, kind="stable")]
 
-    edges = vertices[triangles[:, [1, 2, 0]]] - vertices[triangles[:, [0, 1, 2]]]
+    edges = p[:, [1, 2, 0]] - p
     h_elem = np.hypot(edges[..., 0], edges[..., 1]).max(axis=1)
-    h_vertex = np.array([h_elem[node_patches[i]].max() for i in range(nv)])
+    h_vertex = np.maximum.reduceat(h_elem[patch_elements], patch_indptr[:-1])
 
     return Mesh(
         vertices=_freeze(vertices),
@@ -155,7 +158,8 @@ def _build_mesh(vertices, triangles):
         facet_length=_freeze(facet_length),
         facet_normal=_freeze(facet_normal),
         boundary_vertex=_freeze(boundary_vertex),
-        node_patches=node_patches,
+        patch_indptr=_freeze(patch_indptr),
+        patch_elements=_freeze(patch_elements),
         h_elem=_freeze(h_elem),
         h_vertex=_freeze(h_vertex),
         h=float(h_elem.max()),
@@ -181,18 +185,10 @@ def build_structured(nx, ny, rect=(0.0, 0.0, 1.0, 1.0)):
     X, Y = np.meshgrid(xs, ys)
     vertices = np.column_stack((X.ravel(), Y.ravel()))
 
-    def vid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    triangles = []
-    for iy in range(ny):
-        for ix in range(nx):
-            ll = vid(ix, iy)
-            lr = vid(ix + 1, iy)
-            ul = vid(ix, iy + 1)
-            ur = vid(ix + 1, iy + 1)
-            triangles.append((ll, lr, ur))
-            triangles.append((ll, ur, ul))
+    iy, ix = np.divmod(np.arange(nx * ny), nx)
+    ll = iy * (nx + 1) + ix
+    ul = ll + nx + 1
+    triangles = np.column_stack((ll, ll + 1, ul + 1, ll, ul + 1, ul)).reshape(-1, 3)
     return _build_mesh(vertices, triangles)
 
 
@@ -203,33 +199,26 @@ def refine_uniform(mesh):
     free; midpoints are appended in sorted-edge order for determinism.
     """
     nv = mesh.num_vertices
-    midpoint_id = {}
-    new_vertices = [mesh.vertices]
-    keys = sorted(
-        {tuple(sorted((int(a), int(b)))) for a, b in mesh.facet_vertices}
-    )
-    mids = np.empty((len(keys), 2))
-    for i, (a, b) in enumerate(keys):
-        midpoint_id[(a, b)] = nv + i
-        mids[i] = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-    new_vertices.append(mids)
-
-    def mid(a, b):
-        return midpoint_id[(a, b) if a < b else (b, a)]
-
-    triangles = []
-    for a, b, c in mesh.triangles:
-        a, b, c = int(a), int(b), int(c)
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        triangles.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
-    return _build_mesh(np.vstack(new_vertices), triangles)
+    lo = mesh.facet_vertices.min(axis=1)
+    hi = mesh.facet_vertices.max(axis=1)
+    mids = 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])
+    # Facets are in ascending key order, so a key's position is its midpoint id.
+    t = mesh.triangles
+    nxt = t[:, [1, 2, 0]]
+    m = nv + np.searchsorted(lo * nv + hi, np.minimum(t, nxt) * nv + np.maximum(t, nxt))
+    a, b, c = t.T
+    mab, mbc, mca = m.T
+    triangles = np.column_stack(
+        (a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca)
+    ).reshape(-1, 3)
+    return _build_mesh(np.vstack((mesh.vertices, mids)), triangles)
 
 
 def node_patch_elements(mesh, i):
     """Elements of the node patch omega_i, i.e. all elements containing x_i."""
     if not 0 <= i < mesh.num_vertices:
         raise ValueError("vertex index %s out of range [0, %s)" % (i, mesh.num_vertices))
-    return np.array(mesh.node_patches[i])
+    return mesh.patch_elements[mesh.patch_indptr[i] : mesh.patch_indptr[i + 1]].copy()
 
 
 def write_mesh(mesh, path):

@@ -48,7 +48,12 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolveTrace:
-    """Iteration history of the nested fixed-point solve."""
+    """Iteration history of the nested fixed-point solve.
+
+    ``stop_reason`` says why the outer loop ended: "converged" (outer
+    increment below tol_outer), "inner_stalled" (an inner loop used up
+    max_inner without reaching its tolerance) or "max_outer".
+    """
 
     outer_iters: int = 0
     inner_iters_per_outer: list = field(default_factory=list)
@@ -59,6 +64,7 @@ class SolveTrace:
     feasible_per_outer: list = field(default_factory=list)
     nonlinear_residual: float = np.nan
     polish_outer_iters: int = 0
+    stop_reason: str = ""
 
 
 @dataclass
@@ -304,9 +310,11 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None, polish
         if not feasible:
             trace.feasibility_violations += 1
         if not inner_ok:
+            trace.stop_reason = "inner_stalled"
             break
         if outer_inc <= spec.tol_outer:
             trace.converged = True
+            trace.stop_reason = "converged"
             break
         # With a loose inner tolerance, the inner error limits how far
         # the outer increments can fall: the constants contract fast
@@ -317,6 +325,8 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None, polish
         if outer_inc > 0.25 * prev_outer_inc:
             inner_tol = max(0.01 * inner_tol, 1e-14)
         prev_outer_inc = outer_inc
+    else:
+        trace.stop_reason = "max_outer"
 
     if polish and trace.converged:
         for _ in range(_POLISH_MAX_OUTER):

@@ -2,7 +2,8 @@
 
 Everything here is deliberately slow and literal: dense matrices, explicit
 loops over elements and facets, and high-order quadrature refined until
-stable.  Nothing is shared with the package's vectorized assembly paths.
+stable.  Nothing is shared with the package's vectorized mesh, limiter and
+assembly paths.
 """
 
 import numpy as np
@@ -171,3 +172,77 @@ def restrict_oracle(mesh, A_full, interior_vertex_ids):
         [np.asarray(interior_vertex_ids), nv + np.arange(mesh.num_elements)]
     )
     return A_full[np.ix_(keep, keep)]
+
+
+def connectivity_oracle(vertices, triangles):
+    """Facet and node-patch connectivity from per-triangle dict loops.
+
+    Facets are keyed by their sorted endpoint pair and numbered in key
+    order; the owner is the incident element of smallest index, and the
+    facet's (a, b) follow the owner's CCW traversal.  Returns a dict with
+    the facet arrays, boundary flags, the per-vertex patch lists, h_elem
+    and h_vertex, computed the way the package's Mesh documents them.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    triangles = np.asarray(triangles, dtype=np.int64)
+    nv, nt = vertices.shape[0], triangles.shape[0]
+
+    edge_map = {}
+    for t in range(nt):
+        tri = triangles[t]
+        for k in range(3):
+            a, b = int(tri[k]), int(tri[(k + 1) % 3])
+            key = (a, b) if a < b else (b, a)
+            edge_map.setdefault(key, []).append((t, a, b))
+    keys = sorted(edge_map)
+    nf = len(keys)
+    facet_vertices = np.empty((nf, 2), dtype=np.int64)
+    facet_left = np.empty(nf, dtype=np.int64)
+    facet_right = np.full(nf, -1, dtype=np.int64)
+    for i, key in enumerate(keys):
+        incident = sorted(edge_map[key])
+        assert len(incident) <= 2, key
+        t, a, b = incident[0]
+        facet_vertices[i] = (a, b)
+        facet_left[i] = t
+        if len(incident) == 2:
+            facet_right[i] = incident[1][0]
+
+    tang = vertices[facet_vertices[:, 1]] - vertices[facet_vertices[:, 0]]
+    facet_length = np.hypot(tang[:, 0], tang[:, 1])
+    facet_normal = np.column_stack((tang[:, 1], -tang[:, 0])) / facet_length[:, None]
+
+    boundary_vertex = np.zeros(nv, dtype=bool)
+    for i in range(nf):
+        if facet_right[i] < 0:
+            boundary_vertex[facet_vertices[i]] = True
+
+    patches = [[] for _ in range(nv)]
+    for t in range(nt):
+        for v in triangles[t]:
+            patches[int(v)].append(t)
+    patches = [np.array(pl, dtype=np.int64) for pl in patches]
+
+    h_elem = np.empty(nt)
+    for t in range(nt):
+        p = vertices[triangles[t]]
+        h_elem[t] = max(np.hypot(*(p[(k + 1) % 3] - p[k])) for k in range(3))
+    h_vertex = np.array([h_elem[pl].max() for pl in patches])
+
+    return {
+        "facet_vertices": facet_vertices,
+        "facet_left": facet_left,
+        "facet_right": facet_right,
+        "facet_length": facet_length,
+        "facet_normal": facet_normal,
+        "boundary_vertex": boundary_vertex,
+        "patches": patches,
+        "h_elem": h_elem,
+        "h_vertex": h_vertex,
+    }
+
+
+def truncate_node(v1_at_i, under_i, over_i, bounds):
+    """Clamped nodal value max[a - under, min(v, b - over)], one node at a time."""
+    a, b = bounds
+    return max(a - under_i, min(v1_at_i, b - over_i))

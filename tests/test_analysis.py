@@ -135,6 +135,15 @@ def test_condition_number_sparse_path():
     assert condition_number(A, dense_cutoff=1) == pytest.approx(100.0, rel=1e-5)
 
 
+def test_condition_number_sparse_path_deterministic():
+    n = 400
+    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    A = (lap + sp.diags(np.linspace(0.01, 1.0, n))).tocsr()
+    first = condition_number(A, dense_cutoff=1)
+    assert all(condition_number(A, dense_cutoff=1) == first for _ in range(3))
+    assert first == pytest.approx(condition_number(A), rel=1e-5)
+
+
 def test_condition_number_uses_magnitudes():
     A = sp.diags([-0.5, 1.0, 8.0]).tocsr()
     assert condition_number(A) == pytest.approx(16.0, rel=1e-12)

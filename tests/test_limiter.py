@@ -7,10 +7,10 @@ from egbp.limiter import (
     apply_Q,
     feasibility_check,
     patch_extremes,
-    truncate_node,
     truncate_values,
 )
-from egbp.mesh import build_structured
+from egbp.mesh import _build_mesh, build_structured, refine_uniform
+from oracles import truncate_node
 
 
 def random_function(mesh, rng, scale=1.0):
@@ -44,16 +44,26 @@ def test_truncate_values_matches_scalar():
         assert out[k] == truncate_node(v1[k], ext.under[k], ext.over[k], (-0.5, 0.5))
 
 
+def _refined_shuffled_mesh():
+    rng = np.random.default_rng(8)
+    mesh = refine_uniform(build_structured(3, 4))
+    tri = mesh.triangles[rng.permutation(mesh.num_elements)]
+    return _build_mesh(mesh.vertices, np.roll(tri, 1, axis=1))
+
+
 def test_patch_extremes_bruteforce():
     rng = np.random.default_rng(5)
-    mesh = build_structured(3, 4)
-    dofs = DofMap.from_mesh(mesh)
-    w0 = rng.normal(size=mesh.num_elements)
-    ext = patch_extremes(mesh, w0, dofs)
-    for k, i in enumerate(dofs.interior_vertex_ids):
-        patch = np.flatnonzero((mesh.triangles == i).any(axis=1))
-        assert ext.under[k] == pytest.approx(w0[patch].min())
-        assert ext.over[k] == pytest.approx(w0[patch].max())
+    for mesh in (build_structured(3, 4), _refined_shuffled_mesh()):
+        dofs = DofMap.from_mesh(mesh)
+        w0 = rng.normal(size=mesh.num_elements)
+        every = patch_extremes(mesh, w0)
+        for i in range(mesh.num_vertices):
+            patch = np.flatnonzero((mesh.triangles == i).any(axis=1))
+            assert every.under[i] == w0[patch].min()
+            assert every.over[i] == w0[patch].max()
+        ext = patch_extremes(mesh, w0, dofs)
+        assert np.array_equal(ext.under, every.under[dofs.interior_vertex_ids])
+        assert np.array_equal(ext.over, every.over[dofs.interior_vertex_ids])
 
 
 def test_patch_extremes_length_mismatch():

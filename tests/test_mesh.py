@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from egbp.mesh import (
+    _build_mesh,
     build_structured,
     node_patch_elements,
     read_mesh,
     refine_uniform,
     write_mesh,
 )
+from oracles import connectivity_oracle
 
 
 def _cross2(a, b):
@@ -162,3 +164,69 @@ def test_interior_facets_have_two_elements():
     interior = mesh.facet_right >= 0
     assert int(np.sum(interior)) == mesh.num_facets - 12
     assert np.all(mesh.facet_left >= 0)
+
+
+def _shuffled_mesh(seed):
+    """Refined mesh with permuted triangle rows, each row rotated at random."""
+    rng = np.random.default_rng(seed)
+    mesh = refine_uniform(build_structured(4, 3, (-1.0, 0.0, 1.0, 0.6)))
+    tri = mesh.triangles[rng.permutation(mesh.num_elements)]
+    shift = rng.integers(3, size=tri.shape[0])
+    tri = tri[np.arange(tri.shape[0])[:, None], (np.arange(3) + shift[:, None]) % 3]
+    return _build_mesh(mesh.vertices, tri)
+
+
+ORACLE_MESHES = {
+    "structured_1x1": lambda: build_structured(1, 1),
+    "structured_5x3": lambda: build_structured(5, 3, (0.1, 0.2, 1.3, 2.4)),
+    "structured_4x4": lambda: build_structured(4, 4),
+    "refined_twice": lambda: refine_uniform(refine_uniform(build_structured(3, 2))),
+    "shuffled_0": lambda: _shuffled_mesh(0),
+    "shuffled_1": lambda: _shuffled_mesh(1),
+    "shuffled_refined": lambda: refine_uniform(_shuffled_mesh(2)),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_MESHES))
+def test_build_mesh_matches_connectivity_oracle(name):
+    mesh = ORACLE_MESHES[name]()
+    ref = connectivity_oracle(mesh.vertices, mesh.triangles)
+    for key in (
+        "facet_vertices", "facet_left", "facet_right", "facet_length",
+        "facet_normal", "boundary_vertex", "h_elem", "h_vertex",
+    ):
+        got = getattr(mesh, key)
+        assert got.dtype == ref[key].dtype and got.tobytes() == ref[key].tobytes(), key
+    assert mesh.patch_indptr[-1] == mesh.patch_elements.size == 3 * mesh.num_elements
+    for i, patch in enumerate(ref["patches"]):
+        assert np.array_equal(node_patch_elements(mesh, i), patch)
+
+
+def test_shuffled_mesh_owner_is_smallest_element():
+    mesh = _shuffled_mesh(3)
+    interior = mesh.facet_right >= 0
+    assert np.all(mesh.facet_left[interior] < mesh.facet_right[interior])
+    # (a, b) follow the owner's CCW order, so the normal points out of it
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    mid = mesh.vertices[mesh.facet_vertices].mean(axis=1)
+    outward = np.einsum("ij,ij->i", mid - centroids[mesh.facet_left], mesh.facet_normal)
+    assert np.all(outward > 0.0)
+
+
+def test_facet_of_three_triangles_raises():
+    vertices = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, 0.5), (0.5, 2.0)]
+    triangles = [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
+    with pytest.raises(ValueError, match="more than two incident elements"):
+        _build_mesh(vertices, triangles)
+
+
+def test_clockwise_triangle_raises():
+    vertices = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    with pytest.raises(ValueError, match="clockwise"):
+        _build_mesh(vertices, [(0, 1, 2), (1, 2, 3)])
+
+
+def test_vertex_outside_every_triangle_raises():
+    vertices = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (5.0, 5.0)]
+    with pytest.raises(ValueError, match="belongs to no triangle"):
+        _build_mesh(vertices, [(0, 1, 2)])

@@ -285,6 +285,26 @@ def test_solver_deterministic():
     assert a.trace.inner_iters_per_outer == b.trace.inner_iters_per_outer
 
 
+@pytest.mark.parametrize(
+    "limits,reason",
+    [
+        ({}, "converged"),
+        ({"max_inner": 1, "tol_inner": 1e-14}, "inner_stalled"),
+        ({"max_outer": 1}, "max_outer"),
+    ],
+)
+def test_stop_reason(limits, reason):
+    mesh = build_structured(4, 4)
+    spec = make_spec(
+        epsilon=1e-3, f=lambda x, y: 1.0 + 0.0 * x, bounds=(0.0, 0.4), **limits
+    )
+    trace = solve_bound_preserving(mesh, spec).trace
+    assert trace.stop_reason == reason
+    assert trace.converged == (reason == "converged")
+    if reason == "inner_stalled":
+        assert trace.outer_iters == 1 and trace.inner_iters_per_outer == [1]
+
+
 def test_trace_bookkeeping():
     mesh = build_structured(4, 4)
     spec = make_spec(epsilon=1e-3, f=lambda x, y: 1.0 + 0.0 * x, bounds=(0.0, 1.0))
