@@ -7,6 +7,8 @@ assembly paths.
 """
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 # 7-point Gauss-Legendre rule on [0, 1]; exact through degree 13, far more
 # than needed for products of P1 traces and gradients.
@@ -246,3 +248,50 @@ def truncate_node(v1_at_i, under_i, over_i, bounds):
     """Clamped nodal value max[a - under, min(v, b - over)], one node at a time."""
     a, b = bounds
     return max(a - under_i, min(v1_at_i, b - over_i))
+
+
+def richardson_step1_oracle(u1, w0, system, spec, extremes, tol, max_iter, state=None):
+    """Damped Richardson loop for the continuous-part problem (Step 1).
+
+    The sweep the package used before its active-set Newton solve, kept
+    as the Step-1 reference: iterates A11 u_{n+1} = A11 u_n + omega * R_n
+    with R_n = b1 - A11 P(u_n) - S1 Q(u_n) - A10 w0 (A10 w0 dropped when
+    spec.drop_inner_coupling is set) until the L2 norm of the increment
+    falls below tol.  The sweep is stable only while
+    omega * lambda_max(A11^{-1} S1) < 2, so a safeguard halves the
+    damping, down to omega / 32, whenever the increment fails to decrease;
+    a mutable ``state`` dict (key "damping") carries it across calls.
+
+    Returns (u1_new, iteration_count, increment_history, converged).
+    """
+    lu = spla.splu(sp.csc_matrix(system.A11))
+    a, b = spec.bounds
+    rhs = system.b1.copy()
+    if not spec.drop_inner_coupling:
+        rhs = rhs - system.A10 @ w0
+
+    if state is None:
+        state = {"damping": spec.omega}
+    damping = state["damping"]
+    damping_floor = spec.omega / 32.0
+
+    u = np.asarray(u1, dtype=float).copy()
+    increments = []
+    converged = False
+    prev_inc = np.inf
+    for _ in range(max_iter):
+        p = np.maximum(a - extremes.under, np.minimum(u, b - extremes.over))
+        q = u - p
+        residual = rhs - system.A11 @ p - system.S1 * q
+        step = damping * lu.solve(residual)
+        u = u + step
+        inc = float(np.sqrt(step @ (system.M1 @ step)))
+        increments.append(inc)
+        if inc <= tol:
+            converged = True
+            break
+        if inc > 0.999 * prev_inc and damping > damping_floor:
+            damping = max(0.5 * damping, damping_floor)
+        prev_inc = inc
+    state["damping"] = damping
+    return u, len(increments), increments, converged

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,11 +7,12 @@ import scipy.sparse.linalg as spla
 
 import egbp.solver
 from egbp.assembly import BlockSystem, ProblemSpec, assemble_system
-from egbp.cli import StudyConfig, apply_experiment_defaults, smooth_exact
+from egbp.cli import StudyConfig, apply_experiment_defaults, layer_source, smooth_exact
 from egbp.fespace import DofMap, dirichlet_lift, element_vertex_values
-from egbp.limiter import patch_extremes
+from egbp.limiter import feasibility_check, patch_extremes
 from egbp.mesh import build_structured, refine_uniform
 from egbp.solver import (
+    A11Factor,
     EGSolution,
     SolveTrace,
     SolverError,
@@ -22,6 +25,7 @@ from egbp.solver import (
     solve_standard_eg,
     write_trace,
 )
+from oracles import richardson_step1_oracle
 
 
 def make_spec(**kw):
@@ -198,25 +202,111 @@ def test_bound_preserving_solve_smooth_problem():
     assert sol.trace.nonlinear_residual <= 1e-10
 
 
+def _same_matrix(M, N):
+    return M.shape == N.shape and (sp.csc_matrix(M) != sp.csc_matrix(N)).nnz == 0
+
+
 def test_bound_preserving_factors_only_A11_and_A00(monkeypatch):
-    names = []
+    # Every factored matrix is A00, A11 or a principal submatrix A11[idx][:, idx]
+    # (entry for entry), and at most one A11-class factor is alive at a time.
+    mesh = build_structured(8, 8)
+    spec = make_spec(epsilon=1e-3, beta=4, f=lambda x, y: 1.0 + 0.0 * x, bounds=(0.0, 1.0))
+    dofs = DofMap.from_mesh(mesh)
+    system = assemble_system(mesh, spec, dofs)
+    free_sets = [np.ones(dofs.n_interior, dtype=bool)]
+    kinds = []
+    a11_factors = []
+    most_alive = []
 
     class RecordingFactor(SpdFactor):
         def __init__(self, A, name="system"):
-            names.append(name)
             super().__init__(A, name=name)
+            if _same_matrix(self.A, system.A00):
+                kinds.append("A00")
+                return
+            idx = [f for f in free_sets if _same_matrix(self.A, system.A11[f][:, f])]
+            assert idx, "factored a matrix that is neither A00 nor a principal submatrix of A11"
+            kinds.append("A11" if idx[0].all() else "A11[idx]")
+            a11_factors.append(weakref.ref(self))
+            most_alive.append(sum(ref() is not None for ref in a11_factors))
+
+    solve_free = A11Factor.solve
+
+    def recording_solve(self, b, free):
+        free_sets.append(free.copy())
+        return solve_free(self, b, free)
 
     def monolithic(*args, **kwargs):
         raise AssertionError("the bound-preserving solve used the monolithic system")
 
     monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
+    monkeypatch.setattr(A11Factor, "solve", recording_solve)
     monkeypatch.setattr(egbp.solver, "solve_standard_eg", monolithic)
     monkeypatch.setattr(BlockSystem, "full_matrix", monolithic)
-    mesh = build_structured(4, 4)
-    spec = make_spec(epsilon=1e-3, beta=4, f=lambda x, y: 1.0 + 0.0 * x, bounds=(0.0, 1.0))
-    sol = solve_bound_preserving(mesh, spec)
+    sol = solve_bound_preserving(mesh, spec, dofs, system)
     assert sol.trace.converged
-    assert sorted(names) == ["A00", "A11"]
+    assert kinds.count("A00") == 1 and kinds.count("A11") == 1
+    assert kinds.count("A11[idx]") >= 2
+    assert max(most_alive) == 1
+
+
+def _step1_case(name):
+    """(system, spec, w0, extremes) of one Step-1 problem for the oracle test."""
+    if name == "smooth":
+        mesh = build_structured(8, 4, (-1.0, 0.0, 1.0, 1.0))
+        u_exact = lambda x, y: np.sin(np.pi * (x + 1.0) / 2.0) * np.sin(np.pi * y)
+        f = lambda x, y: (1e-5 * (np.pi**2 / 4.0 + np.pi**2) + 1.0) * u_exact(x, y)
+        spec = make_spec(epsilon=1e-5, beta=4, f=f, u_D=lambda x, y: 0.0 * x, bounds=(0.0, 1.0))
+    elif name == "layer":
+        config = apply_experiment_defaults(StudyConfig(experiment="layer"))
+        mesh = refine_uniform(refine_uniform(build_structured(config.nx, config.ny)))
+        spec = config.problem_spec(f=layer_source, u_D=lambda x, y: 0.0 * x, f_quadrature="centroid")
+    else:
+        mesh = build_structured(4, 4)
+        spec = make_spec(epsilon=1e-3, f=lambda x, y: 1.0 + 0.0 * x, bounds=(0.0, 1.0))
+    dofs = DofMap.from_mesh(mesh)
+    system = assemble_system(mesh, spec, dofs)
+    if name == "infeasible":
+        # two neighbours of an interior vertex 1.6 apart: its window [a - under, b - over] is empty
+        w0 = np.zeros(mesh.num_elements)
+        v = dofs.interior_vertex_ids[0]
+        patch = mesh.patch_elements[mesh.patch_indptr[v]:mesh.patch_indptr[v + 1]]
+        w0[patch[0]], w0[patch[1]] = 0.8, -0.8
+    else:
+        w0 = solve_bound_preserving(mesh, spec, dofs, system).u.const_coeffs
+    return system, spec, w0, patch_extremes(mesh, w0, dofs)
+
+
+@pytest.mark.parametrize("name", ["smooth", "layer", "infeasible"])
+def test_step1_newton_matches_richardson_oracle(name):
+    system, spec, w0, extremes = _step1_case(name)
+    a, b = spec.bounds
+    lo, hi = a - extremes.under, b - extremes.over
+    u0 = np.zeros(system.b1.shape[0])
+    u, n, incs, converged = inner_richardson(u0, w0, system, spec, extremes)
+    u_ref, _, _, ref_converged = richardson_step1_oracle(
+        u0, w0, system, spec, extremes, tol=1e-14, max_iter=20000
+    )
+    assert converged and ref_converged and n == len(incs)
+    assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+    # u solves Step 1: A11 P(u) + S1 Q(u) = b1 - A10 w0
+    p = np.maximum(lo, np.minimum(u, hi))
+    r = system.b1 - system.A10 @ w0
+    assert np.linalg.norm(system.A11 @ p + system.S1 * (u - p) - r) <= 1e-12 * np.linalg.norm(r)
+    clamped_share = np.mean(p != u)
+    if name == "smooth":
+        assert clamped_share < 0.1
+    elif name == "layer":
+        assert clamped_share >= 0.9
+    else:
+        assert np.any(lo > hi)
+
+
+def test_step1_without_stabilizer_fails_loudly():
+    # alpha = 0 leaves Q(u) out of Step 1 at clamped nodes: no unique solution
+    spec = make_spec(alpha=0.0, epsilon=1e-3, f=lambda x, y: 1.0 + 0.0 * x, bounds=(0.0, 0.4))
+    with pytest.raises(SolverError, match="stabilizer"):
+        solve_bound_preserving(build_structured(4, 4), spec)
 
 
 def test_smooth_study_bounds_hold_at_interior_vertices():
@@ -305,7 +395,7 @@ def test_stop_reason(limits, reason):
         assert trace.outer_iters == 1 and trace.inner_iters_per_outer == [1]
 
 
-def test_trace_bookkeeping():
+def test_trace_bookkeeping(monkeypatch):
     mesh = build_structured(4, 4)
     spec = make_spec(epsilon=1e-3, f=lambda x, y: 1.0 + 0.0 * x, bounds=(0.0, 1.0))
     sol = solve_bound_preserving(mesh, spec)
@@ -318,6 +408,31 @@ def test_trace_bookkeeping():
         assert n == len(incs)
     assert t.outer_increments[-1] <= spec.tol_outer
     assert t.feasibility_violations == sum(1 for ok in t.feasible_per_outer if not ok)
+    # per outer sweep: worst feasibility slack, clamped nodes, A11-class factorizations
+    assert t.outer_iters == len(t.worst_slack_per_outer) == len(t.clamped_per_outer)
+    assert t.outer_iters == len(t.a11_factorizations_per_outer)
+    assert t.feasible_per_outer == [slack >= 0.0 for slack in t.worst_slack_per_outer]
+    dofs = DofMap.from_mesh(mesh)
+    system = assemble_system(mesh, spec, dofs)
+    u1 = solve_spd(system.A11, system.b1)
+    u0 = solve_spd(system.A00, system.b0 - system.A10.T @ u1)
+    _, _, slack = feasibility_check(patch_extremes(mesh, u0, dofs), spec.bounds)
+    assert t.worst_slack_per_outer[0] == pytest.approx(slack, rel=1e-10)
+
+    names = []
+
+    class RecordingFactor(SpdFactor):
+        def __init__(self, A, name="system"):
+            names.append(name)
+            super().__init__(A, name=name)
+
+    monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
+    sol = solve_bound_preserving(mesh, spec, polish=False)
+    t = sol.trace
+    assert names.count("A11") == 1 + sum(t.a11_factorizations_per_outer) >= 2
+    iv = dofs.interior_vertex_ids
+    clamped = np.count_nonzero(sol.u.linear_coeffs[iv] != sol.u_plus.linear_coeffs[iv])
+    assert 0 < t.clamped_per_outer[-1] == clamped <= iv.size
 
 
 def test_write_trace_csv(tmp_path):
