@@ -100,10 +100,9 @@ class BlockSystem:
     """Assembled blocks of a_h, the stabilizer diagonal, and the RHS.
 
     A11 couples interior-vertex dofs, A10 interior vertices to element
-    constants, A00 element constants.  ``A_all`` is the operator over all
-    vertex dofs plus element dofs (used for the Dirichlet lift action and
-    for residual checks); ``M1`` is the interior P1 mass matrix and
-    ``M0_diag`` the element areas, both used for L2 norms of increments.
+    constants, A00 element constants; b1 and b0 already carry the Dirichlet
+    lift action.  ``M1`` is the interior P1 mass matrix and ``M0_diag`` the
+    element areas, both used for L2 norms of increments.
     """
 
     A11: sp.csr_matrix
@@ -112,7 +111,6 @@ class BlockSystem:
     S1: np.ndarray
     b1: np.ndarray = None
     b0: np.ndarray = None
-    A_all: sp.csr_matrix = field(default=None, repr=False)
     M1: sp.csr_matrix = field(default=None, repr=False)
     M0_diag: np.ndarray = field(default=None, repr=False)
     dofs: DofMap = field(default=None, repr=False)
@@ -327,7 +325,6 @@ def assemble_system(mesh, spec, dofs=None, lift=None):
         S1=assemble_s(mesh, spec, dofs),
         b1=bfull[iv],
         b0=bfull[ev],
-        A_all=A_all,
         M1=Mfull[np.ix_(iv, iv)].tocsr(),
         M0_diag=area,
         dofs=dofs,

@@ -47,7 +47,7 @@ __all__ = [
 
 CSV_HEADER = (
     "elements,h,err_l2,eoc_l2,err_h1,eoc_h1,jump_norm,eoc_jump,"
-    "const_l2,eoc_const,iters,min_val,max_val,cons_residual"
+    "const_l2,eoc_const,iters,min_val,max_val,cons_residual,nonlinear_residual"
 )
 
 
@@ -379,6 +379,7 @@ def emit_tables(report, out_dir, basename="study", formats=("csv", "markdown")):
                 rec.min_val,
                 rec.max_val,
                 rec.max_conservation_residual,
+                rec.nonlinear_residual,
             ]
         )
     if "csv" in formats:

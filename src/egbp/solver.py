@@ -6,12 +6,6 @@ Newton solve for the continuous part (each step one solve with a principal
 submatrix of the plain P1 matrix A11, no worse conditioned than A11, whose
 conditioning is independent of the penalty exponent) and a direct solve
 with the constant-part matrix A00 = mu*M0 + penalty jump coupling.
-
-After the tolerance-based loop terminates, a short "polish" phase repeats
-the alternation with near-machine tolerances so that the reported
-nonlinear residual reflects the fixed point rather than the stopping
-tolerance; polish iterations are recorded separately and do not count
-towards the iteration numbers of the study tables.
 """
 
 from __future__ import annotations
@@ -40,9 +34,6 @@ __all__ = [
     "write_trace",
 ]
 
-_POLISH_TOL = 1e-14
-_POLISH_MAX_OUTER = 8
-
 
 class SolverError(RuntimeError):
     pass
@@ -58,7 +49,9 @@ class SolveTrace:
     Per outer sweep it records the Newton step sizes, the clamped-node
     count of the last Newton step, the worst feasibility slack
     min_i (b - over_i) - (a - under_i) and the number of A11-class
-    factorizations the sweep made.
+    factorizations the sweep made.  ``polish_outer_iters`` is always 0:
+    the solve has no sweeps after convergence; the field stays because the
+    benchmark records read it.
     """
 
     outer_iters: int = 0
@@ -272,7 +265,7 @@ def nonlinear_residual(system, spec, dofs, solution):
     return float(np.sqrt(np.linalg.norm(r1) ** 2 + np.linalg.norm(r0) ** 2))
 
 
-def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None, polish=True):
+def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     """Nested fixed-point solve of the bound-preserving EG scheme.
 
     Factors only A00 and principal submatrices of A11, one at a time.
@@ -288,30 +281,25 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None, polish
     u1 = a11.solve(system.b1, a11.free)
     u0 = a00_factor.solve(system.b0 - system.A10.T @ u1, rel_tol=1e-13)
 
-    trace = SolveTrace()
-
-    def one_outer(u1, u0, record):
+    trace = SolveTrace(stop_reason="max_outer")
+    for _ in range(spec.max_outer):
         extremes = patch_extremes(mesh, u0, dofs)
         feasible, _, slack = feasibility_check(extremes, spec.bounds)
         factorizations = a11.count
         u1, n, incs, inner_ok = inner_richardson(u1, u0, system, spec, extremes, a11)
         u0_new = outer_constant_solve(u1, u0, system, spec, extremes, a00_factor)
         d = u0_new - u0
+        u0 = u0_new
         outer_inc = float(np.sqrt(d @ (system.M0_diag * d)))
-        if record:
-            trace.outer_iters += 1
-            trace.inner_iters_per_outer.append(n)
-            trace.inner_residual_histories.append(incs)
-            trace.outer_increments.append(outer_inc)
-            trace.feasible_per_outer.append(feasible)
-            trace.feasibility_violations += not feasible
-            trace.worst_slack_per_outer.append(slack)
-            trace.clamped_per_outer.append(int(np.count_nonzero(~a11.free)))
-            trace.a11_factorizations_per_outer.append(a11.count - factorizations)
-        return u1, u0_new, outer_inc, inner_ok
-
-    for _ in range(spec.max_outer):
-        u1, u0, outer_inc, inner_ok = one_outer(u1, u0, record=True)
+        trace.outer_iters += 1
+        trace.inner_iters_per_outer.append(n)
+        trace.inner_residual_histories.append(incs)
+        trace.outer_increments.append(outer_inc)
+        trace.feasible_per_outer.append(feasible)
+        trace.feasibility_violations += not feasible
+        trace.worst_slack_per_outer.append(slack)
+        trace.clamped_per_outer.append(int(np.count_nonzero(~a11.free)))
+        trace.a11_factorizations_per_outer.append(a11.count - factorizations)
         if not inner_ok:
             trace.stop_reason = "inner_stalled"
             break
@@ -319,18 +307,6 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None, polish
             trace.converged = True
             trace.stop_reason = "converged"
             break
-    else:
-        trace.stop_reason = "max_outer"
-
-    # Step 1 is exact, so a polish sweep costs about one Newton step.  It
-    # stays because the outer loop stops at tol_outer, and the smooth L2/H1
-    # errors are pinned to 1e-10 relative (perfbench/reference.json).
-    if polish and trace.converged:
-        for _ in range(_POLISH_MAX_OUTER):
-            u1, u0, outer_inc, _ = one_outer(u1, u0, record=False)
-            trace.polish_outer_iters += 1
-            if outer_inc <= _POLISH_TOL:
-                break
 
     u = _compose(mesh, dofs, lift, u1, u0)
     u_plus = apply_P(mesh, dofs, u0, u, spec.bounds)

@@ -137,7 +137,7 @@ def test_rhs_lift_action():
     system = assemble_system(mesh, spec, dofs, lift)
     # b = -A (lift), restricted: reproduce by hand from the full operator
     lvec = np.concatenate([lift.linear_coeffs, np.zeros(mesh.num_elements)])
-    full = system.A_all @ lvec
+    full = _assemble_full(mesh, spec) @ lvec
     nv = mesh.num_vertices
     assert np.allclose(system.b1, -full[dofs.interior_vertex_ids], atol=1e-13)
     assert np.allclose(system.b0, -full[nv + dofs.element_ids], atol=1e-13)

@@ -26,7 +26,7 @@ def sample_report():
         LevelRecord(
             n_elements=64, h=0.25, err_l2=1e-2, err_h1=1e-1, jump_norm=1e-3,
             const_l2=2e-3, outer_iters=4, min_val=0.0, max_val=1.0,
-            max_conservation_residual=1e-16,
+            max_conservation_residual=1e-16, nonlinear_residual=2.5e-13,
         ),
         LevelRecord(
             n_elements=256, h=0.125, err_l2=0.25e-2, err_h1=0.5e-1,
@@ -58,6 +58,8 @@ def test_emit_and_parse_roundtrip(tmp_path):
     assert np.isnan(rows[0]["eoc_l2"])
     assert rows[1]["eoc_l2"] == pytest.approx(2.0)
     assert rows[1]["iters"] == 3
+    assert rows[0]["nonlinear_residual"] == 2.5e-13
+    assert np.isnan(rows[1]["nonlinear_residual"])  # not recorded: "--"
 
 
 def test_emit_tables_markdown(tmp_path):
@@ -66,6 +68,7 @@ def test_emit_tables_markdown(tmp_path):
     md = [p for p in paths if p.endswith(".md")][0]
     lines = open(md).read().strip().split("\n")
     assert lines[0].startswith("| elements |")
+    assert lines[0].endswith("| cons_residual | nonlinear_residual |")
     assert len(lines) == 4
     assert "--" in lines[2]  # first-level EOC cells are empty markers
 
@@ -229,6 +232,7 @@ def test_main_smooth_small_run(tmp_path):
     rows = parse_report_csv(str(tmp_path / "smooth.csv"))
     assert len(rows) == 2
     assert rows[1]["err_l2"] < rows[0]["err_l2"]
+    assert all(0.0 <= r["nonlinear_residual"] <= 1e-10 for r in rows)
 
 
 def test_main_config_file(tmp_path):

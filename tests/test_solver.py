@@ -427,12 +427,40 @@ def test_trace_bookkeeping(monkeypatch):
             super().__init__(A, name=name)
 
     monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
-    sol = solve_bound_preserving(mesh, spec, polish=False)
+    sol = solve_bound_preserving(mesh, spec)
     t = sol.trace
     assert names.count("A11") == 1 + sum(t.a11_factorizations_per_outer) >= 2
     iv = dofs.interior_vertex_ids
     clamped = np.count_nonzero(sol.u.linear_coeffs[iv] != sol.u_plus.linear_coeffs[iv])
     assert 0 < t.clamped_per_outer[-1] == clamped <= iv.size
+
+
+@pytest.mark.parametrize("experiment", ["smooth", "layer"])
+def test_no_sweep_after_convergence(monkeypatch, experiment):
+    # Every Step-2 solve belongs to a recorded outer sweep: nothing runs
+    # after the loop stops at tol_outer.
+    config = apply_experiment_defaults(StudyConfig(experiment=experiment))
+    if experiment == "smooth":
+        u, _, make_f = smooth_exact()
+        spec = config.problem_spec(f=make_f(config.epsilon, config.mu), u_D=u)
+    else:
+        zero = lambda x, y: 0.0 * x
+        spec = config.problem_spec(f=layer_source, u_D=zero, f_quadrature="centroid")
+    box = (config.x0, config.y0, config.x1, config.y1)
+    mesh = refine_uniform(build_structured(config.nx, config.ny, box))
+    calls = []
+    step2 = egbp.solver.outer_constant_solve
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return step2(*args, **kw)
+
+    monkeypatch.setattr(egbp.solver, "outer_constant_solve", counting)
+    t = solve_bound_preserving(mesh, spec).trace
+    assert t.stop_reason == "converged"
+    assert len(calls) == t.outer_iters == len(t.outer_increments)
+    assert t.polish_outer_iters == 0
+    assert t.nonlinear_residual <= 10.0 * (spec.tol_outer + 1e-12)
 
 
 def test_write_trace_csv(tmp_path):
