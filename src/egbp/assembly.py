@@ -144,11 +144,11 @@ def _penalty_coefficient(mesh, spec):
     return spec.gamma * weight / hF**spec.beta
 
 
-def _assemble_full(mesh, spec):
-    """COO triplets of a_h over (all vertices) + (all elements)."""
+def _assemble_full(mesh, spec, geometry=None):
+    """a_h over (all vertices) + (all elements); geometry = _grads_and_areas(mesh)."""
     nv = mesh.num_vertices
     nt = mesh.num_elements
-    grads, area = _grads_and_areas(mesh)
+    grads, area = _grads_and_areas(mesh) if geometry is None else geometry
     tri = mesh.triangles
 
     rows, cols, vals = [], [], []
@@ -249,7 +249,7 @@ def assemble_s(mesh, spec, dofs):
     return spec.alpha * (spec.epsilon + spec.mu * h_i**2)
 
 
-def _f_on_elements(mesh, spec):
+def _f_on_elements(mesh, spec, area):
     """(fvec over all vertex dofs, fvec over element dofs)."""
     nv = mesh.num_vertices
     nt = mesh.num_elements
@@ -257,7 +257,6 @@ def _f_on_elements(mesh, spec):
     f0 = np.zeros(nt)
     if spec.f is None:
         return fv, f0
-    _, area = _grads_and_areas(mesh)
     p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
     if spec.f_quadrature == "centroid":
         cen = p.mean(axis=1)
@@ -285,7 +284,10 @@ def _eval_field(f, X, Y):
 
 def p1_mass_matrix(mesh):
     """Consistent P1 mass matrix over all vertices."""
-    _, area = _grads_and_areas(mesh)
+    return _p1_mass(mesh, _grads_and_areas(mesh)[1])
+
+
+def _p1_mass(mesh, area):
     tri = mesh.triangles
     Me = area[:, None, None] / 12.0 * (np.ones((3, 3)) + np.eye(3))
     r = np.repeat(tri, 3, axis=1)
@@ -300,7 +302,8 @@ def assemble_system(mesh, spec, dofs=None, lift=None):
     """Assemble all blocks of a_h, the stabilizer, and the RHS at once."""
     if dofs is None:
         dofs = DofMap.from_mesh(mesh)
-    A_all = _assemble_full(mesh, spec)
+    grads, area = _grads_and_areas(mesh)
+    A_all = _assemble_full(mesh, spec, (grads, area))
     nv = mesh.num_vertices
     iv = dofs.interior_vertex_ids
     ev = nv + dofs.element_ids
@@ -308,7 +311,7 @@ def assemble_system(mesh, spec, dofs=None, lift=None):
     A10 = A_all[np.ix_(iv, ev)].tocsr()
     A00 = A_all[np.ix_(ev, ev)].tocsr()
 
-    fv, f0 = _f_on_elements(mesh, spec)
+    fv, f0 = _f_on_elements(mesh, spec, area)
     bfull = np.concatenate([fv, f0])
     if lift is not None:
         if np.any(lift.const_coeffs != 0.0):
@@ -316,8 +319,7 @@ def assemble_system(mesh, spec, dofs=None, lift=None):
         lvec = np.concatenate([lift.linear_coeffs, np.zeros(mesh.num_elements)])
         bfull = bfull - A_all @ lvec
 
-    _, area = _grads_and_areas(mesh)
-    Mfull = p1_mass_matrix(mesh)
+    Mfull = _p1_mass(mesh, area)
     return BlockSystem(
         A11=A11,
         A10=A10,

@@ -5,7 +5,9 @@ alternating two well-conditioned subproblems: an active-set (semismooth)
 Newton solve for the continuous part (each step one solve with a principal
 submatrix of the plain P1 matrix A11, no worse conditioned than A11, whose
 conditioning is independent of the penalty exponent) and a direct solve
-with the constant-part matrix A00 = mu*M0 + penalty jump coupling.
+with the constant-part matrix A00 = mu*M0 + penalty jump coupling.  The
+factor of the full A11 lives for the whole solve: a few clamped nodes are
+handled by capacitance solves on it, many by factoring the submatrix.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ class SolveTrace:
     up max_inner steps before its clamped set settled) or "max_outer".
     Per outer sweep it records the Newton step sizes, the clamped-node
     count of the last Newton step, the worst feasibility slack
-    min_i (b - over_i) - (a - under_i) and the number of A11-class
-    factorizations the sweep made.  ``polish_outer_iters`` is always 0:
+    min_i (b - over_i) - (a - under_i), the number of A11-class
+    factorizations the sweep made and the triangular solves it spent on
+    capacitance matrices (see A11Factor).  ``polish_outer_iters`` is always 0:
     the solve has no sweeps after convergence; the field stays because the
     benchmark records read it.
     """
@@ -64,6 +67,7 @@ class SolveTrace:
     worst_slack_per_outer: list = field(default_factory=list)
     clamped_per_outer: list = field(default_factory=list)
     a11_factorizations_per_outer: list = field(default_factory=list)
+    capacitance_columns_per_outer: list = field(default_factory=list)
     nonlinear_residual: float = np.nan
     polish_outer_iters: int = 0
     stop_reason: str = ""
@@ -104,25 +108,30 @@ class SpdFactor:
 
     def solve(self, b, rel_tol=1e-12, max_refine=4):
         """A^{-1} b to relative residual rel_tol; SolverError if refinement misses it."""
-        x = self.lu.solve(b)
-        if not np.all(np.isfinite(x)):
-            raise SolverError("solve with %s produced non-finite values" % self.name)
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            return np.zeros_like(b)
         # Up to max_refine refinement sweeps recover accuracy lost to the
         # ill-conditioning of over-penalized monolithic systems.
-        for sweep in range(max_refine + 1):
-            r = b - self.A @ x
-            rnorm = np.linalg.norm(r)
-            if rnorm <= rel_tol * bnorm:
-                return x
-            if sweep < max_refine:
-                x = x + self.lu.solve(r)
-        raise SolverError(
-            "solve with %s missed relative residual %.1e after %d refinement sweeps (%.3e)"
-            % (self.name, rel_tol, max_refine, rnorm / bnorm)
-        )
+        return _refine(b, self.lu.solve, lambda x: self.A @ x, self.name, rel_tol, max_refine)
+
+
+def _refine(b, approx_solve, matvec, name, rel_tol, max_refine=4):
+    """Iterative refinement of approx_solve(b) against matvec to relative residual rel_tol."""
+    x = approx_solve(b)
+    if not np.all(np.isfinite(x)):
+        raise SolverError("solve with %s produced non-finite values" % name)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return np.zeros_like(b)
+    for sweep in range(max_refine + 1):
+        r = b - matvec(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= rel_tol * bnorm:
+            return x
+        if sweep < max_refine:
+            x = x + approx_solve(r)
+    raise SolverError(
+        "solve with %s missed relative residual %.1e after %d refinement sweeps (%.3e)"
+        % (name, rel_tol, max_refine, rnorm / bnorm)
+    )
 
 
 def solve_spd(A, b, rel_tol=1e-12, name="system"):
@@ -159,27 +168,72 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     return _compose(mesh, dofs, lift, x[:n1], x[n1:])
 
 
-class A11Factor:
-    """The one A11-class factor of a solve, keyed by its free node set.
+class _Capacitance:
+    """A11[I, I]^{-1} from the factor of the full A11, I the free nodes.
 
-    Starts as the factor of the full A11.  A solve on another free set
-    drops the old factor before it factors A11[free][:, free], so at most
-    one A11-class factor is alive; ``count`` is the factorizations so far.
+    With the clamped set C, Z = A11^{-1} E_C and G = Z[C], the capacitance
+    (Sherman-Morrison-Woodbury) form gives x_I = (y - Z G^{-1} y_C)_I for
+    y = A11^{-1} r~, r~ = r with zeros on C (Hager, SIAM Review 31(2),
+    1989).  Solves are refined against A11[I, I], applied as (A11 x~)_I
+    with x~ zero on C, so A11[I, I] is never extracted.
+    """
+
+    def __init__(self, full, free):
+        self.full, self.free = full, free
+        self.clamped = np.flatnonzero(~free)
+        E = np.zeros((free.size, self.clamped.size))
+        E[self.clamped, np.arange(self.clamped.size)] = 1.0
+        self.Z = full.lu.solve(E)
+        self.G = self.Z[self.clamped]
+
+    def _scatter(self, x):
+        out = np.zeros(self.free.size)
+        out[self.free] = x
+        return out
+
+    def _approx_solve(self, r):
+        y = self.full.lu.solve(self._scatter(r))
+        return (y - self.Z @ np.linalg.solve(self.G, y[self.clamped]))[self.free]
+
+    def solve(self, b, rel_tol):
+        matvec = lambda x: (self.full.A @ self._scatter(x))[self.free]
+        return _refine(b, self._approx_solve, matvec, "A11 (capacitance)", rel_tol)
+
+
+class A11Factor:
+    """Step-1 solves with the principal submatrices A11[I, I], I the free set.
+
+    The factor of the full A11 stays alive for the whole solve.  While the
+    clamped set C is small, 2 |C| n <= fill of the full factor (n the size
+    of A11), a new free set gets the capacitance form on that factor: |C|
+    triangular solves, each about 2 fill flops, against at least fill^2 / n
+    flops for a refactorization.  A larger C has A11[I, I] factored instead,
+    after the previous submatrix factor is dropped, so at most the full
+    factor and one submatrix factor are alive.  ``count`` is the A11-class
+    factorizations so far, ``columns`` the triangular solves spent forming
+    the capacitance matrices.
     """
 
     def __init__(self, A11):
         self.A11 = sp.csc_matrix(A11)
+        self.full = SpdFactor(self.A11, name="A11")
         self.free = np.ones(self.A11.shape[0], dtype=bool)
-        self.factor = SpdFactor(self.A11, name="A11")
+        self.factor = self.full  # solves on self.free
         self.count = 1
+        self.columns = 0
 
     def solve(self, b, free):
         """A11[free][:, free]^{-1} b, with b given on the free nodes."""
         if not np.array_equal(free, self.free):
-            self.factor, self.free = None, free
-            if free.any():
-                self.factor = SpdFactor(self.A11[free][:, free], name="A11")
-                self.count += 1
+            self.factor, self.free = self.full, free
+            k = int(np.count_nonzero(~free))
+            if 0 < k < free.size:
+                if 2 * k * free.size <= self.full.lu.nnz:
+                    self.factor = _Capacitance(self.full, free)
+                    self.columns += k
+                else:
+                    self.factor = SpdFactor(self.A11[free][:, free], name="A11")
+                    self.count += 1
         return self.factor.solve(b, rel_tol=1e-13) if free.any() else np.zeros(0)
 
 
@@ -268,7 +322,8 @@ def nonlinear_residual(system, spec, dofs, solution):
 def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     """Nested fixed-point solve of the bound-preserving EG scheme.
 
-    Factors only A00 and principal submatrices of A11, one at a time.
+    Factors only A00, the full A11 once, and principal submatrices of A11
+    when many nodes are clamped (see A11Factor).
     Starts from one decoupled sweep u1 = A11^{-1} b1,
     u0 = A00^{-1} (b0 - A10^T u1), alternates the Step-1 Newton solve with
     the decoupled constant-part solve, and stops when the L2 increment of
@@ -285,7 +340,7 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     for _ in range(spec.max_outer):
         extremes = patch_extremes(mesh, u0, dofs)
         feasible, _, slack = feasibility_check(extremes, spec.bounds)
-        factorizations = a11.count
+        factorizations, columns = a11.count, a11.columns
         u1, n, incs, inner_ok = inner_richardson(u1, u0, system, spec, extremes, a11)
         u0_new = outer_constant_solve(u1, u0, system, spec, extremes, a00_factor)
         d = u0_new - u0
@@ -300,6 +355,7 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
         trace.worst_slack_per_outer.append(slack)
         trace.clamped_per_outer.append(int(np.count_nonzero(~a11.free)))
         trace.a11_factorizations_per_outer.append(a11.count - factorizations)
+        trace.capacitance_columns_per_outer.append(a11.columns - columns)
         if not inner_ok:
             trace.stop_reason = "inner_stalled"
             break

@@ -1,4 +1,5 @@
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -206,17 +207,49 @@ def _same_matrix(M, N):
     return M.shape == N.shape and (sp.csc_matrix(M) != sp.csc_matrix(N)).nnz == 0
 
 
-def test_bound_preserving_factors_only_A11_and_A00(monkeypatch):
-    # Every factored matrix is A00, A11 or a principal submatrix A11[idx][:, idx]
-    # (entry for entry), and at most one A11-class factor is alive at a time.
-    mesh = build_structured(8, 8)
+def _smooth_problem():
+    """(mesh, spec) of a small smooth problem whose solve clamps 1 of 21 nodes."""
+    mesh = build_structured(8, 4, (-1.0, 0.0, 1.0, 1.0))
+    u_exact = lambda x, y: np.sin(np.pi * (x + 1.0) / 2.0) * np.sin(np.pi * y)
+    f = lambda x, y: (1e-5 * (np.pi**2 / 4.0 + np.pi**2) + 1.0) * u_exact(x, y)
+    spec = make_spec(epsilon=1e-5, beta=4, f=f, u_D=lambda x, y: 0.0 * x, bounds=(0.0, 1.0))
+    return mesh, spec
+
+
+def _many_clamped_problem():
+    """(mesh, spec) of an 8x8 problem whose Step 1 clamps most nodes."""
     spec = make_spec(epsilon=1e-3, beta=4, f=lambda x, y: 1.0 + 0.0 * x, bounds=(0.0, 1.0))
+    return build_structured(8, 8), spec
+
+
+def _layer_problem(refinements=1):
+    """(mesh, spec) of the layer study on its coarse mesh refined ``refinements`` times."""
+    config = apply_experiment_defaults(StudyConfig(experiment="layer"))
+    mesh = build_structured(config.nx, config.ny)
+    for _ in range(refinements):
+        mesh = refine_uniform(mesh)
+    spec = config.problem_spec(f=layer_source, u_D=lambda x, y: 0.0 * x, f_quadrature="centroid")
+    return mesh, spec
+
+
+def _factored_kinds(monkeypatch, mesh, spec):
+    """Solve and return (kinds of the factored matrices, trace).
+
+    Asserts that every factored matrix is A00, A11 or a principal submatrix
+    A11[idx][:, idx] (entry for entry), that the full A11 lives for the whole
+    solve with at most one submatrix factor alive beside it, and that the
+    monolithic paths are never used.
+    """
     dofs = DofMap.from_mesh(mesh)
     system = assemble_system(mesh, spec, dofs)
     free_sets = [np.ones(dofs.n_interior, dtype=bool)]
     kinds = []
-    a11_factors = []
-    most_alive = []
+    a11_factors = {"A11": [], "A11[idx]": []}
+    most_alive = {"A11": 0, "A11[idx]": 0}
+
+    def count_alive():
+        for kind, refs in a11_factors.items():
+            most_alive[kind] = max(most_alive[kind], sum(ref() is not None for ref in refs))
 
     class RecordingFactor(SpdFactor):
         def __init__(self, A, name="system"):
@@ -227,14 +260,16 @@ def test_bound_preserving_factors_only_A11_and_A00(monkeypatch):
             idx = [f for f in free_sets if _same_matrix(self.A, system.A11[f][:, f])]
             assert idx, "factored a matrix that is neither A00 nor a principal submatrix of A11"
             kinds.append("A11" if idx[0].all() else "A11[idx]")
-            a11_factors.append(weakref.ref(self))
-            most_alive.append(sum(ref() is not None for ref in a11_factors))
+            a11_factors[kinds[-1]].append(weakref.ref(self))
+            count_alive()
 
     solve_free = A11Factor.solve
 
     def recording_solve(self, b, free):
         free_sets.append(free.copy())
-        return solve_free(self, b, free)
+        x = solve_free(self, b, free)
+        count_alive()
+        return x
 
     def monolithic(*args, **kwargs):
         raise AssertionError("the bound-preserving solve used the monolithic system")
@@ -243,24 +278,33 @@ def test_bound_preserving_factors_only_A11_and_A00(monkeypatch):
     monkeypatch.setattr(A11Factor, "solve", recording_solve)
     monkeypatch.setattr(egbp.solver, "solve_standard_eg", monolithic)
     monkeypatch.setattr(BlockSystem, "full_matrix", monolithic)
-    sol = solve_bound_preserving(mesh, spec, dofs, system)
-    assert sol.trace.converged
+    trace = solve_bound_preserving(mesh, spec, dofs, system).trace
+    assert trace.converged
     assert kinds.count("A00") == 1 and kinds.count("A11") == 1
+    assert most_alive == {"A11": 1, "A11[idx]": min(1, kinds.count("A11[idx]"))}
+    return kinds, trace
+
+
+def test_bound_preserving_factors_only_A11_and_A00(monkeypatch):
+    # most nodes clamped: Step 1 factors principal submatrices, one at a time
+    kinds, trace = _factored_kinds(monkeypatch, *_many_clamped_problem())
     assert kinds.count("A11[idx]") >= 2
-    assert max(most_alive) == 1
+    assert sum(trace.capacitance_columns_per_outer) == 0
+
+
+def test_smooth_solve_factors_A11_once(monkeypatch):
+    # one clamped node: capacitance solves on the full factor, no submatrix
+    kinds, trace = _factored_kinds(monkeypatch, *_smooth_problem())
+    assert kinds.count("A11[idx]") == 0
+    assert sum(trace.capacitance_columns_per_outer) >= 1
 
 
 def _step1_case(name):
     """(system, spec, w0, extremes) of one Step-1 problem for the oracle test."""
     if name == "smooth":
-        mesh = build_structured(8, 4, (-1.0, 0.0, 1.0, 1.0))
-        u_exact = lambda x, y: np.sin(np.pi * (x + 1.0) / 2.0) * np.sin(np.pi * y)
-        f = lambda x, y: (1e-5 * (np.pi**2 / 4.0 + np.pi**2) + 1.0) * u_exact(x, y)
-        spec = make_spec(epsilon=1e-5, beta=4, f=f, u_D=lambda x, y: 0.0 * x, bounds=(0.0, 1.0))
+        mesh, spec = _smooth_problem()
     elif name == "layer":
-        config = apply_experiment_defaults(StudyConfig(experiment="layer"))
-        mesh = refine_uniform(refine_uniform(build_structured(config.nx, config.ny)))
-        spec = config.problem_spec(f=layer_source, u_D=lambda x, y: 0.0 * x, f_quadrature="centroid")
+        mesh, spec = _layer_problem(refinements=2)
     else:
         mesh = build_structured(4, 4)
         spec = make_spec(epsilon=1e-3, f=lambda x, y: 1.0 + 0.0 * x, bounds=(0.0, 1.0))
@@ -283,7 +327,8 @@ def test_step1_newton_matches_richardson_oracle(name):
     a, b = spec.bounds
     lo, hi = a - extremes.under, b - extremes.over
     u0 = np.zeros(system.b1.shape[0])
-    u, n, incs, converged = inner_richardson(u0, w0, system, spec, extremes)
+    a11 = A11Factor(system.A11)
+    u, n, incs, converged = inner_richardson(u0, w0, system, spec, extremes, a11)
     u_ref, _, _, ref_converged = richardson_step1_oracle(
         u0, w0, system, spec, extremes, tol=1e-14, max_iter=20000
     )
@@ -295,11 +340,56 @@ def test_step1_newton_matches_richardson_oracle(name):
     assert np.linalg.norm(system.A11 @ p + system.S1 * (u - p) - r) <= 1e-12 * np.linalg.norm(r)
     clamped_share = np.mean(p != u)
     if name == "smooth":
+        # the settled clamped set is solved by capacitance on the full factor
         assert clamped_share < 0.1
+        assert a11.columns >= np.count_nonzero(p != u)
+        assert isinstance(a11.factor, egbp.solver._Capacitance)
     elif name == "layer":
+        # far too many clamped nodes for capacitance: submatrices are factored
         assert clamped_share >= 0.9
+        assert a11.columns == 0 and a11.count >= 2
     else:
         assert np.any(lo > hi)
+
+
+def _random_free_set(n, clamped, seed):
+    free = np.ones(n, dtype=bool)
+    free[np.random.default_rng(seed).choice(n, clamped, replace=False)] = False
+    return free
+
+
+@pytest.mark.parametrize("clamped", [3, 40])
+def test_a11_free_set_solve_matches_fresh_factor(clamped):
+    # 225 nodes, full-factor fill 5,536: capacitance while 2 |C| n <= fill (|C| <= 12)
+    system = assemble_system(build_structured(16, 16), make_spec(f=lambda x, y: 1.0 + 0.0 * x))
+    n = system.A11.shape[0]
+    free = _random_free_set(n, clamped, seed=clamped)
+    b = np.random.default_rng(7).normal(size=np.count_nonzero(free))
+    a11 = A11Factor(system.A11)
+    x = a11.solve(b, free)
+    sub = sp.csc_matrix(system.A11[free][:, free])
+    x_ref = spla.splu(sub).solve(b)
+    assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
+    assert np.linalg.norm(sub @ x - b) <= 1e-13 * np.linalg.norm(b)
+    if clamped == 3:
+        assert (a11.count, a11.columns) == (1, 3)
+    else:
+        assert (a11.count, a11.columns) == (2, 0)
+    # the same free set reuses Z (or the factor); a new one forms it again
+    a11.solve(b, free)
+    assert a11.columns == (3 if clamped == 3 else 0)
+
+
+def test_capacitance_solve_raises_when_refinement_misses():
+    # the full factor holds the LU of 2·A11, so the capacitance form gives
+    # (2·A11)[I, I]^{-1}: each sweep halves the residual and cannot reach 1e-13
+    system = assemble_system(build_structured(16, 16), make_spec(f=lambda x, y: 1.0 + 0.0 * x))
+    a11 = A11Factor(system.A11)
+    a11.full.lu = spla.splu(sp.csc_matrix(2.0 * system.A11))
+    free = _random_free_set(system.A11.shape[0], 3, seed=3)
+    with pytest.raises(SolverError, match="refinement"):
+        a11.solve(np.ones(np.count_nonzero(free)), free)
+    assert a11.columns == 3
 
 
 def test_step1_without_stabilizer_fails_loudly():
@@ -433,6 +523,81 @@ def test_trace_bookkeeping(monkeypatch):
     iv = dofs.interior_vertex_ids
     clamped = np.count_nonzero(sol.u.linear_coeffs[iv] != sol.u_plus.linear_coeffs[iv])
     assert 0 < t.clamped_per_outer[-1] == clamped <= iv.size
+    assert t.outer_iters == len(t.capacitance_columns_per_outer)
+
+    # Smooth case, one clamped node: Z is formed (|C| triangular solves) in
+    # the sweep where C first appears or changes, and reused while C stays.
+    mesh, spec = _smooth_problem()
+    names.clear()
+    sweeps = []  # free sets of the A11Factor solves, per outer sweep
+    newton = egbp.solver.inner_richardson
+    solve_free = A11Factor.solve
+
+    def recording_newton(*args, **kwargs):
+        sweeps.append([])
+        return newton(*args, **kwargs)
+
+    def recording_solve(self, b, free):
+        if sweeps:
+            sweeps[-1].append(free.copy())
+        return solve_free(self, b, free)
+
+    monkeypatch.setattr(egbp.solver, "inner_richardson", recording_newton)
+    monkeypatch.setattr(A11Factor, "solve", recording_solve)
+    t = solve_bound_preserving(mesh, spec).trace
+    assert t.converged and t.outer_iters == len(sweeps) == len(t.capacitance_columns_per_outer)
+    assert names.count("A11") == 1 and sum(t.a11_factorizations_per_outer) == 0
+    previous = np.ones(sweeps[0][0].size, dtype=bool)  # the initial sweep's free set
+    kinds = set()
+    for m, frees in enumerate(sweeps):
+        changes = []
+        for free in frees:
+            if not np.array_equal(free, previous):
+                changes.append(np.count_nonzero(~free))
+            previous = free
+        assert t.capacitance_columns_per_outer[m] == sum(changes)
+        if not changes:
+            assert t.capacitance_columns_per_outer[m] == 0
+            kinds.add("unchanged")
+        elif len(changes) == 1:
+            assert t.capacitance_columns_per_outer[m] == t.clamped_per_outer[m] > 0
+            kinds.add("changed")
+    assert kinds == {"changed", "unchanged"}
+
+
+@pytest.mark.parametrize("case", ["smooth", "many_clamped"])
+def test_every_splu_goes_through_spd_factor(monkeypatch, case):
+    # The benchmark counts factorizations by installing an SpdFactor subclass
+    # with this __init__ signature; no solve path may call splu around it.
+    calls = {"splu": 0, "SpdFactor": 0}
+    splu = egbp.solver.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls["splu"] += 1
+        return splu(*args, **kwargs)
+
+    class CountingFactor(SpdFactor):
+        def __init__(self, A, name="system"):
+            before = calls["splu"]
+            super().__init__(A, name=name)
+            calls["SpdFactor"] += calls["splu"] - before
+
+    monkeypatch.setattr(egbp.solver.spla, "splu", counting_splu)
+    monkeypatch.setattr(egbp.solver, "SpdFactor", CountingFactor)
+    mesh, spec = _smooth_problem() if case == "smooth" else _many_clamped_problem()
+    trace = solve_bound_preserving(mesh, spec).trace
+    assert calls["splu"] == calls["SpdFactor"] == 2 + sum(trace.a11_factorizations_per_outer)
+
+
+@pytest.mark.parametrize("case", ["smooth", "layer"])
+def test_bound_preserving_reruns_bit_identical(case):
+    # the choice between capacitance and submatrix factor depends on counts only
+    mesh, spec = _smooth_problem() if case == "smooth" else _layer_problem()
+    a, b = (solve_bound_preserving(mesh, spec) for _ in range(2))
+    for fa, fb in ((a.u, b.u), (a.u_plus, b.u_plus)):
+        assert np.array_equal(fa.linear_coeffs, fb.linear_coeffs)
+        assert np.array_equal(fa.const_coeffs, fb.const_coeffs)
+    assert asdict(a.trace) == asdict(b.trace)
 
 
 @pytest.mark.parametrize("experiment", ["smooth", "layer"])
