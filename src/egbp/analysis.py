@@ -9,7 +9,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import TRI_QP, TRI_QW, _eval_field, _grads_and_areas
+from .assembly import TRI_QP, TRI_QW, _grads_and_areas
+from .fespace import _eval_field
 
 __all__ = [
     "LevelRecord",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import DofMap
+from .fespace import DofMap, _eval_field
 
 __all__ = [
     "ProblemSpec",
@@ -54,7 +54,13 @@ EDGE_QW = np.array([0.5, 0.5])
 
 @dataclass
 class ProblemSpec:
-    """Coefficients, data, penalty parameters, and solver controls."""
+    """Coefficients, data, penalty parameters, and solver controls.
+
+    The solve reads tol_outer, max_inner and max_outer.  ``omega`` and
+    ``tol_inner`` are read by no solve: Step 1 is solved exactly, without
+    damping or a tolerance.  They are accepted (and omega validated) so
+    that existing callers keep working.
+    """
 
     epsilon: float
     mu: float
@@ -70,9 +76,6 @@ class ProblemSpec:
     max_inner: int = 500
     max_outer: int = 200
     f_quadrature: str = "degree4"  # "degree4" or "centroid"
-    penalty_weight: str = "full"  # "full" = (eps + mu h^2); "epsilon" = plain eps
-    drop_inner_coupling: bool = False
-    raw_outer_update: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.mu <= 0:
@@ -91,8 +94,6 @@ class ProblemSpec:
             raise ValueError("bounds must satisfy a <= b")
         if self.f_quadrature not in ("degree4", "centroid"):
             raise ValueError("unknown f_quadrature %r" % self.f_quadrature)
-        if self.penalty_weight not in ("full", "epsilon"):
-            raise ValueError("unknown penalty_weight %r" % self.penalty_weight)
 
 
 @dataclass
@@ -137,11 +138,7 @@ def _grads_and_areas(mesh):
 
 def _penalty_coefficient(mesh, spec):
     hF = mesh.facet_length
-    if spec.penalty_weight == "full":
-        weight = spec.epsilon + spec.mu * hF**2
-    else:
-        weight = spec.epsilon * np.ones_like(hF)
-    return spec.gamma * weight / hF**spec.beta
+    return spec.gamma * (spec.epsilon + spec.mu * hF**2) / hF**spec.beta
 
 
 def _assemble_full(mesh, spec, geometry=None):
@@ -272,14 +269,6 @@ def _f_on_elements(mesh, spec, area):
     if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(f0))):
         raise ValueError("non-finite value in source-term quadrature")
     return fv, f0
-
-
-def _eval_field(f, X, Y):
-    """f at the points (X, Y); f must accept and return numpy arrays."""
-    out = np.asarray(f(X, Y), dtype=float)
-    if out.shape != X.shape:
-        out = np.broadcast_to(out, X.shape).astype(float)
-    return out
 
 
 def p1_mass_matrix(mesh):

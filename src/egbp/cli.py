@@ -72,15 +72,11 @@ class StudyConfig:
     gamma: float | None = None
     beta: int | None = None
     alpha: float | None = None
-    omega: float | None = None
     bound_a: float | None = None
     bound_b: float | None = None
-    tol_inner: float | None = None
     tol_outer: float | None = None
     max_inner: int = 500
     max_outer: int = 200
-    drop_inner_coupling: bool = False
-    raw_outer_update: bool = False
     emit_fields: bool = False
     out_dir: str = "."
     check: bool = False
@@ -92,16 +88,12 @@ class StudyConfig:
             gamma=self.gamma,
             beta=self.beta,
             alpha=self.alpha,
-            omega=self.omega,
             bounds=(self.bound_a, self.bound_b),
             f=f,
             u_D=u_D,
-            tol_inner=self.tol_inner,
             tol_outer=self.tol_outer,
             max_inner=self.max_inner,
             max_outer=self.max_outer,
-            drop_inner_coupling=self.drop_inner_coupling,
-            raw_outer_update=self.raw_outer_update,
         )
         kwargs.update(overrides)
         return ProblemSpec(**kwargs)
@@ -109,8 +101,8 @@ class StudyConfig:
 
 _DEFAULTS = dict(
     levels=5, nx=8, ny=4, x0=0.0, y0=0.0, x1=1.0, y1=1.0,
-    epsilon=1e-5, mu=1.0, gamma=10.0, beta=4, alpha=1.0, omega=0.5,
-    bound_a=0.0, bound_b=1.0, tol_inner=1e-9, tol_outer=1e-12,
+    epsilon=1e-5, mu=1.0, gamma=10.0, beta=4, alpha=1.0,
+    bound_a=0.0, bound_b=1.0, tol_outer=1e-12,
 )
 
 # Per experiment, the values that differ from _DEFAULTS.
@@ -356,11 +348,10 @@ def _fmt_short(x):
     return "%.2e" % x
 
 
-def emit_tables(report, out_dir, basename="study", formats=("csv", "markdown")):
-    """Write the study table as CSV and/or Markdown; returns file paths."""
+def emit_tables(report, out_dir, basename="study"):
+    """Write the study table as CSV and as Markdown; returns both file paths."""
     os.makedirs(out_dir, exist_ok=True)
     eocs = report.eoc_columns()
-    paths = []
     rows = []
     for i, rec in enumerate(report.records):
         rows.append(
@@ -382,27 +373,23 @@ def emit_tables(report, out_dir, basename="study", formats=("csv", "markdown")):
                 rec.nonlinear_residual,
             ]
         )
-    if "csv" in formats:
-        path = os.path.join(out_dir, basename + ".csv")
-        with open(path, "w", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for row in rows:
-                cells = [str(row[0])] + [_fmt_full(v) for v in row[1:10]]
-                cells += [str(row[10])] + [_fmt_full(v) for v in row[11:]]
-                fh.write(",".join(cells) + "\n")
-        paths.append(path)
-    if "markdown" in formats:
-        path = os.path.join(out_dir, basename + ".md")
-        header = CSV_HEADER.split(",")
-        with open(path, "w") as fh:
-            fh.write("| " + " | ".join(header) + " |\n")
-            fh.write("|" + "---|" * len(header) + "\n")
-            for row in rows:
-                cells = [str(row[0])] + [_fmt_short(v) for v in row[1:10]]
-                cells += [str(row[10])] + [_fmt_short(v) for v in row[11:]]
-                fh.write("| " + " | ".join(cells) + " |\n")
-        paths.append(path)
-    return paths
+    csv_path = os.path.join(out_dir, basename + ".csv")
+    with open(csv_path, "w", newline="") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for row in rows:
+            cells = [str(row[0])] + [_fmt_full(v) for v in row[1:10]]
+            cells += [str(row[10])] + [_fmt_full(v) for v in row[11:]]
+            fh.write(",".join(cells) + "\n")
+    md_path = os.path.join(out_dir, basename + ".md")
+    header = CSV_HEADER.split(",")
+    with open(md_path, "w") as fh:
+        fh.write("| " + " | ".join(header) + " |\n")
+        fh.write("|" + "---|" * len(header) + "\n")
+        for row in rows:
+            cells = [str(row[0])] + [_fmt_short(v) for v in row[1:10]]
+            cells += [str(row[10])] + [_fmt_short(v) for v in row[11:]]
+            fh.write("| " + " | ".join(cells) + " |\n")
+    return [csv_path, md_path]
 
 
 def emit_condition_table(report, out_dir, basename="condition"):
@@ -450,13 +437,22 @@ def parse_report_csv(path):
 # configuration files and command line
 # ---------------------------------------------------------------------------
 
-_BOOL_KEYS = {"drop_inner_coupling", "raw_outer_update", "emit_fields", "check"}
+def _parse_bool(val):
+    if val.lower() in ("1", "true", "yes", "on"):
+        return True
+    if val.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("invalid boolean %r" % val)
+
+
+# Config-file parser of each StudyConfig field, by its declared type.
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
 
 
 def load_config(path):
     """Flat "key = value" config file; '#' starts a comment; unknown keys
-    are errors."""
-    known = {f.name: f.type for f in fields(StudyConfig)}
+    are errors.  Each value is parsed to its StudyConfig field's type."""
+    parsers = {f.name: _PARSERS[f.type.split(" | ")[0]] for f in fields(StudyConfig)}
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -466,51 +462,26 @@ def load_config(path):
             if "=" not in line:
                 raise ValueError("%s:%d: expected 'key = value'" % (path, lineno))
             key, val = (part.strip() for part in line.split("=", 1))
-            if key not in known:
+            if key not in parsers:
                 raise ValueError("%s:%d: unknown key %r" % (path, lineno, key))
-            values[key] = _coerce(key, val)
+            try:
+                values[key] = parsers[key](val)
+            except ValueError as exc:
+                raise ValueError("%s:%d: key %r: %s" % (path, lineno, key, exc)) from exc
     return values
 
 
-def _coerce(key, val):
-    if key in _BOOL_KEYS:
-        if val.lower() in ("1", "true", "yes", "on"):
-            return True
-        if val.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError("invalid boolean %r for key %r" % (val, key))
-    if key in ("experiment", "out_dir"):
-        return val
-    if key in ("levels", "nx", "ny", "beta", "max_inner", "max_outer"):
-        return int(val)
-    return float(val)
-
-
 def build_config(args):
-    values = {}
-    if args.config:
-        values.update(load_config(args.config))
-    values["experiment"] = args.experiment
-    for key, attr in (
-        ("out_dir", "out"),
-        ("levels", "levels"),
-        ("beta", "beta"),
-        ("gamma", "gamma"),
-        ("omega", "omega"),
-        ("tol_inner", "tol_inner"),
-        ("tol_outer", "tol_outer"),
-    ):
-        val = getattr(args, attr, None)
+    """StudyConfig from the config file, overridden by every flag given.
+
+    Each flag's destination is the name of its StudyConfig field; a flag
+    left out is None.
+    """
+    values = load_config(args.config) if args.config else {}
+    for f in fields(StudyConfig):
+        val = getattr(args, f.name, None)
         if val is not None:
-            values[key] = val
-    if args.drop_inner_coupling:
-        values["drop_inner_coupling"] = True
-    if args.raw_outer_update:
-        values["raw_outer_update"] = True
-    if args.emit_fields:
-        values["emit_fields"] = True
-    if args.check:
-        values["check"] = True
+            values[f.name] = val
     return StudyConfig(**values)
 
 
@@ -565,17 +536,15 @@ def main(argv=None):
     for name in ("smooth", "layer", "condition", "custom"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--check", action="store_true", help="run acceptance-style assertions")
-        p.add_argument("--levels", type=int, default=None)
-        p.add_argument("--beta", type=int, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--omega", type=float, default=None)
-        p.add_argument("--tol-inner", dest="tol_inner", type=float, default=None)
-        p.add_argument("--tol-outer", dest="tol_outer", type=float, default=None)
-        p.add_argument("--drop-inner-coupling", action="store_true")
-        p.add_argument("--raw-outer-update", action="store_true")
-        p.add_argument("--emit-fields", dest="emit_fields", action="store_true")
+        p.add_argument("--out", dest="out_dir", help="output directory")
+        p.add_argument(
+            "--check", action="store_true", default=None, help="run acceptance-style assertions"
+        )
+        p.add_argument("--levels", type=int)
+        p.add_argument("--beta", type=int)
+        p.add_argument("--gamma", type=float)
+        p.add_argument("--tol-outer", type=float)
+        p.add_argument("--emit-fields", action="store_true", default=None)
     args = parser.parse_args(argv)
 
     config = build_config(args)

@@ -89,11 +89,22 @@ def interpolate_lagrange(mesh, g):
     return EGFunction(vals, np.zeros(mesh.num_elements))
 
 
+def _eval_field(f, X, Y):
+    """f at the points (X, Y); f must accept and return numpy arrays."""
+    out = np.asarray(f(X, Y), dtype=float)
+    if out.shape != X.shape:
+        out = np.broadcast_to(out, X.shape).astype(float)
+    return out
+
+
 def dirichlet_lift(mesh, u_D):
-    """Boundary data at boundary vertices, extended by zero inside."""
+    """Boundary data at boundary vertices, extended by zero inside.
+
+    u_D is evaluated once on the arrays of boundary-vertex coordinates.
+    """
     vals = np.zeros(mesh.num_vertices)
-    for i in np.flatnonzero(mesh.boundary_vertex):
-        vals[i] = u_D(*mesh.vertices[i])
+    bdry = mesh.boundary_vertex
+    vals[bdry] = _eval_field(u_D, *mesh.vertices[bdry].T)
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite Dirichlet value")
     return EGFunction(vals, np.zeros(mesh.num_elements))

@@ -6,8 +6,10 @@ Newton solve for the continuous part (each step one solve with a principal
 submatrix of the plain P1 matrix A11, no worse conditioned than A11, whose
 conditioning is independent of the penalty exponent) and a direct solve
 with the constant-part matrix A00 = mu*M0 + penalty jump coupling.  The
-factor of the full A11 lives for the whole solve: a few clamped nodes are
-handled by capacitance solves on it, many by factoring the submatrix.
+Newton solve stops at its first step that leaves the clamped set
+unchanged, since that step solved Step 1 exactly; it has no tolerance.
+The factor of the full A11 lives for the whole solve: a few clamped nodes
+are handled by capacitance solves on it, many by factoring the submatrix.
 """
 
 from __future__ import annotations
@@ -106,14 +108,17 @@ class SpdFactor:
         except RuntimeError as exc:
             raise SolverError("factorization of %s failed: %s" % (name, exc)) from exc
 
-    def solve(self, b, rel_tol=1e-12, max_refine=4):
+    def solve(self, b, rel_tol=1e-12):
         """A^{-1} b to relative residual rel_tol; SolverError if refinement misses it."""
-        # Up to max_refine refinement sweeps recover accuracy lost to the
-        # ill-conditioning of over-penalized monolithic systems.
-        return _refine(b, self.lu.solve, lambda x: self.A @ x, self.name, rel_tol, max_refine)
+        return _refine(b, self.lu.solve, lambda x: self.A @ x, self.name, rel_tol)
 
 
-def _refine(b, approx_solve, matvec, name, rel_tol, max_refine=4):
+# Refinement sweeps that recover accuracy lost to the ill-conditioning of
+# over-penalized monolithic systems.
+_MAX_REFINE = 4
+
+
+def _refine(b, approx_solve, matvec, name, rel_tol):
     """Iterative refinement of approx_solve(b) against matvec to relative residual rel_tol."""
     x = approx_solve(b)
     if not np.all(np.isfinite(x)):
@@ -121,16 +126,16 @@ def _refine(b, approx_solve, matvec, name, rel_tol, max_refine=4):
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b)
-    for sweep in range(max_refine + 1):
+    for sweep in range(_MAX_REFINE + 1):
         r = b - matvec(x)
         rnorm = np.linalg.norm(r)
         if rnorm <= rel_tol * bnorm:
             return x
-        if sweep < max_refine:
+        if sweep < _MAX_REFINE:
             x = x + approx_solve(r)
     raise SolverError(
         "solve with %s missed relative residual %.1e after %d refinement sweeps (%.3e)"
-        % (name, rel_tol, max_refine, rnorm / bnorm)
+        % (name, rel_tol, _MAX_REFINE, rnorm / bnorm)
     )
 
 
@@ -237,28 +242,27 @@ class A11Factor:
         return self.factor.solve(b, rel_tol=1e-13) if free.any() else np.zeros(0)
 
 
-def inner_richardson(u1, w0, system, spec, extremes, a11_factor=None, max_iter=None):
+def inner_richardson(u1, w0, system, spec, extremes, a11_factor=None):
     """Active-set (semismooth) Newton solve of the continuous-part problem (Step 1).
 
-    Solves A11 P(u) + S1 Q(u) = r, r = b1 - A10 w0 (b1 when
-    spec.drop_inner_coupling is set), with P the clamp to the windows
-    [a - under_i, b - over_i].  Each step is the Richardson sweep
+    Solves A11 P(u) + S1 Q(u) = r, r = b1 - A10 w0, with P the clamp to the
+    windows [a - under_i, b - over_i].  Each step is the Richardson sweep
     preconditioned by the generalized Jacobian, with unit damping.  The
     clamped set C holds the nodes with P(u) != u and every infeasible
     window (P clamps those to a - under); with the clamp values c_C the
     step solves A11[I, I] u_I = r_I - A11[I, C] c_C on the free rest I by
     ``a11_factor`` (an A11Factor) and sets u_C = c_C + S1_C^{-1}
-    (r - A11 P(u))_C.  A step that leaves C unchanged solves Step 1
-    exactly; the loop stops there if the step is at most spec.tol_inner,
-    else after one more step on the same C, which only confirms it.
+    (r - A11 P(u))_C.  The loop stops at the first step whose result has
+    the same clamped set and clamp values as the step used: that result
+    solves Step 1 exactly (Hintermueller, Ito & Kunisch, SIAM J. Optim.
+    13(3), 2002).
 
     Returns (u1_new, step_count, step_sizes, converged), step sizes in the
-    L2 norm; converged is False if max_iter steps did not settle C.
+    L2 norm; converged is False if spec.max_inner steps did not settle C.
     """
     if a11_factor is None:
         a11_factor = A11Factor(system.A11)
-    max_iter = spec.max_inner if max_iter is None else max_iter
-    rhs = system.b1 if spec.drop_inner_coupling else system.b1 - system.A10 @ w0
+    rhs = system.b1 - system.A10 @ w0
     lo = spec.bounds[0] - extremes.under
     hi = spec.bounds[1] - extremes.over
 
@@ -268,8 +272,7 @@ def inner_richardson(u1, w0, system, spec, extremes, a11_factor=None, max_iter=N
     u = np.asarray(u1, dtype=float)
     c = clamp_values(u)
     increments = []
-    converged = settled = False
-    for _ in range(max_iter):
+    for _ in range(spec.max_inner):
         free = np.isnan(c)
         clamped = ~free
         if np.any(system.S1[clamped] <= 0.0):
@@ -281,29 +284,23 @@ def inner_richardson(u1, w0, system, spec, extremes, a11_factor=None, max_iter=N
         d = u_new - u
         increments.append(float(np.sqrt(d @ (system.M1 @ d))))
         u, c_new = u_new, clamp_values(u_new)
-        repeated = np.array_equal(c_new, c, equal_nan=True)
-        if repeated and (settled or increments[-1] <= spec.tol_inner):
-            converged = True
-            break
-        settled, c = repeated, c_new
-    return u, len(increments), increments, converged
+        if np.array_equal(c_new, c, equal_nan=True):
+            return u, len(increments), increments, True
+        c = c_new
+    return u, len(increments), increments, False
 
 
 def outer_constant_solve(u1_new, w0_frozen, system, spec, extremes=None, a00_factor=None):
     """Constant-part solve (Step 2) against the truncated linear iterate.
 
     Solves A00 u0 = b0 - A10^T w1p where w1p is the truncation of u1_new
-    against the frozen constants (the raw iterate when
-    spec.raw_outer_update is set).
+    against the patch extremes of the frozen constants.
     """
+    if extremes is None:
+        raise ValueError("patch extremes of the frozen constants are required")
     if a00_factor is None:
         a00_factor = SpdFactor(system.A00, name="A00")
-    if spec.raw_outer_update:
-        w1p = np.asarray(u1_new, dtype=float)
-    else:
-        if extremes is None:
-            raise ValueError("patch extremes of the frozen constants are required")
-        w1p = truncate_values(np.asarray(u1_new, dtype=float), extremes, spec.bounds)
+    w1p = truncate_values(np.asarray(u1_new, dtype=float), extremes, spec.bounds)
     rhs = system.b0 - system.A10.T @ w1p
     return a00_factor.solve(rhs, rel_tol=1e-13)
 
@@ -380,7 +377,7 @@ def write_trace(trace, path, level=0):
     with open(path, "w", newline="") as fh:
         fh.write("level,m,n,inner_increment,outer_increment,feasible\n")
         for m, incs in enumerate(trace.inner_residual_histories):
-            feasible = int(trace.feasible_per_outer[m]) if trace.feasible_per_outer else 1
+            feasible = int(trace.feasible_per_outer[m])
             for n, inc in enumerate(incs):
                 last = n == len(incs) - 1
                 outer = "%.17g" % trace.outer_increments[m] if last else ""

@@ -255,9 +255,8 @@ def richardson_step1_oracle(u1, w0, system, spec, extremes, tol, max_iter, state
 
     The sweep the package used before its active-set Newton solve, kept
     as the Step-1 reference: iterates A11 u_{n+1} = A11 u_n + omega * R_n
-    with R_n = b1 - A11 P(u_n) - S1 Q(u_n) - A10 w0 (A10 w0 dropped when
-    spec.drop_inner_coupling is set) until the L2 norm of the increment
-    falls below tol.  The sweep is stable only while
+    with R_n = b1 - A11 P(u_n) - S1 Q(u_n) - A10 w0 until the L2 norm of
+    the increment falls below tol.  The sweep is stable only while
     omega * lambda_max(A11^{-1} S1) < 2, so a safeguard halves the
     damping, down to omega / 32, whenever the increment fails to decrease;
     a mutable ``state`` dict (key "damping") carries it across calls.
@@ -266,9 +265,7 @@ def richardson_step1_oracle(u1, w0, system, spec, extremes, tol, max_iter, state
     """
     lu = spla.splu(sp.csc_matrix(system.A11))
     a, b = spec.bounds
-    rhs = system.b1.copy()
-    if not spec.drop_inner_coupling:
-        rhs = rhs - system.A10 @ w0
+    rhs = system.b1 - system.A10 @ w0
 
     if state is None:
         state = {"damping": spec.omega}

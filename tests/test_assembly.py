@@ -143,18 +143,6 @@ def test_rhs_lift_action():
     assert np.allclose(system.b0, -full[nv + dofs.element_ids], atol=1e-13)
 
 
-def test_penalty_weight_epsilon_variant():
-    mesh = build_structured(1, 1)
-    eps, mu = 1e-3, 1.0
-    full = assemble_system(mesh, make_spec(epsilon=eps, mu=mu, beta=2))
-    plain = assemble_system(
-        mesh, make_spec(epsilon=eps, mu=mu, beta=2, penalty_weight="epsilon")
-    )
-    h = np.sqrt(2.0)
-    ratio = full.A00[0, 1] / plain.A00[0, 1]
-    assert ratio == pytest.approx((eps + mu * h**2) / eps, rel=1e-12)
-
-
 def test_centroid_quadrature_constant_source_exact():
     mesh = build_structured(2, 2)
     sys_a = assemble_system(mesh, make_spec(f=lambda x, y: 3.0 + 0.0 * x))

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,38 @@ def test_load_config_bad_boolean(tmp_path):
     path.write_text("check = maybe\n")
     with pytest.raises(ValueError):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("line", ["omega = 0.5", "tol_inner = 1e-9"])
+def test_load_config_rejects_removed_keys(tmp_path, line):
+    # the solve reads neither setting: an old config line fails loudly
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    key = line.split(" = ")[0]
+    with pytest.raises(ValueError, match="unknown key '%s'" % key):
+        load_config(str(path))
+
+
+def test_removed_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["smooth", "--omega", "0.5"])
+    assert exc.value.code == 2
+    assert "--omega" in capsys.readouterr().err
+
+
+def test_load_config_coerces_every_field(tmp_path):
+    # integer-looking text for float fields must still give floats
+    text = {"bool": "yes", "int": "3", "float": "2", "str": "layer"}
+    declared = {f.name: f.type.split(" | ")[0] for f in fields(StudyConfig)}
+    assert set(declared.values()) == set(text)
+    path = tmp_path / "run.cfg"
+    path.write_text("".join("%s = %s\n" % (k, text[t]) for k, t in declared.items()))
+    values = load_config(str(path))
+    assert values.keys() == declared.keys()
+    for key, kind in declared.items():
+        assert type(values[key]).__name__ == kind, key
+    assert values["beta"] == 3 and values["epsilon"] == 2.0 and values["check"] is True
+    assert StudyConfig(**values).out_dir == "layer"
 
 
 def test_apply_experiment_defaults():

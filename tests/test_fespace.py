@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,16 @@ def test_dirichlet_lift_zero_interior():
         lift.linear_coeffs[mesh.boundary_vertex], bx[:, 0] + bx[:, 1]
     )
     assert np.all(lift.const_coeffs == 0.0)
+    # one array call equals the vertex-by-vertex scalar calls it replaced
+    g = lambda x, y: 1.0 + 2.0 * x - 3.0 * x * y**2
+    loop = [g(*mesh.vertices[i]) for i in np.flatnonzero(mesh.boundary_vertex)]
+    assert np.array_equal(dirichlet_lift(mesh, g).linear_coeffs[mesh.boundary_vertex], loop)
+
+
+def test_dirichlet_lift_rejects_scalar_only_data():
+    # u_D is evaluated on arrays of boundary vertices, like the source f
+    with pytest.raises(TypeError):
+        dirichlet_lift(build_structured(2, 2), lambda x, y: math.sin(x) + math.cos(y))
 
 
 def test_evaluate_includes_constants():

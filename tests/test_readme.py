@@ -1,6 +1,10 @@
 import re
 from pathlib import Path
 
+import pytest
+
+from egbp.cli import main
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -10,3 +14,15 @@ def test_readme_python_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_example"})
     assert capsys.readouterr().out.startswith("converged ")
+
+
+@pytest.mark.parametrize("experiment", ["smooth", "layer", "condition", "custom"])
+def test_readme_common_flags_match_parser(capsys, experiment):
+    # README's "Common flags" paragraph names exactly the flags egbp accepts
+    text = README.read_text()
+    paragraph = text[text.index("Common flags:"):].split("\n\n", 1)[0]
+    documented = set(re.findall(r"`(--[a-z-]+)", paragraph))
+    with pytest.raises(SystemExit):
+        main([experiment, "--help"])
+    accepted = set(re.findall(r"(--[a-z-]+)", capsys.readouterr().out)) - {"--help"}
+    assert documented == accepted

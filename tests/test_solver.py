@@ -1,5 +1,5 @@
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -37,7 +37,6 @@ def make_spec(**kw):
         beta=2,
         alpha=1.0,
         omega=0.5,
-        tol_inner=1e-12,
         tol_outer=1e-10,
     )
     base.update(kw)
@@ -131,7 +130,10 @@ def test_inner_richardson_converges_from_zero():
         np.zeros(dofs.n_interior), w0, system, spec, extremes
     )
     assert converged
-    assert incs[-1] <= spec.tol_inner
+    # the last step solved Step 1 exactly: A11 P(u) + S1 Q(u) = r
+    p = np.maximum(spec.bounds[0] - extremes.under, np.minimum(u, spec.bounds[1] - extremes.over))
+    r = system.b1 - system.A10 @ w0
+    assert np.linalg.norm(system.A11 @ p + system.S1 * (u - p) - r) <= 1e-12 * np.linalg.norm(r)
 
 
 def test_outer_constant_solve_block_consistency():
@@ -158,32 +160,6 @@ def test_outer_constant_solve_requires_extremes():
         outer_constant_solve(np.zeros(dofs.n_interior), np.zeros(8), system, spec)
 
 
-def test_raw_outer_update_skips_truncation():
-    mesh = build_structured(3, 3)
-    dofs = DofMap.from_mesh(mesh)
-    spec_v = make_spec(raw_outer_update=True, bounds=(0.0, 1e-6))
-    system = assemble_system(mesh, spec_v, dofs)
-    rng = np.random.default_rng(4)
-    u1 = rng.normal(size=dofs.n_interior)
-    w0 = np.zeros(mesh.num_elements)
-    u0_v = outer_constant_solve(u1, w0, system, spec_v, None)
-    res = system.A00 @ u0_v - (system.b0 - system.A10.T @ u1)
-    assert np.linalg.norm(res) <= 1e-10 * max(1.0, np.linalg.norm(system.b0))
-
-
-def test_drop_inner_coupling_drops_coupling():
-    mesh = build_structured(3, 3)
-    dofs = DofMap.from_mesh(mesh)
-    spec_v = make_spec(drop_inner_coupling=True, bounds=(-100.0, 100.0))
-    system = assemble_system(mesh, spec_v, dofs)
-    w0 = np.full(mesh.num_elements, 0.3)
-    extremes = patch_extremes(mesh, w0, dofs)
-    # with the coupling dropped, the fixed point solves A11 u = b1
-    u_star = solve_spd(system.A11, system.b1)
-    u, n, incs, converged = inner_richardson(u_star, w0, system, spec_v, extremes)
-    assert converged and n == 1 and incs[0] <= 1e-12
-
-
 def test_bound_preserving_solve_smooth_problem():
     mesh = build_structured(8, 4, (-1.0, 0.0, 1.0, 1.0))
     u_exact = lambda x, y: np.sin(np.pi * (x + 1.0) / 2.0) * np.sin(np.pi * y)
@@ -191,7 +167,7 @@ def test_bound_preserving_solve_smooth_problem():
     f = lambda x, y: (eps * (np.pi**2 / 4.0 + np.pi**2) + 1.0) * u_exact(x, y)
     spec = make_spec(
         epsilon=eps, beta=4, f=f, u_D=lambda x, y: 0.0 * x, bounds=(0.0, 1.0),
-        tol_inner=1e-12, tol_outer=1e-9,
+        tol_outer=1e-9,
     )
     sol = solve_bound_preserving(mesh, spec)
     assert sol.trace.converged
@@ -469,20 +445,58 @@ def test_solver_deterministic():
     "limits,reason",
     [
         ({}, "converged"),
-        ({"max_inner": 1, "tol_inner": 1e-14}, "inner_stalled"),
+        ({"max_inner": 1}, "inner_stalled"),
         ({"max_outer": 1}, "max_outer"),
     ],
 )
 def test_stop_reason(limits, reason):
-    mesh = build_structured(4, 4)
-    spec = make_spec(
-        epsilon=1e-3, f=lambda x, y: 1.0 + 0.0 * x, bounds=(0.0, 0.4), **limits
-    )
+    if reason == "inner_stalled":
+        # the first Newton step from the decoupled sweep changes the clamped set
+        mesh, spec = _many_clamped_problem()
+        spec = replace(spec, **limits)
+    else:
+        mesh = build_structured(4, 4)
+        spec = make_spec(
+            epsilon=1e-3, f=lambda x, y: 1.0 + 0.0 * x, bounds=(0.0, 0.4), **limits
+        )
     trace = solve_bound_preserving(mesh, spec).trace
     assert trace.stop_reason == reason
     assert trace.converged == (reason == "converged")
     if reason == "inner_stalled":
         assert trace.outer_iters == 1 and trace.inner_iters_per_outer == [1]
+
+
+def _free_sets_per_step1(monkeypatch, mesh, spec):
+    """Solve; return (trace, free sets of the A11Factor solves per Step-1 call)."""
+    sweeps = []
+    newton = egbp.solver.inner_richardson
+    solve_free = A11Factor.solve
+
+    def recording_newton(*args, **kwargs):
+        sweeps.append([])
+        return newton(*args, **kwargs)
+
+    def recording_solve(self, b, free):
+        if sweeps:  # not the initial decoupled sweep
+            sweeps[-1].append(free.copy())
+        return solve_free(self, b, free)
+
+    monkeypatch.setattr(egbp.solver, "inner_richardson", recording_newton)
+    monkeypatch.setattr(A11Factor, "solve", recording_solve)
+    return solve_bound_preserving(mesh, spec).trace, sweeps
+
+
+@pytest.mark.parametrize("case", ["smooth", "layer"])
+def test_step1_never_solves_twice_on_one_free_set(monkeypatch, case):
+    # a step that repeats the clamped set solved Step 1 exactly: no
+    # confirming step on the same free set follows it
+    mesh, spec = _smooth_problem() if case == "smooth" else _layer_problem()
+    trace, sweeps = _free_sets_per_step1(monkeypatch, mesh, spec)
+    assert trace.converged and len(sweeps) == trace.outer_iters
+    assert [len(frees) for frees in sweeps] == trace.inner_iters_per_outer
+    for frees in sweeps:
+        for prev, free in zip(frees, frees[1:]):
+            assert not np.array_equal(prev, free)
 
 
 def test_trace_bookkeeping(monkeypatch):
@@ -527,24 +541,8 @@ def test_trace_bookkeeping(monkeypatch):
 
     # Smooth case, one clamped node: Z is formed (|C| triangular solves) in
     # the sweep where C first appears or changes, and reused while C stays.
-    mesh, spec = _smooth_problem()
     names.clear()
-    sweeps = []  # free sets of the A11Factor solves, per outer sweep
-    newton = egbp.solver.inner_richardson
-    solve_free = A11Factor.solve
-
-    def recording_newton(*args, **kwargs):
-        sweeps.append([])
-        return newton(*args, **kwargs)
-
-    def recording_solve(self, b, free):
-        if sweeps:
-            sweeps[-1].append(free.copy())
-        return solve_free(self, b, free)
-
-    monkeypatch.setattr(egbp.solver, "inner_richardson", recording_newton)
-    monkeypatch.setattr(A11Factor, "solve", recording_solve)
-    t = solve_bound_preserving(mesh, spec).trace
+    t, sweeps = _free_sets_per_step1(monkeypatch, *_smooth_problem())
     assert t.converged and t.outer_iters == len(sweeps) == len(t.capacitance_columns_per_outer)
     assert names.count("A11") == 1 and sum(t.a11_factorizations_per_outer) == 0
     previous = np.ones(sweeps[0][0].size, dtype=bool)  # the initial sweep's free set
