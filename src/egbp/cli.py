@@ -75,8 +75,8 @@ class StudyConfig:
     bound_a: float | None = None
     bound_b: float | None = None
     tol_outer: float | None = None
-    max_inner: int = 500
-    max_outer: int = 200
+    max_inner: int = ProblemSpec.max_inner
+    max_outer: int = ProblemSpec.max_outer
     emit_fields: bool = False
     out_dir: str = "."
     check: bool = False
@@ -99,10 +99,11 @@ class StudyConfig:
         return ProblemSpec(**kwargs)
 
 
+# The solver settings default to ProblemSpec's own defaults.
 _DEFAULTS = dict(
-    levels=5, nx=8, ny=4, x0=0.0, y0=0.0, x1=1.0, y1=1.0,
-    epsilon=1e-5, mu=1.0, gamma=10.0, beta=4, alpha=1.0,
-    bound_a=0.0, bound_b=1.0, tol_outer=1e-12,
+    levels=5, nx=8, ny=4, x0=0.0, y0=0.0, x1=1.0, y1=1.0, epsilon=1e-5, mu=1.0,
+    gamma=ProblemSpec.gamma, beta=ProblemSpec.beta, alpha=ProblemSpec.alpha,
+    bound_a=ProblemSpec.bounds[0], bound_b=ProblemSpec.bounds[1], tol_outer=ProblemSpec.tol_outer,
 )
 
 # Per experiment, the values that differ from _DEFAULTS.

@@ -10,6 +10,8 @@ Newton solve stops at its first step that leaves the clamped set
 unchanged, since that step solved Step 1 exactly; it has no tolerance.
 The factor of the full A11 lives for the whole solve: a few clamped nodes
 are handled by capacitance solves on it, many by factoring the submatrix.
+Every matrix is factored in the nested-dissection order of its unknowns'
+mesh positions: interior vertices for A11, element centroids for A00.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "SolverError",
     "SolveTrace",
     "EGSolution",
-    "solve_spd",
     "SpdFactor",
     "A11Factor",
     "solve_standard_eg",
@@ -54,7 +55,9 @@ class SolveTrace:
     count of the last Newton step, the worst feasibility slack
     min_i (b - over_i) - (a - under_i), the number of A11-class
     factorizations the sweep made and the triangular solves it spent on
-    capacitance matrices (see A11Factor).  ``polish_outer_iters`` is always 0:
+    capacitance matrices (see A11Factor).  ``fill_nnz`` is the stored L and U
+    entries summed over every factorization of the solve.
+    ``polish_outer_iters`` is always 0:
     the solve has no sweeps after convergence; the field stays because the
     benchmark records read it.
     """
@@ -71,6 +74,7 @@ class SolveTrace:
     a11_factorizations_per_outer: list = field(default_factory=list)
     capacitance_columns_per_outer: list = field(default_factory=list)
     nonlinear_residual: float = np.nan
+    fill_nnz: int = 0
     polish_outer_iters: int = 0
     stop_reason: str = ""
 
@@ -92,8 +96,58 @@ class EGSolution:
         )
 
 
+# Nested-dissection leaves hold about this many unknowns.
+_ND_LEAF = 32
+
+
+def _nested_dissection(points, A):
+    """Nested-dissection order of the unknowns at ``points`` (n, 2) for the graph of A.
+
+    The bounding box is bisected at its midpoint, longer axis first, down to
+    leaves of about _ND_LEAF unknowns: one Morton code per unknown.  Every
+    off-diagonal entry of A whose ends fall in sibling halves makes its end
+    in the lower half a separator of the shallowest such split.  Each
+    separator is ordered after both halves it separates (George, SIAM J.
+    Numer. Anal. 10(2), 1973), so an elimination in this order makes no fill
+    between sibling halves.  Ties keep the input order: the result is
+    deterministic.
+    """
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    if n <= _ND_LEAF:
+        return np.arange(n)
+    bits = int(np.ceil(np.log2(n / _ND_LEAF) / 2))
+    lo = points.min(axis=0)
+    span = points.max(axis=0) - lo
+    cells = np.minimum((points - lo) / np.where(span > 0, span, 1.0) * 2**bits, 2**bits - 1)
+    cells = cells.astype(np.int64)
+    long_axis, short_axis = np.argsort(-span, kind="stable")
+    code = np.zeros(n, dtype=np.int64)
+    for k in range(bits):
+        code |= ((cells[:, long_axis] >> k) & 1) << (2 * k + 1)
+        code |= ((cells[:, short_axis] >> k) & 1) << (2 * k)
+    depth = 2 * bits
+    A = sp.coo_matrix(A)
+    ci, cj = code[A.row], code[A.col]
+    cut = ci != cj
+    lower = np.where(ci < cj, A.row, A.col)[cut]
+    # the split between two codes sits at the depth of their common prefix
+    split = depth - np.frexp((ci ^ cj)[cut])[1]
+    level = np.full(n, depth)
+    np.minimum.at(level, lower, split)
+    # post-order of the bisection tree: a tree node sorts by the largest
+    # code beneath it, after the deeper nodes that share that code
+    below = depth - level
+    last = (((code >> below) + 1) << below) - 1
+    return np.lexsort((-level, last))
+
+
 class SpdFactor:
-    """Sparse LU factorization of an SPD matrix with iterative refinement."""
+    """Sparse LU factorization of an SPD matrix, in the order given, with iterative refinement.
+
+    The caller orders the matrix (see _nested_dissection): SuperLU adds no
+    fill-reducing column order of its own.
+    """
 
     def __init__(self, A, name="system"):
         self.A = sp.csc_matrix(A)
@@ -104,7 +158,7 @@ class SpdFactor:
         if np.any(diag <= 0.0):
             raise SolverError("matrix %s has a nonpositive diagonal entry" % name)
         try:
-            self.lu = spla.splu(self.A)
+            self.lu = spla.splu(self.A, permc_spec="NATURAL")
         except RuntimeError as exc:
             raise SolverError("factorization of %s failed: %s" % (name, exc)) from exc
 
@@ -139,9 +193,25 @@ def _refine(b, approx_solve, matvec, name, rel_tol):
     )
 
 
-def solve_spd(A, b, rel_tol=1e-12, name="system"):
-    """Direct sparse solve of an SPD system to a relative residual."""
-    return SpdFactor(A, name=name).solve(np.asarray(b, dtype=float), rel_tol=rel_tol)
+class _Dissected:
+    """SpdFactor of A[p][:, p], p the nested-dissection order of the unknowns at ``points``.
+
+    Solves take and return vectors in A's own numbering.
+    """
+
+    def __init__(self, A, points, name):
+        A = sp.csr_matrix(A)
+        self.p = _nested_dissection(points, A)
+        self.factor = SpdFactor(A[self.p][:, self.p], name=name)
+
+    def solve(self, b, rel_tol):
+        x = np.empty_like(b)
+        x[self.p] = self.factor.solve(b[self.p], rel_tol=rel_tol)
+        return x
+
+
+def _centroids(mesh):
+    return mesh.vertices[mesh.triangles].mean(axis=1)
 
 
 def _prepare(mesh, spec, dofs, system, lift):
@@ -166,9 +236,9 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     Returns the full discrete solution including the Dirichlet lift.
     """
     dofs, system, lift = _prepare(mesh, spec, dofs, system, lift)
-    A = system.full_matrix()
+    points = np.vstack([mesh.vertices[dofs.interior_vertex_ids], _centroids(mesh)])
     b = np.concatenate([system.b1, system.b0])
-    x = solve_spd(A, b, rel_tol=1e-12, name="monolithic EG system")
+    x = _Dissected(system.full_matrix(), points, "monolithic EG system").solve(b, rel_tol=1e-12)
     n1 = dofs.n_interior
     return _compose(mesh, dofs, lift, x[:n1], x[n1:])
 
@@ -208,41 +278,54 @@ class _Capacitance:
 class A11Factor:
     """Step-1 solves with the principal submatrices A11[I, I], I the free set.
 
-    The factor of the full A11 stays alive for the whole solve.  While the
-    clamped set C is small, 2 |C| n <= fill of the full factor (n the size
-    of A11), a new free set gets the capacitance form on that factor: |C|
-    triangular solves, each about 2 fill flops, against at least fill^2 / n
-    flops for a refactorization.  A larger C has A11[I, I] factored instead,
-    after the previous submatrix factor is dropped, so at most the full
-    factor and one submatrix factor are alive.  ``count`` is the A11-class
-    factorizations so far, ``columns`` the triangular solves spent forming
-    the capacitance matrices.
+    A11 is held in the nested-dissection order p of the interior vertices at
+    ``points``; a free set I is factored in the order p restricted to I,
+    which is a nested-dissection order of its subgraph.  The factor of the
+    full A11 stays alive for the whole solve.  While the clamped set C is
+    small, 2 |C| n <= fill of the full factor (n the size of A11), a new free
+    set gets the capacitance form on that factor: |C| triangular solves,
+    each about 2 fill flops, against at least fill^2 / n flops for a
+    refactorization.  A larger C has A11[I, I] factored instead, after the
+    previous submatrix factor is dropped, so at most the full factor and one
+    submatrix factor are alive.  ``count`` is the A11-class factorizations
+    so far, ``fill_nnz`` their stored L and U entries, ``columns`` the
+    triangular solves spent forming the capacitance matrices.
     """
 
-    def __init__(self, A11):
-        self.A11 = sp.csc_matrix(A11)
+    def __init__(self, A11, points):
+        self.p = _nested_dissection(points, A11)
+        self.A11 = sp.csc_matrix(sp.csr_matrix(A11)[self.p][:, self.p])
         self.full = SpdFactor(self.A11, name="A11")
         self.free = np.ones(self.A11.shape[0], dtype=bool)
+        self.order = self.p  # b[order] is b, given on the free nodes, in factor order
         self.factor = self.full  # solves on self.free
         self.count = 1
+        self.fill_nnz = int(self.full.lu.nnz)
         self.columns = 0
 
     def solve(self, b, free):
         """A11[free][:, free]^{-1} b, with b given on the free nodes."""
         if not np.array_equal(free, self.free):
+            ordered_free = free[self.p]
             self.factor, self.free = self.full, free
+            self.order = (np.cumsum(free) - 1)[self.p[ordered_free]]
             k = int(np.count_nonzero(~free))
             if 0 < k < free.size:
                 if 2 * k * free.size <= self.full.lu.nnz:
-                    self.factor = _Capacitance(self.full, free)
+                    self.factor = _Capacitance(self.full, ordered_free)
                     self.columns += k
                 else:
-                    self.factor = SpdFactor(self.A11[free][:, free], name="A11")
+                    self.factor = SpdFactor(self.A11[ordered_free][:, ordered_free], name="A11")
                     self.count += 1
-        return self.factor.solve(b, rel_tol=1e-13) if free.any() else np.zeros(0)
+                    self.fill_nnz += int(self.factor.lu.nnz)
+        if not free.any():
+            return np.zeros(0)
+        x = np.empty_like(b)
+        x[self.order] = self.factor.solve(b[self.order], rel_tol=1e-13)
+        return x
 
 
-def inner_richardson(u1, w0, system, spec, extremes, a11_factor=None):
+def inner_richardson(u1, w0, system, spec, extremes, a11_factor):
     """Active-set (semismooth) Newton solve of the continuous-part problem (Step 1).
 
     Solves A11 P(u) + S1 Q(u) = r, r = b1 - A10 w0, with P the clamp to the
@@ -260,8 +343,6 @@ def inner_richardson(u1, w0, system, spec, extremes, a11_factor=None):
     Returns (u1_new, step_count, step_sizes, converged), step sizes in the
     L2 norm; converged is False if spec.max_inner steps did not settle C.
     """
-    if a11_factor is None:
-        a11_factor = A11Factor(system.A11)
     rhs = system.b1 - system.A10 @ w0
     lo = spec.bounds[0] - extremes.under
     hi = spec.bounds[1] - extremes.over
@@ -290,16 +371,13 @@ def inner_richardson(u1, w0, system, spec, extremes, a11_factor=None):
     return u, len(increments), increments, False
 
 
-def outer_constant_solve(u1_new, w0_frozen, system, spec, extremes=None, a00_factor=None):
+def outer_constant_solve(u1_new, system, spec, extremes, a00_factor):
     """Constant-part solve (Step 2) against the truncated linear iterate.
 
-    Solves A00 u0 = b0 - A10^T w1p where w1p is the truncation of u1_new
-    against the patch extremes of the frozen constants.
+    Solves A00 u0 = b0 - A10^T w1p by ``a00_factor`` (any factor of A00 with
+    ``solve(b, rel_tol)``), where w1p is the truncation of u1_new against
+    ``extremes``, the patch extremes of the frozen constants.
     """
-    if extremes is None:
-        raise ValueError("patch extremes of the frozen constants are required")
-    if a00_factor is None:
-        a00_factor = SpdFactor(system.A00, name="A00")
     w1p = truncate_values(np.asarray(u1_new, dtype=float), extremes, spec.bounds)
     rhs = system.b0 - system.A10.T @ w1p
     return a00_factor.solve(rhs, rel_tol=1e-13)
@@ -327,8 +405,8 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     the constants drops below spec.tol_outer.
     """
     dofs, system, lift = _prepare(mesh, spec, dofs, system, lift)
-    a11 = A11Factor(system.A11)
-    a00_factor = SpdFactor(system.A00, name="A00")
+    a11 = A11Factor(system.A11, mesh.vertices[dofs.interior_vertex_ids])
+    a00_factor = _Dissected(system.A00, _centroids(mesh), "A00")
 
     u1 = a11.solve(system.b1, a11.free)
     u0 = a00_factor.solve(system.b0 - system.A10.T @ u1, rel_tol=1e-13)
@@ -339,7 +417,7 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
         feasible, _, slack = feasibility_check(extremes, spec.bounds)
         factorizations, columns = a11.count, a11.columns
         u1, n, incs, inner_ok = inner_richardson(u1, u0, system, spec, extremes, a11)
-        u0_new = outer_constant_solve(u1, u0, system, spec, extremes, a00_factor)
+        u0_new = outer_constant_solve(u1, system, spec, extremes, a00_factor)
         d = u0_new - u0
         u0 = u0_new
         outer_inc = float(np.sqrt(d @ (system.M0_diag * d)))
@@ -361,6 +439,7 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
             trace.stop_reason = "converged"
             break
 
+    trace.fill_nnz = a11.fill_nnz + int(a00_factor.factor.lu.nnz)
     u = _compose(mesh, dofs, lift, u1, u0)
     u_plus = apply_P(mesh, dofs, u0, u, spec.bounds)
     solution = EGSolution(u=u, u_plus=u_plus, trace=trace)

@@ -10,6 +10,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from egbp.solver import SpdFactor
+
 # 7-point Gauss-Legendre rule on [0, 1]; exact through degree 13, far more
 # than needed for products of P1 traces and gradients.
 _GP, _GW = np.polynomial.legendre.leggauss(7)
@@ -292,3 +294,12 @@ def richardson_step1_oracle(u1, w0, system, spec, extremes, tol, max_iter, state
         prev_inc = inc
     state["damping"] = damping
     return u, len(increments), increments, converged
+
+
+def solve_spd(A, b, rel_tol=1e-12, name="system"):
+    """Direct solve of an SPD system in its given (natural) order, refined to rel_tol.
+
+    Natural order fills far more than the solver's nested-dissection order
+    on large meshes; use it on test-sized matrices only.
+    """
+    return SpdFactor(A, name=name).solve(np.asarray(b, dtype=float), rel_tol=rel_tol)

@@ -5,6 +5,7 @@ import pytest
 
 import egbp.cli
 from egbp.analysis import LevelRecord
+from egbp.assembly import ProblemSpec
 from egbp.cli import (
     CSV_HEADER,
     StudyConfig,
@@ -173,6 +174,24 @@ def test_apply_experiment_defaults():
     assert config.epsilon == 1.0 and config.beta == 1
     with pytest.raises(ValueError):
         apply_experiment_defaults(StudyConfig(experiment="bogus"))
+
+
+@pytest.mark.parametrize("experiment", ["smooth", "layer", "custom"])
+def test_default_run_uses_problem_spec_defaults(monkeypatch, tmp_path, experiment):
+    # the CLI declares no solver default of its own: a run without flags
+    # hands the study the ProblemSpec field defaults
+    specs = []
+
+    def fake_run_levels(config, spec, name, **kwargs):
+        specs.append(spec)
+        return StudyReport(config=config)
+
+    monkeypatch.setattr(egbp.cli, "_run_levels", fake_run_levels)
+    assert main([experiment, "--out", str(tmp_path)]) == 0
+    spec = specs[0]
+    assert spec == ProblemSpec(
+        epsilon=spec.epsilon, mu=spec.mu, f=spec.f, u_D=spec.u_D, f_quadrature=spec.f_quadrature
+    )
 
 
 def _layer_config_from_main(monkeypatch, tmp_path, argv):

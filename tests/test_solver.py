@@ -11,7 +11,7 @@ from egbp.assembly import BlockSystem, ProblemSpec, assemble_system
 from egbp.cli import StudyConfig, apply_experiment_defaults, layer_source, smooth_exact
 from egbp.fespace import DofMap, dirichlet_lift, element_vertex_values
 from egbp.limiter import feasibility_check, patch_extremes
-from egbp.mesh import build_structured, refine_uniform
+from egbp.mesh import _build_mesh, build_structured, refine_uniform
 from egbp.solver import (
     A11Factor,
     EGSolution,
@@ -22,11 +22,10 @@ from egbp.solver import (
     nonlinear_residual,
     outer_constant_solve,
     solve_bound_preserving,
-    solve_spd,
     solve_standard_eg,
     write_trace,
 )
-from oracles import richardson_step1_oracle
+from oracles import richardson_step1_oracle, solve_spd
 
 
 def make_spec(**kw):
@@ -41,6 +40,10 @@ def make_spec(**kw):
     )
     base.update(kw)
     return ProblemSpec(**base)
+
+
+def _interior_points(mesh):
+    return mesh.vertices[DofMap.from_mesh(mesh).interior_vertex_ids]
 
 
 def test_solve_spd_matches_dense_oracle():
@@ -112,7 +115,8 @@ def test_inner_richardson_stationary_at_unconstrained_solution():
     w0 = np.zeros(mesh.num_elements)
     extremes = patch_extremes(mesh, w0, dofs)
     u_star = solve_spd(system.A11, system.b1 - system.A10 @ w0)
-    u, n, incs, converged = inner_richardson(u_star, w0, system, spec, extremes)
+    a11 = A11Factor(system.A11, _interior_points(mesh))
+    u, n, incs, converged = inner_richardson(u_star, w0, system, spec, extremes, a11)
     assert converged
     assert n == 1
     assert incs[0] <= 1e-12
@@ -126,8 +130,9 @@ def test_inner_richardson_converges_from_zero():
     system = assemble_system(mesh, spec, dofs)
     w0 = np.zeros(mesh.num_elements)
     extremes = patch_extremes(mesh, w0, dofs)
+    a11 = A11Factor(system.A11, _interior_points(mesh))
     u, n, incs, converged = inner_richardson(
-        np.zeros(dofs.n_interior), w0, system, spec, extremes
+        np.zeros(dofs.n_interior), w0, system, spec, extremes, a11
     )
     assert converged
     # the last step solved Step 1 exactly: A11 P(u) + S1 Q(u) = r
@@ -145,7 +150,7 @@ def test_outer_constant_solve_block_consistency():
     u1 = 1e-3 * rng.normal(size=dofs.n_interior)
     w0 = np.zeros(mesh.num_elements)
     extremes = patch_extremes(mesh, w0, dofs)
-    u0 = outer_constant_solve(u1, w0, system, spec, extremes)
+    u0 = outer_constant_solve(u1, system, spec, extremes, SpdFactor(system.A00, name="A00"))
     # with the wide bounds the truncation is the identity
     res = system.A00 @ u0 - (system.b0 - system.A10.T @ u1)
     assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(system.b0)
@@ -156,8 +161,8 @@ def test_outer_constant_solve_requires_extremes():
     dofs = DofMap.from_mesh(mesh)
     spec = make_spec()
     system = assemble_system(mesh, spec, dofs)
-    with pytest.raises(ValueError):
-        outer_constant_solve(np.zeros(dofs.n_interior), np.zeros(8), system, spec)
+    with pytest.raises(TypeError):
+        outer_constant_solve(np.zeros(dofs.n_interior), system, spec)
 
 
 def test_bound_preserving_solve_smooth_problem():
@@ -211,14 +216,17 @@ def _layer_problem(refinements=1):
 def _factored_kinds(monkeypatch, mesh, spec):
     """Solve and return (kinds of the factored matrices, trace).
 
-    Asserts that every factored matrix is A00, A11 or a principal submatrix
-    A11[idx][:, idx] (entry for entry), that the full A11 lives for the whole
-    solve with at most one submatrix factor alive beside it, and that the
-    monolithic paths are never used.
+    Asserts that every factored matrix is A00[p][:, p] or a principal
+    submatrix A11[q][:, q] (entry for entry), p a recorded nested-dissection
+    order, which is a permutation, and q that order restricted to a recorded
+    free set; that the full A11 lives for the whole solve with at most one
+    submatrix factor alive beside it, and that the monolithic paths are
+    never used.
     """
     dofs = DofMap.from_mesh(mesh)
     system = assemble_system(mesh, spec, dofs)
     free_sets = [np.ones(dofs.n_interior, dtype=bool)]
+    orders = []
     kinds = []
     a11_factors = {"A11": [], "A11[idx]": []}
     most_alive = {"A11": 0, "A11[idx]": 0}
@@ -227,15 +235,30 @@ def _factored_kinds(monkeypatch, mesh, spec):
         for kind, refs in a11_factors.items():
             most_alive[kind] = max(most_alive[kind], sum(ref() is not None for ref in refs))
 
+    dissection = egbp.solver._nested_dissection
+
+    def recording_dissection(points, A):
+        p = dissection(points, A)
+        assert np.array_equal(np.sort(p), np.arange(A.shape[0]))
+        orders.append(p)
+        return p
+
     class RecordingFactor(SpdFactor):
         def __init__(self, A, name="system"):
             super().__init__(A, name=name)
-            if _same_matrix(self.A, system.A00):
+            n0 = system.A00.shape[0]
+            if any(_same_matrix(self.A, system.A00[p][:, p]) for p in orders if p.size == n0):
                 kinds.append("A00")
                 return
-            idx = [f for f in free_sets if _same_matrix(self.A, system.A11[f][:, f])]
+            idx = [
+                q
+                for p in orders
+                if p.size == dofs.n_interior
+                for q in (p[f[p]] for f in free_sets)
+                if _same_matrix(self.A, system.A11[q][:, q])
+            ]
             assert idx, "factored a matrix that is neither A00 nor a principal submatrix of A11"
-            kinds.append("A11" if idx[0].all() else "A11[idx]")
+            kinds.append("A11" if idx[0].size == dofs.n_interior else "A11[idx]")
             a11_factors[kinds[-1]].append(weakref.ref(self))
             count_alive()
 
@@ -250,12 +273,14 @@ def _factored_kinds(monkeypatch, mesh, spec):
     def monolithic(*args, **kwargs):
         raise AssertionError("the bound-preserving solve used the monolithic system")
 
+    monkeypatch.setattr(egbp.solver, "_nested_dissection", recording_dissection)
     monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
     monkeypatch.setattr(A11Factor, "solve", recording_solve)
     monkeypatch.setattr(egbp.solver, "solve_standard_eg", monolithic)
     monkeypatch.setattr(BlockSystem, "full_matrix", monolithic)
     trace = solve_bound_preserving(mesh, spec, dofs, system).trace
     assert trace.converged
+    assert len(orders) == 2  # one order each for A11 and A00
     assert kinds.count("A00") == 1 and kinds.count("A11") == 1
     assert most_alive == {"A11": 1, "A11[idx]": min(1, kinds.count("A11[idx]"))}
     return kinds, trace
@@ -276,7 +301,7 @@ def test_smooth_solve_factors_A11_once(monkeypatch):
 
 
 def _step1_case(name):
-    """(system, spec, w0, extremes) of one Step-1 problem for the oracle test."""
+    """(system, spec, w0, extremes, A11Factor) of one Step-1 problem for the oracle test."""
     if name == "smooth":
         mesh, spec = _smooth_problem()
     elif name == "layer":
@@ -294,16 +319,16 @@ def _step1_case(name):
         w0[patch[0]], w0[patch[1]] = 0.8, -0.8
     else:
         w0 = solve_bound_preserving(mesh, spec, dofs, system).u.const_coeffs
-    return system, spec, w0, patch_extremes(mesh, w0, dofs)
+    a11 = A11Factor(system.A11, _interior_points(mesh))
+    return system, spec, w0, patch_extremes(mesh, w0, dofs), a11
 
 
 @pytest.mark.parametrize("name", ["smooth", "layer", "infeasible"])
 def test_step1_newton_matches_richardson_oracle(name):
-    system, spec, w0, extremes = _step1_case(name)
+    system, spec, w0, extremes, a11 = _step1_case(name)
     a, b = spec.bounds
     lo, hi = a - extremes.under, b - extremes.over
     u0 = np.zeros(system.b1.shape[0])
-    a11 = A11Factor(system.A11)
     u, n, incs, converged = inner_richardson(u0, w0, system, spec, extremes, a11)
     u_ref, _, _, ref_converged = richardson_step1_oracle(
         u0, w0, system, spec, extremes, tol=1e-14, max_iter=20000
@@ -336,12 +361,13 @@ def _random_free_set(n, clamped, seed):
 
 @pytest.mark.parametrize("clamped", [3, 40])
 def test_a11_free_set_solve_matches_fresh_factor(clamped):
-    # 225 nodes, full-factor fill 5,536: capacitance while 2 |C| n <= fill (|C| <= 12)
-    system = assemble_system(build_structured(16, 16), make_spec(f=lambda x, y: 1.0 + 0.0 * x))
+    # 225 nodes, full-factor fill 5,736: capacitance while 2 |C| n <= fill (|C| <= 12)
+    mesh = build_structured(16, 16)
+    system = assemble_system(mesh, make_spec(f=lambda x, y: 1.0 + 0.0 * x))
     n = system.A11.shape[0]
     free = _random_free_set(n, clamped, seed=clamped)
     b = np.random.default_rng(7).normal(size=np.count_nonzero(free))
-    a11 = A11Factor(system.A11)
+    a11 = A11Factor(system.A11, _interior_points(mesh))
     x = a11.solve(b, free)
     sub = sp.csc_matrix(system.A11[free][:, free])
     x_ref = spla.splu(sub).solve(b)
@@ -359,9 +385,10 @@ def test_a11_free_set_solve_matches_fresh_factor(clamped):
 def test_capacitance_solve_raises_when_refinement_misses():
     # the full factor holds the LU of 2·A11, so the capacitance form gives
     # (2·A11)[I, I]^{-1}: each sweep halves the residual and cannot reach 1e-13
-    system = assemble_system(build_structured(16, 16), make_spec(f=lambda x, y: 1.0 + 0.0 * x))
-    a11 = A11Factor(system.A11)
-    a11.full.lu = spla.splu(sp.csc_matrix(2.0 * system.A11))
+    mesh = build_structured(16, 16)
+    system = assemble_system(mesh, make_spec(f=lambda x, y: 1.0 + 0.0 * x))
+    a11 = A11Factor(system.A11, _interior_points(mesh))
+    a11.full.lu = spla.splu(sp.csc_matrix(2.0 * a11.A11))
     free = _random_free_set(system.A11.shape[0], 3, seed=3)
     with pytest.raises(SolverError, match="refinement"):
         a11.solve(np.ones(np.count_nonzero(free)), free)
@@ -585,6 +612,73 @@ def test_every_splu_goes_through_spd_factor(monkeypatch, case):
     mesh, spec = _smooth_problem() if case == "smooth" else _many_clamped_problem()
     trace = solve_bound_preserving(mesh, spec).trace
     assert calls["splu"] == calls["SpdFactor"] == 2 + sum(trace.a11_factorizations_per_outer)
+
+
+def test_trace_fill_nnz_sums_every_factorization(monkeypatch):
+    fills = []
+
+    class RecordingFactor(SpdFactor):
+        def __init__(self, A, name="system"):
+            super().__init__(A, name=name)
+            fills.append(self.lu.nnz)
+
+    monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
+    trace = solve_bound_preserving(*_many_clamped_problem()).trace
+    assert len(fills) == 2 + sum(trace.a11_factorizations_per_outer) > 2
+    assert trace.fill_nnz == sum(fills)
+
+
+def test_nested_dissection_is_a_deterministic_permutation():
+    mesh = refine_uniform(build_structured(12, 12))
+    dofs = DofMap.from_mesh(mesh)
+    system = assemble_system(mesh, make_spec(f=lambda x, y: 1.0 + 0.0 * x), dofs)
+    x1, x0 = _interior_points(mesh), egbp.solver._centroids(mesh)
+    for points, A in (
+        (x1, system.A11),
+        (x0, system.A00),
+        (np.vstack([x1, x0]), system.full_matrix()),
+    ):
+        p = egbp.solver._nested_dissection(points, A)
+        assert np.array_equal(np.sort(p), np.arange(A.shape[0]))
+        assert not np.array_equal(p, np.arange(A.shape[0]))
+        assert np.array_equal(egbp.solver._nested_dissection(points.copy(), A.copy()), p)
+
+
+def _row_shuffled(mesh, seed):
+    """The same mesh with its vertex rows and triangle rows in random order."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(mesh.num_vertices)
+    new_id = np.empty_like(perm)
+    new_id[perm] = np.arange(perm.size)
+    tri = new_id[mesh.triangles][rng.permutation(mesh.num_elements)]
+    return _build_mesh(mesh.vertices[perm], tri)
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_dissection_fill_below_colamd(monkeypatch, shuffled):
+    # 4,608 elements; SuperLU's default COLAMD order fills more on every matrix
+    mesh = build_structured(48, 48)
+    if shuffled:
+        mesh = _row_shuffled(mesh, seed=4)
+    dofs = DofMap.from_mesh(mesh)
+    spec = make_spec(f=lambda x, y: 1.0 + 0.0 * x, bounds=(-1e6, 1e6))
+    system = assemble_system(mesh, spec, dofs)
+    fill = {}
+
+    class RecordingFactor(SpdFactor):
+        def __init__(self, A, name="system"):
+            super().__init__(A, name=name)
+            fill[name] = self.lu.nnz
+
+    monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
+    solve_bound_preserving(mesh, spec, dofs, system)
+    solve_standard_eg(mesh, spec, dofs, system)
+    for name, A in (
+        ("A11", system.A11),
+        ("A00", system.A00),
+        ("monolithic EG system", system.full_matrix()),
+    ):
+        assert fill[name] < spla.splu(sp.csc_matrix(A)).nnz
 
 
 @pytest.mark.parametrize("case", ["smooth", "layer"])
