@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import TRI_QP, TRI_QW, _grads_and_areas
+from .assembly import TRI_QP, TRI_QW, _grads_and_areas, _jump_csr
 from .fespace import _eval_field
 
 __all__ = [
@@ -48,9 +48,8 @@ class LevelRecord:
 
 def _quad_values(mesh, uh):
     """uh at the degree-4 quadrature points, plus physical points/weights."""
-    p = mesh.vertices[mesh.triangles]
-    x = np.einsum("qk,tkd->tqd", TRI_QP, p)
-    vals = np.einsum("qk,tk->tq", TRI_QP, uh.linear_coeffs[mesh.triangles])
+    x = TRI_QP @ mesh.vertices[mesh.triangles]
+    vals = uh.linear_coeffs[mesh.triangles] @ TRI_QP.T
     vals = vals + uh.const_coeffs[:, None]
     _, area = _grads_and_areas(mesh)
     w = TRI_QW * area[:, None]
@@ -72,8 +71,7 @@ def error_h1_linear(mesh, grad_exact, uh):
     """
     grads, area = _grads_and_areas(mesh)
     gh = np.einsum("tk,tkd->td", uh.linear_coeffs[mesh.triangles], grads)
-    p = mesh.vertices[mesh.triangles]
-    x = np.einsum("qk,tkd->tqd", TRI_QP, p)
+    x = TRI_QP @ mesh.vertices[mesh.triangles]
     gx, gy = grad_exact(x[..., 0], x[..., 1])
     w = TRI_QW * area[:, None]
     err2 = np.sum(w * ((gx - gh[:, None, 0]) ** 2 + (gy - gh[:, None, 1]) ** 2))
@@ -229,16 +227,6 @@ def broken_poincare_constant(mesh):
     (h_F^-1 and the facet integral cancel to weight one per facet).
     """
     _, area = _grads_and_areas(mesh)
-    nt = mesh.num_elements
-    interior = mesh.facet_right >= 0
-    L = mesh.facet_left[interior]
-    R = mesh.facet_right[interior]
-    ones = np.ones(L.size)
-    Tb = mesh.facet_left[~interior]
-    rows = np.concatenate([L, R, L, R, Tb])
-    cols = np.concatenate([L, R, R, L, Tb])
-    vals = np.concatenate([ones, ones, -ones, -ones, np.ones(Tb.size)])
-    Jw = sp.coo_matrix((vals, (rows, cols)), shape=(nt, nt)).toarray()
-    M0 = np.diag(area)
-    lam = scipy.linalg.eigvalsh(M0, Jw)
+    Jw = _jump_csr(mesh, np.ones(mesh.num_facets), 0.0).toarray()
+    lam = scipy.linalg.eigvalsh(np.diag(area), Jw)
     return float(np.sqrt(lam[-1]))

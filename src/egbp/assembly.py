@@ -1,16 +1,15 @@
 """Assembly of the interior-penalty bilinear form, stabilizer, and RHS.
 
-The full operator is assembled once over all vertex dofs plus all element
-dofs (no boundary condition applied); the Dirichlet blocks are extracted
-through the :class:`~egbp.fespace.DofMap`.  Because the linear part of the
-space is continuous, interior facets couple only the element constants:
-their penalty term and the consistency terms against the linear part's
-gradient averages.  Boundary facets see the full trace.
-
-Symmetric term pairs are assembled entry-wise together with their
-transposes, so the assembled matrix is symmetric exactly.  Accumulation
-order is the fixed (elements, interior facets, boundary facets) triplet
-order, making assembly deterministic.
+Each block is written straight into its stencil on the mesh (cf.
+Cuvelier, Japhet & Scarella, BIT 56, 2016): A11 is a vertex diagonal plus
+one value per facet, A00 an element diagonal plus one penalty value per
+interior facet, and A10 holds, per element, its own three vertices and the
+vertex across each interior edge.  Because the linear part of the space is
+continuous, interior facets couple only the element constants: their
+penalty term and the consistency terms against the linear part's gradient
+averages.  Boundary facets see the full trace.  Values are summed by
+np.bincount in a fixed order (deterministic), and each off-diagonal value
+is stored once for both of its entries (exactly symmetric).
 """
 
 from __future__ import annotations
@@ -46,11 +45,6 @@ TRI_QP = np.array(
         [_B2, _B2, _A2],
     ]
 )
-
-# 2-point Gauss rule on [0, 1]; exact for the cubic edge integrands here.
-EDGE_QP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-EDGE_QW = np.array([0.5, 0.5])
-
 
 @dataclass
 class ProblemSpec:
@@ -123,117 +117,139 @@ class BlockSystem:
 
 def _grads_and_areas(mesh):
     """Per-element barycentric gradients (nt, 3, 2) and areas (nt,)."""
-    p = mesh.vertices[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    x, y = mesh.vertices[:, 0][mesh.triangles.T], mesh.vertices[:, 1][mesh.triangles.T]
+    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
+    # grad phi_k: the edge opposite vertex k turned by -90 degrees, over 2 |T|
+    nxt, prv = [1, 2, 0], [2, 0, 1]
     g = np.empty((mesh.num_elements, 3, 2))
-    for i in range(3):
-        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        g[:, i, 0] = -e[:, 1]
-        g[:, i, 1] = e[:, 0]
-    g /= (2.0 * area)[:, None, None]
+    g[..., 0] = ((y[nxt] - y[prv]) / (2.0 * area)).T
+    g[..., 1] = ((x[prv] - x[nxt]) / (2.0 * area)).T
     return g, area
 
 
-def _penalty_coefficient(mesh, spec):
+def _facet_penalty(mesh, spec):
+    """c_F h_F per facet, c_F = gamma (eps + mu h_F^2) / h_F^beta."""
     hF = mesh.facet_length
-    return spec.gamma * (spec.epsilon + spec.mu * hF**2) / hF**spec.beta
+    return spec.gamma * (spec.epsilon + spec.mu * hF**2) / hF**spec.beta * hF
 
 
-def _assemble_full(mesh, spec, geometry=None):
-    """a_h over (all vertices) + (all elements); geometry = _grads_and_areas(mesh)."""
-    nv = mesh.num_vertices
-    nt = mesh.num_elements
-    grads, area = _grads_and_areas(mesh) if geometry is None else geometry
-    tri = mesh.triangles
+def _form_values(mesh, spec, grads, area):
+    """Values of a_h in the mesh stencil, each entry summed in place.
 
-    rows, cols, vals = [], [], []
+    Returns (p_diag, p_off, c_vert, c_val).  The P1 block has p_diag (nv,)
+    on its diagonal and p_off[f] at (a, b) and (b, a) of each facet
+    f = (a, b).  Column t of the vertex-element block holds c_val[t] (6,)
+    at the vertices c_vert[t]: the element's own three, then for each
+    local edge k the vertex of the neighbor across it that is not on it
+    (-1 with value 0 on boundary edges).
+    """
+    eps, mu, nt = spec.epsilon, spec.mu, mesh.num_elements
+    # (3, nt) arrays, row k for local vertex or local edge k (vertices
+    # (k, k + 1)); long rows keep numpy's inner loops long.
+    tri, ef = mesh.triangles.T.copy(), mesh.element_facets.T.copy()
+    gx, gy = grads[..., 0].T.copy(), grads[..., 1].T.copy()
+    h = mesh.facet_length[ef]
+    inner = mesh.facet_right[ef] >= 0
+    pen = np.where(inner, 0.0, _facet_penalty(mesh, spec)[ef])  # boundary edges only
+    # Half-edge k nt + t is local edge k of element t; an interior facet's
+    # two half-edges are each other's twin, and run in opposite directions.
+    half = np.arange(3 * nt).reshape(3, nt)
+    twin = np.bincount(ef.ravel(), half.ravel())[ef].astype(np.int64) - half
+    twin_k, twin_t = np.divmod(twin, nt)
 
-    def add(r, c, v):
-        rows.append(np.asarray(r, dtype=np.int64).ravel())
-        cols.append(np.asarray(c, dtype=np.int64).ravel())
-        vals.append(np.asarray(v, dtype=float).ravel())
+    # x[k, j] = -eps {grad phi_j . n} |F| on local edge k, n outward from
+    # the element (the average halves it on interior facets); y holds it
+    # at (edge start, edge end, opposite vertex), yb on boundary edges only.
+    w = np.where(inner, -0.5 * eps, -eps) * h
+    w *= np.where(mesh.facet_left[ef] == np.arange(nt), 1.0, -1.0)
+    nx, ny = w * mesh.facet_normal[:, 0][ef], w * mesh.facet_normal[:, 1][ef]
+    x = nx[:, None] * gx + ny[:, None] * gy
+    y = x[np.arange(3)[:, None], (np.arange(3)[:, None] + np.arange(3)) % 3]
+    yb = y * ~inner[:, None]
 
-    # Volume terms: eps * stiffness, mu * (P1 mass, P1-P0 coupling, P0 mass).
-    Ke = spec.epsilon * area[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
-    Me = spec.mu * area[:, None, None] / 12.0 * (np.ones((3, 3)) + np.eye(3))
-    local = Ke + Me
-    r = np.repeat(tri, 3, axis=1)  # (nt, 9) row indices
-    c = np.tile(tri, (1, 3))
-    add(r, c, local.transpose(0, 2, 1))  # transpose irrelevant by symmetry
-    cdof = nv + np.arange(nt)
-    add(tri, np.repeat(cdof, 3).reshape(nt, 3), spec.mu * area[:, None] / 3.0 * np.ones((1, 3)))
-    add(np.repeat(cdof, 3).reshape(nt, 3), tri, spec.mu * area[:, None] / 3.0 * np.ones((1, 3)))
-    add(cdof, cdof, spec.mu * area)
+    # P1 block: volume terms (entry (k, k + 1) on the facet of local edge
+    # k), and on a boundary edge (a, b) the penalty on the trace and the
+    # consistency term of its owner's three vertices against a and b.
+    diag = eps * area * (gx * gx + gy * gy) + mu * area / 6.0
+    diag += pen / 3.0 + yb[:, 0] + np.roll(pen / 3.0 + yb[:, 1], 1, axis=0)
+    off = eps * area * (gx * gx[[1, 2, 0]] + gy * gy[[1, 2, 0]]) + mu * area / 12.0
+    off += pen / 6.0 + 0.5 * (yb[:, 0] + yb[:, 1])
+    off += 0.5 * (np.roll(yb[:, 2], 1, axis=0) + np.roll(yb[:, 2], -1, axis=0))
 
-    cF = _penalty_coefficient(mesh, spec)
-    hF = mesh.facet_length
-    normal = mesh.facet_normal
-    interior = mesh.facet_right >= 0
-
-    # Interior facets: the continuous linear part has no jump, so only the
-    # constants are penalized and only the gradient averages of the linear
-    # part enter the consistency terms.
-    if np.any(interior):
-        L = mesh.facet_left[interior]
-        R = mesh.facet_right[interior]
-        n = normal[interior]
-        h = hF[interior]
-        c_pen = cF[interior] * h
-        dl, dr = cdof[L], cdof[R]
-        add(dl, dl, c_pen)
-        add(dr, dr, c_pen)
-        add(dl, dr, -c_pen)
-        add(dr, dl, -c_pen)
-
-        for side in (L, R):
-            gn = np.einsum("fkd,fd->fk", grads[side], n)  # (nfi, 3)
-            coef = -0.5 * spec.epsilon * h[:, None] * gn
-            vdofs = tri[side]
-            # -<{eps grad w}, [v]> : rows = vertex dofs, cols = constants
-            add(vdofs, np.broadcast_to(dl[:, None], vdofs.shape), coef)
-            add(vdofs, np.broadcast_to(dr[:, None], vdofs.shape), -coef)
-            # symmetric counterpart -<{eps grad v}, [w]>
-            add(np.broadcast_to(dl[:, None], vdofs.shape), vdofs, coef)
-            add(np.broadcast_to(dr[:, None], vdofs.shape), vdofs, -coef)
-
-    # Boundary facets: {v} = v and [v] = v n, so the full trace
-    # (edge-linear part plus the owner's constant) enters.
-    bnd = ~interior
-    if np.any(bnd):
-        T = mesh.facet_left[bnd]
-        a_id = mesh.facet_vertices[bnd, 0]
-        b_id = mesh.facet_vertices[bnd, 1]
-        n = normal[bnd]
-        h = hF[bnd]
-        c_pen = cF[bnd]
-        dT = cdof[T]
-
-        # Penalty: exact edge integrals of (w1 + w0)(v1 + v0).
-        add(a_id, a_id, c_pen * h / 3.0)
-        add(b_id, b_id, c_pen * h / 3.0)
-        add(a_id, b_id, c_pen * h / 6.0)
-        add(b_id, a_id, c_pen * h / 6.0)
-        for v_id in (a_id, b_id):
-            add(v_id, dT, c_pen * h / 2.0)
-            add(dT, v_id, c_pen * h / 2.0)
-        add(dT, dT, c_pen * h)
-
-        # Consistency: -eps (grad w . n) tested against the full trace.
-        gn = np.einsum("fkd,fd->fk", grads[T], n)
-        vdofs = tri[T]
-        for target, weight in ((a_id, 0.5), (b_id, 0.5), (dT, 1.0)):
-            coef = -spec.epsilon * weight * h[:, None] * gn
-            add(vdofs, np.broadcast_to(target[:, None], vdofs.shape), coef)
-            add(np.broadcast_to(target[:, None], vdofs.shape), vdofs, coef)
-
-    ndof = nv + nt
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ndof, ndof),
+    # Vertex-element block: the mass coupling, the penalty of the trace on
+    # boundary edges, the element's own consistency terms, and the terms
+    # of the twin's vertices against this element's constant.
+    q = y[twin_k, np.arange(3)[:, None, None], twin_t] * inner
+    own = mu * area / 3.0 + x[0] + x[1] + x[2] + 0.5 * (pen + np.roll(pen, 1, axis=0))
+    own -= q[1] + np.roll(q[0], 1, axis=0)
+    across = np.where(inner, tri[(twin_k + 2) % 3, twin_t], -1)
+    return (
+        np.bincount(tri.ravel(), diag.ravel(), minlength=mesh.num_vertices),
+        np.bincount(ef.ravel(), off.ravel(), minlength=mesh.num_facets),
+        np.concatenate((tri, across)).T,
+        np.concatenate((own, -q[2])).T,
     )
-    return A.tocsr()
+
+
+def _p1_mass_values(mesh, area):
+    """(diagonal, one value per facet) of the consistent P1 mass matrix."""
+    nv, nf = mesh.num_vertices, mesh.num_facets
+    return (
+        np.bincount(mesh.triangles.ravel(), np.repeat(area / 6.0, 3), minlength=nv),
+        np.bincount(mesh.element_facets.ravel(), np.repeat(area / 12.0, 3), minlength=nf),
+    )
+
+
+def _symmetric_csr(n, i, j, *values):
+    """n x n CSR matrices on the pattern diagonal + (i, j), (j, i), i != j distinct
+    pairs; one per (diagonal (n,), off-diagonal (len(i),)) pair in ``values``."""
+    r = np.concatenate((i, j, np.arange(n)))
+    c = np.concatenate((j, i, np.arange(n)))
+    order = np.argsort(r * n + c)
+    indices = c[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n))))
+    return [
+        sp.csr_matrix((np.concatenate((off, off, d))[order], indices, indptr), shape=(n, n))
+        for d, off in values
+    ]
+
+
+def _vertex_csr(mesh, dofs, *values):
+    """Vertex blocks on the dofs' vertices, one per (p_diag, p_off)-style pair."""
+    a, b = dofs.vertex_to_interior[mesh.facet_vertices].T
+    both = (a >= 0) & (b >= 0)
+    iv = dofs.interior_vertex_ids
+    return _symmetric_csr(iv.size, a[both], b[both], *[(d[iv], off[both]) for d, off in values])
+
+
+def _coupling_csr(c_vert, c_val, dofs):
+    """The vertex-element block on the dofs' vertices as CSR, from its columns."""
+    rows = np.where(c_vert >= 0, dofs.vertex_to_interior[c_vert], -1)
+    stored = rows >= 0
+    colptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
+    C = sp.csc_matrix((c_val[stored], rows[stored], colptr), (dofs.n_interior, len(c_vert))).tocsr()
+    C.sum_duplicates()  # a vertex opposite two of an element's edges
+    return C
+
+
+def _jump_csr(mesh, weight, diag):
+    """diag + sum_F weight_F [w][v] on the element constants (on a boundary
+    facet, [w] is the owner's constant)."""
+    inner = mesh.facet_right >= 0
+    L, R = mesh.facet_left[inner], mesh.facet_right[inner]
+    diag = diag + weight[mesh.element_facets].sum(axis=1)
+    return _symmetric_csr(mesh.num_elements, L, R, (diag, -weight[inner]))[0]
+
+
+def _all_vertices(mesh):
+    """A DofMap whose 'interior' vertices are all vertices."""
+    every = np.arange(mesh.num_vertices)
+    return DofMap(every, np.arange(mesh.num_elements), every)
+
+
+def _assemble_full(mesh, spec):
+    """a_h over (all vertices) + (all elements), no boundary condition applied."""
+    return assemble_system(mesh, spec, _all_vertices(mesh)).full_matrix()
 
 
 def assemble_s(mesh, spec, dofs):
@@ -250,22 +266,19 @@ def _f_on_elements(mesh, spec, area):
     """(fvec over all vertex dofs, fvec over element dofs)."""
     nv = mesh.num_vertices
     nt = mesh.num_elements
-    fv = np.zeros(nv)
-    f0 = np.zeros(nt)
     if spec.f is None:
-        return fv, f0
-    p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+        return np.zeros(nv), np.zeros(nt)
+    tri = mesh.triangles
+    p = mesh.vertices[tri]  # (nt, 3, 2)
     if spec.f_quadrature == "centroid":
         cen = p.mean(axis=1)
-        fc = _eval_field(spec.f, cen[:, 0], cen[:, 1])
-        np.add.at(fv, mesh.triangles, (area * fc / 3.0)[:, None] * np.ones(3))
-        f0 = area * fc
+        f0 = area * _eval_field(spec.f, cen[:, 0], cen[:, 1])
+        fv = np.bincount(tri.ravel(), np.repeat(f0 / 3.0, 3), minlength=nv)
     else:
-        x = np.einsum("qk,tkd->tqd", TRI_QP, p)  # (nt, nq, 2)
-        fq = _eval_field(spec.f, x[..., 0], x[..., 1])  # (nt, nq)
-        wq = TRI_QW * area[:, None]
-        np.add.at(fv, mesh.triangles, np.einsum("tq,qk->tk", wq * fq, TRI_QP))
-        f0 = (wq * fq).sum(axis=1)
+        x = TRI_QP @ p  # (nt, nq, 2)
+        wf = TRI_QW * area[:, None] * _eval_field(spec.f, x[..., 0], x[..., 1])
+        fv = np.bincount(tri.ravel(), (wf @ TRI_QP).ravel(), minlength=nv)
+        f0 = wf.sum(axis=1)
     if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(f0))):
         raise ValueError("non-finite value in source-term quadrature")
     return fv, f0
@@ -273,50 +286,41 @@ def _f_on_elements(mesh, spec, area):
 
 def p1_mass_matrix(mesh):
     """Consistent P1 mass matrix over all vertices."""
-    return _p1_mass(mesh, _grads_and_areas(mesh)[1])
-
-
-def _p1_mass(mesh, area):
-    tri = mesh.triangles
-    Me = area[:, None, None] / 12.0 * (np.ones((3, 3)) + np.eye(3))
-    r = np.repeat(tri, 3, axis=1)
-    c = np.tile(tri, (1, 3))
-    nv = mesh.num_vertices
-    return sp.coo_matrix(
-        (Me.ravel(), (r.ravel(), c.ravel())), shape=(nv, nv)
-    ).tocsr()
+    area = _grads_and_areas(mesh)[1]
+    return _vertex_csr(mesh, _all_vertices(mesh), _p1_mass_values(mesh, area))[0]
 
 
 def assemble_system(mesh, spec, dofs=None, lift=None):
-    """Assemble all blocks of a_h, the stabilizer, and the RHS at once."""
+    """Assemble all blocks of a_h, the stabilizer, and the RHS at once.
+
+    Element dofs are numbered as the elements, as DofMap.from_mesh does.
+    """
     if dofs is None:
         dofs = DofMap.from_mesh(mesh)
     grads, area = _grads_and_areas(mesh)
-    A_all = _assemble_full(mesh, spec, (grads, area))
-    nv = mesh.num_vertices
-    iv = dofs.interior_vertex_ids
-    ev = nv + dofs.element_ids
-    A11 = A_all[np.ix_(iv, iv)].tocsr()
-    A10 = A_all[np.ix_(iv, ev)].tocsr()
-    A00 = A_all[np.ix_(ev, ev)].tocsr()
+    p_diag, p_off, c_vert, c_val = _form_values(mesh, spec, grads, area)
+    A11, M1 = _vertex_csr(mesh, dofs, (p_diag, p_off), _p1_mass_values(mesh, area))
 
     fv, f0 = _f_on_elements(mesh, spec, area)
-    bfull = np.concatenate([fv, f0])
     if lift is not None:
         if np.any(lift.const_coeffs != 0.0):
             raise ValueError("Dirichlet lift must have zero constant part")
-        lvec = np.concatenate([lift.linear_coeffs, np.zeros(mesh.num_elements)])
-        bfull = bfull - A_all @ lvec
+        # b - A [l; 0] over all dofs; c_val is 0 where c_vert is -1
+        l = lift.linear_coeffs
+        a, b = mesh.facet_vertices.T
+        fv = fv - p_diag * l - np.bincount(a, p_off * l[b], minlength=l.size)
+        fv -= np.bincount(b, p_off * l[a], minlength=l.size)
+        f0 = f0 - (c_val * l[c_vert]).sum(axis=1)
 
-    Mfull = _p1_mass(mesh, area)
+    iv = dofs.interior_vertex_ids
     return BlockSystem(
         A11=A11,
-        A10=A10,
-        A00=A00,
+        A10=_coupling_csr(c_vert, c_val, dofs),
+        A00=_jump_csr(mesh, _facet_penalty(mesh, spec), spec.mu * area),
         S1=assemble_s(mesh, spec, dofs),
-        b1=bfull[iv],
-        b0=bfull[ev],
-        M1=Mfull[np.ix_(iv, iv)].tocsr(),
+        b1=fv[iv],
+        b0=f0,
+        M1=M1,
         M0_diag=area,
         dofs=dofs,
     )
@@ -328,28 +332,8 @@ def assemble_M_J(mesh, dofs=None):
     J0 accumulates h_F * [w][v] couplings over all facets; boundary facets
     contribute the owner's own constant.
     """
-    _, area = _grads_and_areas(mesh)
-    nt = mesh.num_elements
-    M0 = sp.diags(area).tocsr()
-
-    rows, cols, vals = [], [], []
-    interior = mesh.facet_right >= 0
-    L = mesh.facet_left[interior]
-    R = mesh.facet_right[interior]
-    h = mesh.facet_length[interior]
-    rows += [L, R, L, R]
-    cols += [L, R, R, L]
-    vals += [h, h, -h, -h]
-    Tb = mesh.facet_left[~interior]
-    hb = mesh.facet_length[~interior]
-    rows.append(Tb)
-    cols.append(Tb)
-    vals.append(hb)
-    J0 = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nt, nt),
-    ).tocsr()
-    return M0, J0
+    area = _grads_and_areas(mesh)[1]
+    return sp.diags(area).tocsr(), _jump_csr(mesh, mesh.facet_length, 0.0)
 
 
 def export_matrix(A, path):

@@ -35,6 +35,8 @@ class Mesh:
     facet_right : (nf,) neighbor element, -1 for boundary facets.
     facet_length : (nf,) facet lengths h_F.
     facet_normal : (nf, 2) unit normals, outward with respect to the owner.
+    element_facets : (nt, 3) int array, the facet of each local edge
+        (k, k + 1) of each triangle.
     boundary_vertex : (nv,) bool flags.
     patch_indptr : (nv + 1,) int array, vertex->element CSR row pointer.
     patch_elements : (3 * nt,) int array; the node patch omega_i is
@@ -52,6 +54,7 @@ class Mesh:
     facet_right: np.ndarray = field(repr=False)
     facet_length: np.ndarray = field(repr=False)
     facet_normal: np.ndarray = field(repr=False)
+    element_facets: np.ndarray = field(repr=False)
     boundary_vertex: np.ndarray = field(repr=False)
     patch_indptr: np.ndarray = field(repr=False)
     patch_elements: np.ndarray = field(repr=False)
@@ -124,6 +127,8 @@ def _build_mesh(vertices, triangles):
         pair = divmod(int(key[first[np.argmax(count > 2)]]), nv)
         raise ValueError("facet %s has more than two incident elements" % (pair,))
     owner = order[first]
+    element_facets = np.empty(3 * nt, dtype=np.int64)
+    element_facets[order] = np.repeat(np.arange(first.size), count)
     facet_vertices = np.column_stack((a[owner], b[owner]))
     facet_left = elem[owner]
     facet_right = np.full(first.size, -1, dtype=np.int64)
@@ -157,6 +162,7 @@ def _build_mesh(vertices, triangles):
         facet_right=_freeze(facet_right),
         facet_length=_freeze(facet_length),
         facet_normal=_freeze(facet_normal),
+        element_facets=_freeze(element_facets.reshape(nt, 3)),
         boundary_vertex=_freeze(boundary_vertex),
         patch_indptr=_freeze(patch_indptr),
         patch_elements=_freeze(patch_elements),
@@ -196,18 +202,12 @@ def refine_uniform(mesh):
     """Red refinement: split every triangle into four via edge midpoints.
 
     The parent vertices keep their indices, so nested vertex sets come for
-    free; midpoints are appended in sorted-edge order for determinism.
+    free; midpoints are appended in facet (sorted-edge) order for determinism.
     """
     nv = mesh.num_vertices
-    lo = mesh.facet_vertices.min(axis=1)
-    hi = mesh.facet_vertices.max(axis=1)
-    mids = 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])
-    # Facets are in ascending key order, so a key's position is its midpoint id.
-    t = mesh.triangles
-    nxt = t[:, [1, 2, 0]]
-    m = nv + np.searchsorted(lo * nv + hi, np.minimum(t, nxt) * nv + np.maximum(t, nxt))
-    a, b, c = t.T
-    mab, mbc, mca = m.T
+    mids = mesh.vertices[mesh.facet_vertices].mean(axis=1)
+    a, b, c = mesh.triangles.T
+    mab, mbc, mca = (nv + mesh.element_facets).T
     triangles = np.column_stack(
         (a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca)
     ).reshape(-1, 3)

@@ -56,7 +56,9 @@ class SolveTrace:
     min_i (b - over_i) - (a - under_i), the number of A11-class
     factorizations the sweep made and the triangular solves it spent on
     capacitance matrices (see A11Factor).  ``fill_nnz`` is the stored L and U
-    entries summed over every factorization of the solve.
+    entries summed over every factorization of the solve, and
+    ``triangular_solves`` the right-hand sides passed to their triangular
+    solves.
     ``polish_outer_iters`` is always 0:
     the solve has no sweeps after convergence; the field stays because the
     benchmark records read it.
@@ -75,6 +77,7 @@ class SolveTrace:
     capacitance_columns_per_outer: list = field(default_factory=list)
     nonlinear_residual: float = np.nan
     fill_nnz: int = 0
+    triangular_solves: int = 0
     polish_outer_iters: int = 0
     stop_reason: str = ""
 
@@ -146,7 +149,8 @@ class SpdFactor:
     """Sparse LU factorization of an SPD matrix, in the order given, with iterative refinement.
 
     The caller orders the matrix (see _nested_dissection): SuperLU adds no
-    fill-reducing column order of its own.
+    fill-reducing column order of its own.  ``solves`` counts the
+    right-hand sides passed to the triangular solves so far.
     """
 
     def __init__(self, A, name="system"):
@@ -161,10 +165,17 @@ class SpdFactor:
             self.lu = spla.splu(self.A, permc_spec="NATURAL")
         except RuntimeError as exc:
             raise SolverError("factorization of %s failed: %s" % (name, exc)) from exc
+        self.norm = float(abs(self.A).sum(axis=1).max())  # ||A||_inf
+        self.solves = 0
+
+    def lu_solve(self, b):
+        """The triangular solves with the factor, b one vector or one per column."""
+        self.solves += 1 if b.ndim == 1 else b.shape[1]
+        return self.lu.solve(b)
 
     def solve(self, b, rel_tol=1e-12):
-        """A^{-1} b to relative residual rel_tol; SolverError if refinement misses it."""
-        return _refine(b, self.lu.solve, lambda x: self.A @ x, self.name, rel_tol)
+        """A^{-1} b to normwise backward error rel_tol; SolverError if refinement misses it."""
+        return _refine(b, self.lu_solve, lambda x: self.A @ x, self.name, rel_tol, self.norm)
 
 
 # Refinement sweeps that recover accuracy lost to the ill-conditioning of
@@ -172,24 +183,28 @@ class SpdFactor:
 _MAX_REFINE = 4
 
 
-def _refine(b, approx_solve, matvec, name, rel_tol):
-    """Iterative refinement of approx_solve(b) against matvec to relative residual rel_tol."""
+def _refine(b, approx_solve, matvec, name, rel_tol, a_norm):
+    """Iterative refinement of approx_solve(b) against matvec to normwise backward error rel_tol.
+
+    Stops at ||r||_inf <= rel_tol (a_norm ||x||_inf + ||b||_inf), a_norm >=
+    ||A||_inf (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).
+    """
     x = approx_solve(b)
     if not np.all(np.isfinite(x)):
         raise SolverError("solve with %s produced non-finite values" % name)
-    bnorm = np.linalg.norm(b)
+    bnorm = np.abs(b).max(initial=0.0)
     if bnorm == 0.0:
         return np.zeros_like(b)
     for sweep in range(_MAX_REFINE + 1):
         r = b - matvec(x)
-        rnorm = np.linalg.norm(r)
-        if rnorm <= rel_tol * bnorm:
+        scale = a_norm * np.abs(x).max() + bnorm
+        if np.abs(r).max() <= rel_tol * scale:
             return x
         if sweep < _MAX_REFINE:
             x = x + approx_solve(r)
     raise SolverError(
-        "solve with %s missed relative residual %.1e after %d refinement sweeps (%.3e)"
-        % (name, rel_tol, _MAX_REFINE, rnorm / bnorm)
+        "solve with %s missed backward error %.1e after %d refinement sweeps (%.3e)"
+        % (name, rel_tol, _MAX_REFINE, np.abs(r).max() / scale)
     )
 
 
@@ -250,15 +265,18 @@ class _Capacitance:
     (Sherman-Morrison-Woodbury) form gives x_I = (y - Z G^{-1} y_C)_I for
     y = A11^{-1} r~, r~ = r with zeros on C (Hager, SIAM Review 31(2),
     1989).  Solves are refined against A11[I, I], applied as (A11 x~)_I
-    with x~ zero on C, so A11[I, I] is never extracted.
+    with x~ zero on C, so A11[I, I] is never extracted; ||A11||_inf bounds
+    ||A11[I, I]||_inf in the refinement test.
     """
+
+    solves = 0  # its triangular solves count in the full factor's
 
     def __init__(self, full, free):
         self.full, self.free = full, free
         self.clamped = np.flatnonzero(~free)
         E = np.zeros((free.size, self.clamped.size))
         E[self.clamped, np.arange(self.clamped.size)] = 1.0
-        self.Z = full.lu.solve(E)
+        self.Z = full.lu_solve(E)
         self.G = self.Z[self.clamped]
 
     def _scatter(self, x):
@@ -267,12 +285,12 @@ class _Capacitance:
         return out
 
     def _approx_solve(self, r):
-        y = self.full.lu.solve(self._scatter(r))
+        y = self.full.lu_solve(self._scatter(r))
         return (y - self.Z @ np.linalg.solve(self.G, y[self.clamped]))[self.free]
 
     def solve(self, b, rel_tol):
         matvec = lambda x: (self.full.A @ self._scatter(x))[self.free]
-        return _refine(b, self._approx_solve, matvec, "A11 (capacitance)", rel_tol)
+        return _refine(b, self._approx_solve, matvec, "A11 (capacitance)", rel_tol, self.full.norm)
 
 
 class A11Factor:
@@ -289,7 +307,8 @@ class A11Factor:
     previous submatrix factor is dropped, so at most the full factor and one
     submatrix factor are alive.  ``count`` is the A11-class factorizations
     so far, ``fill_nnz`` their stored L and U entries, ``columns`` the
-    triangular solves spent forming the capacitance matrices.
+    triangular solves spent forming the capacitance matrices and
+    ``triangular_solves`` all right-hand sides passed to triangular solves.
     """
 
     def __init__(self, A11, points):
@@ -302,10 +321,18 @@ class A11Factor:
         self.count = 1
         self.fill_nnz = int(self.full.lu.nnz)
         self.columns = 0
+        self.dropped_solves = 0  # by the factors already replaced
+
+    @property
+    def triangular_solves(self):
+        current = 0 if self.factor is self.full else self.factor.solves
+        return self.dropped_solves + self.full.solves + current
 
     def solve(self, b, free):
         """A11[free][:, free]^{-1} b, with b given on the free nodes."""
         if not np.array_equal(free, self.free):
+            if self.factor is not self.full:
+                self.dropped_solves += self.factor.solves
             ordered_free = free[self.p]
             self.factor, self.free = self.full, free
             self.order = (np.cumsum(free) - 1)[self.p[ordered_free]]
@@ -440,6 +467,7 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
             break
 
     trace.fill_nnz = a11.fill_nnz + int(a00_factor.factor.lu.nnz)
+    trace.triangular_solves = a11.triangular_solves + a00_factor.factor.solves
     u = _compose(mesh, dofs, lift, u1, u0)
     u_plus = apply_P(mesh, dofs, u0, u, spec.bounds)
     solution = EGSolution(u=u, u_plus=u_plus, trace=trace)

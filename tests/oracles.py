@@ -3,13 +3,17 @@
 Everything here is deliberately slow and literal: dense matrices, explicit
 loops over elements and facets, and high-order quadrature refined until
 stable.  Nothing is shared with the package's vectorized mesh, limiter and
-assembly paths.
+assembly paths.  The exception is ``coo_assembly_oracle``, the package's
+former vectorized COO assembly, kept as the reference for the stencil
+assembly; it shares only the quadrature rule and the field evaluation.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from egbp.assembly import TRI_QP, TRI_QW
+from egbp.fespace import _eval_field
 from egbp.solver import SpdFactor
 
 # 7-point Gauss-Legendre rule on [0, 1]; exact through degree 13, far more
@@ -184,8 +188,9 @@ def connectivity_oracle(vertices, triangles):
     Facets are keyed by their sorted endpoint pair and numbered in key
     order; the owner is the incident element of smallest index, and the
     facet's (a, b) follow the owner's CCW traversal.  Returns a dict with
-    the facet arrays, boundary flags, the per-vertex patch lists, h_elem
-    and h_vertex, computed the way the package's Mesh documents them.
+    the facet arrays, the facet of each local edge (k, k + 1), boundary
+    flags, the per-vertex patch lists, h_elem and h_vertex, computed the
+    way the package's Mesh documents them.
     """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
@@ -211,6 +216,13 @@ def connectivity_oracle(vertices, triangles):
         facet_left[i] = t
         if len(incident) == 2:
             facet_right[i] = incident[1][0]
+
+    facet_of = {key: i for i, key in enumerate(keys)}
+    element_facets = np.empty((nt, 3), dtype=np.int64)
+    for t in range(nt):
+        for k in range(3):
+            a, b = int(triangles[t, k]), int(triangles[t, (k + 1) % 3])
+            element_facets[t, k] = facet_of[(min(a, b), max(a, b))]
 
     tang = vertices[facet_vertices[:, 1]] - vertices[facet_vertices[:, 0]]
     facet_length = np.hypot(tang[:, 0], tang[:, 1])
@@ -239,6 +251,7 @@ def connectivity_oracle(vertices, triangles):
         "facet_right": facet_right,
         "facet_length": facet_length,
         "facet_normal": facet_normal,
+        "element_facets": element_facets,
         "boundary_vertex": boundary_vertex,
         "patches": patches,
         "h_elem": h_elem,
@@ -303,3 +316,126 @@ def solve_spd(A, b, rel_tol=1e-12, name="system"):
     on large meshes; use it on test-sized matrices only.
     """
     return SpdFactor(A, name=name).solve(np.asarray(b, dtype=float), rel_tol=rel_tol)
+
+
+def _coo_f_on_elements(mesh, spec, area):
+    """Source-term load vectors (over all vertices, over elements) with np.add.at."""
+    fv = np.zeros(mesh.num_vertices)
+    f0 = np.zeros(mesh.num_elements)
+    if spec.f is None:
+        return fv, f0
+    p = mesh.vertices[mesh.triangles]
+    if spec.f_quadrature == "centroid":
+        cen = p.mean(axis=1)
+        fc = _eval_field(spec.f, cen[:, 0], cen[:, 1])
+        np.add.at(fv, mesh.triangles, (area * fc / 3.0)[:, None] * np.ones(3))
+        f0 = area * fc
+    else:
+        x = np.einsum("qk,tkd->tqd", TRI_QP, p)
+        fq = _eval_field(spec.f, x[..., 0], x[..., 1])
+        wq = TRI_QW * area[:, None]
+        np.add.at(fv, mesh.triangles, np.einsum("tq,qk->tk", wq * fq, TRI_QP))
+        f0 = (wq * fq).sum(axis=1)
+    return fv, f0
+
+
+def coo_assembly_oracle(mesh, spec, dofs, lift=None):
+    """The blocks A11, A10, A00, M1 and the loads b1, b0 from COO triplets.
+
+    The package's assembly before it wrote each entry to its place in the
+    mesh stencil: every element and facet term is a triplet (row, col,
+    value) over all nv + nt dofs, duplicates are summed by the COO -> CSR
+    conversion, and the blocks are cut out with np.ix_.  Returns a dict of
+    the blocks and loads, and under "scale" each block summed from the
+    absolute values of its terms: the size of each entry's rounding.
+    """
+    nv, nt = mesh.num_vertices, mesh.num_elements
+    tri = mesh.triangles
+    p = mesh.vertices[tri]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    grads = np.empty((nt, 3, 2))
+    for i in range(3):
+        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
+        grads[:, i, 0] = -e[:, 1]
+        grads[:, i, 1] = e[:, 0]
+    grads /= (2.0 * area)[:, None, None]
+
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        rows.append(np.asarray(r, dtype=np.int64).ravel())
+        cols.append(np.asarray(c, dtype=np.int64).ravel())
+        vals.append(np.asarray(v, dtype=float).ravel())
+
+    Ke = spec.epsilon * area[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
+    Me = spec.mu * area[:, None, None] / 12.0 * (np.ones((3, 3)) + np.eye(3))
+    r = np.repeat(tri, 3, axis=1)
+    c = np.tile(tri, (1, 3))
+    add(r, c, (Ke + Me).transpose(0, 2, 1))
+    cdof = nv + np.arange(nt)
+    add(tri, np.repeat(cdof, 3).reshape(nt, 3), spec.mu * area[:, None] / 3.0 * np.ones((1, 3)))
+    add(np.repeat(cdof, 3).reshape(nt, 3), tri, spec.mu * area[:, None] / 3.0 * np.ones((1, 3)))
+    add(cdof, cdof, spec.mu * area)
+
+    hF = mesh.facet_length
+    cF = spec.gamma * (spec.epsilon + spec.mu * hF**2) / hF**spec.beta
+    normal = mesh.facet_normal
+    interior = mesh.facet_right >= 0
+
+    L, R = mesh.facet_left[interior], mesh.facet_right[interior]
+    n, h = normal[interior], hF[interior]
+    c_pen = cF[interior] * h
+    dl, dr = cdof[L], cdof[R]
+    add(dl, dl, c_pen)
+    add(dr, dr, c_pen)
+    add(dl, dr, -c_pen)
+    add(dr, dl, -c_pen)
+    for side in (L, R):
+        gn = np.einsum("fkd,fd->fk", grads[side], n)
+        coef = -0.5 * spec.epsilon * h[:, None] * gn
+        vdofs = tri[side]
+        add(vdofs, np.broadcast_to(dl[:, None], vdofs.shape), coef)
+        add(vdofs, np.broadcast_to(dr[:, None], vdofs.shape), -coef)
+        add(np.broadcast_to(dl[:, None], vdofs.shape), vdofs, coef)
+        add(np.broadcast_to(dr[:, None], vdofs.shape), vdofs, -coef)
+
+    bnd = ~interior
+    T = mesh.facet_left[bnd]
+    a_id, b_id = mesh.facet_vertices[bnd, 0], mesh.facet_vertices[bnd, 1]
+    n, h, c_pen = normal[bnd], hF[bnd], cF[bnd]
+    dT = cdof[T]
+    add(a_id, a_id, c_pen * h / 3.0)
+    add(b_id, b_id, c_pen * h / 3.0)
+    add(a_id, b_id, c_pen * h / 6.0)
+    add(b_id, a_id, c_pen * h / 6.0)
+    for v_id in (a_id, b_id):
+        add(v_id, dT, c_pen * h / 2.0)
+        add(dT, v_id, c_pen * h / 2.0)
+    add(dT, dT, c_pen * h)
+    gn = np.einsum("fkd,fd->fk", grads[T], n)
+    vdofs = tri[T]
+    for target, weight in ((a_id, 0.5), (b_id, 0.5), (dT, 1.0)):
+        coef = -spec.epsilon * weight * h[:, None] * gn
+        add(vdofs, np.broadcast_to(target[:, None], vdofs.shape), coef)
+        add(np.broadcast_to(target[:, None], vdofs.shape), vdofs, coef)
+
+    index = (np.concatenate(rows), np.concatenate(cols))
+    vals = np.concatenate(vals)
+    A, A_abs = (
+        sp.coo_matrix((v, index), shape=(nv + nt, nv + nt)).tocsr() for v in (vals, np.abs(vals))
+    )
+    Mloc = area[:, None, None] / 12.0 * (np.ones((3, 3)) + np.eye(3))
+    M = sp.coo_matrix((Mloc.ravel(), (r.ravel(), c.ravel())), shape=(nv, nv)).tocsr()
+
+    bfull = np.concatenate(_coo_f_on_elements(mesh, spec, area))
+    if lift is not None:
+        bfull = bfull - A @ np.concatenate([lift.linear_coeffs, np.zeros(nt)])
+    iv = dofs.interior_vertex_ids
+    ev = nv + dofs.element_ids
+    blocks = {"A11": (iv, iv), "A10": (iv, ev), "A00": (ev, ev)}
+    out = {name: A[np.ix_(*ix)].tocsr() for name, ix in blocks.items()}
+    out["scale"] = {name: A_abs[np.ix_(*ix)].tocsr() for name, ix in blocks.items()}
+    out["M1"] = out["scale"]["M1"] = M[np.ix_(iv, iv)].tocsr()
+    out.update(b1=bfull[iv], b0=bfull[ev])
+    return out

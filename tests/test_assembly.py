@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import scipy.linalg
 
 from egbp.assembly import (
     ProblemSpec,
+    _all_vertices,
     _assemble_full,
     _grads_and_areas,
     assemble_M_J,
@@ -13,10 +16,11 @@ from egbp.assembly import (
     export_matrix,
     p1_mass_matrix,
 )
+from egbp.cli import layer_source, smooth_exact
 from egbp.fespace import DofMap, dirichlet_lift
 from egbp.mesh import _build_mesh, build_structured, refine_uniform
 
-from oracles import dense_bilinear_oracle
+from oracles import coo_assembly_oracle, dense_bilinear_oracle
 
 
 def make_spec(**kw):
@@ -198,3 +202,98 @@ def test_export_matrix_roundtrip(tmp_path):
     assert np.array_equal(dense, system.A11.toarray())
     export_matrix(system.A11, tmp_path / "B.txt")
     assert (tmp_path / "A.txt").read_bytes() == (tmp_path / "B.txt").read_bytes()
+
+
+def _levels(mesh, n):
+    meshes = [mesh]
+    for _ in range(n - 1):
+        meshes.append(refine_uniform(meshes[-1]))
+    return meshes
+
+
+def _perturbed_mesh(seed):
+    """12x12 mesh with randomly moved interior vertices, triangle rows
+    permuted and each row rotated, built through _build_mesh."""
+    rng = np.random.default_rng(seed)
+    mesh = build_structured(12, 12)
+    move = rng.uniform(-0.15, 0.15, mesh.vertices.shape) / 12.0
+    vertices = mesh.vertices + np.where(mesh.boundary_vertex[:, None], 0.0, move)
+    tri = mesh.triangles[rng.permutation(mesh.num_elements)]
+    shift = rng.integers(3, size=tri.shape[0])
+    tri = tri[np.arange(tri.shape[0])[:, None], (np.arange(3) + shift[:, None]) % 3]
+    return _build_mesh(vertices, tri)
+
+
+def _benchmark_cases():
+    """(name, mesh, spec): the meshes and data of the smooth, layer and
+    tol_sweep benchmark workloads (tol_sweep solves on layer's finest two)
+    and a perturbed mesh."""
+    u, _, make_f = smooth_exact()
+    smooth = make_spec(epsilon=1e-5, beta=4, f=make_f(1e-5, 1.0), u_D=u)
+    zero = lambda x, y: 0.0 * x
+    layer = make_spec(epsilon=1e-7, beta=4, f=layer_source, u_D=zero, f_quadrature="centroid")
+    coarse = build_structured(8, 4, (-1.0, 0.0, 1.0, 1.0))
+    cases = [("smooth", m, smooth) for m in _levels(coarse, 5)]
+    cases += [("layer", m, layer) for m in _levels(build_structured(12, 12), 4)]
+    cases.append(("perturbed", _perturbed_mesh(7), replace(smooth, u_D=lambda x, y: 1.0 + x * y)))
+    return [pytest.param(m, spec, id="%s-%d" % (name, m.num_elements)) for name, m, spec in cases]
+
+
+@pytest.mark.parametrize("mesh, spec", _benchmark_cases())
+def test_blocks_match_coo_oracle(mesh, spec):
+    # Same pattern entry for entry; values differ only by summation order,
+    # so each lies within 1e-14 of the sum of its terms' absolute values.
+    # All-vertex dofs too: the boundary-facet terms of the P1 and coupling
+    # blocks sit in boundary-vertex rows, which the interior blocks leave out.
+    lift = dirichlet_lift(mesh, spec.u_D)
+    comparator = replace(spec, beta=1, alpha=0.0)
+    for dofs, (spec_, lift_) in itertools.product(
+        (DofMap.from_mesh(mesh), _all_vertices(mesh)),
+        ((spec, None), (spec, lift), (comparator, lift)),
+    ):
+        system = assemble_system(mesh, spec_, dofs, lift_)
+        ref = coo_assembly_oracle(mesh, spec_, dofs, lift_)
+        for name in ("A11", "A10", "A00", "M1"):
+            got, want, scale = getattr(system, name), ref[name], ref["scale"][name]
+            assert got.shape == want.shape, name
+            assert np.array_equal(got.indptr, want.indptr), name
+            assert np.array_equal(got.indices, want.indices), name
+            assert np.all(np.abs(got.data - want.data) <= 1e-14 * scale.data), name
+        # the quadrature points move by an ulp (TRI_QP @ p): relative to ||b||
+        for name in ("b1", "b0"):
+            got, want = getattr(system, name), ref[name]
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
+
+
+def test_assembly_is_deterministic():
+    mesh = _perturbed_mesh(3)
+    u, _, make_f = smooth_exact()
+    spec = make_spec(epsilon=1e-3, f=make_f(1e-3, 1.0), u_D=u)
+    dofs = DofMap.from_mesh(mesh)
+    first, second = (assemble_system(mesh, spec, dofs, dirichlet_lift(mesh, u)) for _ in range(2))
+    for name in ("A11", "A10", "A00", "M1"):
+        a, b = getattr(first, name), getattr(second, name)
+        for part in ("data", "indices", "indptr"):
+            x, y = getattr(a, part), getattr(b, part)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, part)
+    assert first.b1.tobytes() == second.b1.tobytes()
+    assert first.b0.tobytes() == second.b0.tobytes()
+
+
+def test_vertex_opposite_two_edges_of_an_element():
+    # a triangle split at an inner point: element (0, 1, 3) meets vertex 2
+    # across both of its edges at 3, so its A10 column holds vertex 2 twice
+    # before the two values are summed into one entry
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9], [0.4, 0.3]])
+    mesh = _build_mesh(vertices, np.array([[0, 1, 3], [1, 2, 3], [2, 0, 3]]))
+    spec = make_spec(epsilon=0.1, gamma=3.0, beta=2)
+    every = _all_vertices(mesh)
+    system = assemble_system(mesh, spec, every)
+    ref = coo_assembly_oracle(mesh, spec, every)
+    for name in ("A11", "A10", "A00"):
+        got, want = getattr(system, name), ref[name]
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+        assert np.all(np.abs(got.data - want.data) <= 1e-14 * ref["scale"][name].data)
+    O = dense_bilinear_oracle(mesh, spec)
+    A = _assemble_full(mesh, spec).toarray()
+    assert np.abs(A - O).max() <= 1e-12 * np.abs(O).max()

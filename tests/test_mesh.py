@@ -193,7 +193,7 @@ def test_build_mesh_matches_connectivity_oracle(name):
     ref = connectivity_oracle(mesh.vertices, mesh.triangles)
     for key in (
         "facet_vertices", "facet_left", "facet_right", "facet_length",
-        "facet_normal", "boundary_vertex", "h_elem", "h_vertex",
+        "facet_normal", "element_facets", "boundary_vertex", "h_elem", "h_vertex",
     ):
         got = getattr(mesh, key)
         assert got.dtype == ref[key].dtype and got.tobytes() == ref[key].tobytes(), key

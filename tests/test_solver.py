@@ -746,3 +746,57 @@ def test_invalid_omega_rejected():
         make_spec(omega=0.0)
     with pytest.raises(ValueError):
         make_spec(omega=2.0)
+
+
+def test_stretched_mesh_solve_converges():
+    # cells 150:1: ||A|| ||x|| >> ||b|| for A00, so a residual relative to
+    # ||b|| alone stalled at 4e-13 while the backward error was 1e-16
+    spec = ProblemSpec(epsilon=1e-3, mu=1.0, f=lambda x, y: 1.0 + 0.0 * x)
+    mesh = build_structured(2, 300)
+    sol = solve_bound_preserving(mesh, spec)
+    assert sol.trace.converged
+    assert sol.trace.nonlinear_residual <= 10.0 * (spec.tol_outer + 1e-12)
+    a, b = spec.bounds
+    vals = element_vertex_values(mesh, sol.u_plus)
+    interior = ~mesh.boundary_vertex[mesh.triangles]
+    assert a - 1e-10 <= vals[interior].min() and vals[interior].max() <= b + 1e-10
+
+
+def test_refinement_stops_at_backward_error():
+    # b = A x with x the smoothest mode of the 1-D Laplacian: ||A|| ||x|| / ||b||
+    # is 4e5, so ||r|| / ||b|| stalls near 4e-11 while the backward error is
+    # at round-off; the solve must not raise
+    n = 2000
+    A = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csc")
+    x = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+    b = A @ x
+    factor = SpdFactor(A)
+    assert factor.norm == 4.0
+    y = factor.solve(b)
+    r = np.abs(b - A @ y).max()
+    assert r <= 1e-12 * (factor.norm * np.abs(y).max() + np.abs(b).max())
+    assert np.abs(y - x).max() <= 1e-9
+    assert factor.solves >= 1
+
+
+@pytest.mark.parametrize("case", ["smooth", "layer"])
+def test_trace_counts_triangular_solves(monkeypatch, case):
+    counted = {"rhs": 0}
+    splu = egbp.solver.spla.splu
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, b):
+            counted["rhs"] += 1 if b.ndim == 1 else b.shape[1]
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(egbp.solver.spla, "splu", lambda *a, **k: CountingLU(splu(*a, **k)))
+    mesh, spec = _smooth_problem() if case == "smooth" else _layer_problem()
+    trace = solve_bound_preserving(mesh, spec).trace
+    assert trace.triangular_solves == counted["rhs"]
+    # A00: the initial solve and one per sweep; A11: the initial solve, one
+    # per Newton step and the capacitance columns; refinement sweeps on top
+    floor = 2 + trace.outer_iters + sum(trace.inner_iters_per_outer)
+    assert trace.triangular_solves >= floor + sum(trace.capacitance_columns_per_outer)
