@@ -8,9 +8,9 @@ subproblems stay well-conditioned for any penalty exponent.
 """
 
 from .mesh import Mesh, build_structured, refine_uniform
-from .fespace import DofMap, EGFunction, dirichlet_lift, interpolate_lagrange
+from .fespace import DofMap, EGFunction, dirichlet_lift
 from .assembly import BlockSystem, ProblemSpec, assemble_system
-from .limiter import PatchExtremes, apply_P, apply_Q, feasibility_check, patch_extremes
+from .limiter import PatchExtremes, apply_P, feasibility_check, patch_extremes
 from .solver import EGSolution, SolveTrace, solve_bound_preserving, solve_standard_eg
 
 __all__ = [
@@ -20,13 +20,11 @@ __all__ = [
     "DofMap",
     "EGFunction",
     "dirichlet_lift",
-    "interpolate_lagrange",
     "BlockSystem",
     "ProblemSpec",
     "assemble_system",
     "PatchExtremes",
     "apply_P",
-    "apply_Q",
     "feasibility_check",
     "patch_extremes",
     "EGSolution",

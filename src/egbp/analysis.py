@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import TRI_QP, TRI_QW, _grads_and_areas, _jump_csr
+from .assembly import TRI_QP, TRI_QW, _grads_and_areas
 from .fespace import _eval_field
 
 __all__ = [
@@ -19,11 +19,9 @@ __all__ = [
     "jump_norm",
     "eoc",
     "fit_rate",
-    "comparison_bound",
     "condition_number",
     "conservation_report",
     "bound_violation",
-    "broken_poincare_constant",
 ]
 
 
@@ -78,7 +76,7 @@ def error_h1_linear(mesh, grad_exact, uh):
     return float(np.sqrt(err2))
 
 
-def jump_norm(mesh, spec, v0, include_boundary=True):
+def jump_norm(mesh, spec, v0):
     """Weighted facet jump norm of a piecewise-constant field.
 
     Uses the weight (eps + mu h_F^2) / h_F; with |[v]|^2 integrated over a
@@ -89,12 +87,10 @@ def jump_norm(mesh, spec, v0, include_boundary=True):
     h = mesh.facet_length
     weight = spec.epsilon + spec.mu * h**2
     interior = mesh.facet_right >= 0
-    jumps2 = np.zeros(mesh.num_facets)
+    jumps2 = v0[mesh.facet_left] ** 2
     jumps2[interior] = (
         v0[mesh.facet_left[interior]] - v0[mesh.facet_right[interior]]
     ) ** 2
-    if include_boundary:
-        jumps2[~interior] = v0[mesh.facet_left[~interior]] ** 2
     return float(np.sqrt(np.sum(weight * jumps2)))
 
 
@@ -119,38 +115,6 @@ def fit_rate(values, last=3):
     x = np.arange(tail.size)
     slope = np.polyfit(x, np.log2(tail), 1)[0]
     return float(-slope)
-
-
-def comparison_bound(spec, domain=(0.0, 0.0, 1.0, 1.0), n=256, f_sup=None, uD_sup=None):
-    """Invariant interval from the comparison principle.
-
-    U = max(sup|f| / mu, sup|u_D|); returns [0, U] when both data are
-    nonnegative and [-U, U] otherwise.  Suprema are sampled on an n-by-n
-    grid unless supplied analytically.
-    """
-    x0, y0, x1, y1 = domain
-    X, Y = np.meshgrid(np.linspace(x0, x1, n + 1), np.linspace(y0, y1, n + 1))
-    if spec.f is None:
-        fvals = np.zeros(1)
-    else:
-        fvals = _eval_field(spec.f, X, Y).ravel()
-    fmax = float(np.max(np.abs(fvals))) if f_sup is None else float(f_sup)
-    f_nonneg = np.all(fvals >= 0.0)
-
-    if spec.u_D is None:
-        dvals = np.zeros(1)
-    else:
-        t = np.linspace(0.0, 1.0, n + 1)
-        bx = np.concatenate([x0 + (x1 - x0) * t, np.full(n + 1, x1), x1 - (x1 - x0) * t, np.full(n + 1, x0)])
-        by = np.concatenate([np.full(n + 1, y0), y0 + (y1 - y0) * t, np.full(n + 1, y1), y1 - (y1 - y0) * t])
-        dvals = _eval_field(spec.u_D, bx, by)
-    dmax = float(np.max(np.abs(dvals))) if uD_sup is None else float(uD_sup)
-    d_nonneg = np.all(dvals >= 0.0)
-
-    U = max(fmax / spec.mu, dmax)
-    if f_nonneg and d_nonneg:
-        return (0.0, U)
-    return (-U, U)
 
 
 def condition_number(A, dense_cutoff=2000, tol=1e-6):
@@ -218,15 +182,3 @@ def bound_violation(mesh, v, bounds, tol=0.0):
     count = int(np.sum((vals < a - tol) | (vals > b + tol)))
     return float(vals.min()), float(vals.max()), count
 
-
-def broken_poincare_constant(mesh):
-    """Best constant in ||v0||_0 <= C (sum_F h_F^-1 ||[v0]||^2_F)^(1/2).
-
-    Computed exactly as the square root of the largest generalized
-    eigenvalue of M0 v = lambda Jw v, with Jw the unit-weight jump matrix
-    (h_F^-1 and the facet integral cancel to weight one per facet).
-    """
-    _, area = _grads_and_areas(mesh)
-    Jw = _jump_csr(mesh, np.ones(mesh.num_facets), 0.0).toarray()
-    lam = scipy.linalg.eigvalsh(np.diag(area), Jw)
-    return float(np.sqrt(lam[-1]))

@@ -21,15 +21,7 @@ import scipy.sparse as sp
 
 from .fespace import DofMap, _eval_field
 
-__all__ = [
-    "ProblemSpec",
-    "BlockSystem",
-    "assemble_s",
-    "assemble_system",
-    "assemble_M_J",
-    "p1_mass_matrix",
-    "export_matrix",
-]
+__all__ = ["ProblemSpec", "BlockSystem", "assemble_s", "assemble_system"]
 
 # Degree-4 triangle rule (6 points) in barycentric coordinates.
 _W1, _A1, _B1 = 0.223381589678011, 0.108103018168070, 0.445948490915965
@@ -72,6 +64,8 @@ class ProblemSpec:
     f_quadrature: str = "degree4"  # "degree4" or "centroid"
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.epsilon, self.mu, self.gamma, self.alpha])):
+            raise ValueError("epsilon, mu, gamma and alpha must be finite")
         if self.epsilon <= 0 or self.mu <= 0:
             raise ValueError("epsilon and mu must be positive")
         if self.gamma <= 0:
@@ -88,6 +82,10 @@ class ProblemSpec:
             raise ValueError("bounds must satisfy a <= b")
         if self.f_quadrature not in ("degree4", "centroid"):
             raise ValueError("unknown f_quadrature %r" % self.f_quadrature)
+        if not 0.0 <= self.tol_outer < np.inf:
+            raise ValueError("tol_outer must be finite and >= 0")
+        if self.max_inner < 1 or self.max_outer < 1:
+            raise ValueError("max_inner and max_outer must be >= 1")
 
 
 @dataclass
@@ -241,17 +239,6 @@ def _jump_csr(mesh, weight, diag):
     return _symmetric_csr(mesh.num_elements, L, R, (diag, -weight[inner]))[0]
 
 
-def _all_vertices(mesh):
-    """A DofMap whose 'interior' vertices are all vertices."""
-    every = np.arange(mesh.num_vertices)
-    return DofMap(every, np.arange(mesh.num_elements), every)
-
-
-def _assemble_full(mesh, spec):
-    """a_h over (all vertices) + (all elements), no boundary condition applied."""
-    return assemble_system(mesh, spec, _all_vertices(mesh)).full_matrix()
-
-
 def assemble_s(mesh, spec, dofs):
     """Diagonal of the nodal stabilizer over interior vertices.
 
@@ -282,12 +269,6 @@ def _f_on_elements(mesh, spec, area):
     if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(f0))):
         raise ValueError("non-finite value in source-term quadrature")
     return fv, f0
-
-
-def p1_mass_matrix(mesh):
-    """Consistent P1 mass matrix over all vertices."""
-    area = _grads_and_areas(mesh)[1]
-    return _vertex_csr(mesh, _all_vertices(mesh), _p1_mass_values(mesh, area))[0]
 
 
 def assemble_system(mesh, spec, dofs=None, lift=None):
@@ -325,21 +306,3 @@ def assemble_system(mesh, spec, dofs=None, lift=None):
         dofs=dofs,
     )
 
-
-def assemble_M_J(mesh, dofs=None):
-    """Element mass matrix (diagonal of areas) and unweighted jump matrix.
-
-    J0 accumulates h_F * [w][v] couplings over all facets; boundary facets
-    contribute the owner's own constant.
-    """
-    area = _grads_and_areas(mesh)[1]
-    return sp.diags(area).tocsr(), _jump_csr(mesh, mesh.facet_length, 0.0)
-
-
-def export_matrix(A, path):
-    """Coordinate text export "row col value", sorted by (row, col)."""
-    coo = sp.coo_matrix(A)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for i in order:
-            fh.write("%d %d %.17g\n" % (coo.row[i], coo.col[i], coo.data[i]))

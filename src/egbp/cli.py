@@ -1,15 +1,14 @@
 """Config-driven experiment harness and command-line interface.
 
 Subcommands reproduce the three studies (smooth convergence, interior
-layer, conditioning) plus free-form custom runs.  All output is
-machine-readable: CSV with 17-significant-digit decimals for re-parsing,
-Markdown with 3-significant-digit scientific notation for reading.
+layer, conditioning) plus free-form custom runs.  Study tables are
+written as CSV with 17 significant digits, which every double survives,
+and as Markdown with 3-significant-digit scientific notation for reading.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import time
@@ -41,7 +40,6 @@ __all__ = [
     "run_condition",
     "run_custom",
     "emit_tables",
-    "parse_report_csv",
     "main",
 ]
 
@@ -148,7 +146,10 @@ def apply_experiment_defaults(config):
     if config.experiment not in _EXPERIMENT_DEFAULTS:
         raise ValueError("unknown experiment %r" % config.experiment)
     defaults = {**_DEFAULTS, **_EXPERIMENT_DEFAULTS[config.experiment]}
-    return replace(config, **{k: v for k, v in defaults.items() if getattr(config, k) is None})
+    config = replace(config, **{k: v for k, v in defaults.items() if getattr(config, k) is None})
+    if config.levels < 1:
+        raise ValueError("levels must be >= 1, got %d" % config.levels)
+    return config
 
 
 def smooth_exact():
@@ -414,26 +415,6 @@ def emit_condition_table(report, out_dir, basename="condition"):
     return path
 
 
-def parse_report_csv(path):
-    """Re-parse a study CSV into a list of numeric dicts ("--" -> nan)."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_HEADER.split(","):
-            raise ValueError("unexpected CSV header in %s" % path)
-        for row in reader:
-            parsed = {}
-            for key, val in row.items():
-                if val == "--":
-                    parsed[key] = np.nan
-                elif key in ("elements", "iters"):
-                    parsed[key] = int(val)
-                else:
-                    parsed[key] = float(val)
-            out.append(parsed)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # configuration files and command line
 # ---------------------------------------------------------------------------
@@ -513,6 +494,8 @@ def _check_layer(report):
 
 
 def _check_condition(report):
+    if report.config.levels < 2:
+        return ["condition rates need at least 2 levels, got %d" % report.config.levels]
     failures = []
     rows = report.extra["condition"]
     betas = sorted({row["beta"] for row in rows})

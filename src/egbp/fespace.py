@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "EGFunction",
-    "DofMap",
-    "interpolate_lagrange",
-    "dirichlet_lift",
-    "evaluate",
-    "write_egfunction",
-    "read_egfunction",
-]
+__all__ = ["EGFunction", "DofMap", "dirichlet_lift", "write_egfunction"]
 
 
 @dataclass
@@ -32,28 +24,13 @@ class EGFunction:
     linear_coeffs: np.ndarray
     const_coeffs: np.ndarray
 
-    def copy(self):
-        return EGFunction(self.linear_coeffs.copy(), self.const_coeffs.copy())
-
-    def __add__(self, other):
-        return EGFunction(
-            self.linear_coeffs + other.linear_coeffs,
-            self.const_coeffs + other.const_coeffs,
-        )
-
-    def __sub__(self, other):
-        return EGFunction(
-            self.linear_coeffs - other.linear_coeffs,
-            self.const_coeffs - other.const_coeffs,
-        )
-
 
 @dataclass(frozen=True)
 class DofMap:
-    """Stable orderings of the interior-vertex and element unknowns."""
+    """Stable ordering of the interior-vertex unknowns; the element unknowns
+    are numbered as the elements."""
 
     interior_vertex_ids: np.ndarray
-    element_ids: np.ndarray
     vertex_to_interior: np.ndarray  # -1 for boundary vertices
 
     @classmethod
@@ -61,32 +38,15 @@ class DofMap:
         interior = np.flatnonzero(~mesh.boundary_vertex)
         lookup = np.full(mesh.num_vertices, -1, dtype=np.int64)
         lookup[interior] = np.arange(interior.size)
-        return cls(
-            interior_vertex_ids=interior,
-            element_ids=np.arange(mesh.num_elements, dtype=np.int64),
-            vertex_to_interior=lookup,
-        )
+        return cls(interior_vertex_ids=interior, vertex_to_interior=lookup)
 
     @property
     def n_interior(self):
         return self.interior_vertex_ids.size
 
-    @property
-    def n_elements(self):
-        return self.element_ids.size
-
 
 def zero_function(mesh):
     return EGFunction(np.zeros(mesh.num_vertices), np.zeros(mesh.num_elements))
-
-
-def interpolate_lagrange(mesh, g):
-    """Nodal interpolant of a scalar field: linear part only."""
-    vals = np.array([g(x, y) for x, y in mesh.vertices], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise ValueError("non-finite value at vertex %d %r" % (bad, tuple(mesh.vertices[bad])))
-    return EGFunction(vals, np.zeros(mesh.num_elements))
 
 
 def _eval_field(f, X, Y):
@@ -110,28 +70,6 @@ def dirichlet_lift(mesh, u_D):
     return EGFunction(vals, np.zeros(mesh.num_elements))
 
 
-def evaluate(mesh, f, element, point, tol=1e-12):
-    """Evaluate an EGFunction at a point of the given element.
-
-    Uses barycentric interpolation of the linear part plus the element
-    constant; raises if the point lies outside the element (barycentric
-    coordinate below -tol).
-    """
-    tri = mesh.triangles[element]
-    p = mesh.vertices[tri]
-    T = np.column_stack((p[1] - p[0], p[2] - p[0]))
-    lam12 = np.linalg.solve(T, np.asarray(point, dtype=float) - p[0])
-    lam = np.array([1.0 - lam12.sum(), lam12[0], lam12[1]])
-    if np.any(lam < -tol):
-        raise ValueError("point %r lies outside element %d" % (tuple(point), element))
-    return float(lam @ f.linear_coeffs[tri] + f.const_coeffs[element])
-
-
-def element_vertex_values(mesh, f):
-    """(nt, 3) array of f evaluated at each element's vertices."""
-    return f.linear_coeffs[mesh.triangles] + f.const_coeffs[:, None]
-
-
 def write_egfunction(f, path):
     """CSV serialization with header "kind,index,value"."""
     with open(path, "w", newline="") as fh:
@@ -142,16 +80,3 @@ def write_egfunction(f, path):
         for i, v in enumerate(f.const_coeffs):
             writer.writerow(["element", i, "%.17g" % v])
 
-
-def read_egfunction(path):
-    rows = {"vertex": {}, "element": {}}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["kind", "index", "value"]:
-            raise ValueError("unexpected header %r in %s" % (header, path))
-        for kind, idx, val in reader:
-            rows[kind][int(idx)] = float(val)
-    lin = np.array([rows["vertex"][i] for i in range(len(rows["vertex"]))])
-    con = np.array([rows["element"][i] for i in range(len(rows["element"]))])
-    return EGFunction(lin, con)

@@ -21,7 +21,6 @@ __all__ = [
     "patch_extremes",
     "truncate_values",
     "apply_P",
-    "apply_Q",
     "feasibility_check",
 ]
 
@@ -34,26 +33,20 @@ class PatchExtremes:
     over: np.ndarray
 
 
-def patch_extremes(mesh, w0, dofs=None):
-    """Exact extremes of the element constants over each node patch.
-
-    With a DofMap the result covers the interior vertices in dof order;
-    without one it covers all vertices.
-    """
+def patch_extremes(mesh, w0, dofs):
+    """Exact extremes of the element constants over each node patch of the
+    dofs' interior vertices, in dof order."""
     w0 = np.asarray(w0, dtype=float)
     if w0.shape[0] != mesh.num_elements:
         raise ValueError(
             "constant vector length %d != element count %d"
             % (w0.shape[0], mesh.num_elements)
         )
-    if dofs is None:
-        vertex_ids = np.arange(mesh.num_vertices)
-    else:
-        vertex_ids = dofs.interior_vertex_ids
+    iv = dofs.interior_vertex_ids
     values = w0[mesh.patch_elements]
     starts = mesh.patch_indptr[:-1]
-    under = np.minimum.reduceat(values, starts)[vertex_ids]
-    over = np.maximum.reduceat(values, starts)[vertex_ids]
+    under = np.minimum.reduceat(values, starts)[iv]
+    over = np.maximum.reduceat(values, starts)[iv]
     return PatchExtremes(under=under, over=over)
 
 
@@ -63,27 +56,18 @@ def truncate_values(v1, extremes, bounds):
     return np.maximum(a - extremes.under, np.minimum(v1, b - extremes.over))
 
 
-def apply_P(mesh, dofs, w0, v, bounds, extremes=None):
+def apply_P(mesh, dofs, w0, v, bounds):
     """Truncation map P: clamp the linear part, replace constants by w0.
 
     Linear coefficients at Dirichlet vertices are left unchanged; the
-    output's constant part is w0 regardless of v's constants.  A
-    precomputed ``extremes`` (for the same w0) may be passed to avoid
-    rescanning the patches.
+    output's constant part is w0 regardless of v's constants.
     """
     w0 = np.asarray(w0, dtype=float)
-    if extremes is None:
-        extremes = patch_extremes(mesh, w0, dofs)
+    extremes = patch_extremes(mesh, w0, dofs)
     lin = v.linear_coeffs.copy()
     iv = dofs.interior_vertex_ids
     lin[iv] = truncate_values(v.linear_coeffs[iv], extremes, bounds)
     return EGFunction(lin, w0.copy())
-
-
-def apply_Q(mesh, dofs, w0, v, bounds, extremes=None):
-    """Complement Q: v1 minus the truncated linear part, zero constants."""
-    p = apply_P(mesh, dofs, w0, v, bounds, extremes)
-    return EGFunction(v.linear_coeffs - p.linear_coeffs, np.zeros(mesh.num_elements))
 
 
 def feasibility_check(extremes, bounds):

@@ -12,14 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "Mesh",
-    "build_structured",
-    "refine_uniform",
-    "node_patch_elements",
-    "write_mesh",
-    "read_mesh",
-]
+__all__ = ["Mesh", "build_structured", "refine_uniform"]
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,6 @@ class Mesh:
     h_elem: np.ndarray = field(repr=False)
     h_vertex: np.ndarray = field(repr=False)
     h: float = 0.0
-    h_min: float = 0.0
 
     @property
     def num_vertices(self):
@@ -74,13 +66,6 @@ class Mesh:
     @property
     def num_facets(self):
         return self.facet_vertices.shape[0]
-
-    def element_areas(self):
-        """Signed areas of all elements (positive for CCW triangles)."""
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
     def __eq__(self, other):
         if not isinstance(other, Mesh):
@@ -169,7 +154,6 @@ def _build_mesh(vertices, triangles):
         h_elem=_freeze(h_elem),
         h_vertex=_freeze(h_vertex),
         h=float(h_elem.max()),
-        h_min=float(h_elem.min()),
     )
 
 
@@ -213,47 +197,3 @@ def refine_uniform(mesh):
     ).reshape(-1, 3)
     return _build_mesh(np.vstack((mesh.vertices, mids)), triangles)
 
-
-def node_patch_elements(mesh, i):
-    """Elements of the node patch omega_i, i.e. all elements containing x_i."""
-    if not 0 <= i < mesh.num_vertices:
-        raise ValueError("vertex index %s out of range [0, %s)" % (i, mesh.num_vertices))
-    return mesh.patch_elements[mesh.patch_indptr[i] : mesh.patch_indptr[i + 1]].copy()
-
-
-def write_mesh(mesh, path):
-    """Write the plain-text mesh format: header "V E T", vertex lines
-    "x y boundary_flag", then triangle lines.  Coordinates use 17
-    significant digits so the reader round-trips doubles bit-exactly."""
-    with open(path, "w") as fh:
-        fh.write("%d %d %d\n" % (mesh.num_vertices, mesh.num_facets, mesh.num_elements))
-        for (x, y), flag in zip(mesh.vertices, mesh.boundary_vertex):
-            fh.write("%.17g %.17g %d\n" % (x, y, int(flag)))
-        for a, b, c in mesh.triangles:
-            fh.write("%d %d %d\n" % (a, b, c))
-
-
-def read_mesh(path):
-    """Read the plain-text format produced by :func:`write_mesh`.
-
-    Connectivity is recomputed from scratch; the edge count and boundary
-    flags from the file are validated against the recomputed values.
-    """
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 3:
-        raise ValueError("truncated mesh file %s" % path)
-    nv, ne, nt = int(tokens[0]), int(tokens[1]), int(tokens[2])
-    need = 3 + 3 * nv + 3 * nt
-    if len(tokens) != need:
-        raise ValueError("mesh file %s has %d tokens, expected %d" % (path, len(tokens), need))
-    vdata = np.array(tokens[3 : 3 + 3 * nv], dtype=object).reshape(nv, 3)
-    vertices = vdata[:, :2].astype(float)
-    flags = vdata[:, 2].astype(int).astype(bool)
-    triangles = np.array(tokens[3 + 3 * nv :], dtype=np.int64).reshape(nt, 3)
-    mesh = _build_mesh(vertices, triangles)
-    if mesh.num_facets != ne:
-        raise ValueError("facet count mismatch: file says %d, mesh has %d" % (ne, mesh.num_facets))
-    if not np.array_equal(mesh.boundary_vertex, flags):
-        raise ValueError("boundary flags in %s disagree with recomputed connectivity" % path)
-    return mesh

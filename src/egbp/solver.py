@@ -58,18 +58,15 @@ class SolveTrace:
     capacitance matrices (see A11Factor).  ``fill_nnz`` is the stored L and U
     entries summed over every factorization of the solve, and
     ``triangular_solves`` the right-hand sides passed to their triangular
-    solves.
+    solves.  ``outer_iters``, ``converged``, ``inner_iters_per_outer`` and
+    ``feasibility_violations`` are read off these records.
     ``polish_outer_iters`` is always 0:
     the solve has no sweeps after convergence; the field stays because the
     benchmark records read it.
     """
 
-    outer_iters: int = 0
-    inner_iters_per_outer: list = field(default_factory=list)
     inner_residual_histories: list = field(default_factory=list)
     outer_increments: list = field(default_factory=list)
-    converged: bool = False
-    feasibility_violations: int = 0
     feasible_per_outer: list = field(default_factory=list)
     worst_slack_per_outer: list = field(default_factory=list)
     clamped_per_outer: list = field(default_factory=list)
@@ -81,6 +78,22 @@ class SolveTrace:
     polish_outer_iters: int = 0
     stop_reason: str = ""
 
+    @property
+    def outer_iters(self):
+        return len(self.outer_increments)
+
+    @property
+    def converged(self):
+        return self.stop_reason == "converged"
+
+    @property
+    def inner_iters_per_outer(self):
+        return [len(incs) for incs in self.inner_residual_histories]
+
+    @property
+    def feasibility_violations(self):
+        return self.feasible_per_outer.count(False)
+
 
 @dataclass
 class EGSolution:
@@ -89,14 +102,6 @@ class EGSolution:
     u: EGFunction
     u_plus: EGFunction
     trace: SolveTrace
-
-    @property
-    def u_minus(self):
-        """Complement Q(u): linear part only."""
-        return EGFunction(
-            self.u.linear_coeffs - self.u_plus.linear_coeffs,
-            np.zeros_like(self.u.const_coeffs),
-        )
 
 
 # Nested-dissection leaves hold about this many unknowns.
@@ -443,17 +448,14 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
         extremes = patch_extremes(mesh, u0, dofs)
         feasible, _, slack = feasibility_check(extremes, spec.bounds)
         factorizations, columns = a11.count, a11.columns
-        u1, n, incs, inner_ok = inner_richardson(u1, u0, system, spec, extremes, a11)
+        u1, _, incs, inner_ok = inner_richardson(u1, u0, system, spec, extremes, a11)
         u0_new = outer_constant_solve(u1, system, spec, extremes, a00_factor)
         d = u0_new - u0
         u0 = u0_new
         outer_inc = float(np.sqrt(d @ (system.M0_diag * d)))
-        trace.outer_iters += 1
-        trace.inner_iters_per_outer.append(n)
         trace.inner_residual_histories.append(incs)
         trace.outer_increments.append(outer_inc)
         trace.feasible_per_outer.append(feasible)
-        trace.feasibility_violations += not feasible
         trace.worst_slack_per_outer.append(slack)
         trace.clamped_per_outer.append(int(np.count_nonzero(~a11.free)))
         trace.a11_factorizations_per_outer.append(a11.count - factorizations)
@@ -462,7 +464,6 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
             trace.stop_reason = "inner_stalled"
             break
         if outer_inc <= spec.tol_outer:
-            trace.converged = True
             trace.stop_reason = "converged"
             break
 

@@ -6,14 +6,34 @@ stable.  Nothing is shared with the package's vectorized mesh, limiter and
 assembly paths.  The exception is ``coo_assembly_oracle``, the package's
 former vectorized COO assembly, kept as the reference for the stencil
 assembly; it shares only the quadrature rule and the field evaluation.
+
+The last section holds helpers that no study, CLI path or benchmark runs:
+point evaluation, interpolation, the full operator over all dofs, the
+element mass and jump matrices, the complement Q, the comparison bound,
+the broken Poincare constant and the CSV readers.  The tests use them as
+references or as statements of the paper's theory; they build on the
+package's own assembly and limiter.
 """
 
+import csv
+
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from egbp.assembly import TRI_QP, TRI_QW
-from egbp.fespace import _eval_field
+from egbp.assembly import (
+    TRI_QP,
+    TRI_QW,
+    _grads_and_areas,
+    _jump_csr,
+    _p1_mass_values,
+    _vertex_csr,
+    assemble_system,
+)
+from egbp.cli import CSV_HEADER
+from egbp.fespace import DofMap, EGFunction, _eval_field
+from egbp.limiter import apply_P
 from egbp.solver import SpdFactor
 
 # 7-point Gauss-Legendre rule on [0, 1]; exact through degree 13, far more
@@ -432,10 +452,159 @@ def coo_assembly_oracle(mesh, spec, dofs, lift=None):
     if lift is not None:
         bfull = bfull - A @ np.concatenate([lift.linear_coeffs, np.zeros(nt)])
     iv = dofs.interior_vertex_ids
-    ev = nv + dofs.element_ids
+    ev = nv + np.arange(nt)
     blocks = {"A11": (iv, iv), "A10": (iv, ev), "A00": (ev, ev)}
     out = {name: A[np.ix_(*ix)].tocsr() for name, ix in blocks.items()}
     out["scale"] = {name: A_abs[np.ix_(*ix)].tocsr() for name, ix in blocks.items()}
     out["M1"] = out["scale"]["M1"] = M[np.ix_(iv, iv)].tocsr()
     out.update(b1=bfull[iv], b0=bfull[ev])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Helpers the package does not run, built on its assembly and limiter
+# ---------------------------------------------------------------------------
+
+
+def all_vertices(mesh):
+    """A DofMap whose 'interior' vertices are all vertices."""
+    every = np.arange(mesh.num_vertices)
+    return DofMap(every, every)
+
+
+def assemble_full(mesh, spec):
+    """a_h over (all vertices) + (all elements), no boundary condition applied."""
+    return assemble_system(mesh, spec, all_vertices(mesh)).full_matrix()
+
+
+def p1_mass_matrix(mesh):
+    """Consistent P1 mass matrix over all vertices."""
+    area = _grads_and_areas(mesh)[1]
+    return _vertex_csr(mesh, all_vertices(mesh), _p1_mass_values(mesh, area))[0]
+
+
+def assemble_M_J(mesh):
+    """Element mass matrix (diagonal of areas) and unweighted jump matrix.
+
+    J0 accumulates h_F * [w][v] couplings over all facets; boundary facets
+    contribute the owner's own constant.
+    """
+    area = _grads_and_areas(mesh)[1]
+    return sp.diags(area).tocsr(), _jump_csr(mesh, mesh.facet_length, 0.0)
+
+
+def interpolate_lagrange(mesh, g):
+    """Nodal interpolant of a scalar field: linear part only."""
+    vals = np.array([g(x, y) for x, y in mesh.vertices], dtype=float)
+    if not np.all(np.isfinite(vals)):
+        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+        raise ValueError("non-finite value at vertex %d %r" % (bad, tuple(mesh.vertices[bad])))
+    return EGFunction(vals, np.zeros(mesh.num_elements))
+
+
+def evaluate(mesh, f, element, point, tol=1e-12):
+    """Evaluate an EGFunction at a point of the given element.
+
+    Uses barycentric interpolation of the linear part plus the element
+    constant; raises if the point lies outside the element (barycentric
+    coordinate below -tol).
+    """
+    tri = mesh.triangles[element]
+    p = mesh.vertices[tri]
+    T = np.column_stack((p[1] - p[0], p[2] - p[0]))
+    lam12 = np.linalg.solve(T, np.asarray(point, dtype=float) - p[0])
+    lam = np.array([1.0 - lam12.sum(), lam12[0], lam12[1]])
+    if np.any(lam < -tol):
+        raise ValueError("point %r lies outside element %d" % (tuple(point), element))
+    return float(lam @ f.linear_coeffs[tri] + f.const_coeffs[element])
+
+
+def element_vertex_values(mesh, f):
+    """(nt, 3) array of f evaluated at each element's vertices."""
+    return f.linear_coeffs[mesh.triangles] + f.const_coeffs[:, None]
+
+
+def apply_Q(mesh, dofs, w0, v, bounds):
+    """Complement Q: v1 minus the truncated linear part, zero constants."""
+    p = apply_P(mesh, dofs, w0, v, bounds)
+    return EGFunction(v.linear_coeffs - p.linear_coeffs, np.zeros(mesh.num_elements))
+
+
+def comparison_bound(spec, domain=(0.0, 0.0, 1.0, 1.0), n=256, f_sup=None, uD_sup=None):
+    """Invariant interval from the comparison principle.
+
+    U = max(sup|f| / mu, sup|u_D|); returns [0, U] when both data are
+    nonnegative and [-U, U] otherwise.  Suprema are sampled on an n-by-n
+    grid unless supplied analytically.
+    """
+    x0, y0, x1, y1 = domain
+    X, Y = np.meshgrid(np.linspace(x0, x1, n + 1), np.linspace(y0, y1, n + 1))
+    if spec.f is None:
+        fvals = np.zeros(1)
+    else:
+        fvals = _eval_field(spec.f, X, Y).ravel()
+    fmax = float(np.max(np.abs(fvals))) if f_sup is None else float(f_sup)
+    f_nonneg = np.all(fvals >= 0.0)
+
+    if spec.u_D is None:
+        dvals = np.zeros(1)
+    else:
+        t = np.linspace(0.0, 1.0, n + 1)
+        bx = np.concatenate([x0 + (x1 - x0) * t, np.full(n + 1, x1), x1 - (x1 - x0) * t, np.full(n + 1, x0)])
+        by = np.concatenate([np.full(n + 1, y0), y0 + (y1 - y0) * t, np.full(n + 1, y1), y1 - (y1 - y0) * t])
+        dvals = _eval_field(spec.u_D, bx, by)
+    dmax = float(np.max(np.abs(dvals))) if uD_sup is None else float(uD_sup)
+    d_nonneg = np.all(dvals >= 0.0)
+
+    U = max(fmax / spec.mu, dmax)
+    if f_nonneg and d_nonneg:
+        return (0.0, U)
+    return (-U, U)
+
+
+def broken_poincare_constant(mesh):
+    """Best constant in ||v0||_0 <= C (sum_F h_F^-1 ||[v0]||^2_F)^(1/2).
+
+    Computed exactly as the square root of the largest generalized
+    eigenvalue of M0 v = lambda Jw v, with Jw the unit-weight jump matrix
+    (h_F^-1 and the facet integral cancel to weight one per facet).
+    """
+    _, area = _grads_and_areas(mesh)
+    Jw = _jump_csr(mesh, np.ones(mesh.num_facets), 0.0).toarray()
+    lam = scipy.linalg.eigvalsh(np.diag(area), Jw)
+    return float(np.sqrt(lam[-1]))
+
+
+def read_egfunction(path):
+    """Inverse of egbp.fespace.write_egfunction."""
+    rows = {"vertex": {}, "element": {}}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["kind", "index", "value"]:
+            raise ValueError("unexpected header %r in %s" % (header, path))
+        for kind, idx, val in reader:
+            rows[kind][int(idx)] = float(val)
+    lin = np.array([rows["vertex"][i] for i in range(len(rows["vertex"]))])
+    con = np.array([rows["element"][i] for i in range(len(rows["element"]))])
+    return EGFunction(lin, con)
+
+
+def parse_report_csv(path):
+    """Re-parse a study CSV into a list of numeric dicts ("--" -> nan)."""
+    out = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != CSV_HEADER.split(","):
+            raise ValueError("unexpected CSV header in %s" % path)
+        for row in reader:
+            parsed = {}
+            for key, val in row.items():
+                if val == "--":
+                    parsed[key] = np.nan
+                elif key in ("elements", "iters"):
+                    parsed[key] = int(val)
+                else:
+                    parsed[key] = float(val)
+            out.append(parsed)
     return out

@@ -4,8 +4,6 @@ import scipy.sparse as sp
 
 from egbp.analysis import (
     bound_violation,
-    broken_poincare_constant,
-    comparison_bound,
     condition_number,
     conservation_report,
     eoc,
@@ -15,9 +13,10 @@ from egbp.analysis import (
     jump_norm,
 )
 from egbp.assembly import ProblemSpec, assemble_system
-from egbp.fespace import DofMap, EGFunction, interpolate_lagrange, zero_function
+from egbp.fespace import DofMap, EGFunction, zero_function
 from egbp.mesh import build_structured, refine_uniform
 from egbp.solver import solve_standard_eg
+from oracles import broken_poincare_constant, comparison_bound, interpolate_lagrange
 
 
 def make_spec(**kw):
@@ -76,17 +75,19 @@ def test_jump_norm_hand_oracle_two_triangles():
     # two boundary facets of the unit-valued element, h=1: weight eps + mu
     expected = np.sqrt((eps + 2.0 * mu) + 2.0 * (eps + mu))
     assert jump_norm(mesh, spec, v0) == pytest.approx(expected, rel=1e-13)
-    # without boundary facets only the diagonal remains
-    assert jump_norm(mesh, spec, v0, include_boundary=False) == pytest.approx(
-        np.sqrt(eps + 2.0 * mu), rel=1e-13
+    # a global constant jumps only on the four boundary facets
+    assert jump_norm(mesh, spec, np.ones(2)) == pytest.approx(
+        np.sqrt(4.0 * (eps + mu)), rel=1e-13
     )
 
 
 def test_jump_norm_zero_for_global_constant():
+    # no interior facet contributes: only the 12 boundary facets (h = 1/3)
     mesh = build_structured(3, 3)
     spec = make_spec()
     v0 = np.full(mesh.num_elements, 4.0)
-    assert jump_norm(mesh, spec, v0, include_boundary=False) == 0.0
+    boundary = 12 * (spec.epsilon + spec.mu / 9.0)
+    assert jump_norm(mesh, spec, v0) == pytest.approx(4.0 * np.sqrt(boundary), rel=1e-13)
 
 
 def test_eoc_values():

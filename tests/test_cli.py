@@ -1,4 +1,5 @@
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from egbp.cli import (
     layer_source,
     load_config,
     main,
-    parse_report_csv,
     run_condition,
     run_custom,
     smooth_exact,
 )
+from oracles import parse_report_csv
 
 
 def sample_report():
@@ -69,7 +70,7 @@ def test_emit_tables_markdown(tmp_path):
     report = sample_report()
     paths = emit_tables(report, str(tmp_path), basename="t")
     md = [p for p in paths if p.endswith(".md")][0]
-    lines = open(md).read().strip().split("\n")
+    lines = Path(md).read_text().strip().split("\n")
     assert lines[0].startswith("| elements |")
     assert lines[0].endswith("| cons_residual | nonlinear_residual |")
     assert len(lines) == 4
@@ -80,14 +81,14 @@ def test_emit_tables_deterministic(tmp_path):
     report = sample_report()
     a = emit_tables(report, str(tmp_path / "a"), basename="t")[0]
     b = emit_tables(report, str(tmp_path / "b"), basename="t")[0]
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_emit_tables_empty(tmp_path):
     report = StudyReport(config=StudyConfig())
     paths = emit_tables(report, str(tmp_path), basename="empty")
     csv_path = [p for p in paths if p.endswith(".csv")][0]
-    assert open(csv_path).read().strip() == CSV_HEADER
+    assert Path(csv_path).read_text().strip() == CSV_HEADER
     assert parse_report_csv(csv_path) == []
 
 
@@ -267,7 +268,7 @@ def test_run_condition_small(tmp_path):
     assert len(rows) == 2
     assert rows[1]["cond_A"] > rows[0]["cond_A"]
     path = emit_condition_table(report, str(tmp_path))
-    lines = open(path).read().strip().split("\n")
+    lines = Path(path).read_text().strip().split("\n")
     assert lines[0] == "beta,elements,h,cond_A,cond_A1,cond_A0"
     assert len(lines) == 3
 
@@ -301,3 +302,16 @@ def test_main_emit_fields(tmp_path):
     rc = main(["custom", "--out", str(tmp_path), "--levels", "1", "--emit-fields"])
     assert rc == 0
     assert (tmp_path / "custom_level0.csv").exists()
+
+
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_levels_below_one_rejected(tmp_path, levels):
+    with pytest.raises(ValueError, match="levels must be >= 1"):
+        main(["custom", "--levels", levels, "--out", str(tmp_path)])
+    assert not (tmp_path / "custom.csv").exists()
+
+
+def test_condition_check_on_one_level_fails(tmp_path, capsys):
+    # the kappa(A) rate needs two levels
+    assert main(["condition", "--levels", "1", "--check", "--out", str(tmp_path)]) == 1
+    assert "CHECK FAILED: condition rates need at least 2 levels" in capsys.readouterr().err

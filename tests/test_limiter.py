@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from egbp.fespace import DofMap, EGFunction, element_vertex_values, zero_function
-from egbp.limiter import (
-    apply_P,
-    apply_Q,
-    feasibility_check,
-    patch_extremes,
-    truncate_values,
-)
+from egbp.fespace import DofMap, EGFunction, zero_function
+from egbp.limiter import apply_P, feasibility_check, patch_extremes, truncate_values
 from egbp.mesh import _build_mesh, build_structured, refine_uniform
-from oracles import truncate_node
+from oracles import all_vertices, apply_Q, element_vertex_values, truncate_node
 
 
 def random_function(mesh, rng, scale=1.0):
@@ -56,7 +50,7 @@ def test_patch_extremes_bruteforce():
     for mesh in (build_structured(3, 4), _refined_shuffled_mesh()):
         dofs = DofMap.from_mesh(mesh)
         w0 = rng.normal(size=mesh.num_elements)
-        every = patch_extremes(mesh, w0)
+        every = patch_extremes(mesh, w0, all_vertices(mesh))
         for i in range(mesh.num_vertices):
             patch = np.flatnonzero((mesh.triangles == i).any(axis=1))
             assert every.under[i] == w0[patch].min()
@@ -69,7 +63,7 @@ def test_patch_extremes_bruteforce():
 def test_patch_extremes_length_mismatch():
     mesh = build_structured(2, 2)
     with pytest.raises(ValueError):
-        patch_extremes(mesh, np.zeros(mesh.num_elements + 1))
+        patch_extremes(mesh, np.zeros(mesh.num_elements + 1), DofMap.from_mesh(mesh))
 
 
 def test_apply_P_idempotent():

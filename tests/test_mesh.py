@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from egbp.mesh import (
-    _build_mesh,
-    build_structured,
-    node_patch_elements,
-    read_mesh,
-    refine_uniform,
-    write_mesh,
-)
+from egbp.assembly import _grads_and_areas
+from egbp.mesh import _build_mesh, build_structured, refine_uniform
 from oracles import connectivity_oracle
 
 
 def _cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _patch(mesh, i):
+    """Elements of the node patch omega_i, from the vertex->element CSR."""
+    return mesh.patch_elements[mesh.patch_indptr[i] : mesh.patch_indptr[i + 1]]
 
 
 def brute_force_edge_count(mesh):
@@ -96,26 +95,26 @@ def test_areas_sum_to_rectangle():
     rect = (-2.0, 1.0, 3.0, 4.0)
     mesh = build_structured(4, 7, rect)
     area = (rect[2] - rect[0]) * (rect[3] - rect[1])
-    assert np.sum(mesh.element_areas()) == pytest.approx(area, rel=1e-12)
+    assert np.sum(_grads_and_areas(mesh)[1]) == pytest.approx(area, rel=1e-12)
 
 
 def test_quasi_uniformity_structured():
     for nx, ny in [(2, 2), (8, 4), (5, 3)]:
         mesh = build_structured(nx, ny)
-        assert mesh.h / mesh.h_min <= np.sqrt(2.0) + 1e-14
+        assert mesh.h / mesh.h_elem.min() <= np.sqrt(2.0) + 1e-14
 
 
 def test_h_vertex_is_patch_max():
     mesh = refine_uniform(build_structured(3, 2))
     for i in range(mesh.num_vertices):
-        patch = node_patch_elements(mesh, i)
+        patch = _patch(mesh, i)
         assert mesh.h_vertex[i] == pytest.approx(np.max(mesh.h_elem[patch]))
 
 
 def test_node_patch_center_of_2x2():
     mesh = build_structured(2, 2)
     center = int(np.argmin(np.linalg.norm(mesh.vertices - 0.5, axis=1)))
-    patch = node_patch_elements(mesh, center)
+    patch = _patch(mesh, center)
     assert len(patch) == 6
     for T in patch:
         assert center in mesh.triangles[T]
@@ -124,32 +123,13 @@ def test_node_patch_center_of_2x2():
 def test_node_patch_cardinality_4x4():
     mesh = build_structured(4, 4)
     for i in np.flatnonzero(~mesh.boundary_vertex):
-        assert 3 <= len(node_patch_elements(mesh, i)) <= 8
-
-
-def test_node_patch_out_of_range():
-    mesh = build_structured(2, 2)
-    with pytest.raises((IndexError, ValueError)):
-        node_patch_elements(mesh, mesh.num_vertices)
-    with pytest.raises((IndexError, ValueError)):
-        node_patch_elements(mesh, -10)
+        assert 3 <= len(_patch(mesh, i)) <= 8
 
 
 def test_refinement_deterministic():
     a = refine_uniform(build_structured(3, 3, (0.1, 0.2, 1.3, 2.4)))
     b = refine_uniform(build_structured(3, 3, (0.1, 0.2, 1.3, 2.4)))
     assert a == b
-
-
-def test_mesh_text_roundtrip(tmp_path):
-    mesh = refine_uniform(build_structured(3, 2, (-1.0 / 3.0, 0.0, 1.0, 0.7)))
-    path = tmp_path / "mesh.txt"
-    write_mesh(mesh, path)
-    back = read_mesh(path)
-    assert back == mesh
-    assert np.array_equal(back.vertices, mesh.vertices)
-    write_mesh(back, tmp_path / "mesh2.txt")
-    assert (tmp_path / "mesh.txt").read_bytes() == (tmp_path / "mesh2.txt").read_bytes()
 
 
 def test_triangles_counter_clockwise():
@@ -199,7 +179,7 @@ def test_build_mesh_matches_connectivity_oracle(name):
         assert got.dtype == ref[key].dtype and got.tobytes() == ref[key].tobytes(), key
     assert mesh.patch_indptr[-1] == mesh.patch_elements.size == 3 * mesh.num_elements
     for i, patch in enumerate(ref["patches"]):
-        assert np.array_equal(node_patch_elements(mesh, i), patch)
+        assert np.array_equal(_patch(mesh, i), patch)
 
 
 def test_shuffled_mesh_owner_is_smallest_element():
