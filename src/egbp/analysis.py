@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -13,7 +11,6 @@ from .assembly import TRI_QP, TRI_QW, _grads_and_areas
 from .fespace import _eval_field
 
 __all__ = [
-    "LevelRecord",
     "error_l2",
     "error_h1_linear",
     "jump_norm",
@@ -23,25 +20,6 @@ __all__ = [
     "conservation_report",
     "bound_violation",
 ]
-
-
-@dataclass
-class LevelRecord:
-    """Per-refinement-level summary of a study."""
-
-    n_elements: int
-    h: float
-    err_l2: float = np.nan
-    err_h1: float = np.nan
-    jump_norm: float = np.nan
-    const_l2: float = np.nan
-    outer_iters: int = 0
-    min_val: float = np.nan
-    max_val: float = np.nan
-    max_conservation_residual: float = np.nan
-    b_norm: float = np.nan
-    nonlinear_residual: float = np.nan
-    wall_clock: float = 0.0
 
 
 def _quad_values(mesh, uh):

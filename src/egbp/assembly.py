@@ -64,8 +64,8 @@ class ProblemSpec:
     f_quadrature: str = "degree4"  # "degree4" or "centroid"
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.epsilon, self.mu, self.gamma, self.alpha])):
-            raise ValueError("epsilon, mu, gamma and alpha must be finite")
+        if not np.all(np.isfinite([self.epsilon, self.mu, self.gamma, self.beta, self.alpha])):
+            raise ValueError("epsilon, mu, gamma, beta and alpha must be finite")
         if self.epsilon <= 0 or self.mu <= 0:
             raise ValueError("epsilon and mu must be positive")
         if self.gamma <= 0:

@@ -1,9 +1,10 @@
 """Config-driven experiment harness and command-line interface.
 
 Subcommands reproduce the three studies (smooth convergence, interior
-layer, conditioning) plus free-form custom runs.  Study tables are
-written as CSV with 17 significant digits, which every double survives,
-and as Markdown with 3-significant-digit scientific notation for reading.
+layer, conditioning) plus free-form custom runs.  Every study returns its
+tables as lists of row dicts keyed by column name.  Each table is written
+as CSV with 17 significant digits, which every double survives, and as
+Markdown with 3-significant-digit scientific notation for reading.
 """
 
 from __future__ import annotations
@@ -11,13 +12,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .analysis import (
-    LevelRecord,
     bound_violation,
     condition_number,
     conservation_report,
@@ -43,10 +42,22 @@ __all__ = [
     "main",
 ]
 
+# Columns of the per-level table of the bound-preserving solve.
 CSV_HEADER = (
-    "elements,h,err_l2,eoc_l2,err_h1,eoc_h1,jump_norm,eoc_jump,"
-    "const_l2,eoc_const,iters,min_val,max_val,cons_residual,nonlinear_residual"
+    "elements", "h", "err_l2", "eoc_l2", "err_h1", "eoc_h1", "jump_norm", "eoc_jump",
+    "const_l2", "eoc_const", "iters", "min_val", "max_val", "cons_residual",
+    "nonlinear_residual",
 )
+# Columns of the layer study's standard EG comparator table.
+STANDARD_HEADER = ("elements", "h", "min_val", "max_val", "violations", "cons_residual", "b_norm")
+CONDITION_HEADER = ("beta", "elements", "h", "cond_A", "cond_A1", "cond_A0")
+
+_EOC_COLUMNS = {
+    "err_l2": "eoc_l2", "err_h1": "eoc_h1", "jump_norm": "eoc_jump", "const_l2": "eoc_const",
+}
+
+# Penalty exponents of the conditioning study.
+CONDITION_BETAS = (1, 2, 4)
 
 
 @dataclass
@@ -108,37 +119,22 @@ _DEFAULTS = dict(
 _EXPERIMENT_DEFAULTS = {
     "smooth": dict(x0=-1.0),
     "layer": dict(levels=2, nx=12, ny=12, epsilon=1e-7),
-    "condition": dict(nx=2, ny=2, epsilon=1.0, beta=1),
+    "condition": dict(nx=2, ny=2, epsilon=1.0),
     "custom": dict(),
 }
 
 
 @dataclass
 class StudyReport:
-    """Study results: config echo, per-level records, derived EOC columns."""
+    """Study results: config echo, tables and whether every solve converged.
+
+    ``tables`` maps a table name to (columns, rows); each row is a dict
+    keyed by column name and may hold keys that no column writes.
+    """
 
     config: StudyConfig
-    records: list = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)
     all_converged: bool = True
-
-    def eoc_columns(self):
-        """EOC between consecutive levels for the four error columns."""
-        cols = {"eoc_l2": [], "eoc_h1": [], "eoc_jump": [], "eoc_const": []}
-        prev = None
-        for rec in self.records:
-            for key, attr in (
-                ("eoc_l2", "err_l2"),
-                ("eoc_h1", "err_h1"),
-                ("eoc_jump", "jump_norm"),
-                ("eoc_const", "const_l2"),
-            ):
-                if prev is None:
-                    cols[key].append(np.nan)
-                else:
-                    cols[key].append(eoc(getattr(prev, attr), getattr(rec, attr)))
-            prev = rec
-        return cols
 
 
 def apply_experiment_defaults(config):
@@ -149,6 +145,8 @@ def apply_experiment_defaults(config):
     config = replace(config, **{k: v for k, v in defaults.items() if getattr(config, k) is None})
     if config.levels < 1:
         raise ValueError("levels must be >= 1, got %d" % config.levels)
+    if config.experiment == "layer" and (config.nx % 4 or config.ny % 4):
+        raise ValueError("layer study requires nx, ny divisible by 4")
     return config
 
 
@@ -193,73 +191,65 @@ def _mesh_sequence(config):
     return meshes
 
 
-def _record_solution(mesh, spec, system, solution, elapsed):
-    u_plus = solution.u_plus
-    residuals = conservation_report(mesh, system, solution)
-    mn, mx, _ = bound_violation(mesh, u_plus, spec.bounds, tol=1e-10)
-    return LevelRecord(
-        n_elements=mesh.num_elements,
-        h=mesh.h,
-        jump_norm=jump_norm(mesh, spec, u_plus.const_coeffs),
-        const_l2=float(np.sqrt(u_plus.const_coeffs @ (system.M0_diag * u_plus.const_coeffs))),
-        outer_iters=solution.trace.outer_iters,
-        min_val=mn,
-        max_val=mx,
-        max_conservation_residual=float(np.max(np.abs(residuals))),
+def _summary(mesh, spec, system, u):
+    """Range, bound violations, conservation residual and ||b|| of u on one level."""
+    mn, mx, nviol = bound_violation(mesh, u, spec.bounds, tol=1e-10)
+    return dict(
+        elements=mesh.num_elements, h=mesh.h, min_val=mn, max_val=mx, violations=nviol,
+        cons_residual=float(np.max(np.abs(conservation_report(mesh, system, u)))),
         b_norm=float(np.linalg.norm(np.concatenate([system.b1, system.b0]))),
-        nonlinear_residual=solution.trace.nonlinear_residual,
-        wall_clock=elapsed,
     )
 
 
-def _standard_row(mesh, spec, dofs, lift):
-    """Standard EG comparator on one level: range, violations, conservation."""
-    system = assemble_system(mesh, spec, dofs, lift)
-    u_std = solve_standard_eg(mesh, spec, dofs, system, lift)
-    mn, mx, nviol = bound_violation(mesh, u_std, spec.bounds, tol=1e-10)
-    res_std = conservation_report(mesh, system, u_std)
-    row = dict(
-        n_elements=mesh.num_elements,
-        h=mesh.h,
-        min_val=mn,
-        max_val=mx,
-        violations=nviol,
-        max_conservation_residual=float(np.max(np.abs(res_std))),
-        b_norm=float(np.linalg.norm(np.concatenate([system.b1, system.b0]))),
-    )
-    return row, u_std
+def _add_eoc(rows):
+    """Write the EOC between consecutive rows of each error column."""
+    for i, row in enumerate(rows):
+        for err, rate in _EOC_COLUMNS.items():
+            row[rate] = eoc(rows[i - 1][err], row[err]) if i else np.nan
 
 
 def _run_levels(config, spec, name, exact=None, spec_std=None):
     """Bound-preserving solve on every level of the mesh sequence.
 
     ``exact`` = (u, grad u) adds the L2/H1 errors; ``spec_std`` adds the
-    standard EG comparator rows under ``report.extra["standard"]``.
+    standard EG comparator as the table ``<name>_standard``.
     """
     report = StudyReport(config=config)
-    standard_rows = []
+    rows, std_rows = [], []
     for level, mesh in enumerate(_mesh_sequence(config)):
-        t0 = time.perf_counter()
         dofs = DofMap.from_mesh(mesh)
         lift = dirichlet_lift(mesh, spec.u_D)
         system = assemble_system(mesh, spec, dofs, lift)
         solution = solve_bound_preserving(mesh, spec, dofs, system, lift)
-        rec = _record_solution(mesh, spec, system, solution, time.perf_counter() - t0)
-        if exact is not None:
-            rec.err_l2 = error_l2(mesh, exact[0], solution.u_plus)
-            rec.err_h1 = error_h1_linear(mesh, exact[1], solution.u_plus)
-        report.records.append(rec)
-        report.all_converged &= solution.trace.converged
-        if spec_std is None:
-            _maybe_emit_fields(config, solution.u_plus, "%s_level%d" % (name, level))
-        else:
-            row, u_std = _standard_row(mesh, spec_std, dofs, lift)
-            standard_rows.append(row)
-            _maybe_emit_fields(config, solution.u_plus, "%s_bp_level%d" % (name, level))
-            _maybe_emit_fields(config, u_std, "%s_standard_level%d" % (name, level))
-        _maybe_emit_trace(config, solution.trace, level, name)
+        u, trace = solution.u_plus, solution.trace
+        row = _summary(mesh, spec, system, u)
+        row.update(
+            err_l2=np.nan if exact is None else error_l2(mesh, exact[0], u),
+            err_h1=np.nan if exact is None else error_h1_linear(mesh, exact[1], u),
+            jump_norm=jump_norm(mesh, spec, u.const_coeffs),
+            const_l2=float(np.sqrt(u.const_coeffs @ (system.M0_diag * u.const_coeffs))),
+            iters=trace.outer_iters,
+            nonlinear_residual=trace.nonlinear_residual,
+        )
+        rows.append(row)
+        report.all_converged &= trace.converged
+        emitted = {name: u}
+        if spec_std is not None:
+            system_std = assemble_system(mesh, spec_std, dofs, lift)
+            u_std = solve_standard_eg(mesh, spec_std, dofs, system_std, lift)
+            std_rows.append(_summary(mesh, spec_std, system_std, u_std))
+            emitted = {name + "_bp": u, name + "_standard": u_std}
+        if config.emit_fields:
+            os.makedirs(config.out_dir, exist_ok=True)
+            for prefix, func in emitted.items():
+                path = os.path.join(config.out_dir, "%s_level%d.csv" % (prefix, level))
+                write_egfunction(func, path)
+            path = os.path.join(config.out_dir, "%s_trace_level%d.csv" % (name, level))
+            write_trace(trace, path, level)
+    _add_eoc(rows)
+    report.tables[name] = (CSV_HEADER, rows)
     if spec_std is not None:
-        report.extra["standard"] = standard_rows
+        report.tables[name + "_standard"] = (STANDARD_HEADER, std_rows)
     return report
 
 
@@ -275,42 +265,38 @@ def run_layer(config):
     """Interior-layer study: bound-preserving method plus the standard
     EG comparator (beta = 1, alpha = 0, direct solve) on every level."""
     config = apply_experiment_defaults(config)
-    if config.nx % 4 or config.ny % 4:
-        raise ValueError("layer study requires nx, ny divisible by 4")
     spec = config.problem_spec(f=layer_source, u_D=_zero, f_quadrature="centroid")
     spec_std = replace(spec, beta=1, alpha=0.0)
     return _run_levels(config, spec, "layer", spec_std=spec_std)
 
 
-def run_condition(config, betas=(1, 2, 4)):
+def run_condition(config):
     """Condition numbers of the monolithic and split matrices.
 
-    Uses eps = mu = 1 on structured unit-square grids with a penalty
-    factor above the interior-penalty coercivity threshold (gamma = 10
-    by default; values below about 4 make the monolithic matrix
-    indefinite on right-triangle meshes); only the exponent beta varies.
+    Sweeps beta over CONDITION_BETAS; ``config.beta`` is not read.  The
+    defaults are eps = mu = 1 on structured unit-square grids and a
+    penalty factor above the interior-penalty coercivity threshold
+    (gamma = 10; below about 4 the monolithic matrix of right-triangle
+    meshes is indefinite).
     """
     config = apply_experiment_defaults(config)
-    report = StudyReport(config=config)
     rows = []
     meshes = _mesh_sequence(config)
-    for beta in betas:
-        spec = config.problem_spec(beta=beta, epsilon=1.0, mu=1.0)
+    for beta in CONDITION_BETAS:
+        spec = config.problem_spec(beta=beta)
         for mesh in meshes:
-            dofs = DofMap.from_mesh(mesh)
-            system = assemble_system(mesh, spec, dofs)
+            system = assemble_system(mesh, spec, DofMap.from_mesh(mesh))
             rows.append(
                 dict(
                     beta=beta,
-                    n_elements=mesh.num_elements,
+                    elements=mesh.num_elements,
                     h=mesh.h,
                     cond_A=condition_number(system.full_matrix()),
                     cond_A1=condition_number(system.A11),
                     cond_A0=condition_number(system.A00),
                 )
             )
-    report.extra["condition"] = rows
-    return report
+    return StudyReport(config=config, tables={"condition": (CONDITION_HEADER, rows)})
 
 
 def run_custom(config, f=None, u_D=None):
@@ -326,93 +312,36 @@ def _zero(x, y):
     return 0.0 * np.asarray(x)
 
 
-def _maybe_emit_fields(config, func, name):
-    if config.emit_fields:
-        os.makedirs(config.out_dir, exist_ok=True)
-        write_egfunction(func, os.path.join(config.out_dir, name + ".csv"))
-
-
-def _maybe_emit_trace(config, trace, level, name):
-    if config.emit_fields:
-        os.makedirs(config.out_dir, exist_ok=True)
-        write_trace(trace, os.path.join(config.out_dir, "%s_trace_level%d.csv" % (name, level)), level)
-
-
-def _fmt_full(x):
-    if x is None or (isinstance(x, float) and not np.isfinite(x)):
+def _cell(value, fmt):
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    if value is None or not np.isfinite(value):
         return "--"
-    return "%.17g" % x
+    return fmt % value
 
 
-def _fmt_short(x):
-    if x is None or (isinstance(x, float) and not np.isfinite(x)):
-        return "--"
-    return "%.2e" % x
+def emit_tables(report, out_dir):
+    """Write each table of the report as ``<name>.csv`` and ``<name>.md``.
 
-
-def emit_tables(report, out_dir, basename="study"):
-    """Write the study table as CSV and as Markdown; returns both file paths."""
+    Integers are written as integers, a missing or non-finite value as
+    ``--``.  Returns the paths written.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    eocs = report.eoc_columns()
-    rows = []
-    for i, rec in enumerate(report.records):
-        rows.append(
-            [
-                rec.n_elements,
-                rec.h,
-                rec.err_l2,
-                eocs["eoc_l2"][i],
-                rec.err_h1,
-                eocs["eoc_h1"][i],
-                rec.jump_norm,
-                eocs["eoc_jump"][i],
-                rec.const_l2,
-                eocs["eoc_const"][i],
-                rec.outer_iters,
-                rec.min_val,
-                rec.max_val,
-                rec.max_conservation_residual,
-                rec.nonlinear_residual,
-            ]
-        )
-    csv_path = os.path.join(out_dir, basename + ".csv")
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            cells = [str(row[0])] + [_fmt_full(v) for v in row[1:10]]
-            cells += [str(row[10])] + [_fmt_full(v) for v in row[11:]]
-            fh.write(",".join(cells) + "\n")
-    md_path = os.path.join(out_dir, basename + ".md")
-    header = CSV_HEADER.split(",")
-    with open(md_path, "w") as fh:
-        fh.write("| " + " | ".join(header) + " |\n")
-        fh.write("|" + "---|" * len(header) + "\n")
-        for row in rows:
-            cells = [str(row[0])] + [_fmt_short(v) for v in row[1:10]]
-            cells += [str(row[10])] + [_fmt_short(v) for v in row[11:]]
-            fh.write("| " + " | ".join(cells) + " |\n")
-    return [csv_path, md_path]
-
-
-def emit_condition_table(report, out_dir, basename="condition"):
-    """CSV of the conditioning study: one row per (beta, level)."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, basename + ".csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("beta,elements,h,cond_A,cond_A1,cond_A0\n")
-        for row in report.extra["condition"]:
-            fh.write(
-                "%d,%d,%s,%s,%s,%s\n"
-                % (
-                    row["beta"],
-                    row["n_elements"],
-                    _fmt_full(row["h"]),
-                    _fmt_full(row["cond_A"]),
-                    _fmt_full(row["cond_A1"]),
-                    _fmt_full(row["cond_A0"]),
-                )
-            )
-    return path
+    paths = []
+    for name, (columns, rows) in report.tables.items():
+        csv_path = os.path.join(out_dir, name + ".csv")
+        with open(csv_path, "w", newline="") as fh:
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_cell(row.get(c), "%.17g") for c in columns) + "\n")
+        md_path = os.path.join(out_dir, name + ".md")
+        with open(md_path, "w") as fh:
+            fh.write("| " + " | ".join(columns) + " |\n")
+            fh.write("|" + "---|" * len(columns) + "\n")
+            for row in rows:
+                fh.write("| " + " | ".join(_cell(row.get(c), "%.2e") for c in columns) + " |\n")
+        paths += [csv_path, md_path]
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -457,38 +386,41 @@ def build_config(args):
     """StudyConfig from the config file, overridden by every flag given.
 
     Each flag's destination is the name of its StudyConfig field; a flag
-    left out is None.
+    left out is None.  The conditioning study sweeps beta itself, so a
+    beta set for it is an error.
     """
     values = load_config(args.config) if args.config else {}
     for f in fields(StudyConfig):
         val = getattr(args, f.name, None)
         if val is not None:
             values[f.name] = val
-    return StudyConfig(**values)
+    config = StudyConfig(**values)
+    if config.experiment == "condition" and config.beta is not None:
+        raise ValueError("condition sweeps beta over %s; beta cannot be set" % (CONDITION_BETAS,))
+    return config
 
 
 def _check_smooth(report):
     failures = []
-    eocs = report.eoc_columns()
-    if not (1.9 <= eocs["eoc_l2"][-1] <= 2.1):
-        failures.append("final L2 EOC %.3f outside [1.9, 2.1]" % eocs["eoc_l2"][-1])
-    if not (0.9 <= eocs["eoc_h1"][-1] <= 1.1):
-        failures.append("final H1 EOC %.3f outside [0.9, 1.1]" % eocs["eoc_h1"][-1])
-    for rec in report.records:
-        if rec.outer_iters > 30:
-            failures.append("level with %d elements used %d outer iterations" % (rec.n_elements, rec.outer_iters))
+    rows = report.tables["smooth"][1]
+    if not (1.9 <= rows[-1]["eoc_l2"] <= 2.1):
+        failures.append("final L2 EOC %.3f outside [1.9, 2.1]" % rows[-1]["eoc_l2"])
+    if not (0.9 <= rows[-1]["eoc_h1"] <= 1.1):
+        failures.append("final H1 EOC %.3f outside [0.9, 1.1]" % rows[-1]["eoc_h1"])
+    for row in rows:
+        if row["iters"] > 30:
+            msg = "level with %d elements used %d outer iterations"
+            failures.append(msg % (row["elements"], row["iters"]))
     return failures
 
 
 def _check_layer(report):
     failures = []
-    for rec in report.records:
-        if rec.min_val < -1e-10 or rec.max_val > 1.0 + 1e-10:
-            failures.append(
-                "bound-preserving range [%.3e, %.3e] violates [0, 1]" % (rec.min_val, rec.max_val)
-            )
-    std = report.extra["standard"]
-    if not any(row["min_val"] < 0.0 for row in std):
+    for row in report.tables["layer"][1]:
+        if row["min_val"] < -1e-10 or row["max_val"] > 1.0 + 1e-10:
+            rng = (row["min_val"], row["max_val"])
+            failures.append("bound-preserving range [%.3e, %.3e] violates [0, 1]" % rng)
+    if not any(row["min_val"] < 0.0 for row in report.tables["layer_standard"][1]):
         failures.append("standard EG did not undershoot on any level")
     return failures
 
@@ -497,9 +429,8 @@ def _check_condition(report):
     if report.config.levels < 2:
         return ["condition rates need at least 2 levels, got %d" % report.config.levels]
     failures = []
-    rows = report.extra["condition"]
-    betas = sorted({row["beta"] for row in rows})
-    for beta in betas:
+    rows = report.tables["condition"][1]
+    for beta in CONDITION_BETAS:
         sub = [row for row in rows if row["beta"] == beta]
         kA = [row["cond_A"] for row in sub]
         kA1 = [row["cond_A1"] for row in sub]
@@ -515,9 +446,13 @@ def _check_condition(report):
 
 
 def main(argv=None):
+    runners = {
+        "smooth": run_smooth, "layer": run_layer, "condition": run_condition, "custom": run_custom,
+    }
+    checkers = {"smooth": _check_smooth, "layer": _check_layer, "condition": _check_condition}
     parser = argparse.ArgumentParser(prog="egbp", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in ("smooth", "layer", "condition", "custom"):
+    for name in runners:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", dest="out_dir", help="output directory")
@@ -531,34 +466,21 @@ def main(argv=None):
         p.add_argument("--emit-fields", action="store_true", default=None)
     args = parser.parse_args(argv)
 
-    config = build_config(args)
-    runners = {
-        "smooth": run_smooth,
-        "layer": run_layer,
-        "condition": run_condition,
-        "custom": run_custom,
-    }
+    # Every input error is a usage error, reported before any solve starts.
+    try:
+        config = build_config(args)
+        apply_experiment_defaults(config).problem_spec()
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     report = runners[config.experiment](config)
-
-    out_dir = config.out_dir
-    if config.experiment == "condition":
-        path = emit_condition_table(report, out_dir)
+    for path in emit_tables(report, config.out_dir):
         print("wrote %s" % path)
-    else:
-        for path in emit_tables(report, out_dir, basename=config.experiment):
-            print("wrote %s" % path)
 
     failures = []
     if not report.all_converged:
         failures.append("at least one level did not converge")
-    if config.check:
-        checker = {
-            "smooth": _check_smooth,
-            "layer": _check_layer,
-            "condition": _check_condition,
-        }.get(config.experiment)
-        if checker is not None:
-            failures.extend(checker(report))
+    if config.check and config.experiment in checkers:
+        failures.extend(checkers[config.experiment](report))
     for msg in failures:
         print("CHECK FAILED: %s" % msg, file=sys.stderr)
     return 1 if failures else 0

@@ -15,7 +15,7 @@ import numpy as np
 __all__ = ["Mesh", "build_structured", "refine_uniform"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Triangle mesh with full facet and patch connectivity.
 
@@ -66,14 +66,6 @@ class Mesh:
     @property
     def num_facets(self):
         return self.facet_vertices.shape[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, Mesh):
-            return NotImplemented
-        return (
-            np.array_equal(self.vertices, other.vertices)
-            and np.array_equal(self.triangles, other.triangles)
-        )
 
 
 def _freeze(a):

@@ -590,19 +590,22 @@ def read_egfunction(path):
     return EGFunction(lin, con)
 
 
-def parse_report_csv(path):
-    """Re-parse a study CSV into a list of numeric dicts ("--" -> nan)."""
+def parse_report_csv(path, columns=CSV_HEADER):
+    """Re-parse a table CSV into a list of numeric dicts ("--" -> nan).
+
+    The header must be exactly ``columns``; the count columns parse as int.
+    """
     out = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_HEADER.split(","):
+        if reader.fieldnames != list(columns):
             raise ValueError("unexpected CSV header in %s" % path)
         for row in reader:
             parsed = {}
             for key, val in row.items():
                 if val == "--":
                     parsed[key] = np.nan
-                elif key in ("elements", "iters"):
+                elif key in ("beta", "elements", "iters", "violations"):
                     parsed[key] = int(val)
                 else:
                     parsed[key] = float(val)

@@ -10,6 +10,11 @@ from egbp.cli import StudyConfig, run_condition, run_layer, run_smooth
 import test_properties as props
 
 
+def _rows(report, table=None):
+    """Row dicts of a study's table (by default the one named after it)."""
+    return report.tables[table or report.config.experiment][1]
+
+
 def _verdict(num, label, ok, detail=""):
     line = "%s: criterion %d (%s)%s" % (
         "PASS" if ok else "FAIL",
@@ -66,14 +71,13 @@ def layer_run():
 @pytest.fixture(scope="module")
 def condition_run():
     t0 = time.perf_counter()
-    report = run_condition(StudyConfig(experiment="condition"), betas=(1, 2, 4))
+    report = run_condition(StudyConfig(experiment="condition"))
     return report, time.perf_counter() - t0
 
 
 def test_criterion_1_smooth_convergence(smooth_runs):
     report, elapsed = smooth_runs[1e-9]
-    eocs = report.eoc_columns()
-    l2, h1 = eocs["eoc_l2"][-1], eocs["eoc_h1"][-1]
+    l2, h1 = _rows(report)[-1]["eoc_l2"], _rows(report)[-1]["eoc_h1"]
     ok = (
         report.all_converged
         and 1.9 <= l2 <= 2.1
@@ -90,14 +94,14 @@ def test_criterion_1_smooth_convergence(smooth_runs):
 
 def test_criterion_2_tolerance_robustness(smooth_runs):
     # Step 1 is solved exactly, so tol_inner changes nothing on any level
-    key = lambda r: (r.err_l2, r.err_h1, r.outer_iters)
-    ref = [key(r) for r in smooth_runs[1e-9][0].records]
+    key = lambda r: (r["err_l2"], r["err_h1"], r["iters"])
+    ref = [key(r) for r in _rows(smooth_runs[1e-9][0])]
     ok = True
     details = []
     for tol_n in (1e-6, 1e-3):
         report = smooth_runs[tol_n][0]
-        same = [key(r) for r in report.records] == ref
-        iters = max(r.outer_iters for r in report.records)
+        same = [key(r) for r in _rows(report)] == ref
+        iters = max(r["iters"] for r in _rows(report))
         ok &= report.all_converged and same and iters <= 30
         details.append("tol=%g identical=%s max_outer=%d" % (tol_n, same, iters))
     _verdict(2, "tolerance robustness", ok, "; ".join(details))
@@ -106,15 +110,15 @@ def test_criterion_2_tolerance_robustness(smooth_runs):
 def test_criterion_3_beta_rates(smooth_runs, beta_runs):
     from egbp.analysis import fit_rate
 
-    ref_eocs = smooth_runs[1e-9][0].eoc_columns()
+    ref = _rows(smooth_runs[1e-9][0])[-1]
     ok = True
     details = []
     for beta, report in beta_runs.items():
-        jump_rate = fit_rate([r.jump_norm for r in report.records])
-        const_rate = fit_rate([r.const_l2 for r in report.records])
-        eocs = report.eoc_columns()
-        dl2 = abs(eocs["eoc_l2"][-1] - ref_eocs["eoc_l2"][-1])
-        dh1 = abs(eocs["eoc_h1"][-1] - ref_eocs["eoc_h1"][-1])
+        rows = _rows(report)
+        jump_rate = fit_rate([r["jump_norm"] for r in rows])
+        const_rate = fit_rate([r["const_l2"] for r in rows])
+        dl2 = abs(rows[-1]["eoc_l2"] - ref["eoc_l2"])
+        dh1 = abs(rows[-1]["eoc_h1"] - ref["eoc_h1"])
         # one-sided constant-part rate check: at least beta - 3/2 - 0.75;
         # measured rates sit about h^2 above beta - 3/2 on these meshes,
         # so a symmetric window cannot hold together with the jump bound
@@ -136,7 +140,7 @@ def test_criterion_4_conditioning(condition_run):
     from egbp.analysis import fit_rate
 
     report, elapsed = condition_run
-    rows = report.extra["condition"]
+    rows = _rows(report)
     ok = elapsed <= 180.0
     details = ["time=%.1fs" % elapsed]
     a1_rates = []
@@ -162,10 +166,10 @@ def test_criterion_4_conditioning(condition_run):
 
 def test_criterion_5_bound_preservation(layer_run):
     report = layer_run
-    mins = [r.min_val for r in report.records]
-    maxs = [r.max_val for r in report.records]
-    std = report.extra["standard"]
-    std_small = [row for row in std if row["n_elements"] <= 400]
+    mins = [r["min_val"] for r in _rows(report)]
+    maxs = [r["max_val"] for r in _rows(report)]
+    std = _rows(report, "layer_standard")
+    std_small = [row for row in std if row["elements"] <= 400]
     ok = (
         report.all_converged
         and min(mins) >= -1e-10
@@ -178,7 +182,7 @@ def test_criterion_5_bound_preservation(layer_run):
         "bound preservation vs. baseline",
         ok,
         "bp range [%.2e, %.10f]; baseline min %.3f on %d elements"
-        % (min(mins), max(maxs), std_small[0]["min_val"], std_small[0]["n_elements"]),
+        % (min(mins), max(maxs), std_small[0]["min_val"], std_small[0]["elements"]),
     )
 
 
@@ -187,15 +191,11 @@ def test_criterion_6_local_conservation(smooth_runs, beta_runs, layer_run):
     ok = True
     runs = [rep for rep, _ in smooth_runs.values()]
     runs += list(beta_runs.values()) + [layer_run]
-    for report in runs:
-        for rec in report.records:
-            rel = rec.max_conservation_residual / (1e-8 * rec.b_norm)
-            worst = max(worst, rel)
-            ok &= rec.max_conservation_residual <= 1e-8 * rec.b_norm
-    for row in layer_run.extra["standard"]:
-        rel = row["max_conservation_residual"] / (1e-8 * row["b_norm"])
+    rows = [row for report in runs for row in _rows(report)]
+    for row in rows + _rows(layer_run, "layer_standard"):
+        rel = row["cons_residual"] / (1e-8 * row["b_norm"])
         worst = max(worst, rel)
-        ok &= row["max_conservation_residual"] <= 1e-8 * row["b_norm"]
+        ok &= row["cons_residual"] <= 1e-8 * row["b_norm"]
     _verdict(6, "local conservation", ok, "worst residual at %.1e of the budget" % worst)
 
 
@@ -217,9 +217,9 @@ def test_criterion_8_fixed_point_consistency(smooth_runs, layer_run):
     worst = 0.0
     ok = True
     for report in (smooth_runs[1e-9][0], layer_run):
-        for rec in report.records:
-            worst = max(worst, rec.nonlinear_residual)
-            ok &= rec.nonlinear_residual <= budget
+        for row in _rows(report):
+            worst = max(worst, row["nonlinear_residual"])
+            ok &= row["nonlinear_residual"] <= budget
     _verdict(
         8,
         "fixed-point consistency",

@@ -190,6 +190,8 @@ def test_non_vectorized_source_fails_loudly():
         dict(tol_outer=np.inf),
         dict(max_inner=0),
         dict(max_outer=0),
+        dict(beta=np.inf),
+        dict(beta=np.nan),
     ],
 )
 def test_spec_validation(kw):

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 import egbp.cli
-from egbp.analysis import LevelRecord
 from egbp.assembly import ProblemSpec
 from egbp.cli import (
+    CONDITION_HEADER,
     CSV_HEADER,
+    STANDARD_HEADER,
     StudyConfig,
     StudyReport,
+    _add_eoc,
     apply_experiment_defaults,
-    emit_condition_table,
     emit_tables,
     layer_source,
     load_config,
@@ -26,34 +27,32 @@ from oracles import parse_report_csv
 
 def sample_report():
     config = StudyConfig(experiment="custom", levels=2)
-    records = [
-        LevelRecord(
-            n_elements=64, h=0.25, err_l2=1e-2, err_h1=1e-1, jump_norm=1e-3,
-            const_l2=2e-3, outer_iters=4, min_val=0.0, max_val=1.0,
-            max_conservation_residual=1e-16, nonlinear_residual=2.5e-13,
+    rows = [
+        dict(
+            elements=64, h=0.25, err_l2=1e-2, err_h1=1e-1, jump_norm=1e-3, const_l2=2e-3,
+            iters=4, min_val=0.0, max_val=1.0, cons_residual=1e-16, nonlinear_residual=2.5e-13,
         ),
-        LevelRecord(
-            n_elements=256, h=0.125, err_l2=0.25e-2, err_h1=0.5e-1,
-            jump_norm=0.125e-3, const_l2=0.25e-3, outer_iters=3, min_val=0.0,
-            max_val=1.0, max_conservation_residual=2e-16,
+        dict(
+            elements=256, h=0.125, err_l2=0.25e-2, err_h1=0.5e-1, jump_norm=0.125e-3,
+            const_l2=0.25e-3, iters=3, min_val=0.0, max_val=1.0, cons_residual=2e-16,
         ),
     ]
-    return StudyReport(config=config, records=records)
+    _add_eoc(rows)
+    return StudyReport(config=config, tables={"t": (CSV_HEADER, rows)})
 
 
 def test_eoc_columns():
-    report = sample_report()
-    eocs = report.eoc_columns()
-    assert np.isnan(eocs["eoc_l2"][0])
-    assert eocs["eoc_l2"][1] == pytest.approx(2.0)
-    assert eocs["eoc_h1"][1] == pytest.approx(1.0)
-    assert eocs["eoc_jump"][1] == pytest.approx(3.0)
-    assert eocs["eoc_const"][1] == pytest.approx(3.0)
+    rows = sample_report().tables["t"][1]
+    assert all(np.isnan(rows[0][k]) for k in ("eoc_l2", "eoc_h1", "eoc_jump", "eoc_const"))
+    assert rows[1]["eoc_l2"] == pytest.approx(2.0)
+    assert rows[1]["eoc_h1"] == pytest.approx(1.0)
+    assert rows[1]["eoc_jump"] == pytest.approx(3.0)
+    assert rows[1]["eoc_const"] == pytest.approx(3.0)
 
 
 def test_emit_and_parse_roundtrip(tmp_path):
     report = sample_report()
-    paths = emit_tables(report, str(tmp_path), basename="t")
+    paths = emit_tables(report, str(tmp_path))
     csv_path = [p for p in paths if p.endswith(".csv")][0]
     rows = parse_report_csv(csv_path)
     assert len(rows) == 2
@@ -68,28 +67,43 @@ def test_emit_and_parse_roundtrip(tmp_path):
 
 def test_emit_tables_markdown(tmp_path):
     report = sample_report()
-    paths = emit_tables(report, str(tmp_path), basename="t")
+    paths = emit_tables(report, str(tmp_path))
     md = [p for p in paths if p.endswith(".md")][0]
     lines = Path(md).read_text().strip().split("\n")
     assert lines[0].startswith("| elements |")
     assert lines[0].endswith("| cons_residual | nonlinear_residual |")
+    assert lines[1] == "|" + "---|" * len(CSV_HEADER)
     assert len(lines) == 4
     assert "--" in lines[2]  # first-level EOC cells are empty markers
 
 
 def test_emit_tables_deterministic(tmp_path):
     report = sample_report()
-    a = emit_tables(report, str(tmp_path / "a"), basename="t")[0]
-    b = emit_tables(report, str(tmp_path / "b"), basename="t")[0]
+    a = emit_tables(report, str(tmp_path / "a"))[0]
+    b = emit_tables(report, str(tmp_path / "b"))[0]
     assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_emit_tables_empty(tmp_path):
-    report = StudyReport(config=StudyConfig())
-    paths = emit_tables(report, str(tmp_path), basename="empty")
+    assert emit_tables(StudyReport(config=StudyConfig()), str(tmp_path / "none")) == []
+    report = StudyReport(config=StudyConfig(), tables={"empty": (CSV_HEADER, [])})
+    paths = emit_tables(report, str(tmp_path))
     csv_path = [p for p in paths if p.endswith(".csv")][0]
-    assert Path(csv_path).read_text().strip() == CSV_HEADER
+    assert Path(csv_path).read_text().strip() == ",".join(CSV_HEADER)
     assert parse_report_csv(csv_path) == []
+
+
+def test_emit_tables_integer_column(tmp_path):
+    # a table that is not per level: its integer columns stay integers
+    row = dict(beta=2, elements=np.int64(8), h=0.5, cond_A=12.5, cond_A1=1.0, cond_A0=np.inf)
+    report = StudyReport(config=StudyConfig(), tables={"c": (CONDITION_HEADER, [row])})
+    csv_path, md_path = emit_tables(report, str(tmp_path))
+    (parsed,) = parse_report_csv(csv_path, CONDITION_HEADER)
+    assert type(parsed["beta"]) is int and type(parsed["elements"]) is int
+    assert (parsed["beta"], parsed["elements"], parsed["h"]) == (2, 8, 0.5)
+    assert parsed["cond_A1"] == 1.0 and np.isnan(parsed["cond_A0"])
+    md_row = Path(md_path).read_text().split("\n")[2]
+    assert md_row == "| 2 | 8 | 5.00e-01 | 1.25e+01 | 1.00e+00 | -- |"
 
 
 def test_parse_rejects_wrong_header(tmp_path):
@@ -172,9 +186,11 @@ def test_apply_experiment_defaults():
     config = apply_experiment_defaults(StudyConfig(experiment="smooth", levels=2))
     assert config.levels == 2
     config = apply_experiment_defaults(StudyConfig(experiment="condition"))
-    assert config.epsilon == 1.0 and config.beta == 1
+    assert config.epsilon == 1.0 and config.mu == 1.0 and config.nx == config.ny == 2
     with pytest.raises(ValueError):
         apply_experiment_defaults(StudyConfig(experiment="bogus"))
+    with pytest.raises(ValueError, match="divisible by 4"):
+        apply_experiment_defaults(StudyConfig(experiment="layer", nx=6))
 
 
 @pytest.mark.parametrize("experiment", ["smooth", "layer", "custom"])
@@ -252,25 +268,60 @@ def test_layer_source_values():
 def test_run_custom_small():
     config = StudyConfig(experiment="custom", levels=2, nx=4, ny=4, epsilon=1e-3)
     report = run_custom(config)
-    assert len(report.records) == 2
+    assert list(report.tables) == ["custom"]
+    rows = report.tables["custom"][1]
+    assert len(rows) == 2
     assert report.all_converged
-    assert report.records[0].n_elements == 32
-    assert report.records[1].n_elements == 128
-    for rec in report.records:
-        assert rec.min_val >= -1e-10
-        assert rec.max_val <= 1.0 + 1e-10
+    assert rows[0]["elements"] == 32
+    assert rows[1]["elements"] == 128
+    for row in rows:
+        assert row["min_val"] >= -1e-10
+        assert row["max_val"] <= 1.0 + 1e-10
 
 
 def test_run_condition_small(tmp_path):
+    # the full beta sweep on 8 and 32 elements
     config = StudyConfig(experiment="condition", levels=2)
-    report = run_condition(config, betas=(1,))
-    rows = report.extra["condition"]
-    assert len(rows) == 2
-    assert rows[1]["cond_A"] > rows[0]["cond_A"]
-    path = emit_condition_table(report, str(tmp_path))
+    report = run_condition(config)
+    columns, rows = report.tables["condition"]
+    assert columns == CONDITION_HEADER
+    assert [(r["beta"], r["elements"]) for r in rows] == [
+        (beta, n) for beta in (1, 2, 4) for n in (8, 32)
+    ]
+    for coarse, fine in zip(rows[::2], rows[1::2]):
+        assert fine["cond_A"] > coarse["cond_A"]
+    path = emit_tables(report, str(tmp_path))[0]
     lines = Path(path).read_text().strip().split("\n")
     assert lines[0] == "beta,elements,h,cond_A,cond_A1,cond_A0"
-    assert len(lines) == 3
+    assert len(lines) == 7
+
+
+def test_condition_reads_config_epsilon(tmp_path):
+    # only beta is swept: epsilon and mu from a config file reach the matrices
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epsilon = 0.001\nmu = 5\n")
+    assert main(["condition", "--levels", "2", "--out", str(tmp_path / "a")]) == 0
+    argv = ["condition", "--levels", "2", "--config", str(cfg), "--out", str(tmp_path / "b")]
+    assert main(argv) == 0
+    a = parse_report_csv(str(tmp_path / "a" / "condition.csv"), CONDITION_HEADER)
+    b = parse_report_csv(str(tmp_path / "b" / "condition.csv"), CONDITION_HEADER)
+    assert len(a) == len(b) == 6
+    assert all(ra["cond_A"] != rb["cond_A"] for ra, rb in zip(a, b))
+    md = (tmp_path / "a" / "condition.md").read_text().strip().split("\n")
+    assert md[0] == "| beta | elements | h | cond_A | cond_A1 | cond_A0 |"
+    assert md[1] == "|---|---|---|---|---|---|"
+    assert [line.split(" | ")[:2] for line in md[2:]] == [
+        ["| %d" % beta, str(n)] for beta in (1, 2, 4) for n in (8, 32)
+    ]
+
+
+def test_main_layer_writes_standard_table(tmp_path):
+    # the standard EG comparator undershoots on the coarsest layer mesh
+    assert main(["layer", "--levels", "1", "--out", str(tmp_path)]) == 0
+    (row,) = parse_report_csv(str(tmp_path / "layer_standard.csv"), STANDARD_HEADER)
+    assert row["elements"] == 288
+    assert row["min_val"] < 0.0 and row["violations"] > 0
+    assert (tmp_path / "layer_standard.md").exists()
 
 
 def test_main_custom_exit_zero(tmp_path):
@@ -305,10 +356,46 @@ def test_main_emit_fields(tmp_path):
 
 
 @pytest.mark.parametrize("levels", ["0", "-1"])
-def test_levels_below_one_rejected(tmp_path, levels):
-    with pytest.raises(ValueError, match="levels must be >= 1"):
-        main(["custom", "--levels", levels, "--out", str(tmp_path)])
-    assert not (tmp_path / "custom.csv").exists()
+def test_levels_below_one_rejected(tmp_path, capsys, levels):
+    with pytest.raises(SystemExit) as exc:
+        main(["custom", "--levels", levels, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "levels must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, cfg, message",
+    [
+        (["custom", "--tol-outer", "-1"], None, "tol_outer must be finite and >= 0"),
+        (["custom"], "levels 3\n", "expected 'key = value'"),
+        (["layer"], "nx = 6\n", "layer study requires nx, ny divisible by 4"),
+        (["condition", "--beta", "3"], None, "beta cannot be set"),
+        (["condition"], "beta = 2\n", "beta cannot be set"),
+        (["custom", "--config", "{tmp}/missing.cfg"], None, "No such file"),
+    ],
+)
+def test_input_error_exits_2(tmp_path, capsys, argv, cfg, message):
+    # checked before any solve: a usage error, and no table is written
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if cfg is not None:
+        (tmp_path / "run.cfg").write_text(cfg)
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_error_propagates(monkeypatch, tmp_path):
+    # only input errors become usage errors
+    def failing_run(config):
+        raise ValueError("failure inside the solve")
+
+    monkeypatch.setattr(egbp.cli, "run_custom", failing_run)
+    with pytest.raises(ValueError, match="failure inside the solve"):
+        main(["custom", "--out", str(tmp_path)])
 
 
 def test_condition_check_on_one_level_fails(tmp_path, capsys):
