@@ -79,23 +79,29 @@ def eoc(coarse_err, fine_err):
     return float(np.log2(coarse_err / fine_err))
 
 
-def fit_rate(values, last=3):
-    """Least-squares decay rate over the final `last` halving steps.
+def fit_rate(values):
+    """Least-squares decay rate over the final 3 halving steps.
 
-    Fits log2(value) against the level index for the last `last + 1`
-    entries; the negated slope is the rate.
+    Fits log2(value) against the level index for the last 4 entries; the
+    negated slope is the rate.
     """
     vals = np.asarray(values, dtype=float)
     vals = vals[np.isfinite(vals)]
     if vals.size < 2 or np.any(vals <= 0.0):
         return np.nan
-    tail = vals[-(last + 1) :]
+    tail = vals[-4:]
     x = np.arange(tail.size)
     slope = np.polyfit(x, np.log2(tail), 1)[0]
     return float(-slope)
 
 
-def condition_number(A, dense_cutoff=2000, tol=1e-6):
+# Matrices up to this size get a dense eigendecomposition in
+# condition_number; larger ones Lanczos iterations to this tolerance.
+_DENSE_CUTOFF = 2000
+_LANCZOS_TOL = 1e-6
+
+
+def condition_number(A):
     """Spectral condition number |lambda|_max / |lambda|_min of a
     symmetric matrix (equals lambda_max / lambda_min for SPD input).
 
@@ -109,11 +115,7 @@ def condition_number(A, dense_cutoff=2000, tol=1e-6):
     n = A.shape[0]
     if n == 0:
         raise ValueError("empty matrix")
-    if n == 1:
-        if A[0, 0] == 0.0:
-            raise ValueError("matrix is singular")
-        return 1.0
-    if n <= dense_cutoff:
+    if n <= _DENSE_CUTOFF:
         eig = np.abs(scipy.linalg.eigvalsh(A.toarray()))
         lmin, lmax = eig.min(), eig.max()
     else:
@@ -121,15 +123,9 @@ def condition_number(A, dense_cutoff=2000, tol=1e-6):
         # deterministic; a generic one cannot be orthogonal to the extreme
         # eigenvectors by a symmetry of the mesh, as a constant vector can.
         v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
-        lmax = abs(
-            spla.eigsh(A, k=1, which="LM", tol=tol, v0=v0, return_eigenvectors=False)[0]
-        )
-        lmin = abs(
-            spla.eigsh(
-                A.tocsc(), k=1, sigma=0.0, which="LM", tol=tol, v0=v0,
-                return_eigenvectors=False,
-            )[0]
-        )
+        kwargs = dict(k=1, which="LM", tol=_LANCZOS_TOL, v0=v0, return_eigenvectors=False)
+        lmax = abs(spla.eigsh(A, **kwargs)[0])
+        lmin = abs(spla.eigsh(A.tocsc(), sigma=0.0, **kwargs)[0])
     if lmin <= lmax * 1e-14:
         raise ValueError("matrix is numerically singular")
     return float(lmax / lmin)
@@ -149,8 +145,9 @@ def conservation_report(mesh, system, solution):
     return system.b0 - system.A10.T @ p - system.A00 @ u0
 
 
-def bound_violation(mesh, v, bounds, tol=0.0):
-    """Extremes over all per-element vertex evaluations plus violation count.
+def bound_violation(mesh, v, bounds, tol):
+    """Extremes over all per-element vertex evaluations plus the count of
+    those outside [a - tol, b + tol].
 
     Piecewise linear plus constant attains its extremes at element
     vertices, so scanning those is exact.

@@ -27,9 +27,9 @@ from .analysis import (
     jump_norm,
 )
 from .assembly import ProblemSpec, assemble_system
-from .fespace import DofMap, dirichlet_lift, write_egfunction
+from .fespace import DofMap, dirichlet_lift
 from .mesh import build_structured, refine_uniform
-from .solver import solve_bound_preserving, solve_standard_eg, write_trace
+from .solver import solve_bound_preserving, solve_standard_eg
 
 __all__ = [
     "StudyConfig",
@@ -51,6 +51,9 @@ CSV_HEADER = (
 # Columns of the layer study's standard EG comparator table.
 STANDARD_HEADER = ("elements", "h", "min_val", "max_val", "violations", "cons_residual", "b_norm")
 CONDITION_HEADER = ("beta", "elements", "h", "cond_A", "cond_A1", "cond_A0")
+# Columns of the --emit-fields files: coefficients, and one row per Newton step.
+FIELD_HEADER = ("kind", "index", "value")
+TRACE_HEADER = ("level", "m", "n", "inner_increment", "outer_increment", "feasible")
 
 _EOC_COLUMNS = {
     "err_l2": "eoc_l2", "err_h1": "eoc_h1", "jump_norm": "eoc_jump", "const_l2": "eoc_const",
@@ -90,7 +93,7 @@ class StudyConfig:
     out_dir: str = "."
     check: bool = False
 
-    def problem_spec(self, f=None, u_D=None, **overrides):
+    def problem_spec(self, **overrides):
         kwargs = dict(
             epsilon=self.epsilon,
             mu=self.mu,
@@ -98,8 +101,6 @@ class StudyConfig:
             beta=self.beta,
             alpha=self.alpha,
             bounds=(self.bound_a, self.bound_b),
-            f=f,
-            u_D=u_D,
             tol_outer=self.tol_outer,
             max_inner=self.max_inner,
             max_outer=self.max_outer,
@@ -183,12 +184,12 @@ def layer_source(x, y):
 
 
 def _mesh_sequence(config):
+    """The coarse mesh, then each uniform refinement up to config.levels meshes."""
     mesh = build_structured(config.nx, config.ny, (config.x0, config.y0, config.x1, config.y1))
-    meshes = [mesh]
+    yield mesh
     for _ in range(config.levels - 1):
         mesh = refine_uniform(mesh)
-        meshes.append(mesh)
-    return meshes
+        yield mesh
 
 
 def _summary(mesh, spec, system, u):
@@ -206,6 +207,17 @@ def _add_eoc(rows):
     for i, row in enumerate(rows):
         for err, rate in _EOC_COLUMNS.items():
             row[rate] = eoc(rows[i - 1][err], row[err]) if i else np.nan
+
+
+def _trace_rows(trace, level):
+    """One row per Step-1 Newton step, whose size is the inner increment;
+    the outer increment is filled on the last Newton row of each sweep."""
+    rows, feasible = [], trace.feasible_per_outer
+    for m, incs in enumerate(trace.inner_residual_histories):
+        for n, inc in enumerate(incs):
+            outer = trace.outer_increments[m] if n == len(incs) - 1 else ""
+            rows.append(dict(zip(TRACE_HEADER, (level, m, n, inc, outer, int(feasible[m])))))
+    return rows
 
 
 def _run_levels(config, spec, name, exact=None, spec_std=None):
@@ -242,10 +254,12 @@ def _run_levels(config, spec, name, exact=None, spec_std=None):
         if config.emit_fields:
             os.makedirs(config.out_dir, exist_ok=True)
             for prefix, func in emitted.items():
+                parts = (("vertex", func.linear_coeffs), ("element", func.const_coeffs))
+                coeffs = [dict(kind=k, index=i, value=v) for k, c in parts for i, v in enumerate(c)]
                 path = os.path.join(config.out_dir, "%s_level%d.csv" % (prefix, level))
-                write_egfunction(func, path)
+                _write_csv(path, FIELD_HEADER, coeffs)
             path = os.path.join(config.out_dir, "%s_trace_level%d.csv" % (name, level))
-            write_trace(trace, path, level)
+            _write_csv(path, TRACE_HEADER, _trace_rows(trace, level))
     _add_eoc(rows)
     report.tables[name] = (CSV_HEADER, rows)
     if spec_std is not None:
@@ -265,7 +279,7 @@ def run_layer(config):
     """Interior-layer study: bound-preserving method plus the standard
     EG comparator (beta = 1, alpha = 0, direct solve) on every level."""
     config = apply_experiment_defaults(config)
-    spec = config.problem_spec(f=layer_source, u_D=_zero, f_quadrature="centroid")
+    spec = config.problem_spec(f=layer_source, f_quadrature="centroid")
     spec_std = replace(spec, beta=1, alpha=0.0)
     return _run_levels(config, spec, "layer", spec_std=spec_std)
 
@@ -281,7 +295,7 @@ def run_condition(config):
     """
     config = apply_experiment_defaults(config)
     rows = []
-    meshes = _mesh_sequence(config)
+    meshes = list(_mesh_sequence(config))
     for beta in CONDITION_BETAS:
         spec = config.problem_spec(beta=beta)
         for mesh in meshes:
@@ -299,25 +313,28 @@ def run_condition(config):
     return StudyReport(config=config, tables={"condition": (CONDITION_HEADER, rows)})
 
 
-def run_custom(config, f=None, u_D=None):
-    """Bound-preserving solve on a user-defined configuration."""
+def run_custom(config):
+    """Bound-preserving solve of a unit source with zero boundary data."""
     config = apply_experiment_defaults(config)
-    if f is None:
-        f = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
-    spec = config.problem_spec(f=f, u_D=_zero if u_D is None else u_D)
+    spec = config.problem_spec(f=lambda x, y: np.ones_like(np.asarray(x, dtype=float)))
     return _run_levels(config, spec, "custom")
 
 
-def _zero(x, y):
-    return 0.0 * np.asarray(x)
-
-
 def _cell(value, fmt):
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (str, int, np.integer)):
         return str(value)
     if value is None or not np.isfinite(value):
         return "--"
     return fmt % value
+
+
+def _write_csv(path, columns, rows):
+    """Header row, then one line per row dict: ``%.17g`` floats, integers as
+    integers, strings as they are, a missing or non-finite value as ``--``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(row.get(c), "%.17g") for c in columns) + "\n")
 
 
 def emit_tables(report, out_dir):
@@ -330,10 +347,7 @@ def emit_tables(report, out_dir):
     paths = []
     for name, (columns, rows) in report.tables.items():
         csv_path = os.path.join(out_dir, name + ".csv")
-        with open(csv_path, "w", newline="") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_cell(row.get(c), "%.17g") for c in columns) + "\n")
+        _write_csv(csv_path, columns, rows)
         md_path = os.path.join(out_dir, name + ".md")
         with open(md_path, "w") as fh:
             fh.write("| " + " | ".join(columns) + " |\n")
@@ -466,10 +480,14 @@ def main(argv=None):
         p.add_argument("--emit-fields", action="store_true", default=None)
     args = parser.parse_args(argv)
 
-    # Every input error is a usage error, reported before any solve starts.
+    # Every input error is a usage error, reported before any solve starts;
+    # the output directory is made last, so a rejected run leaves none.
     try:
         config = build_config(args)
-        apply_experiment_defaults(config).problem_spec()
+        filled = apply_experiment_defaults(config)
+        filled.problem_spec()
+        next(_mesh_sequence(filled))
+        os.makedirs(config.out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
     report = runners[config.experiment](config)

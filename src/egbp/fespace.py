@@ -9,12 +9,11 @@ share a single representation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EGFunction", "DofMap", "dirichlet_lift", "write_egfunction"]
+__all__ = ["EGFunction", "DofMap", "dirichlet_lift"]
 
 
 @dataclass
@@ -45,10 +44,6 @@ class DofMap:
         return self.interior_vertex_ids.size
 
 
-def zero_function(mesh):
-    return EGFunction(np.zeros(mesh.num_vertices), np.zeros(mesh.num_elements))
-
-
 def _eval_field(f, X, Y):
     """f at the points (X, Y); f must accept and return numpy arrays."""
     out = np.asarray(f(X, Y), dtype=float)
@@ -60,23 +55,13 @@ def _eval_field(f, X, Y):
 def dirichlet_lift(mesh, u_D):
     """Boundary data at boundary vertices, extended by zero inside.
 
-    u_D is evaluated once on the arrays of boundary-vertex coordinates.
+    u_D is evaluated once on the arrays of boundary-vertex coordinates;
+    u_D = None is zero boundary data.
     """
     vals = np.zeros(mesh.num_vertices)
-    bdry = mesh.boundary_vertex
-    vals[bdry] = _eval_field(u_D, *mesh.vertices[bdry].T)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite Dirichlet value")
+    if u_D is not None:
+        bdry = mesh.boundary_vertex
+        vals[bdry] = _eval_field(u_D, *mesh.vertices[bdry].T)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite Dirichlet value")
     return EGFunction(vals, np.zeros(mesh.num_elements))
-
-
-def write_egfunction(f, path):
-    """CSV serialization with header "kind,index,value"."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "index", "value"])
-        for i, v in enumerate(f.linear_coeffs):
-            writer.writerow(["vertex", i, "%.17g" % v])
-        for i, v in enumerate(f.const_coeffs):
-            writer.writerow(["element", i, "%.17g" % v])
-

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_system
-from .fespace import DofMap, EGFunction, dirichlet_lift, zero_function
+from .fespace import DofMap, EGFunction, dirichlet_lift
 from .limiter import apply_P, feasibility_check, patch_extremes, truncate_values
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "inner_richardson",
     "outer_constant_solve",
     "solve_bound_preserving",
-    "write_trace",
 ]
 
 
@@ -58,8 +57,8 @@ class SolveTrace:
     capacitance matrices (see A11Factor).  ``fill_nnz`` is the stored L and U
     entries summed over every factorization of the solve, and
     ``triangular_solves`` the right-hand sides passed to their triangular
-    solves.  ``outer_iters``, ``converged``, ``inner_iters_per_outer`` and
-    ``feasibility_violations`` are read off these records.
+    solves.  ``outer_iters``, ``converged``, ``inner_iters_per_outer``,
+    ``feasible_per_outer`` and ``feasibility_violations`` are read off them.
     ``polish_outer_iters`` is always 0:
     the solve has no sweeps after convergence; the field stays because the
     benchmark records read it.
@@ -67,7 +66,6 @@ class SolveTrace:
 
     inner_residual_histories: list = field(default_factory=list)
     outer_increments: list = field(default_factory=list)
-    feasible_per_outer: list = field(default_factory=list)
     worst_slack_per_outer: list = field(default_factory=list)
     clamped_per_outer: list = field(default_factory=list)
     a11_factorizations_per_outer: list = field(default_factory=list)
@@ -89,6 +87,10 @@ class SolveTrace:
     @property
     def inner_iters_per_outer(self):
         return [len(incs) for incs in self.inner_residual_histories]
+
+    @property
+    def feasible_per_outer(self):
+        return [slack >= 0.0 for slack in self.worst_slack_per_outer]
 
     @property
     def feasibility_violations(self):
@@ -238,7 +240,7 @@ def _prepare(mesh, spec, dofs, system, lift):
     if dofs is None:
         dofs = system.dofs if system is not None else DofMap.from_mesh(mesh)
     if lift is None:
-        lift = zero_function(mesh) if spec.u_D is None else dirichlet_lift(mesh, spec.u_D)
+        lift = dirichlet_lift(mesh, spec.u_D)
     if system is None:
         system = assemble_system(mesh, spec, dofs, lift)
     return dofs, system, lift
@@ -446,7 +448,7 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     trace = SolveTrace(stop_reason="max_outer")
     for _ in range(spec.max_outer):
         extremes = patch_extremes(mesh, u0, dofs)
-        feasible, _, slack = feasibility_check(extremes, spec.bounds)
+        _, _, slack = feasibility_check(extremes, spec.bounds)
         factorizations, columns = a11.count, a11.columns
         u1, _, incs, inner_ok = inner_richardson(u1, u0, system, spec, extremes, a11)
         u0_new = outer_constant_solve(u1, system, spec, extremes, a00_factor)
@@ -455,7 +457,6 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
         outer_inc = float(np.sqrt(d @ (system.M0_diag * d)))
         trace.inner_residual_histories.append(incs)
         trace.outer_increments.append(outer_inc)
-        trace.feasible_per_outer.append(feasible)
         trace.worst_slack_per_outer.append(slack)
         trace.clamped_per_outer.append(int(np.count_nonzero(~a11.free)))
         trace.a11_factorizations_per_outer.append(a11.count - factorizations)
@@ -475,20 +476,3 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     trace.nonlinear_residual = nonlinear_residual(system, spec, dofs, solution)
     return solution
 
-
-def write_trace(trace, path, level=0):
-    """CSV export "level,m,n,inner_increment,outer_increment,feasible".
-
-    One row per Step-1 Newton step, whose size is the inner increment; the
-    outer increment is filled on the last inner row of each outer sweep.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write("level,m,n,inner_increment,outer_increment,feasible\n")
-        for m, incs in enumerate(trace.inner_residual_histories):
-            feasible = int(trace.feasible_per_outer[m])
-            for n, inc in enumerate(incs):
-                last = n == len(incs) - 1
-                outer = "%.17g" % trace.outer_increments[m] if last else ""
-                fh.write(
-                    "%d,%d,%d,%.17g,%s,%d\n" % (level, m, n, inc, outer, feasible)
-                )

@@ -10,9 +10,10 @@ assembly; it shares only the quadrature rule and the field evaluation.
 The last section holds helpers that no study, CLI path or benchmark runs:
 point evaluation, interpolation, the full operator over all dofs, the
 element mass and jump matrices, the complement Q, the comparison bound,
-the broken Poincare constant and the CSV readers.  The tests use them as
-references or as statements of the paper's theory; they build on the
-package's own assembly and limiter.
+the broken Poincare constant, the zero function, a recorder of the CLI's
+solves and the CSV readers.  The tests use them as references or as
+statements of the paper's theory; they build on the package's own
+assembly and limiter.
 """
 
 import csv
@@ -31,6 +32,7 @@ from egbp.assembly import (
     _vertex_csr,
     assemble_system,
 )
+import egbp.cli
 from egbp.cli import CSV_HEADER
 from egbp.fespace import DofMap, EGFunction, _eval_field
 from egbp.limiter import apply_P
@@ -493,6 +495,11 @@ def assemble_M_J(mesh):
     return sp.diags(area).tocsr(), _jump_csr(mesh, mesh.facet_length, 0.0)
 
 
+def zero_function(mesh):
+    """The zero EG function on the mesh."""
+    return EGFunction(np.zeros(mesh.num_vertices), np.zeros(mesh.num_elements))
+
+
 def interpolate_lagrange(mesh, g):
     """Nodal interpolant of a scalar field: linear part only."""
     vals = np.array([g(x, y) for x, y in mesh.vertices], dtype=float)
@@ -575,8 +582,21 @@ def broken_poincare_constant(mesh):
     return float(np.sqrt(lam[-1]))
 
 
+def record_cli_solves(monkeypatch):
+    """List that collects the EGSolution of each bound-preserving solve the CLI runs."""
+    solutions = []
+    solve = egbp.cli.solve_bound_preserving
+
+    def recording(*args):
+        solutions.append(solve(*args))
+        return solutions[-1]
+
+    monkeypatch.setattr(egbp.cli, "solve_bound_preserving", recording)
+    return solutions
+
+
 def read_egfunction(path):
-    """Inverse of egbp.fespace.write_egfunction."""
+    """EGFunction of an ``--emit-fields`` coefficient file ("kind,index,value")."""
     rows = {"vertex": {}, "element": {}}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

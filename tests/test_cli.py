@@ -353,6 +353,19 @@ def test_main_emit_fields(tmp_path):
     rc = main(["custom", "--out", str(tmp_path), "--levels", "1", "--emit-fields"])
     assert rc == 0
     assert (tmp_path / "custom_level0.csv").exists()
+    # every CSV the CLI writes ends its lines in LF alone
+    written = sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert written == ["custom.csv", "custom_level0.csv", "custom_trace_level0.csv"]
+    assert not any(b"\r" in (tmp_path / name).read_bytes() for name in written)
+
+
+def _forbid_assembly(monkeypatch):
+    """Make any assembly, and so any solve, of a study fail the test."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a study started on invalid input")
+
+    monkeypatch.setattr(egbp.cli, "assemble_system", fail)
 
 
 @pytest.mark.parametrize("levels", ["0", "-1"])
@@ -373,10 +386,13 @@ def test_levels_below_one_rejected(tmp_path, capsys, levels):
         (["condition", "--beta", "3"], None, "beta cannot be set"),
         (["condition"], "beta = 2\n", "beta cannot be set"),
         (["custom", "--config", "{tmp}/missing.cfg"], None, "No such file"),
+        (["custom"], "nx = 0\n", "subdivision counts must be >= 1"),
+        (["layer"], "x1 = -2\n", "degenerate rectangle"),
     ],
 )
-def test_input_error_exits_2(tmp_path, capsys, argv, cfg, message):
+def test_input_error_exits_2(monkeypatch, tmp_path, capsys, argv, cfg, message):
     # checked before any solve: a usage error, and no table is written
+    _forbid_assembly(monkeypatch)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if cfg is not None:
         (tmp_path / "run.cfg").write_text(cfg)
@@ -386,6 +402,18 @@ def test_input_error_exits_2(tmp_path, capsys, argv, cfg, message):
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_out_path_is_a_file_exits_2(monkeypatch, tmp_path, capsys):
+    # the output directory is made before the first solve, not after the last
+    _forbid_assembly(monkeypatch)
+    out = tmp_path / "taken"
+    out.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["layer", "--levels", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "File exists" in capsys.readouterr().err
+    assert out.read_text() == ""
 
 
 def test_solve_error_propagates(monkeypatch, tmp_path):

@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from egbp.fespace import DofMap, EGFunction, dirichlet_lift, write_egfunction, zero_function
+from egbp.cli import main
+from egbp.fespace import DofMap, EGFunction, dirichlet_lift
 from egbp.mesh import build_structured, refine_uniform
-from oracles import element_vertex_values, evaluate, interpolate_lagrange, read_egfunction
+from oracles import (
+    element_vertex_values,
+    evaluate,
+    interpolate_lagrange,
+    read_egfunction,
+    record_cli_solves,
+    zero_function,
+)
 
 
 def test_dofmap_counts():
@@ -96,12 +104,12 @@ def test_element_vertex_values():
             assert vals[T, k] == pytest.approx(f.linear_coeffs[v] + f.const_coeffs[T])
 
 
-def test_function_io_roundtrip(tmp_path):
-    mesh = build_structured(3, 3)
-    rng = np.random.default_rng(7)
-    f = EGFunction(rng.normal(size=mesh.num_vertices), rng.normal(size=mesh.num_elements))
-    path = tmp_path / "f.csv"
-    write_egfunction(f, path)
-    g = read_egfunction(path)
+def test_function_io_roundtrip(monkeypatch, tmp_path):
+    # the --emit-fields coefficients of a solve read back bit for bit
+    solutions = record_cli_solves(monkeypatch)
+    assert main(["custom", "--levels", "1", "--emit-fields", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "custom_level0.csv"
+    assert b"\r" not in path.read_bytes()
+    f, g = solutions[0].u_plus, read_egfunction(path)
     assert np.array_equal(f.linear_coeffs, g.linear_coeffs)
     assert np.array_equal(f.const_coeffs, g.const_coeffs)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from egbp.fespace import DofMap, EGFunction, zero_function
+from egbp.fespace import DofMap, EGFunction
 from egbp.limiter import apply_P, feasibility_check, patch_extremes, truncate_values
 from egbp.mesh import _build_mesh, build_structured, refine_uniform
-from oracles import all_vertices, apply_Q, element_vertex_values, truncate_node
+from oracles import all_vertices, apply_Q, element_vertex_values, truncate_node, zero_function
 
 
 def random_function(mesh, rng, scale=1.0):

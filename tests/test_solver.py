@@ -8,14 +8,13 @@ import scipy.sparse.linalg as spla
 
 import egbp.solver
 from egbp.assembly import BlockSystem, ProblemSpec, assemble_system
-from egbp.cli import StudyConfig, apply_experiment_defaults, layer_source, smooth_exact
+from egbp.cli import StudyConfig, apply_experiment_defaults, layer_source, main, smooth_exact
 from egbp.fespace import DofMap, dirichlet_lift
 from egbp.limiter import feasibility_check, patch_extremes
 from egbp.mesh import _build_mesh, build_structured, refine_uniform
 from egbp.solver import (
     A11Factor,
     EGSolution,
-    SolveTrace,
     SolverError,
     SpdFactor,
     inner_richardson,
@@ -23,9 +22,14 @@ from egbp.solver import (
     outer_constant_solve,
     solve_bound_preserving,
     solve_standard_eg,
-    write_trace,
 )
-from oracles import apply_Q, element_vertex_values, richardson_step1_oracle, solve_spd
+from oracles import (
+    apply_Q,
+    element_vertex_values,
+    record_cli_solves,
+    richardson_step1_oracle,
+    solve_spd,
+)
 
 
 def make_spec(**kw):
@@ -720,22 +724,35 @@ def test_no_sweep_after_convergence(monkeypatch, experiment):
     assert t.nonlinear_residual <= 10.0 * (spec.tol_outer + 1e-12)
 
 
-def test_write_trace_csv(tmp_path):
-    trace = SolveTrace(
-        inner_residual_histories=[[0.5, 0.01], [0.001]],
-        outer_increments=[0.1, 1e-11],
-        feasible_per_outer=[True, True],
-    )
-    path = tmp_path / "trace.csv"
-    write_trace(trace, path, level=3)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "level,m,n,inner_increment,outer_increment,feasible"
-    assert len(lines) == 4
-    assert lines[1].startswith("3,0,0,0.5,,")
-    # outer increment recorded on the last inner row of each sweep
-    assert lines[1].split(",")[4] == ""
-    assert float(lines[2].split(",")[4]) == 0.1
-    assert float(lines[3].split(",")[4]) == 1e-11
+def test_write_trace_csv(monkeypatch, tmp_path):
+    # the --emit-fields trace: one row per Newton step of each level's solve
+    solutions = record_cli_solves(monkeypatch)
+    assert main(["custom", "--levels", "2", "--emit-fields", "--out", str(tmp_path)]) == 0
+    assert len(solutions) == 2
+    blank_rows = 0
+    for level, trace in enumerate(s.trace for s in solutions):
+        path = tmp_path / ("custom_trace_level%d.csv" % level)
+        assert b"\r" not in path.read_bytes()
+        lines = path.read_text().split("\n")
+        assert lines[0] == "level,m,n,inner_increment,outer_increment,feasible"
+        assert lines[-1] == ""
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert len(rows) == sum(trace.inner_iters_per_outer)
+        expected = [
+            (m, n, inc, int(ok))
+            for m, (incs, ok) in enumerate(zip(trace.inner_residual_histories, trace.feasible_per_outer))
+            for n, inc in enumerate(incs)
+        ]
+        for row, (m, n, inc, ok) in zip(rows, expected):
+            assert row[:3] == [str(level), str(m), str(n)]
+            assert float(row[3]) == inc and row[5] == str(ok)
+            # outer increment recorded on the last inner row of each sweep
+            if n == len(trace.inner_residual_histories[m]) - 1:
+                assert float(row[4]) == trace.outer_increments[m]
+            else:
+                assert row[4] == ""
+                blank_rows += 1
+    assert blank_rows > 0
 
 
 def test_invalid_omega_rejected():
