@@ -131,18 +131,13 @@ def condition_number(A):
     return float(lmax / lmin)
 
 
-def conservation_report(mesh, system, solution):
-    """Per-element residual b_h(1_T) - a_h(u+, 1_T).
+def conservation_report(mesh, system, u):
+    """Per-element residual b_h(1_T) - a_h(u, 1_T) of an EGFunction u.
 
-    Accepts an EGSolution (uses u+) or a plain EGFunction (e.g. the
-    standard EG solution).  The nodal stabilizer never contributes since
-    1_T has no linear part.
+    The nodal stabilizer never contributes since 1_T has no linear part.
     """
-    u = getattr(solution, "u_plus", solution)
-    dofs = system.dofs
-    p = u.linear_coeffs[dofs.interior_vertex_ids]
-    u0 = u.const_coeffs
-    return system.b0 - system.A10.T @ p - system.A00 @ u0
+    p = u.linear_coeffs[system.dofs.interior_vertex_ids]
+    return system.b0 - system.A10.T @ p - system.A00 @ u.const_coeffs
 
 
 def bound_violation(mesh, v, bounds, tol):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import DofMap, _eval_field
+from .fespace import DofMap, _eval_field, dirichlet_lift
 
 __all__ = ["ProblemSpec", "BlockSystem", "assemble_s", "assemble_system"]
 
@@ -93,20 +93,23 @@ class BlockSystem:
     """Assembled blocks of a_h, the stabilizer diagonal, and the RHS.
 
     A11 couples interior-vertex dofs, A10 interior vertices to element
-    constants, A00 element constants; b1 and b0 already carry the Dirichlet
-    lift action.  ``M1`` is the interior P1 mass matrix and ``M0_diag`` the
-    element areas, both used for L2 norms of increments.
+    constants, A00 element constants; b1 and b0 carry the action of
+    ``lift``, the (nv,) vertex values of the Dirichlet lift, which the
+    solves add back to the unknowns numbered by ``dofs``.  ``M1`` is the
+    interior P1 mass matrix and ``M0_diag`` the element areas, both used
+    for L2 norms of increments.
     """
 
     A11: sp.csr_matrix
     A10: sp.csr_matrix
     A00: sp.csr_matrix
     S1: np.ndarray
-    b1: np.ndarray = None
-    b0: np.ndarray = None
-    M1: sp.csr_matrix = field(default=None, repr=False)
-    M0_diag: np.ndarray = field(default=None, repr=False)
-    dofs: DofMap = field(default=None, repr=False)
+    b1: np.ndarray
+    b0: np.ndarray
+    M1: sp.csr_matrix = field(repr=False)
+    M0_diag: np.ndarray = field(repr=False)
+    dofs: DofMap = field(repr=False)
+    lift: np.ndarray = field(repr=False)
 
     def full_matrix(self):
         """Constrained operator [[A11, A10], [A10^T, A00]] as CSR."""
@@ -275,23 +278,23 @@ def assemble_system(mesh, spec, dofs=None, lift=None):
     """Assemble all blocks of a_h, the stabilizer, and the RHS at once.
 
     Element dofs are numbered as the elements, as DofMap.from_mesh does.
+    ``lift`` holds one value per vertex and defaults to
+    dirichlet_lift(mesh, spec.u_D); the system keeps both dofs and lift.
     """
     if dofs is None:
         dofs = DofMap.from_mesh(mesh)
+    if lift is None:
+        lift = dirichlet_lift(mesh, spec.u_D)
     grads, area = _grads_and_areas(mesh)
     p_diag, p_off, c_vert, c_val = _form_values(mesh, spec, grads, area)
     A11, M1 = _vertex_csr(mesh, dofs, (p_diag, p_off), _p1_mass_values(mesh, area))
 
+    # b - A [lift; 0] over all dofs; c_val is 0 where c_vert is -1
     fv, f0 = _f_on_elements(mesh, spec, area)
-    if lift is not None:
-        if np.any(lift.const_coeffs != 0.0):
-            raise ValueError("Dirichlet lift must have zero constant part")
-        # b - A [l; 0] over all dofs; c_val is 0 where c_vert is -1
-        l = lift.linear_coeffs
-        a, b = mesh.facet_vertices.T
-        fv = fv - p_diag * l - np.bincount(a, p_off * l[b], minlength=l.size)
-        fv -= np.bincount(b, p_off * l[a], minlength=l.size)
-        f0 = f0 - (c_val * l[c_vert]).sum(axis=1)
+    a, b = mesh.facet_vertices.T
+    fv = fv - p_diag * lift - np.bincount(a, p_off * lift[b], minlength=lift.size)
+    fv -= np.bincount(b, p_off * lift[a], minlength=lift.size)
+    f0 = f0 - (c_val * lift[c_vert]).sum(axis=1)
 
     iv = dofs.interior_vertex_ids
     return BlockSystem(
@@ -304,5 +307,6 @@ def assemble_system(mesh, spec, dofs=None, lift=None):
         M1=M1,
         M0_diag=area,
         dofs=dofs,
+        lift=lift,
     )
 

@@ -27,7 +27,6 @@ from .analysis import (
     jump_norm,
 )
 from .assembly import ProblemSpec, assemble_system
-from .fespace import DofMap, dirichlet_lift
 from .mesh import build_structured, refine_uniform
 from .solver import solve_bound_preserving, solve_standard_eg
 
@@ -61,6 +60,10 @@ _EOC_COLUMNS = {
 
 # Penalty exponents of the conditioning study.
 CONDITION_BETAS = (1, 2, 4)
+# Settings the conditioning study does not read: it sweeps beta, leaves the
+# stabilizer out of every matrix, and solves nothing.
+CONDITION_UNREAD = ("beta", "alpha", "bound_a", "bound_b", "tol_outer", "max_inner", "max_outer",
+                    "emit_fields")
 
 
 @dataclass
@@ -229,10 +232,8 @@ def _run_levels(config, spec, name, exact=None, spec_std=None):
     report = StudyReport(config=config)
     rows, std_rows = [], []
     for level, mesh in enumerate(_mesh_sequence(config)):
-        dofs = DofMap.from_mesh(mesh)
-        lift = dirichlet_lift(mesh, spec.u_D)
-        system = assemble_system(mesh, spec, dofs, lift)
-        solution = solve_bound_preserving(mesh, spec, dofs, system, lift)
+        system = assemble_system(mesh, spec)
+        solution = solve_bound_preserving(mesh, spec, system=system)
         u, trace = solution.u_plus, solution.trace
         row = _summary(mesh, spec, system, u)
         row.update(
@@ -247,8 +248,8 @@ def _run_levels(config, spec, name, exact=None, spec_std=None):
         report.all_converged &= trace.converged
         emitted = {name: u}
         if spec_std is not None:
-            system_std = assemble_system(mesh, spec_std, dofs, lift)
-            u_std = solve_standard_eg(mesh, spec_std, dofs, system_std, lift)
+            system_std = assemble_system(mesh, spec_std, system.dofs, system.lift)
+            u_std = solve_standard_eg(mesh, spec_std, system=system_std)
             std_rows.append(_summary(mesh, spec_std, system_std, u_std))
             emitted = {name + "_bp": u, name + "_standard": u_std}
         if config.emit_fields:
@@ -287,7 +288,7 @@ def run_layer(config):
 def run_condition(config):
     """Condition numbers of the monolithic and split matrices.
 
-    Sweeps beta over CONDITION_BETAS; ``config.beta`` is not read.  The
+    Sweeps beta over CONDITION_BETAS; no CONDITION_UNREAD field is read.  The
     defaults are eps = mu = 1 on structured unit-square grids and a
     penalty factor above the interior-penalty coercivity threshold
     (gamma = 10; below about 4 the monolithic matrix of right-triangle
@@ -299,7 +300,7 @@ def run_condition(config):
     for beta in CONDITION_BETAS:
         spec = config.problem_spec(beta=beta)
         for mesh in meshes:
-            system = assemble_system(mesh, spec, DofMap.from_mesh(mesh))
+            system = assemble_system(mesh, spec)
             rows.append(
                 dict(
                     beta=beta,
@@ -400,18 +401,21 @@ def build_config(args):
     """StudyConfig from the config file, overridden by every flag given.
 
     Each flag's destination is the name of its StudyConfig field; a flag
-    left out is None.  The conditioning study sweeps beta itself, so a
-    beta set for it is an error.
+    left out is None.  An experiment in the file must be the subcommand's,
+    and a CONDITION_UNREAD setting of the conditioning study is an error.
     """
     values = load_config(args.config) if args.config else {}
+    if values.get("experiment", args.experiment) != args.experiment:
+        msg = "config file sets experiment = %s, the subcommand is %s"
+        raise ValueError(msg % (values["experiment"], args.experiment))
     for f in fields(StudyConfig):
         val = getattr(args, f.name, None)
         if val is not None:
             values[f.name] = val
-    config = StudyConfig(**values)
-    if config.experiment == "condition" and config.beta is not None:
-        raise ValueError("condition sweeps beta over %s; beta cannot be set" % (CONDITION_BETAS,))
-    return config
+    unread = [k for k in CONDITION_UNREAD if k in values] if args.experiment == "condition" else []
+    if unread:
+        raise ValueError("%s cannot be set: condition does not read it" % ", ".join(unread))
+    return StudyConfig(**values)
 
 
 def _check_smooth(report):

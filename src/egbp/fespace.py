@@ -3,8 +3,8 @@
 An :class:`EGFunction` stores one nodal value per mesh vertex (continuous
 piecewise-linear part) plus one constant per element.  Linear coefficients
 are kept for *all* vertices; the Dirichlet constraint is applied through
-the :class:`DofMap` at solve time, so the boundary lift and the solution
-share a single representation.
+the :class:`DofMap` at solve time, so the boundary lift is one value per
+vertex, like the linear part of the solution.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def _eval_field(f, X, Y):
 
 
 def dirichlet_lift(mesh, u_D):
-    """Boundary data at boundary vertices, extended by zero inside.
+    """Vertex values (nv,): the boundary data at boundary vertices, zero inside.
 
     u_D is evaluated once on the arrays of boundary-vertex coordinates;
     u_D = None is zero boundary data.
@@ -64,4 +64,4 @@ def dirichlet_lift(mesh, u_D):
         vals[bdry] = _eval_field(u_D, *mesh.vertices[bdry].T)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite Dirichlet value")
-    return EGFunction(vals, np.zeros(mesh.num_elements))
+    return vals

@@ -71,14 +71,7 @@ def apply_P(mesh, dofs, w0, v, bounds):
 
 
 def feasibility_check(extremes, bounds):
-    """True iff a - under_i <= b - over_i everywhere, plus worst-node report.
-
-    Returns (feasible, worst_index, worst_slack) where worst_index is the
-    argmin of the slack (b - over) - (a - under).
-    """
+    """Worst slack min_i (b - over_i) - (a - under_i); the windows are all
+    feasible iff it is >= 0.  +inf without interior vertices."""
     a, b = bounds
-    slack = (b - extremes.over) - (a - extremes.under)
-    if slack.size == 0:
-        return True, -1, np.inf
-    worst = int(np.argmin(slack))
-    return bool(np.all(slack >= 0.0)), worst, float(slack[worst])
+    return float(np.min((b - extremes.over) - (a - extremes.under), initial=np.inf))

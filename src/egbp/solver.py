@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_system
-from .fespace import DofMap, EGFunction, dirichlet_lift
+from .fespace import EGFunction
 from .limiter import apply_P, feasibility_check, patch_extremes, truncate_values
 
 __all__ = [
@@ -59,9 +59,8 @@ class SolveTrace:
     ``triangular_solves`` the right-hand sides passed to their triangular
     solves.  ``outer_iters``, ``converged``, ``inner_iters_per_outer``,
     ``feasible_per_outer`` and ``feasibility_violations`` are read off them.
-    ``polish_outer_iters`` is always 0:
-    the solve has no sweeps after convergence; the field stays because the
-    benchmark records read it.
+    ``polish_outer_iters`` is always 0: the solve has no sweeps after
+    convergence; the field stays because the benchmark records read it.
     """
 
     inner_residual_histories: list = field(default_factory=list)
@@ -237,18 +236,22 @@ def _centroids(mesh):
 
 
 def _prepare(mesh, spec, dofs, system, lift):
-    if dofs is None:
-        dofs = system.dofs if system is not None else DofMap.from_mesh(mesh)
-    if lift is None:
-        lift = dirichlet_lift(mesh, spec.u_D)
+    """``system``, or one assembled from dofs and lift; a dofs or lift given
+    with a system must equal the system's own."""
     if system is None:
-        system = assemble_system(mesh, spec, dofs, lift)
-    return dofs, system, lift
+        return assemble_system(mesh, spec, dofs, lift)
+    own = system.dofs.interior_vertex_ids
+    if dofs is not None and not np.array_equal(dofs.interior_vertex_ids, own):
+        raise ValueError("dofs differ from the ones the system was assembled with")
+    if lift is not None and not np.array_equal(lift, system.lift):
+        raise ValueError("lift differs from the one the system was assembled with")
+    return system
 
 
-def _compose(mesh, dofs, lift, u1, u0):
-    lin = lift.linear_coeffs.copy()
-    lin[dofs.interior_vertex_ids] += u1
+def _compose(system, u1, u0):
+    """The EG function of interior-vertex values u1 over the system's lift and constants u0."""
+    lin = system.lift.copy()
+    lin[system.dofs.interior_vertex_ids] += u1
     return EGFunction(lin, u0.copy())
 
 
@@ -257,12 +260,12 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
 
     Returns the full discrete solution including the Dirichlet lift.
     """
-    dofs, system, lift = _prepare(mesh, spec, dofs, system, lift)
-    points = np.vstack([mesh.vertices[dofs.interior_vertex_ids], _centroids(mesh)])
+    system = _prepare(mesh, spec, dofs, system, lift)
+    points = np.vstack([mesh.vertices[system.dofs.interior_vertex_ids], _centroids(mesh)])
     b = np.concatenate([system.b1, system.b0])
     x = _Dissected(system.full_matrix(), points, "monolithic EG system").solve(b, rel_tol=1e-12)
-    n1 = dofs.n_interior
-    return _compose(mesh, dofs, lift, x[:n1], x[n1:])
+    n1 = system.dofs.n_interior
+    return _compose(system, x[:n1], x[n1:])
 
 
 class _Capacitance:
@@ -417,11 +420,11 @@ def outer_constant_solve(u1_new, system, spec, extremes, a00_factor):
     return a00_factor.solve(rhs, rel_tol=1e-13)
 
 
-def nonlinear_residual(system, spec, dofs, solution):
+def nonlinear_residual(system, solution):
     """Vector 2-norm of a_h(u+, .) + s_h(u-, .) - b_h(.) over all basis dofs."""
     u_plus = solution.u_plus
-    p = u_plus.linear_coeffs[dofs.interior_vertex_ids]
-    q = solution.u.linear_coeffs[dofs.interior_vertex_ids] - p
+    p = u_plus.linear_coeffs[system.dofs.interior_vertex_ids]
+    q = solution.u.linear_coeffs[system.dofs.interior_vertex_ids] - p
     u0 = u_plus.const_coeffs
     r1 = system.A11 @ p + system.A10 @ u0 + system.S1 * q - system.b1
     r0 = system.A10.T @ p + system.A00 @ u0 - system.b0
@@ -438,8 +441,8 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     the decoupled constant-part solve, and stops when the L2 increment of
     the constants drops below spec.tol_outer.
     """
-    dofs, system, lift = _prepare(mesh, spec, dofs, system, lift)
-    a11 = A11Factor(system.A11, mesh.vertices[dofs.interior_vertex_ids])
+    system = _prepare(mesh, spec, dofs, system, lift)
+    a11 = A11Factor(system.A11, mesh.vertices[system.dofs.interior_vertex_ids])
     a00_factor = _Dissected(system.A00, _centroids(mesh), "A00")
 
     u1 = a11.solve(system.b1, a11.free)
@@ -447,8 +450,8 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
 
     trace = SolveTrace(stop_reason="max_outer")
     for _ in range(spec.max_outer):
-        extremes = patch_extremes(mesh, u0, dofs)
-        _, _, slack = feasibility_check(extremes, spec.bounds)
+        extremes = patch_extremes(mesh, u0, system.dofs)
+        slack = feasibility_check(extremes, spec.bounds)
         factorizations, columns = a11.count, a11.columns
         u1, _, incs, inner_ok = inner_richardson(u1, u0, system, spec, extremes, a11)
         u0_new = outer_constant_solve(u1, system, spec, extremes, a00_factor)
@@ -470,9 +473,9 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
 
     trace.fill_nnz = a11.fill_nnz + int(a00_factor.factor.lu.nnz)
     trace.triangular_solves = a11.triangular_solves + a00_factor.factor.solves
-    u = _compose(mesh, dofs, lift, u1, u0)
-    u_plus = apply_P(mesh, dofs, u0, u, spec.bounds)
+    u = _compose(system, u1, u0)
+    u_plus = apply_P(mesh, system.dofs, u0, u, spec.bounds)
     solution = EGSolution(u=u, u_plus=u_plus, trace=trace)
-    trace.nonlinear_residual = nonlinear_residual(system, spec, dofs, solution)
+    trace.nonlinear_residual = nonlinear_residual(system, solution)
     return solution
 

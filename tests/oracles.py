@@ -361,7 +361,7 @@ def _coo_f_on_elements(mesh, spec, area):
     return fv, f0
 
 
-def coo_assembly_oracle(mesh, spec, dofs, lift=None):
+def coo_assembly_oracle(mesh, spec, dofs, lift):
     """The blocks A11, A10, A00, M1 and the loads b1, b0 from COO triplets.
 
     The package's assembly before it wrote each entry to its place in the
@@ -370,6 +370,7 @@ def coo_assembly_oracle(mesh, spec, dofs, lift=None):
     conversion, and the blocks are cut out with np.ix_.  Returns a dict of
     the blocks and loads, and under "scale" each block summed from the
     absolute values of its terms: the size of each entry's rounding.
+    ``lift`` holds the vertex values of the Dirichlet lift.
     """
     nv, nt = mesh.num_vertices, mesh.num_elements
     tri = mesh.triangles
@@ -451,8 +452,7 @@ def coo_assembly_oracle(mesh, spec, dofs, lift=None):
     M = sp.coo_matrix((Mloc.ravel(), (r.ravel(), c.ravel())), shape=(nv, nv)).tocsr()
 
     bfull = np.concatenate(_coo_f_on_elements(mesh, spec, area))
-    if lift is not None:
-        bfull = bfull - A @ np.concatenate([lift.linear_coeffs, np.zeros(nt)])
+    bfull = bfull - A @ np.concatenate([lift, np.zeros(nt)])
     iv = dofs.interior_vertex_ids
     ev = nv + np.arange(nt)
     blocks = {"A11": (iv, iv), "A10": (iv, ev), "A00": (ev, ev)}
@@ -587,8 +587,8 @@ def record_cli_solves(monkeypatch):
     solutions = []
     solve = egbp.cli.solve_bound_preserving
 
-    def recording(*args):
-        solutions.append(solve(*args))
+    def recording(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
         return solutions[-1]
 
     monkeypatch.setattr(egbp.cli, "solve_bound_preserving", recording)

@@ -79,3 +79,48 @@ def test_every_public_name_has_a_caller_outside_tests():
         )
     ]
     assert unused == [], "public names that only the tests use: %s" % ", ".join(unused)
+
+
+# Parameters that no body reads but a frozen caller passes by position:
+# perfbench calls conservation_report(mesh, system, u).
+UNREAD_PARAMETERS_ALLOWED = {"analysis.conservation_report(mesh)"}
+
+
+def _unread_parameters(path, tree):
+    """'module.qualname(param)' of each parameter of each function (methods
+    and nested functions included) whose body never reads it."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = "%s.%s" % (prefix, child.name)
+                args = child.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+                read = {
+                    n.id
+                    for stmt in child.body
+                    for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                out.extend("%s(%s)" % (qualname, p) for p in params if p not in read)
+                visit(child, qualname)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, "%s.%s" % (prefix, child.name))
+            else:
+                visit(child, prefix)
+
+    visit(tree, path.stem)
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = [
+        name
+        for path, tree in _trees().items()
+        if path.parent == PACKAGE
+        for name in _unread_parameters(path, tree)
+    ]
+    assert sorted(set(unread) - UNREAD_PARAMETERS_ALLOWED) == []
+    assert set(unread) >= UNREAD_PARAMETERS_ALLOWED, "stale allowlist entries"

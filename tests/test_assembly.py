@@ -137,8 +137,11 @@ def test_rhs_lift_action():
     spec = make_spec(f=lambda x, y: 0.0 * x, u_D=g)
     lift = dirichlet_lift(mesh, g)
     system = assemble_system(mesh, spec, dofs, lift)
+    assert system.lift is lift and system.dofs is dofs
+    # lift=None is the lift of spec.u_D
+    assert np.array_equal(assemble_system(mesh, spec, dofs).lift, lift)
     # b = -A (lift), restricted: reproduce by hand from the full operator
-    lvec = np.concatenate([lift.linear_coeffs, np.zeros(mesh.num_elements)])
+    lvec = np.concatenate([lift, np.zeros(mesh.num_elements)])
     full = assemble_full(mesh, spec) @ lvec
     nv = mesh.num_vertices
     assert np.allclose(system.b1, -full[dofs.interior_vertex_ids], atol=1e-13)
@@ -240,11 +243,12 @@ def test_blocks_match_coo_oracle(mesh, spec):
     # so each lies within 1e-14 of the sum of its terms' absolute values.
     # All-vertex dofs too: the boundary-facet terms of the P1 and coupling
     # blocks sit in boundary-vertex rows, which the interior blocks leave out.
+    # An explicit zero lift leaves the load of f alone in b.
     lift = dirichlet_lift(mesh, spec.u_D)
     comparator = replace(spec, beta=1, alpha=0.0)
     for dofs, (spec_, lift_) in itertools.product(
         (DofMap.from_mesh(mesh), all_vertices(mesh)),
-        ((spec, None), (spec, lift), (comparator, lift)),
+        ((spec, np.zeros(mesh.num_vertices)), (spec, lift), (comparator, lift)),
     ):
         system = assemble_system(mesh, spec_, dofs, lift_)
         ref = coo_assembly_oracle(mesh, spec_, dofs, lift_)
@@ -284,7 +288,7 @@ def test_vertex_opposite_two_edges_of_an_element():
     spec = make_spec(epsilon=0.1, gamma=3.0, beta=2)
     every = all_vertices(mesh)
     system = assemble_system(mesh, spec, every)
-    ref = coo_assembly_oracle(mesh, spec, every)
+    ref = coo_assembly_oracle(mesh, spec, every, system.lift)
     for name in ("A11", "A10", "A00"):
         got, want = getattr(system, name), ref[name]
         assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)

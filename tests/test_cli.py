@@ -388,6 +388,24 @@ def test_levels_below_one_rejected(tmp_path, capsys, levels):
         (["custom", "--config", "{tmp}/missing.cfg"], None, "No such file"),
         (["custom"], "nx = 0\n", "subdivision counts must be >= 1"),
         (["layer"], "x1 = -2\n", "degenerate rectangle"),
+        # condition reads none of these: set to any value, even the default, they are errors
+        (["condition"], "alpha = 1\n", "alpha cannot be set"),
+        (["condition"], "bound_a = 0\n", "bound_a cannot be set"),
+        (["condition"], "bound_b = 1\n", "bound_b cannot be set"),
+        (["condition", "--tol-outer", "1e-3"], None, "tol_outer cannot be set"),
+        (["condition"], "tol_outer = 1e-12\n", "tol_outer cannot be set"),
+        (["condition"], "max_inner = 500\n", "max_inner cannot be set"),
+        (["condition"], "max_outer = 200\n", "max_outer cannot be set"),
+        (["condition", "--emit-fields"], None, "emit_fields cannot be set"),
+        (["condition"], "emit_fields = false\n", "emit_fields cannot be set"),
+        (
+            ["condition", "--levels", "2", "--emit-fields", "--tol-outer", "1e-3"],
+            None,
+            "tol_outer, emit_fields cannot be set",
+        ),
+        # the subcommand is the experiment; a config file may only repeat it
+        (["smooth"], "experiment = layer\n", "config file sets experiment = layer"),
+        (["condition"], "experiment = custom\n", "config file sets experiment = custom"),
     ],
 )
 def test_input_error_exits_2(monkeypatch, tmp_path, capsys, argv, cfg, message):

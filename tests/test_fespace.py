@@ -57,17 +57,17 @@ def test_interpolation_rejects_nonfinite():
 def test_dirichlet_lift_zero_interior():
     mesh = build_structured(4, 4)
     lift = dirichlet_lift(mesh, lambda x, y: x + y)
+    # one value per vertex, and no constant part to carry
+    assert lift.shape == (mesh.num_vertices,)
     interior = ~mesh.boundary_vertex
-    assert np.all(lift.linear_coeffs[interior] == 0.0)
+    assert np.all(lift[interior] == 0.0)
     bx = mesh.vertices[mesh.boundary_vertex]
-    assert np.allclose(
-        lift.linear_coeffs[mesh.boundary_vertex], bx[:, 0] + bx[:, 1]
-    )
-    assert np.all(lift.const_coeffs == 0.0)
+    assert np.allclose(lift[mesh.boundary_vertex], bx[:, 0] + bx[:, 1])
+    assert np.array_equal(dirichlet_lift(mesh, None), np.zeros(mesh.num_vertices))
     # one array call equals the vertex-by-vertex scalar calls it replaced
     g = lambda x, y: 1.0 + 2.0 * x - 3.0 * x * y**2
     loop = [g(*mesh.vertices[i]) for i in np.flatnonzero(mesh.boundary_vertex)]
-    assert np.array_equal(dirichlet_lift(mesh, g).linear_coeffs[mesh.boundary_vertex], loop)
+    assert np.array_equal(dirichlet_lift(mesh, g)[mesh.boundary_vertex], loop)
 
 
 def test_dirichlet_lift_rejects_scalar_only_data():

@@ -112,8 +112,7 @@ def test_interior_vertex_values_bounded_when_feasible():
     # constants well inside the window guarantee feasibility
     w0 = 0.5 + 0.2 * rng.uniform(-1.0, 1.0, size=mesh.num_elements)
     ext = patch_extremes(mesh, w0, dofs)
-    feasible, _, slack = feasibility_check(ext, (a, b))
-    assert feasible and slack >= 0.0
+    assert feasibility_check(ext, (a, b)) >= 0.0
     v = random_function(mesh, rng, scale=5.0)
     p = apply_P(mesh, dofs, w0, v, (a, b))
     vals = element_vertex_values(mesh, p)
@@ -130,9 +129,7 @@ def test_feasibility_when_constants_small():
     a, b = -1.0, 1.0
     for _ in range(50):
         w0 = rng.uniform(-0.99, 0.99, size=mesh.num_elements)
-        feasible, _, slack = feasibility_check(patch_extremes(mesh, w0, dofs), (a, b))
-        assert feasible
-        assert slack >= 0.0
+        assert feasibility_check(patch_extremes(mesh, w0, dofs), (a, b)) >= 0.0
 
 
 def test_feasibility_reports_worst_node():
@@ -142,18 +139,13 @@ def test_feasibility_reports_worst_node():
     # a spread wider than the window makes the (single interior) node infeasible
     w0[0] = -2.0
     w0[1] = 2.0
-    feasible, worst, slack = feasibility_check(
-        patch_extremes(mesh, w0, dofs), (0.0, 1.0)
-    )
-    assert not feasible
-    assert worst == 0
+    slack = feasibility_check(patch_extremes(mesh, w0, dofs), (0.0, 1.0))
     assert slack == pytest.approx(1.0 - 4.0)
 
 
 def test_feasibility_empty():
     ext = patch_extremes(build_structured(1, 1), np.zeros(2), DofMap.from_mesh(build_structured(1, 1)))
-    feasible, worst, slack = feasibility_check(ext, (0.0, 1.0))
-    assert feasible and worst == -1 and slack == np.inf
+    assert feasibility_check(ext, (0.0, 1.0)) == np.inf
 
 
 def test_zero_function_fixed_point_of_P():

@@ -207,5 +207,4 @@ def test_feasibility_sufficient_condition_search():
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
         w0 = mid + rng.uniform(-0.999 * half, 0.999 * half, size=MESH.num_elements)
-        feasible, _, _ = feasibility_check(patch_extremes(MESH, w0, DOFS), (a, b))
-        assert feasible
+        assert feasibility_check(patch_extremes(MESH, w0, DOFS), (a, b)) >= 0.0

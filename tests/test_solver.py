@@ -106,7 +106,41 @@ def test_standard_eg_satisfies_discrete_system():
     assert np.linalg.norm(np.concatenate([r1, r0])) <= 1e-10 * scale
     # the lift's boundary values are reproduced exactly
     bdry = mesh.boundary_vertex
-    assert np.array_equal(u.linear_coeffs[bdry], lift.linear_coeffs[bdry])
+    assert np.array_equal(u.linear_coeffs[bdry], lift[bdry])
+
+
+@pytest.mark.parametrize("solve", [solve_bound_preserving, solve_standard_eg])
+def test_solve_takes_dofs_and_lift_from_the_system(solve):
+    # Given only the assembled system, a solve adds back the lift b was
+    # assembled with: u_D = 0.5 is not lost.
+    mesh = build_structured(8, 8)
+    spec = ProblemSpec(
+        epsilon=1e-2, mu=1.0, f=lambda x, y: 0.0 * x, u_D=lambda x, y: 0.5 + 0.0 * x
+    )
+    dofs = DofMap.from_mesh(mesh)
+    lift = dirichlet_lift(mesh, spec.u_D)
+    given = solve(mesh, spec, dofs, assemble_system(mesh, spec, dofs, lift), lift)
+    alone = solve(mesh, spec, None, assemble_system(mesh, spec))
+    if solve is solve_bound_preserving:
+        assert alone.trace.converged and alone.trace.nonlinear_residual <= 1e-11
+        given, alone = given.u_plus, alone.u_plus
+    assert np.abs(alone.linear_coeffs - given.linear_coeffs).max() <= 1e-12
+    assert np.abs(alone.const_coeffs - given.const_coeffs).max() <= 1e-12
+    # dofs and lift equal to the system's own are accepted
+    system = assemble_system(mesh, spec)
+    solve(mesh, spec, DofMap.from_mesh(mesh), system, lift.copy())
+
+
+@pytest.mark.parametrize("solve", [solve_bound_preserving, solve_standard_eg])
+def test_dofs_or_lift_not_the_systems_own_rejected(solve):
+    mesh = build_structured(4, 4)
+    spec = make_spec(f=lambda x, y: 1.0 + 0.0 * x, u_D=lambda x, y: 0.5 + 0.0 * x)
+    system = assemble_system(mesh, spec)
+    with pytest.raises(ValueError, match="lift differs"):
+        solve(mesh, spec, None, system, np.zeros(mesh.num_vertices))
+    every = np.arange(mesh.num_vertices)
+    with pytest.raises(ValueError, match="dofs differ"):
+        solve(mesh, spec, DofMap(every, every), system)
 
 
 def test_inner_richardson_stationary_at_unconstrained_solution():
@@ -444,7 +478,7 @@ def test_nonlinear_residual_zero_data():
     spec = make_spec(f=lambda x, y: 0.0 * x)
     system = assemble_system(mesh, spec, dofs)
     sol = solve_bound_preserving(mesh, spec, dofs, system)
-    assert nonlinear_residual(system, spec, dofs, sol) <= 1e-14
+    assert nonlinear_residual(system, sol) <= 1e-14
 
 
 def test_solution_split_consistency():
@@ -551,7 +585,7 @@ def test_trace_bookkeeping(monkeypatch):
     system = assemble_system(mesh, spec, dofs)
     u1 = solve_spd(system.A11, system.b1)
     u0 = solve_spd(system.A00, system.b0 - system.A10.T @ u1)
-    _, _, slack = feasibility_check(patch_extremes(mesh, u0, dofs), spec.bounds)
+    slack = feasibility_check(patch_extremes(mesh, u0, dofs), spec.bounds)
     assert t.worst_slack_per_outer[0] == pytest.approx(slack, rel=1e-10)
 
     names = []
