@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_system
@@ -112,19 +113,43 @@ _ND_LEAF = 32
 def _nested_dissection(points, A):
     """Nested-dissection order of the unknowns at ``points`` (n, 2) for the graph of A.
 
+    The unknowns are bisected by position; the separator of each split is a
+    minimum vertex cover of the entries of A across it, taken by König's
+    theorem from a maximum matching (Ashcraft & Liu, SIAM J. Matrix Anal.
+    Appl. 19(2), 1998), see _bisection_tree.  Each separator is ordered
+    after both halves it separates (George, SIAM J. Numer. Anal. 10(2),
+    1973), so an elimination in this order makes no fill between sibling
+    halves.  Ties keep the input order: the result is deterministic.
+    """
+    n = np.shape(points)[0]
+    if n <= _ND_LEAF:
+        return np.arange(n)
+    code, level, depth = _bisection_tree(points, A)
+    # post-order of the bisection tree: a tree node sorts by the largest
+    # code beneath it, after the deeper nodes that share that code
+    below = depth - level
+    last = (((code >> below) + 1) << below) - 1
+    return np.lexsort((-level, last))
+
+
+def _bisection_tree(points, A):
+    """Morton code, separator level and tree depth of the n > _ND_LEAF unknowns at ``points``.
+
     The bounding box is bisected at its midpoint, longer axis first, down to
-    leaves of about _ND_LEAF unknowns: one Morton code per unknown.  Every
-    off-diagonal entry of A whose ends fall in sibling halves makes its end
-    in the lower half a separator of the shallowest such split.  Each
-    separator is ordered after both halves it separates (George, SIAM J.
-    Numer. Anal. 10(2), 1973), so an elimination in this order makes no fill
-    between sibling halves.  Ties keep the input order: the result is
-    deterministic.
+    leaves of about _ND_LEAF unknowns: one code of ``depth`` bits per
+    unknown, whose first s bits name its tree node at depth s.  Two codes
+    split at the depth of their common prefix.  The off-diagonal entries of
+    the structurally symmetric A whose ends fall in the two halves of a
+    split form a bipartite graph, lower-half ends against upper-half ends;
+    its minimum vertex cover (see _min_vertex_cover) is the thinnest
+    separator of that split that the graph allows.  All splits are covered
+    at once, as one graph over (unknown, split depth) pairs, and an
+    unknown's level is the shallowest split whose cover holds it (``depth``
+    if none): every entry between sibling halves has an end whose level is
+    at most the depth of their split.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
-    if n <= _ND_LEAF:
-        return np.arange(n)
     bits = int(np.ceil(np.log2(n / _ND_LEAF) / 2))
     lo = points.min(axis=0)
     span = points.max(axis=0) - lo
@@ -138,17 +163,42 @@ def _nested_dissection(points, A):
     depth = 2 * bits
     A = sp.coo_matrix(A)
     ci, cj = code[A.row], code[A.col]
-    cut = ci != cj
-    lower = np.where(ci < cj, A.row, A.col)[cut]
-    # the split between two codes sits at the depth of their common prefix
-    split = depth - np.frexp((ci ^ cj)[cut])[1]
+    cut = ci < cj  # each crossing entry once, from its lower-half end
+    split = depth - np.frexp(ci[cut] ^ cj[cut])[1]
+    lower, upper = A.row[cut].astype(np.int64), A.col[cut].astype(np.int64)
+    # the pair (unknown, split) has the key unknown * depth + split
+    cover = _min_vertex_cover(lower * depth + split, upper * depth + split)
     level = np.full(n, depth)
-    np.minimum.at(level, lower, split)
-    # post-order of the bisection tree: a tree node sorts by the largest
-    # code beneath it, after the deeper nodes that share that code
-    below = depth - level
-    last = (((code >> below) + 1) << below) - 1
-    return np.lexsort((-level, last))
+    np.minimum.at(level, cover // depth, cover % depth)
+    return code, level, depth
+
+
+def _min_vertex_cover(rows, cols):
+    """Keys of a minimum vertex cover of the bipartite graph with edges (rows[k], cols[k]).
+
+    König's theorem: with a maximum matching M and Z the vertices reachable
+    from the unmatched rows along paths that alternate between unmatched and
+    matched edges, (rows not in Z) + (columns in Z) is a cover of size |M|.
+    When M saturates the rows, that is every row.
+    """
+    row_keys, r = np.unique(rows, return_inverse=True)
+    col_keys, c = np.unique(cols, return_inverse=True)
+    nr, nc = row_keys.size, col_keys.size
+    if nr == nc == r.size:  # the edges are a matching
+        return row_keys
+    graph = sp.csr_matrix((np.ones(r.size), (r, c)), shape=(nr, nc))
+    match = csgraph.maximum_bipartite_matching(graph, perm_type="column")
+    matched = np.flatnonzero(match >= 0)
+    if matched.size == nr:
+        return row_keys
+    # row -> its columns, column -> its matched row, source nr + nc -> unmatched rows
+    unmatched = np.flatnonzero(match < 0)
+    tail = np.concatenate([r, nr + match[matched], np.full(unmatched.size, nr + nc)])
+    head = np.concatenate([nr + c, matched, unmatched])
+    walk = sp.csr_matrix((np.ones(tail.size), (tail, head)), shape=(nr + nc + 1,) * 2)
+    reached = np.zeros(nr + nc + 1, dtype=bool)
+    reached[csgraph.breadth_first_order(walk, nr + nc, return_predecessors=False)] = True
+    return np.concatenate([row_keys[~reached[:nr]], col_keys[reached[nr:-1]]])
 
 
 class SpdFactor:
@@ -171,7 +221,7 @@ class SpdFactor:
             self.lu = spla.splu(self.A, permc_spec="NATURAL")
         except RuntimeError as exc:
             raise SolverError("factorization of %s failed: %s" % (name, exc)) from exc
-        self.norm = float(abs(self.A).sum(axis=1).max())  # ||A||_inf
+        self.norm = float(np.asarray(abs(self.A).sum(axis=1)).max(initial=0.0))  # ||A||_inf
         self.solves = 0
 
     def lu_solve(self, b):

@@ -1,3 +1,4 @@
+import itertools
 import weakref
 from dataclasses import asdict, replace
 
@@ -107,6 +108,23 @@ def test_standard_eg_satisfies_discrete_system():
     # the lift's boundary values are reproduced exactly
     bdry = mesh.boundary_vertex
     assert np.array_equal(u.linear_coeffs[bdry], lift[bdry])
+
+
+def test_bound_preserving_without_interior_vertices():
+    # One cell: A11 is 0 x 0, so Step 2 alone solves A00 u0 = b0, the
+    # monolithic system of the standard solve.
+    mesh = build_structured(1, 1)
+    g = lambda x, y: 0.25 + 0.5 * x * y
+    spec = make_spec(f=lambda x, y: 1.0 + 0.0 * x, u_D=g, bounds=(0.0, 1.0))
+    system = assemble_system(mesh, spec)
+    assert system.A11.shape == (0, 0)
+    sol = solve_bound_preserving(mesh, spec, system=system)
+    u_std = solve_standard_eg(mesh, spec, system=system)
+    assert sol.trace.converged
+    assert np.array_equal(sol.u.linear_coeffs, u_std.linear_coeffs)
+    scale = np.abs(u_std.const_coeffs).max()
+    assert np.abs(sol.u.const_coeffs - u_std.const_coeffs).max() <= 1e-12 * scale
+    assert sol.trace.fill_nnz == SpdFactor(system.A00).lu.nnz
 
 
 @pytest.mark.parametrize("solve", [solve_bound_preserving, solve_standard_eg])
@@ -692,12 +710,23 @@ def _row_shuffled(mesh, seed):
     return _build_mesh(mesh.vertices[perm], tri)
 
 
+def _dissection_mesh(shuffled):
+    mesh = build_structured(48, 48)
+    return _row_shuffled(mesh, seed=4) if shuffled else mesh
+
+
+# lu.nnz of the 48 x 48 mesh in the order whose separators were the
+# lower-half end of every entry across a split: (A11, A00, monolithic)
+_ONE_SIDED_FILL = {False: (92554, 139930, 1009788), True: (91982, 131716, 1009566)}
+
+
 @pytest.mark.parametrize("shuffled", [False, True])
 def test_dissection_fill_below_colamd(monkeypatch, shuffled):
-    # 4,608 elements; SuperLU's default COLAMD order fills more on every matrix
-    mesh = build_structured(48, 48)
-    if shuffled:
-        mesh = _row_shuffled(mesh, seed=4)
+    # 4,608 elements; SuperLU's default COLAMD order fills more on every
+    # matrix.  Minimum-cover separators leave the A11 and A00 orders as they
+    # were and thin the monolithic matrix's, which couples each centroid to
+    # the vertices across a split.
+    mesh = _dissection_mesh(shuffled)
     dofs = DofMap.from_mesh(mesh)
     spec = make_spec(f=lambda x, y: 1.0 + 0.0 * x, bounds=(-1e6, 1e6))
     system = assemble_system(mesh, spec, dofs)
@@ -717,6 +746,58 @@ def test_dissection_fill_below_colamd(monkeypatch, shuffled):
         ("monolithic EG system", system.full_matrix()),
     ):
         assert fill[name] < spla.splu(sp.csc_matrix(A)).nnz
+    a11, a00, monolithic = _ONE_SIDED_FILL[shuffled]
+    assert (fill["A11"], fill["A00"]) == (a11, a00)
+    assert fill["monolithic EG system"] <= 0.85 * monolithic
+
+
+def _dissection_cases(shuffled):
+    """(points, matrix) of A11, A00 and the monolithic matrix on the 48 x 48 mesh."""
+    mesh = _dissection_mesh(shuffled)
+    system = assemble_system(mesh, make_spec(f=lambda x, y: 1.0 + 0.0 * x))
+    x1 = mesh.vertices[system.dofs.interior_vertex_ids]
+    x0 = egbp.solver._centroids(mesh)
+    return ((x1, system.A11), (x0, system.A00), (np.vstack([x1, x0]), system.full_matrix()))
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_separators_cover_every_entry_between_siblings(shuffled):
+    for points, A in _dissection_cases(shuffled):
+        code, level, depth = egbp.solver._bisection_tree(points, A)
+        assert depth >= 6 and np.unique(code).size > 2 ** (depth - 1)
+        A = sp.coo_matrix(A)
+        between = code[A.row] != code[A.col]
+        i, j = A.row[between], A.col[between]
+        # the split of two codes sits at the depth of their common prefix
+        split = depth - np.array([int(a ^ b).bit_length() for a, b in zip(code[i], code[j])])
+        assert np.all(np.minimum(level[i], level[j]) <= split)
+        assert np.all((level >= 0) & (level <= depth))
+        assert 0 < np.count_nonzero(level < depth) < code.size
+
+
+def _brute_force_cover_size(edges):
+    nodes = sorted({("r", a) for a, _ in edges} | {("c", b) for _, b in edges})
+    for size in range(len(nodes) + 1):
+        for subset in itertools.combinations(nodes, size):
+            chosen = set(subset)
+            if all(("r", a) in chosen or ("c", b) in chosen for a, b in edges):
+                return size
+
+
+@pytest.mark.parametrize("seed", range(1, 8))
+def test_min_vertex_cover_is_minimum(seed):
+    # random bipartite graphs on at most 6 + 6 keys, repeated edges included
+    rng = np.random.default_rng(seed)
+    m = rng.integers(1, 14)
+    rows, cols = 10 * rng.integers(0, 6, m), 10 * rng.integers(0, 6, m) + 1
+    cover = egbp.solver._min_vertex_cover(rows, cols)
+    assert np.all(np.isin(rows, cover) | np.isin(cols, cover))
+    assert cover.size == _brute_force_cover_size(set(zip(rows.tolist(), cols.tolist())))
+
+
+def test_min_vertex_cover_of_a_matching_is_its_rows():
+    cover = egbp.solver._min_vertex_cover(np.array([3, 9, 4]), np.array([7, 1, 8]))
+    assert np.array_equal(cover, [3, 4, 9])
 
 
 @pytest.mark.parametrize("case", ["smooth", "layer"])
