@@ -184,8 +184,6 @@ def _min_vertex_cover(rows, cols):
     row_keys, r = np.unique(rows, return_inverse=True)
     col_keys, c = np.unique(cols, return_inverse=True)
     nr, nc = row_keys.size, col_keys.size
-    if nr == nc == r.size:  # the edges are a matching
-        return row_keys
     graph = sp.csr_matrix((np.ones(r.size), (r, c)), shape=(nr, nc))
     match = csgraph.maximum_bipartite_matching(graph, perm_type="column")
     matched = np.flatnonzero(match >= 0)
