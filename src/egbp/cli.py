@@ -151,6 +151,8 @@ def apply_experiment_defaults(config):
         raise ValueError("levels must be >= 1, got %d" % config.levels)
     if config.experiment == "layer" and (config.nx % 4 or config.ny % 4):
         raise ValueError("layer study requires nx, ny divisible by 4")
+    if config.experiment == "condition" and min(config.nx, config.ny) < 2:
+        raise ValueError("condition study requires nx, ny >= 2: A11 of a mesh without interior vertices is empty")
     return config
 
 
@@ -278,7 +280,7 @@ def run_smooth(config):
 
 def run_layer(config):
     """Interior-layer study: bound-preserving method plus the standard
-    EG comparator (beta = 1, alpha = 0, direct solve) on every level."""
+    EG comparator (beta = 1, alpha = 0, Schur-complement CG) on every level."""
     config = apply_experiment_defaults(config)
     spec = config.problem_spec(f=layer_source, f_quadrature="centroid")
     spec_std = replace(spec, beta=1, alpha=0.0)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_system
@@ -113,13 +112,12 @@ _ND_LEAF = 32
 def _nested_dissection(points, A):
     """Nested-dissection order of the unknowns at ``points`` (n, 2) for the graph of A.
 
-    The unknowns are bisected by position; the separator of each split is a
-    minimum vertex cover of the entries of A across it, taken by König's
-    theorem from a maximum matching (Ashcraft & Liu, SIAM J. Matrix Anal.
-    Appl. 19(2), 1998), see _bisection_tree.  Each separator is ordered
-    after both halves it separates (George, SIAM J. Numer. Anal. 10(2),
-    1973), so an elimination in this order makes no fill between sibling
-    halves.  Ties keep the input order: the result is deterministic.
+    The unknowns are bisected by position; the separator of each split holds
+    one end of every entry of A across it, see _bisection_tree.  Each
+    separator is ordered after both halves it separates (George, SIAM J.
+    Numer. Anal. 10(2), 1973), so an elimination in this order makes no
+    fill between sibling halves.  Ties keep the input order: the result is
+    deterministic.
     """
     n = np.shape(points)[0]
     if n <= _ND_LEAF:
@@ -138,15 +136,12 @@ def _bisection_tree(points, A):
     The bounding box is bisected at its midpoint, longer axis first, down to
     leaves of about _ND_LEAF unknowns: one code of ``depth`` bits per
     unknown, whose first s bits name its tree node at depth s.  Two codes
-    split at the depth of their common prefix.  The off-diagonal entries of
+    split at the depth of their common prefix.  Every off-diagonal entry of
     the structurally symmetric A whose ends fall in the two halves of a
-    split form a bipartite graph, lower-half ends against upper-half ends;
-    its minimum vertex cover (see _min_vertex_cover) is the thinnest
-    separator of that split that the graph allows.  All splits are covered
-    at once, as one graph over (unknown, split depth) pairs, and an
-    unknown's level is the shallowest split whose cover holds it (``depth``
-    if none): every entry between sibling halves has an end whose level is
-    at most the depth of their split.
+    split makes its end in the lower half a separator of that split, and an
+    unknown's level is the shallowest split it separates (``depth`` if
+    none): every entry between sibling halves has an end whose level is at
+    most the depth of their split.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -164,39 +159,9 @@ def _bisection_tree(points, A):
     A = sp.coo_matrix(A)
     ci, cj = code[A.row], code[A.col]
     cut = ci < cj  # each crossing entry once, from its lower-half end
-    split = depth - np.frexp(ci[cut] ^ cj[cut])[1]
-    lower, upper = A.row[cut].astype(np.int64), A.col[cut].astype(np.int64)
-    # the pair (unknown, split) has the key unknown * depth + split
-    cover = _min_vertex_cover(lower * depth + split, upper * depth + split)
     level = np.full(n, depth)
-    np.minimum.at(level, cover // depth, cover % depth)
+    np.minimum.at(level, A.row[cut], depth - np.frexp(ci[cut] ^ cj[cut])[1])
     return code, level, depth
-
-
-def _min_vertex_cover(rows, cols):
-    """Keys of a minimum vertex cover of the bipartite graph with edges (rows[k], cols[k]).
-
-    König's theorem: with a maximum matching M and Z the vertices reachable
-    from the unmatched rows along paths that alternate between unmatched and
-    matched edges, (rows not in Z) + (columns in Z) is a cover of size |M|.
-    When M saturates the rows, that is every row.
-    """
-    row_keys, r = np.unique(rows, return_inverse=True)
-    col_keys, c = np.unique(cols, return_inverse=True)
-    nr, nc = row_keys.size, col_keys.size
-    graph = sp.csr_matrix((np.ones(r.size), (r, c)), shape=(nr, nc))
-    match = csgraph.maximum_bipartite_matching(graph, perm_type="column")
-    matched = np.flatnonzero(match >= 0)
-    if matched.size == nr:
-        return row_keys
-    # row -> its columns, column -> its matched row, source nr + nc -> unmatched rows
-    unmatched = np.flatnonzero(match < 0)
-    tail = np.concatenate([r, nr + match[matched], np.full(unmatched.size, nr + nc)])
-    head = np.concatenate([nr + c, matched, unmatched])
-    walk = sp.csr_matrix((np.ones(tail.size), (tail, head)), shape=(nr + nc + 1,) * 2)
-    reached = np.zeros(nr + nc + 1, dtype=bool)
-    reached[csgraph.breadth_first_order(walk, nr + nc, return_predecessors=False)] = True
-    return np.concatenate([row_keys[~reached[:nr]], col_keys[reached[nr:-1]]])
 
 
 class SpdFactor:
@@ -303,16 +268,64 @@ def _compose(system, u1, u0):
     return EGFunction(lin, u0.copy())
 
 
-def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
-    """Monolithic solve of the (non-preserving) EG scheme.
+# Stop of the Schur-complement CG: at 1e-12 the layer comparator's extremes moved by 2e-12.
+_SCHUR_TOL = 1e-15
 
-    Returns the full discrete solution including the Dirichlet lift.
+
+def _schur_cg(a11, a00, A10, A01, g):
+    """S^{-1} g by CG on S = A11 - A10 A00^{-1} A01, preconditioned with the A11 factor.
+
+    ``a11``, ``a00`` are SpdFactors and A10, A01 = A10^T in their orders.  Stops
+    at normwise backward error _SCHUR_TOL, ||r||_inf <= _SCHUR_TOL (||A11||_inf
+    ||x||_inf + ||g||_inf), where ||A11||_inf >= ||S||_2 as S <= A11.
+    SolverError on breakdown (p^T S p <= 0) or after g.size steps.
+    """
+    x, r, p, rz = np.zeros_like(g), g.copy(), np.zeros_like(g), 1.0
+    gnorm, steps = np.abs(g).max(initial=0.0), 0
+    while np.abs(r).max(initial=0.0) > _SCHUR_TOL * (a11.norm * np.abs(x).max(initial=0.0) + gnorm):
+        if steps == g.size:
+            raise SolverError("Schur-complement CG missed backward error %.0e in %d iterations" % (_SCHUR_TOL, steps))
+        steps += 1
+        z = a11.lu_solve(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p  # p = 0 at first
+        q = a11.A @ p - A10 @ a00.lu_solve(A01 @ p)
+        pq = p @ q
+        if not pq > 0.0:
+            raise SolverError("Schur-complement CG broke down: p^T S p = %.3e, S is not positive definite" % pq)
+        x += (rz / pq) * p
+        r -= (rz / pq) * q
+    return x
+
+
+def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
+    """Solve of the (non-preserving) EG scheme with factors of A11 and A00 only.
+
+    CG on the Schur complement S = A11 - A10 A00^{-1} A10^T (Benzi, Golub &
+    Liesen, Acta Numerica 14, 2005) gives u1, then u0 = A00^{-1} (b0 - A10^T
+    u1), refined against the monolithic system to normwise backward error
+    1e-12.  Returns the full discrete solution including the Dirichlet lift.
     """
     system = _prepare(mesh, spec, dofs, system, lift)
-    points = np.vstack([mesh.vertices[system.dofs.interior_vertex_ids], _centroids(mesh)])
-    b = np.concatenate([system.b1, system.b0])
-    x = _Dissected(system.full_matrix(), points, "monolithic EG system").solve(b, rel_tol=1e-12)
     n1 = system.dofs.n_interior
+    a11 = _Dissected(system.A11, mesh.vertices[system.dofs.interior_vertex_ids], "A11")
+    a00 = _Dissected(system.A00, _centroids(mesh), "A00")
+    A10 = sp.csr_matrix(system.A10)[a11.p][:, a00.p]
+    A01 = A10.T.tocsr()
+
+    def approx_solve(b):
+        u1 = _schur_cg(a11.factor, a00.factor, A10, A01, b[:n1] - A10 @ a00.factor.lu_solve(b[n1:]))
+        return np.concatenate([u1, a00.factor.lu_solve(b[n1:] - A01 @ u1)])
+
+    def matvec(x, M11, M10, M01, M00):  # the monolithic matrix, in the factors' orders
+        return np.concatenate([M11 @ x[:n1] + M10 @ x[n1:], M01 @ x[:n1] + M00 @ x[n1:]])
+
+    blocks = (a11.factor.A, A10, A01, a00.factor.A)
+    p = np.concatenate([a11.p, n1 + a00.p])
+    norm = matvec(np.ones(p.size), *map(abs, blocks)).max()  # ||A||_inf
+    b = np.concatenate([system.b1, system.b0])[p]
+    x = np.empty_like(b)
+    x[p] = _refine(b, approx_solve, lambda v: matvec(v, *blocks), "standard EG system", 1e-12, norm)
     return _compose(system, x[:n1], x[n1:])
 
 
@@ -370,9 +383,8 @@ class A11Factor:
     """
 
     def __init__(self, A11, points):
-        self.p = _nested_dissection(points, A11)
-        self.A11 = sp.csc_matrix(sp.csr_matrix(A11)[self.p][:, self.p])
-        self.full = SpdFactor(self.A11, name="A11")
+        dissected = _Dissected(A11, points, "A11")
+        self.p, self.full, self.A11 = dissected.p, dissected.factor, dissected.factor.A
         self.free = np.ones(self.A11.shape[0], dtype=bool)
         self.order = self.p  # b[order] is b, given on the free nodes, in factor order
         self.factor = self.full  # solves on self.free

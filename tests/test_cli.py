@@ -406,6 +406,8 @@ def test_levels_below_one_rejected(tmp_path, capsys, levels):
         # the subcommand is the experiment; a config file may only repeat it
         (["smooth"], "experiment = layer\n", "config file sets experiment = layer"),
         (["condition"], "experiment = custom\n", "config file sets experiment = custom"),
+        # a 1 x 1 coarse mesh has no interior vertex, so its A11 has no condition number
+        (["condition", "--levels", "1"], "nx = 1\nny = 1\n", "condition study requires nx, ny >= 2"),
     ],
 )
 def test_input_error_exits_2(monkeypatch, tmp_path, capsys, argv, cfg, message):

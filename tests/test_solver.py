@@ -1,4 +1,3 @@
-import itertools
 import weakref
 from dataclasses import asdict, replace
 
@@ -125,6 +124,61 @@ def test_bound_preserving_without_interior_vertices():
     scale = np.abs(u_std.const_coeffs).max()
     assert np.abs(sol.u.const_coeffs - u_std.const_coeffs).max() <= 1e-12 * scale
     assert sol.trace.fill_nnz == SpdFactor(system.A00).lu.nnz
+
+
+def _sheared(mesh):
+    """The mesh under x -> x + 2y: obtuse triangles."""
+    vertices = mesh.vertices.copy()
+    vertices[:, 0] += 2.0 * vertices[:, 1]
+    return _build_mesh(vertices, mesh.triangles)
+
+
+@pytest.mark.parametrize(
+    "mesh, gamma",
+    [
+        (refine_uniform(build_structured(8, 8)), 10.0),
+        (_sheared(refine_uniform(build_structured(8, 8))), 10.0),
+        (build_structured(2, 300), 10.0),  # cells 150:1
+        (refine_uniform(build_structured(8, 8)), 3.0),
+    ],
+    ids=["structured", "sheared", "stretched", "gamma3"],
+)
+def test_standard_eg_matches_direct_solve(mesh, gamma):
+    # the Schur-complement CG agrees with a sparse direct solve of the
+    # monolithic system, including a nonzero boundary lift
+    g = lambda x, y: 0.5 + 0.25 * x - 0.5 * y
+    spec = make_spec(epsilon=1e-3, gamma=gamma, beta=1, alpha=0.0, f=layer_source, u_D=g, bounds=(-10.0, 10.0))
+    system = assemble_system(mesh, spec)
+    ref = spla.spsolve(system.full_matrix().tocsc(), np.concatenate([system.b1, system.b0]))
+    u = solve_standard_eg(mesh, spec, system=system)
+    x = np.concatenate([u.linear_coeffs[system.dofs.interior_vertex_ids], u.const_coeffs])
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_standard_eg_raises_on_indefinite_schur_complement():
+    # A10 scaled by 3: A11 and A00 stay SPD, S = A11 - 9 A10 A00^{-1} A10^T does not
+    mesh = build_structured(8, 8)
+    spec = make_spec(epsilon=1e-3, beta=1, alpha=0.0, f=lambda x, y: 1.0 + 0.0 * x)
+    system = assemble_system(mesh, spec)
+    with pytest.raises(SolverError, match="broke down.*not positive definite"):
+        solve_standard_eg(mesh, spec, system=replace(system, A10=3.0 * system.A10))
+
+
+def test_standard_eg_raises_at_the_iteration_cap():
+    # A11 = I, A00 = I and A10 = [diag(sqrt(1 - lam)), 0] make S = diag(lam)
+    # with Strakos's eigenvalues (Linear Algebra Appl. 154-156, 1991), on
+    # which CG in floating point needs about 160 steps for n = 49
+    mesh = build_structured(8, 8)
+    spec = make_spec(epsilon=1e-3, beta=1, alpha=0.0, f=lambda x, y: 1.0 + 0.0 * x)
+    system = assemble_system(mesh, spec)
+    n1, n0 = system.A10.shape
+    i = np.arange(n1)
+    lam = 1e-4 + i / (n1 - 1) * (1.0 - 1e-4) * 0.8 ** (n1 - 1 - i)
+    A10 = sp.hstack([sp.diags(np.sqrt(1.0 - lam)), sp.csr_matrix((n1, n0 - n1))]).tocsr()
+    eye = lambda n: sp.identity(n, format="csr")
+    hard = replace(system, A11=eye(n1), A10=A10, A00=eye(n0), b1=np.ones(n1), b0=np.zeros(n0))
+    with pytest.raises(SolverError, match="missed backward error 1e-15 in 49 iterations"):
+        solve_standard_eg(mesh, spec, system=hard)
 
 
 @pytest.mark.parametrize("solve", [solve_bound_preserving, solve_standard_eg])
@@ -354,6 +408,41 @@ def test_smooth_solve_factors_A11_once(monkeypatch):
     kinds, trace = _factored_kinds(monkeypatch, *_smooth_problem())
     assert kinds.count("A11[idx]") == 0
     assert sum(trace.capacitance_columns_per_outer) >= 1
+
+
+def test_standard_eg_factors_only_A11_and_A00(monkeypatch):
+    # the comparator factors A11 and A00, each once in its nested-dissection
+    # order, and never builds the monolithic matrix
+    mesh, spec = _layer_problem(refinements=2)
+    spec = replace(spec, beta=1, alpha=0.0)
+    system = assemble_system(mesh, spec)
+    orders, factored = [], []
+    dissection = egbp.solver._nested_dissection
+
+    def recording_dissection(points, A):
+        orders.append(dissection(points, A))
+        return orders[-1]
+
+    class RecordingFactor(SpdFactor):
+        def __init__(self, A, name="system"):
+            super().__init__(A, name=name)
+            factored.append((name, self.A))
+
+    def monolithic(*args, **kwargs):
+        raise AssertionError("the standard solve built the monolithic matrix")
+
+    monkeypatch.setattr(egbp.solver, "_nested_dissection", recording_dissection)
+    monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
+    monkeypatch.setattr(BlockSystem, "full_matrix", monolithic)
+    u = solve_standard_eg(mesh, spec, system=system)
+    assert [name for name, _ in factored] == ["A11", "A00"]
+    p1, p0 = orders
+    assert _same_matrix(factored[0][1], system.A11[p1][:, p1])
+    assert _same_matrix(factored[1][1], system.A00[p0][:, p0])
+    x1, x0 = u.linear_coeffs[system.dofs.interior_vertex_ids], u.const_coeffs
+    r1 = system.A11 @ x1 + system.A10 @ x0 - system.b1
+    r0 = system.A10.T @ x1 + system.A00 @ x0 - system.b0
+    assert np.abs(np.concatenate([r1, r0])).max() <= 1e-10 * np.abs(system.b0).max()
 
 
 def _step1_case(name):
@@ -715,40 +804,33 @@ def _dissection_mesh(shuffled):
     return _row_shuffled(mesh, seed=4) if shuffled else mesh
 
 
-# lu.nnz of the 48 x 48 mesh in the order whose separators were the
-# lower-half end of every entry across a split: (A11, A00, monolithic)
-_ONE_SIDED_FILL = {False: (92554, 139930, 1009788), True: (91982, 131716, 1009566)}
+# lu.nnz of A11 and A00 on the 48 x 48 mesh in their nested-dissection orders
+_DISSECTION_FILL = {False: {"A11": 92554, "A00": 139930}, True: {"A11": 91982, "A00": 131716}}
 
 
 @pytest.mark.parametrize("shuffled", [False, True])
 def test_dissection_fill_below_colamd(monkeypatch, shuffled):
-    # 4,608 elements; SuperLU's default COLAMD order fills more on every
-    # matrix.  Minimum-cover separators leave the A11 and A00 orders as they
-    # were and thin the monolithic matrix's, which couples each centroid to
-    # the vertices across a split.
+    # 4,608 elements; SuperLU's default COLAMD order fills more on both
+    # matrices.  The bound-preserving and the standard solve factor A11 and
+    # A00 in the same orders.
     mesh = _dissection_mesh(shuffled)
     dofs = DofMap.from_mesh(mesh)
     spec = make_spec(f=lambda x, y: 1.0 + 0.0 * x, bounds=(-1e6, 1e6))
     system = assemble_system(mesh, spec, dofs)
-    fill = {}
+    fills = []
 
     class RecordingFactor(SpdFactor):
         def __init__(self, A, name="system"):
             super().__init__(A, name=name)
-            fill[name] = self.lu.nnz
+            fills.append((name, self.lu.nnz))
 
     monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
     solve_bound_preserving(mesh, spec, dofs, system)
     solve_standard_eg(mesh, spec, dofs, system)
-    for name, A in (
-        ("A11", system.A11),
-        ("A00", system.A00),
-        ("monolithic EG system", system.full_matrix()),
-    ):
-        assert fill[name] < spla.splu(sp.csc_matrix(A)).nnz
-    a11, a00, monolithic = _ONE_SIDED_FILL[shuffled]
-    assert (fill["A11"], fill["A00"]) == (a11, a00)
-    assert fill["monolithic EG system"] <= 0.85 * monolithic
+    pinned = _DISSECTION_FILL[shuffled]
+    assert sorted(fills) == sorted([*pinned.items()] * 2)
+    assert pinned["A11"] < spla.splu(sp.csc_matrix(system.A11)).nnz
+    assert pinned["A00"] < spla.splu(sp.csc_matrix(system.A00)).nnz
 
 
 def _dissection_cases(shuffled):
@@ -773,31 +855,6 @@ def test_separators_cover_every_entry_between_siblings(shuffled):
         assert np.all(np.minimum(level[i], level[j]) <= split)
         assert np.all((level >= 0) & (level <= depth))
         assert 0 < np.count_nonzero(level < depth) < code.size
-
-
-def _brute_force_cover_size(edges):
-    nodes = sorted({("r", a) for a, _ in edges} | {("c", b) for _, b in edges})
-    for size in range(len(nodes) + 1):
-        for subset in itertools.combinations(nodes, size):
-            chosen = set(subset)
-            if all(("r", a) in chosen or ("c", b) in chosen for a, b in edges):
-                return size
-
-
-@pytest.mark.parametrize("seed", range(1, 8))
-def test_min_vertex_cover_is_minimum(seed):
-    # random bipartite graphs on at most 6 + 6 keys, repeated edges included
-    rng = np.random.default_rng(seed)
-    m = rng.integers(1, 14)
-    rows, cols = 10 * rng.integers(0, 6, m), 10 * rng.integers(0, 6, m) + 1
-    cover = egbp.solver._min_vertex_cover(rows, cols)
-    assert np.all(np.isin(rows, cover) | np.isin(cols, cover))
-    assert cover.size == _brute_force_cover_size(set(zip(rows.tolist(), cols.tolist())))
-
-
-def test_min_vertex_cover_of_a_matching_is_its_rows():
-    cover = egbp.solver._min_vertex_cover(np.array([3, 9, 4]), np.array([7, 1, 8]))
-    assert np.array_equal(cover, [3, 4, 9])
 
 
 @pytest.mark.parametrize("case", ["smooth", "layer"])
