@@ -62,9 +62,14 @@ def jump_norm(mesh, spec, v0):
     facets see the element's own constant.
     """
     v0 = np.asarray(v0, dtype=float)
-    weight = spec.epsilon + spec.mu * mesh.facet_length**2
-    jumps = v0[mesh.facet_left] - np.where(mesh.facet_right >= 0, v0[mesh.facet_right], 0.0)
-    return float(np.sqrt(np.sum(weight * jumps**2)))
+    h = mesh.facet_length
+    weight = spec.epsilon + spec.mu * h**2
+    interior = mesh.facet_right >= 0
+    jumps2 = v0[mesh.facet_left] ** 2
+    jumps2[interior] = (
+        v0[mesh.facet_left[interior]] - v0[mesh.facet_right[interior]]
+    ) ** 2
+    return float(np.sqrt(np.sum(weight * jumps2)))
 
 
 def eoc(coarse_err, fine_err):

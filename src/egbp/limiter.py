@@ -16,7 +16,13 @@ import numpy as np
 
 from .fespace import EGFunction
 
-__all__ = ["PatchExtremes", "patch_extremes", "truncate_values", "apply_P", "feasibility_check"]
+__all__ = [
+    "PatchExtremes",
+    "patch_extremes",
+    "truncate_values",
+    "apply_P",
+    "feasibility_check",
+]
 
 
 @dataclass(frozen=True)
@@ -32,7 +38,10 @@ def patch_extremes(mesh, w0, dofs):
     dofs' interior vertices, in dof order."""
     w0 = np.asarray(w0, dtype=float)
     if w0.shape[0] != mesh.num_elements:
-        raise ValueError("constant vector length %d != element count %d" % (w0.shape[0], mesh.num_elements))
+        raise ValueError(
+            "constant vector length %d != element count %d"
+            % (w0.shape[0], mesh.num_elements)
+        )
     iv = dofs.interior_vertex_ids
     values = w0[mesh.patch_elements]
     starts = mesh.patch_indptr[:-1]

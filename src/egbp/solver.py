@@ -197,8 +197,8 @@ class SpdFactor:
         return _refine(b, self.lu_solve, lambda x: self.A @ x, self.name, rel_tol, self.norm)
 
 
-# Refinement sweeps that recover accuracy lost to the ill-conditioning of
-# over-penalized monolithic systems.
+# Refinement sweeps after the first solve; the standard solve refines its
+# Schur-complement result against the over-penalized monolithic system.
 _MAX_REFINE = 4
 
 

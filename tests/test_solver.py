@@ -164,6 +164,17 @@ def test_standard_eg_raises_on_indefinite_schur_complement():
         solve_standard_eg(mesh, spec, system=replace(system, A10=3.0 * system.A10))
 
 
+def test_standard_eg_raises_when_the_monolithic_residual_misses(monkeypatch):
+    # a Schur solve that returns half of S^{-1} g halves the monolithic
+    # residual per refinement sweep: four sweeps cannot reach 1e-12
+    mesh = build_structured(8, 8)
+    spec = make_spec(epsilon=1e-3, beta=1, alpha=0.0, f=lambda x, y: 1.0 + 0.0 * x)
+    schur_cg = egbp.solver._schur_cg
+    monkeypatch.setattr(egbp.solver, "_schur_cg", lambda *args: 0.5 * schur_cg(*args))
+    with pytest.raises(SolverError, match="standard EG system missed backward error 1.0e-12"):
+        solve_standard_eg(mesh, spec)
+
+
 def test_standard_eg_raises_at_the_iteration_cap():
     # A11 = I, A00 = I and A10 = [diag(sqrt(1 - lam)), 0] make S = diag(lam)
     # with Strakos's eigenvalues (Linear Algebra Appl. 154-156, 1991), on
