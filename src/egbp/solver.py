@@ -9,7 +9,7 @@ with the constant-part matrix A00 = mu*M0 + penalty jump coupling.  The
 Newton solve stops at its first step that leaves the clamped set
 unchanged, since that step solved Step 1 exactly; it has no tolerance.
 The factor of the full A11 lives for the whole solve: a few clamped nodes
-are handled by capacitance solves on it, many by factoring the submatrix.
+are handled by CG preconditioned with it, many by factoring the submatrix.
 Every matrix is factored in the nested-dissection order of its unknowns'
 mesh positions: interior vertices for A11, element centroids for A00.
 """
@@ -53,9 +53,9 @@ class SolveTrace:
     Per outer sweep it records the Newton step sizes, the clamped-node
     count of the last Newton step, the worst feasibility slack
     min_i (b - over_i) - (a - under_i), the number of A11-class
-    factorizations the sweep made and the triangular solves it spent on
-    capacitance matrices (see A11Factor).  ``fill_nnz`` is the stored L and U
-    entries summed over every factorization of the solve, and
+    factorizations the sweep made and its CG steps (see A11Factor).
+    ``fill_nnz`` is the stored L and U entries summed over every
+    factorization of the solve, and
     ``triangular_solves`` the right-hand sides passed to their triangular
     solves.  ``outer_iters``, ``converged``, ``inner_iters_per_outer``,
     ``feasible_per_outer`` and ``feasibility_violations`` are read off them.
@@ -68,7 +68,7 @@ class SolveTrace:
     worst_slack_per_outer: list = field(default_factory=list)
     clamped_per_outer: list = field(default_factory=list)
     a11_factorizations_per_outer: list = field(default_factory=list)
-    capacitance_columns_per_outer: list = field(default_factory=list)
+    cg_steps_per_outer: list = field(default_factory=list)
     nonlinear_residual: float = np.nan
     fill_nnz: int = 0
     triangular_solves: int = 0
@@ -164,6 +164,13 @@ def _bisection_tree(points, A):
     return code, level, depth
 
 
+# Normwise backward error of every factor solve, the Step-1 CG solves included.
+_SOLVE_TOL = 1e-13
+# Refinement sweeps after the first solve; the standard solve refines its
+# Schur-complement result against the over-penalized monolithic system.
+_MAX_REFINE = 4
+
+
 class SpdFactor:
     """Sparse LU factorization of an SPD matrix, in the order given, with iterative refinement.
 
@@ -192,14 +199,9 @@ class SpdFactor:
         self.solves += 1 if b.ndim == 1 else b.shape[1]
         return self.lu.solve(b)
 
-    def solve(self, b, rel_tol=1e-12):
-        """A^{-1} b to normwise backward error rel_tol; SolverError if refinement misses it."""
-        return _refine(b, self.lu_solve, lambda x: self.A @ x, self.name, rel_tol, self.norm)
-
-
-# Refinement sweeps after the first solve; the standard solve refines its
-# Schur-complement result against the over-penalized monolithic system.
-_MAX_REFINE = 4
+    def solve(self, b):
+        """A^{-1} b to normwise backward error _SOLVE_TOL; SolverError if refinement misses it."""
+        return _refine(b, self.lu_solve, lambda x: self.A @ x, self.name, _SOLVE_TOL, self.norm)
 
 
 def _refine(b, approx_solve, matvec, name, rel_tol, a_norm):
@@ -238,9 +240,9 @@ class _Dissected:
         self.p = _nested_dissection(points, A)
         self.factor = SpdFactor(A[self.p][:, self.p], name=name)
 
-    def solve(self, b, rel_tol):
+    def solve(self, b):
         x = np.empty_like(b)
-        x[self.p] = self.factor.solve(b[self.p], rel_tol=rel_tol)
+        x[self.p] = self.factor.solve(b[self.p])
         return x
 
 
@@ -268,34 +270,36 @@ def _compose(system, u1, u0):
     return EGFunction(lin, u0.copy())
 
 
-# Stop of the Schur-complement CG: at 1e-12 the layer comparator's extremes moved by 2e-12.
-_SCHUR_TOL = 1e-15
+# Stop of the CG solves: at 1e-12 the layer comparator's extremes moved by 2e-12.
+_CG_TOL = 1e-15
 
 
-def _schur_cg(a11, a00, A10, A01, g):
-    """S^{-1} g by CG on S = A11 - A10 A00^{-1} A01, preconditioned with the A11 factor.
+def _pcg(matvec, precond, g, a_norm, name):
+    """(A^{-1} g, steps) by CG on the A of ``matvec``, preconditioned with ``precond``.
 
-    ``a11``, ``a00`` are SpdFactors and A10, A01 = A10^T in their orders.  Stops
-    at normwise backward error _SCHUR_TOL, ||r||_inf <= _SCHUR_TOL (||A11||_inf
-    ||x||_inf + ||g||_inf), where ||A11||_inf >= ||S||_2 as S <= A11.
-    SolverError on breakdown (p^T S p <= 0) or after g.size steps.
+    Stops at normwise backward error _CG_TOL, ||r||_inf <= _CG_TOL (a_norm
+    ||x||_inf + ||g||_inf), a_norm a bound on ||A||.  SolverError on breakdown
+    (p^T A p <= 0, or r^T z <= 0: the preconditioner is not positive
+    definite) or after g.size steps.
     """
     x, r, p, rz = np.zeros_like(g), g.copy(), np.zeros_like(g), 1.0
     gnorm, steps = np.abs(g).max(initial=0.0), 0
-    while np.abs(r).max(initial=0.0) > _SCHUR_TOL * (a11.norm * np.abs(x).max(initial=0.0) + gnorm):
+    while np.abs(r).max(initial=0.0) > _CG_TOL * (a_norm * np.abs(x).max(initial=0.0) + gnorm):
         if steps == g.size:
-            raise SolverError("Schur-complement CG missed backward error %.0e in %d iterations" % (_SCHUR_TOL, steps))
+            raise SolverError("CG on %s missed backward error %.0e in %d iterations" % (name, _CG_TOL, steps))
         steps += 1
-        z = a11.lu_solve(r)
+        z = precond(r)
         rz, rz_old = r @ z, rz
+        if not rz > 0.0:
+            raise SolverError("CG on %s broke down: r^T z = %.3e, the preconditioner is not positive definite" % (name, rz))
         p = z + (rz / rz_old) * p  # p = 0 at first
-        q = a11.A @ p - A10 @ a00.lu_solve(A01 @ p)
+        q = matvec(p)
         pq = p @ q
         if not pq > 0.0:
-            raise SolverError("Schur-complement CG broke down: p^T S p = %.3e, S is not positive definite" % pq)
+            raise SolverError("CG on %s broke down: p^T A p = %.3e, %s is not positive definite" % (name, pq, name))
         x += (rz / pq) * p
         r -= (rz / pq) * q
-    return x
+    return x, steps
 
 
 def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
@@ -313,8 +317,10 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     A10 = sp.csr_matrix(system.A10)[a11.p][:, a00.p]
     A01 = A10.T.tocsr()
 
+    schur = lambda p: a11.factor.A @ p - A10 @ a00.factor.lu_solve(A01 @ p)  # ||S||_2 <= ||A11||_inf
+
     def approx_solve(b):
-        u1 = _schur_cg(a11.factor, a00.factor, A10, A01, b[:n1] - A10 @ a00.factor.lu_solve(b[n1:]))
+        u1 = _pcg(schur, a11.factor.lu_solve, b[:n1] - A10 @ a00.factor.lu_solve(b[n1:]), a11.factor.norm, "S")[0]
         return np.concatenate([u1, a00.factor.lu_solve(b[n1:] - A01 @ u1)])
 
     def matvec(x, M11, M10, M01, M00):  # the monolithic matrix, in the factors' orders
@@ -329,57 +335,22 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     return _compose(system, x[:n1], x[n1:])
 
 
-class _Capacitance:
-    """A11[I, I]^{-1} from the factor of the full A11, I the free nodes.
-
-    With the clamped set C, Z = A11^{-1} E_C and G = Z[C], the capacitance
-    (Sherman-Morrison-Woodbury) form gives x_I = (y - Z G^{-1} y_C)_I for
-    y = A11^{-1} r~, r~ = r with zeros on C (Hager, SIAM Review 31(2),
-    1989).  Solves are refined against A11[I, I], applied as (A11 x~)_I
-    with x~ zero on C, so A11[I, I] is never extracted; ||A11||_inf bounds
-    ||A11[I, I]||_inf in the refinement test.
-    """
-
-    solves = 0  # its triangular solves count in the full factor's
-
-    def __init__(self, full, free):
-        self.full, self.free = full, free
-        self.clamped = np.flatnonzero(~free)
-        E = np.zeros((free.size, self.clamped.size))
-        E[self.clamped, np.arange(self.clamped.size)] = 1.0
-        self.Z = full.lu_solve(E)
-        self.G = self.Z[self.clamped]
-
-    def _scatter(self, x):
-        out = np.zeros(self.free.size)
-        out[self.free] = x
-        return out
-
-    def _approx_solve(self, r):
-        y = self.full.lu_solve(self._scatter(r))
-        return (y - self.Z @ np.linalg.solve(self.G, y[self.clamped]))[self.free]
-
-    def solve(self, b, rel_tol):
-        matvec = lambda x: (self.full.A @ self._scatter(x))[self.free]
-        return _refine(b, self._approx_solve, matvec, "A11 (capacitance)", rel_tol, self.full.norm)
-
-
 class A11Factor:
     """Step-1 solves with the principal submatrices A11[I, I], I the free set.
 
     A11 is held in the nested-dissection order p of the interior vertices at
-    ``points``; a free set I is factored in the order p restricted to I,
-    which is a nested-dissection order of its subgraph.  The factor of the
-    full A11 stays alive for the whole solve.  While the clamped set C is
-    small, 2 |C| n <= fill of the full factor (n the size of A11), a new free
-    set gets the capacitance form on that factor: |C| triangular solves,
-    each about 2 fill flops, against at least fill^2 / n flops for a
-    refactorization.  A larger C has A11[I, I] factored instead, after the
-    previous submatrix factor is dropped, so at most the full factor and one
-    submatrix factor are alive.  ``count`` is the A11-class factorizations
-    so far, ``fill_nnz`` their stored L and U entries, ``columns`` the
-    triangular solves spent forming the capacitance matrices and
-    ``triangular_solves`` all right-hand sides passed to triangular solves.
+    ``points``, and its factor lives for the whole solve.  While the clamped
+    set C is small, 2 |C| n <= fill of that factor (n the size of A11), CG
+    solves with A11[I, I], applied as x -> (A11 x~)_I with x~ = x padded by
+    zeros on C, preconditioned by r -> (A11^{-1} r~)_I.  (A11^{-1})[I, I] and
+    A11[I, I]^{-1} differ by a term of rank |C|, so in exact arithmetic CG
+    takes at most |C| + 1 steps (Saad, Iterative Methods for Sparse Linear
+    Systems, 2003), each a triangular solve of about 2 fill flops, against at
+    least fill^2 / n for a refactorization.  A larger C has A11[I, I] factored
+    in the order p restricted to I, a nested-dissection order of its subgraph,
+    after the previous submatrix factor is dropped.  ``count`` is the A11-class
+    factorizations, ``fill_nnz`` their stored L and U entries, ``cg_steps`` the
+    CG steps and ``triangular_solves`` the right-hand sides of triangular solves.
     """
 
     def __init__(self, A11, points):
@@ -390,7 +361,7 @@ class A11Factor:
         self.factor = self.full  # solves on self.free
         self.count = 1
         self.fill_nnz = int(self.full.lu.nnz)
-        self.columns = 0
+        self.cg_steps = 0
         self.dropped_solves = 0  # by the factors already replaced
 
     @property
@@ -407,19 +378,31 @@ class A11Factor:
             self.factor, self.free = self.full, free
             self.order = (np.cumsum(free) - 1)[self.p[ordered_free]]
             k = int(np.count_nonzero(~free))
-            if 0 < k < free.size:
-                if 2 * k * free.size <= self.full.lu.nnz:
-                    self.factor = _Capacitance(self.full, ordered_free)
-                    self.columns += k
-                else:
-                    self.factor = SpdFactor(self.A11[ordered_free][:, ordered_free], name="A11")
-                    self.count += 1
-                    self.fill_nnz += int(self.factor.lu.nnz)
+            if 0 < k < free.size and 2 * k * free.size > self.full.lu.nnz:
+                self.factor = SpdFactor(self.A11[ordered_free][:, ordered_free], name="A11")
+                self.count += 1
+                self.fill_nnz += int(self.factor.lu.nnz)
         if not free.any():
             return np.zeros(0)
+        cg = self.factor is self.full and not free.all()
         x = np.empty_like(b)
-        x[self.order] = self.factor.solve(b[self.order], rel_tol=1e-13)
+        x[self.order] = (self._cg_solve if cg else self.factor.solve)(b[self.order])
         return x
+
+    def _cg_solve(self, b):
+        """A11[I, I]^{-1} b by CG on the full factor, refined; b in factor order."""
+        free, padded = self.free[self.p], np.zeros(self.free.size)  # padded stays zero on C
+
+        def restricted(x, apply=self.A11.dot):  # (apply(x padded by zeros on C))_I
+            padded[free] = x
+            return apply(padded)[free]
+
+        def approx_solve(r):
+            x, steps = _pcg(restricted, lambda r: restricted(r, self.full.lu_solve), r, self.full.norm, "A11[I, I]")
+            self.cg_steps += steps
+            return x
+
+        return _refine(b, approx_solve, restricted, "A11[I, I]", _SOLVE_TOL, self.full.norm)
 
 
 def inner_richardson(u1, w0, system, spec, extremes, a11_factor):
@@ -472,12 +455,12 @@ def outer_constant_solve(u1_new, system, spec, extremes, a00_factor):
     """Constant-part solve (Step 2) against the truncated linear iterate.
 
     Solves A00 u0 = b0 - A10^T w1p by ``a00_factor`` (any factor of A00 with
-    ``solve(b, rel_tol)``), where w1p is the truncation of u1_new against
+    ``solve(b)``), where w1p is the truncation of u1_new against
     ``extremes``, the patch extremes of the frozen constants.
     """
     w1p = truncate_values(np.asarray(u1_new, dtype=float), extremes, spec.bounds)
     rhs = system.b0 - system.A10.T @ w1p
-    return a00_factor.solve(rhs, rel_tol=1e-13)
+    return a00_factor.solve(rhs)
 
 
 def nonlinear_residual(system, solution):
@@ -506,13 +489,13 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     a00_factor = _Dissected(system.A00, _centroids(mesh), "A00")
 
     u1 = a11.solve(system.b1, a11.free)
-    u0 = a00_factor.solve(system.b0 - system.A10.T @ u1, rel_tol=1e-13)
+    u0 = a00_factor.solve(system.b0 - system.A10.T @ u1)
 
     trace = SolveTrace(stop_reason="max_outer")
     for _ in range(spec.max_outer):
         extremes = patch_extremes(mesh, u0, system.dofs)
         slack = feasibility_check(extremes, spec.bounds)
-        factorizations, columns = a11.count, a11.columns
+        factorizations, cg_steps = a11.count, a11.cg_steps
         u1, _, incs, inner_ok = inner_richardson(u1, u0, system, spec, extremes, a11)
         u0_new = outer_constant_solve(u1, system, spec, extremes, a00_factor)
         d = u0_new - u0
@@ -523,7 +506,7 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
         trace.worst_slack_per_outer.append(slack)
         trace.clamped_per_outer.append(int(np.count_nonzero(~a11.free)))
         trace.a11_factorizations_per_outer.append(a11.count - factorizations)
-        trace.capacitance_columns_per_outer.append(a11.columns - columns)
+        trace.cg_steps_per_outer.append(a11.cg_steps - cg_steps)
         if not inner_ok:
             trace.stop_reason = "inner_stalled"
             break

@@ -331,13 +331,13 @@ def richardson_step1_oracle(u1, w0, system, spec, extremes, tol, max_iter, state
     return u, len(increments), increments, converged
 
 
-def solve_spd(A, b, rel_tol=1e-12, name="system"):
-    """Direct solve of an SPD system in its given (natural) order, refined to rel_tol.
+def solve_spd(A, b, name="system"):
+    """Direct solve of an SPD system in its given (natural) order, refined as SpdFactor.solve is.
 
     Natural order fills far more than the solver's nested-dissection order
     on large meshes; use it on test-sized matrices only.
     """
-    return SpdFactor(A, name=name).solve(np.asarray(b, dtype=float), rel_tol=rel_tol)
+    return SpdFactor(A, name=name).solve(np.asarray(b, dtype=float))
 
 
 def _coo_f_on_elements(mesh, spec, area):

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from egbp.cli import StudyConfig, run_condition, run_layer, run_smooth
+from egbp.cli import StudyConfig, run_condition, run_custom, run_layer, run_smooth
 
 import test_properties as props
 
@@ -66,6 +66,11 @@ def beta_runs():
 @pytest.fixture(scope="module")
 def layer_run():
     return run_layer(StudyConfig(experiment="layer"))
+
+
+@pytest.fixture(scope="module")
+def custom_run():
+    return run_custom(StudyConfig(experiment="custom"))
 
 
 @pytest.fixture(scope="module")
@@ -164,16 +169,20 @@ def test_criterion_4_conditioning(condition_run):
     _verdict(4, "conditioning growth", ok, "; ".join(details))
 
 
-def test_criterion_5_bound_preservation(layer_run):
-    report = layer_run
-    mins = [r["min_val"] for r in _rows(report)]
-    maxs = [r["max_val"] for r in _rows(report)]
-    std = _rows(report, "layer_standard")
+def test_criterion_5_bound_preservation(layer_run, custom_run):
+    # layer and custom have zero boundary data, so every evaluation of u+,
+    # at Dirichlet vertices too, lies in [0, 1]
+    rows = _rows(layer_run) + _rows(custom_run)
+    mins = [r["min_val"] for r in rows]
+    maxs = [r["max_val"] for r in rows]
+    std = _rows(layer_run, "layer_standard")
     std_small = [row for row in std if row["elements"] <= 400]
     ok = (
-        report.all_converged
+        layer_run.all_converged
+        and custom_run.all_converged
         and min(mins) >= -1e-10
         and max(maxs) <= 1.0 + 1e-10
+        and sum(r["violations"] for r in rows) == 0
         and len(std_small) > 0
         and any(row["min_val"] < 0.0 for row in std_small)
     )
@@ -181,16 +190,16 @@ def test_criterion_5_bound_preservation(layer_run):
         5,
         "bound preservation vs. baseline",
         ok,
-        "bp range [%.2e, %.10f]; baseline min %.3f on %d elements"
+        "bp range [%.2e, %.10f] on layer and custom; baseline min %.3f on %d elements"
         % (min(mins), max(maxs), std_small[0]["min_val"], std_small[0]["elements"]),
     )
 
 
-def test_criterion_6_local_conservation(smooth_runs, beta_runs, layer_run):
+def test_criterion_6_local_conservation(smooth_runs, beta_runs, layer_run, custom_run):
     worst = 0.0
     ok = True
     runs = [rep for rep, _ in smooth_runs.values()]
-    runs += list(beta_runs.values()) + [layer_run]
+    runs += list(beta_runs.values()) + [layer_run, custom_run]
     rows = [row for report in runs for row in _rows(report)]
     for row in rows + _rows(layer_run, "layer_standard"):
         rel = row["cons_residual"] / (1e-8 * row["b_norm"])
@@ -211,12 +220,12 @@ def test_criterion_7_property_suites():
     _verdict(7, "randomized property suites", True, "8 suites, >=1000 trials each")
 
 
-def test_criterion_8_fixed_point_consistency(smooth_runs, layer_run):
+def test_criterion_8_fixed_point_consistency(smooth_runs, layer_run, custom_run):
     tol_outer = 1e-12
     budget = 10.0 * (tol_outer + 1e-12)
     worst = 0.0
     ok = True
-    for report in (smooth_runs[1e-9][0], layer_run):
+    for report in (smooth_runs[1e-9][0], layer_run, custom_run):
         for row in _rows(report):
             worst = max(worst, row["nonlinear_residual"])
             ok &= row["nonlinear_residual"] <= budget

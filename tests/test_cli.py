@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import egbp.cli
-from egbp.assembly import ProblemSpec
+from egbp.assembly import ProblemSpec, assemble_system
 from egbp.cli import (
     CONDITION_HEADER,
     CSV_HEADER,
@@ -279,8 +279,18 @@ def test_run_custom_small():
         assert row["max_val"] <= 1.0 + 1e-10
 
 
-def test_run_condition_small(tmp_path):
-    # the full beta sweep on 8 and 32 elements
+def test_run_condition_small(tmp_path, monkeypatch):
+    # the full beta sweep on 8 and 32 elements; A11 does not depend on beta,
+    # so kappa(A11) is computed once per mesh, kappa(A) and kappa(A00) once
+    # per (beta, mesh)
+    calls = []
+    condition_number = egbp.cli.condition_number
+
+    def counting(A):
+        calls.append(A.shape)
+        return condition_number(A)
+
+    monkeypatch.setattr(egbp.cli, "condition_number", counting)
     config = StudyConfig(experiment="condition", levels=2)
     report = run_condition(config)
     columns, rows = report.tables["condition"]
@@ -288,12 +298,29 @@ def test_run_condition_small(tmp_path):
     assert [(r["beta"], r["elements"]) for r in rows] == [
         (beta, n) for beta in (1, 2, 4) for n in (8, 32)
     ]
+    assert len(calls) == 3 * 2 * 2 + 2
+    assert [r["cond_A1"] for r in rows] == [rows[0]["cond_A1"], rows[1]["cond_A1"]] * 3
     for coarse, fine in zip(rows[::2], rows[1::2]):
         assert fine["cond_A"] > coarse["cond_A"]
     path = emit_tables(report, str(tmp_path))[0]
     lines = Path(path).read_text().strip().split("\n")
     assert lines[0] == "beta,elements,h,cond_A,cond_A1,cond_A0"
     assert len(lines) == 7
+
+
+def test_condition_study_penalty_is_above_the_coercivity_threshold():
+    # gamma = 10 keeps every monolithic matrix of the study positive definite
+    # up to 512 elements; at beta = 1 the threshold on 512 elements is 2.61,
+    # so gamma = 2 leaves that matrix indefinite
+    config = apply_experiment_defaults(StudyConfig(experiment="condition", levels=4))
+    meshes = list(egbp.cli._mesh_sequence(config))
+
+    def lambda_min(mesh, **overrides):
+        A = assemble_system(mesh, config.problem_spec(**overrides)).full_matrix()
+        return np.linalg.eigvalsh(A.toarray())[0]
+
+    assert all(lambda_min(mesh, beta=beta) > 0.0 for beta in (1, 2, 4) for mesh in meshes)
+    assert lambda_min(meshes[-1], beta=1, gamma=2.0) < 0.0
 
 
 def test_condition_reads_config_epsilon(tmp_path):

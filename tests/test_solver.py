@@ -73,7 +73,7 @@ def test_spd_factor_rejects_bad_matrices():
 
 
 def test_spd_factor_raises_when_refinement_misses():
-    # factors of 2A halve the residual per sweep: four sweeps cannot reach 1e-12
+    # factors of 2A halve the residual per sweep: four sweeps cannot reach 1e-13
     A = sp.csc_matrix(np.diag([2.0, 3.0, 4.0]) + 0.5)
     factor = SpdFactor(A, name="A")
     factor.lu = spla.splu(sp.csc_matrix(2.0 * A))
@@ -169,8 +169,13 @@ def test_standard_eg_raises_when_the_monolithic_residual_misses(monkeypatch):
     # residual per refinement sweep: four sweeps cannot reach 1e-12
     mesh = build_structured(8, 8)
     spec = make_spec(epsilon=1e-3, beta=1, alpha=0.0, f=lambda x, y: 1.0 + 0.0 * x)
-    schur_cg = egbp.solver._schur_cg
-    monkeypatch.setattr(egbp.solver, "_schur_cg", lambda *args: 0.5 * schur_cg(*args))
+    pcg = egbp.solver._pcg
+
+    def half_pcg(*args):
+        x, steps = pcg(*args)
+        return 0.5 * x, steps
+
+    monkeypatch.setattr(egbp.solver, "_pcg", half_pcg)
     with pytest.raises(SolverError, match="standard EG system missed backward error 1.0e-12"):
         solve_standard_eg(mesh, spec)
 
@@ -411,14 +416,14 @@ def test_bound_preserving_factors_only_A11_and_A00(monkeypatch):
     # most nodes clamped: Step 1 factors principal submatrices, one at a time
     kinds, trace = _factored_kinds(monkeypatch, *_many_clamped_problem())
     assert kinds.count("A11[idx]") >= 2
-    assert sum(trace.capacitance_columns_per_outer) == 0
+    assert sum(trace.cg_steps_per_outer) == 0
 
 
 def test_smooth_solve_factors_A11_once(monkeypatch):
-    # one clamped node: capacitance solves on the full factor, no submatrix
+    # one clamped node: CG on the full factor, no submatrix
     kinds, trace = _factored_kinds(monkeypatch, *_smooth_problem())
     assert kinds.count("A11[idx]") == 0
-    assert sum(trace.capacitance_columns_per_outer) >= 1
+    assert sum(trace.cg_steps_per_outer) >= 1
 
 
 def test_standard_eg_factors_only_A11_and_A00(monkeypatch):
@@ -497,14 +502,15 @@ def test_step1_newton_matches_richardson_oracle(name):
     assert np.linalg.norm(system.A11 @ p + system.S1 * (u - p) - r) <= 1e-12 * np.linalg.norm(r)
     clamped_share = np.mean(p != u)
     if name == "smooth":
-        # the settled clamped set is solved by capacitance on the full factor
+        # the settled clamped set is solved by CG on the full factor:
+        # 4, 3 and 2 steps for the three Newton steps
         assert clamped_share < 0.1
-        assert a11.columns >= np.count_nonzero(p != u)
-        assert isinstance(a11.factor, egbp.solver._Capacitance)
+        assert a11.cg_steps == 9
+        assert a11.factor is a11.full and not a11.free.all() and a11.count == 1
     elif name == "layer":
-        # far too many clamped nodes for capacitance: submatrices are factored
+        # far too many clamped nodes for CG: submatrices are factored
         assert clamped_share >= 0.9
-        assert a11.columns == 0 and a11.count >= 2
+        assert a11.cg_steps == 0 and a11.count >= 2
     else:
         assert np.any(lo > hi)
 
@@ -517,7 +523,7 @@ def _random_free_set(n, clamped, seed):
 
 @pytest.mark.parametrize("clamped", [3, 40])
 def test_a11_free_set_solve_matches_fresh_factor(clamped):
-    # 225 nodes, full-factor fill 5,736: capacitance while 2 |C| n <= fill (|C| <= 12)
+    # 225 nodes, full-factor fill 5,736: CG on the full factor while 2 |C| n <= fill (|C| <= 12)
     mesh = build_structured(16, 16)
     system = assemble_system(mesh, make_spec(f=lambda x, y: 1.0 + 0.0 * x))
     n = system.A11.shape[0]
@@ -530,25 +536,33 @@ def test_a11_free_set_solve_matches_fresh_factor(clamped):
     assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
     assert np.linalg.norm(sub @ x - b) <= 1e-13 * np.linalg.norm(b)
     if clamped == 3:
-        assert (a11.count, a11.columns) == (1, 3)
+        assert (a11.count, a11.cg_steps) == (1, 4)  # |C| + 1 CG steps
     else:
-        assert (a11.count, a11.columns) == (2, 0)
-    # the same free set reuses Z (or the factor); a new one forms it again
+        assert (a11.count, a11.cg_steps) == (2, 0)
+    # the same free set runs CG (or reuses the factor) again
     a11.solve(b, free)
-    assert a11.columns == (3 if clamped == 3 else 0)
+    assert (a11.count, a11.cg_steps) == ((1, 8) if clamped == 3 else (2, 0))
 
 
-def test_capacitance_solve_raises_when_refinement_misses():
-    # the full factor holds the LU of 2·A11, so the capacitance form gives
-    # (2·A11)[I, I]^{-1}: each sweep halves the residual and cannot reach 1e-13
+def test_step1_cg_solve_checks_its_answer():
+    # CG does not change when its preconditioner is scaled: with the LU of
+    # 2·A11 as the full factor the solve still meets backward error 1e-13.
+    # With the LU of -A11 the preconditioner is negative definite: CG breaks
+    # down at its first step.
     mesh = build_structured(16, 16)
     system = assemble_system(mesh, make_spec(f=lambda x, y: 1.0 + 0.0 * x))
+    free = _random_free_set(system.A11.shape[0], 3, seed=3)
+    b = np.ones(np.count_nonzero(free))
+    sub = system.A11[free][:, free]
     a11 = A11Factor(system.A11, _interior_points(mesh))
     a11.full.lu = spla.splu(sp.csc_matrix(2.0 * a11.A11))
-    free = _random_free_set(system.A11.shape[0], 3, seed=3)
-    with pytest.raises(SolverError, match="refinement"):
-        a11.solve(np.ones(np.count_nonzero(free)), free)
-    assert a11.columns == 3
+    x = a11.solve(b, free)
+    assert np.abs(b - sub @ x).max() <= 1e-13 * (a11.full.norm * np.abs(x).max() + np.abs(b).max())
+    assert (a11.count, a11.cg_steps) == (1, 4)  # |C| + 1, as with the LU of A11
+    a11 = A11Factor(system.A11, _interior_points(mesh))
+    a11.full.lu = spla.splu(sp.csc_matrix(-a11.A11))
+    with pytest.raises(SolverError, match=r"CG on A11\[I, I\] broke down: r\^T z = .*preconditioner is not positive definite"):
+        a11.solve(b, free)
 
 
 def test_step1_without_stabilizer_fails_loudly():
@@ -720,30 +734,18 @@ def test_trace_bookkeeping(monkeypatch):
     iv = dofs.interior_vertex_ids
     clamped = np.count_nonzero(sol.u.linear_coeffs[iv] != sol.u_plus.linear_coeffs[iv])
     assert 0 < t.clamped_per_outer[-1] == clamped <= iv.size
-    assert t.outer_iters == len(t.capacitance_columns_per_outer)
+    assert t.outer_iters == len(t.cg_steps_per_outer)
 
-    # Smooth case, one clamped node: Z is formed (|C| triangular solves) in
-    # the sweep where C first appears or changes, and reused while C stays.
+    # Smooth case, one clamped node: every Step-1 solve runs CG on the full
+    # factor and takes |C| + 1 = 2 steps, also where C stays as it was.
     names.clear()
     t, sweeps = _free_sets_per_step1(monkeypatch, *_smooth_problem())
-    assert t.converged and t.outer_iters == len(sweeps) == len(t.capacitance_columns_per_outer)
+    assert t.converged and t.outer_iters == len(sweeps) == len(t.cg_steps_per_outer)
     assert names.count("A11") == 1 and sum(t.a11_factorizations_per_outer) == 0
-    previous = np.ones(sweeps[0][0].size, dtype=bool)  # the initial sweep's free set
-    kinds = set()
     for m, frees in enumerate(sweeps):
-        changes = []
-        for free in frees:
-            if not np.array_equal(free, previous):
-                changes.append(np.count_nonzero(~free))
-            previous = free
-        assert t.capacitance_columns_per_outer[m] == sum(changes)
-        if not changes:
-            assert t.capacitance_columns_per_outer[m] == 0
-            kinds.add("unchanged")
-        elif len(changes) == 1:
-            assert t.capacitance_columns_per_outer[m] == t.clamped_per_outer[m] > 0
-            kinds.add("changed")
-    assert kinds == {"changed", "unchanged"}
+        assert [np.count_nonzero(~free) for free in frees] == [1] * len(frees)
+        assert t.cg_steps_per_outer[m] == 2 * len(frees) > 0
+        assert t.clamped_per_outer[m] == 1
 
 
 @pytest.mark.parametrize("case", ["smooth", "many_clamped"])
@@ -870,7 +872,7 @@ def test_separators_cover_every_entry_between_siblings(shuffled):
 
 @pytest.mark.parametrize("case", ["smooth", "layer"])
 def test_bound_preserving_reruns_bit_identical(case):
-    # the choice between capacitance and submatrix factor depends on counts only
+    # the choice between CG and a submatrix factor depends on counts only
     mesh, spec = _smooth_problem() if case == "smooth" else _layer_problem()
     a, b = (solve_bound_preserving(mesh, spec) for _ in range(2))
     for fa, fb in ((a.u, b.u), (a.u_plus, b.u_plus)):
@@ -993,7 +995,7 @@ def test_trace_counts_triangular_solves(monkeypatch, case):
     mesh, spec = _smooth_problem() if case == "smooth" else _layer_problem()
     trace = solve_bound_preserving(mesh, spec).trace
     assert trace.triangular_solves == counted["rhs"]
-    # A00: the initial solve and one per sweep; A11: the initial solve, one
-    # per Newton step and the capacitance columns; refinement sweeps on top
-    floor = 2 + trace.outer_iters + sum(trace.inner_iters_per_outer)
-    assert trace.triangular_solves >= floor + sum(trace.capacitance_columns_per_outer)
+    # A00: the initial solve and one per sweep; A11: the initial solve, then
+    # at least one per Newton step and one per CG step; refinement sweeps on top
+    step1 = max(sum(trace.inner_iters_per_outer), sum(trace.cg_steps_per_outer))
+    assert trace.triangular_solves >= 2 + trace.outer_iters + step1
