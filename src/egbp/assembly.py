@@ -70,9 +70,6 @@ class ProblemSpec:
             raise ValueError("epsilon and mu must be positive")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if int(self.beta) != self.beta or self.beta < 1:
-            raise ValueError("beta must be an integer >= 1")
-        self.beta = int(self.beta)
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if not 0.0 < self.omega <= 1.0:
@@ -84,8 +81,10 @@ class ProblemSpec:
             raise ValueError("unknown f_quadrature %r" % self.f_quadrature)
         if not 0.0 <= self.tol_outer < np.inf:
             raise ValueError("tol_outer must be finite and >= 0")
-        if self.max_inner < 1 or self.max_outer < 1:
-            raise ValueError("max_inner and max_outer must be >= 1")
+        counts = (self.beta, self.max_inner, self.max_outer)
+        if not all(np.isfinite(m) and int(m) == m >= 1 for m in counts):
+            raise ValueError("beta, max_inner and max_outer must be integers >= 1")
+        self.beta, self.max_inner, self.max_outer = map(int, counts)
 
 
 @dataclass

@@ -423,6 +423,8 @@ def build_config(args):
 
 
 def _check_smooth(report):
+    if report.config.levels < 2:
+        return ["smooth rates need at least 2 levels, got %d" % report.config.levels]
     failures = []
     rows = report.tables["smooth"][1]
     if not (1.9 <= rows[-1]["eoc_l2"] <= 2.1):
@@ -452,16 +454,16 @@ def _check_condition(report):
         return ["condition rates need at least 2 levels, got %d" % report.config.levels]
     failures = []
     rows = report.tables["condition"][1]
+    kA1 = [row["cond_A1"] for row in rows if row["beta"] == CONDITION_BETAS[0]]  # A11 is beta-free
+    if not (1.7 <= fit_rate(1.0 / np.asarray(kA1)) <= 2.1):
+        failures.append("kappa(A1) growth rate outside [1.7, 2.1]")
     for beta in CONDITION_BETAS:
         sub = [row for row in rows if row["beta"] == beta]
         kA = [row["cond_A"] for row in sub]
-        kA1 = [row["cond_A1"] for row in sub]
         kA0 = [row["cond_A0"] for row in sub]
         rate_A = np.log2(kA[-1] / kA[-2])
         if not (beta + 0.5 <= rate_A <= beta + 1.3):
             failures.append("kappa(A) rate %.2f for beta=%d outside [%g, %g]" % (rate_A, beta, beta + 0.5, beta + 1.3))
-        if not (1.7 <= fit_rate(1.0 / np.asarray(kA1)) <= 2.1):
-            failures.append("kappa(A1) growth rate outside [1.7, 2.1] for beta=%d" % beta)
         if fit_rate(1.0 / np.asarray(kA0)) > 2.2:
             failures.append("kappa(A0) growth rate above 2.2 for beta=%d" % beta)
     return failures

@@ -31,7 +31,7 @@ __all__ = [
     "SolveTrace",
     "EGSolution",
     "SpdFactor",
-    "A11Factor",
+    "OrderedFactor",
     "solve_standard_eg",
     "inner_richardson",
     "outer_constant_solve",
@@ -53,9 +53,9 @@ class SolveTrace:
     Per outer sweep it records the Newton step sizes, the clamped-node
     count of the last Newton step, the worst feasibility slack
     min_i (b - over_i) - (a - under_i), the number of A11-class
-    factorizations the sweep made and its CG steps (see A11Factor).
+    factorizations the sweep made and its CG steps (see OrderedFactor).
     ``fill_nnz`` is the stored L and U entries summed over every
-    factorization of the solve, and
+    factorization of the solve, those of A00 and of the A11 class, and
     ``triangular_solves`` the right-hand sides passed to their triangular
     solves.  ``outer_iters``, ``converged``, ``inner_iters_per_outer``,
     ``feasible_per_outer`` and ``feasibility_violations`` are read off them.
@@ -229,23 +229,6 @@ def _refine(b, approx_solve, matvec, name, rel_tol, a_norm):
     )
 
 
-class _Dissected:
-    """SpdFactor of A[p][:, p], p the nested-dissection order of the unknowns at ``points``.
-
-    Solves take and return vectors in A's own numbering.
-    """
-
-    def __init__(self, A, points, name):
-        A = sp.csr_matrix(A)
-        self.p = _nested_dissection(points, A)
-        self.factor = SpdFactor(A[self.p][:, self.p], name=name)
-
-    def solve(self, b):
-        x = np.empty_like(b)
-        x[self.p] = self.factor.solve(b[self.p])
-        return x
-
-
 def _centroids(mesh):
     return mesh.vertices[mesh.triangles].mean(axis=1)
 
@@ -312,21 +295,21 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     """
     system = _prepare(mesh, spec, dofs, system, lift)
     n1 = system.dofs.n_interior
-    a11 = _Dissected(system.A11, mesh.vertices[system.dofs.interior_vertex_ids], "A11")
-    a00 = _Dissected(system.A00, _centroids(mesh), "A00")
+    a11 = OrderedFactor(system.A11, mesh.vertices[system.dofs.interior_vertex_ids], "A11")
+    a00 = OrderedFactor(system.A00, _centroids(mesh), "A00")
     A10 = sp.csr_matrix(system.A10)[a11.p][:, a00.p]
     A01 = A10.T.tocsr()
 
-    schur = lambda p: a11.factor.A @ p - A10 @ a00.factor.lu_solve(A01 @ p)  # ||S||_2 <= ||A11||_inf
+    schur = lambda p: a11.A @ p - A10 @ a00.full.lu_solve(A01 @ p)  # ||S||_2 <= ||A11||_inf
 
     def approx_solve(b):
-        u1 = _pcg(schur, a11.factor.lu_solve, b[:n1] - A10 @ a00.factor.lu_solve(b[n1:]), a11.factor.norm, "S")[0]
-        return np.concatenate([u1, a00.factor.lu_solve(b[n1:] - A01 @ u1)])
+        u1 = _pcg(schur, a11.full.lu_solve, b[:n1] - A10 @ a00.full.lu_solve(b[n1:]), a11.full.norm, "S")[0]
+        return np.concatenate([u1, a00.full.lu_solve(b[n1:] - A01 @ u1)])
 
     def matvec(x, M11, M10, M01, M00):  # the monolithic matrix, in the factors' orders
         return np.concatenate([M11 @ x[:n1] + M10 @ x[n1:], M01 @ x[:n1] + M00 @ x[n1:]])
 
-    blocks = (a11.factor.A, A10, A01, a00.factor.A)
+    blocks = (a11.A, A10, A01, a00.A)
     p = np.concatenate([a11.p, n1 + a00.p])
     norm = matvec(np.ones(p.size), *map(abs, blocks)).max()  # ||A||_inf
     b = np.concatenate([system.b1, system.b0])[p]
@@ -335,28 +318,31 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     return _compose(system, x[:n1], x[n1:])
 
 
-class A11Factor:
-    """Step-1 solves with the principal submatrices A11[I, I], I the free set.
+class OrderedFactor:
+    """Solves with the principal submatrices A[I, I] of an SPD A, I the free set.
 
-    A11 is held in the nested-dissection order p of the interior vertices at
-    ``points``, and its factor lives for the whole solve.  While the clamped
-    set C is small, 2 |C| n <= fill of that factor (n the size of A11), CG
-    solves with A11[I, I], applied as x -> (A11 x~)_I with x~ = x padded by
-    zeros on C, preconditioned by r -> (A11^{-1} r~)_I.  (A11^{-1})[I, I] and
-    A11[I, I]^{-1} differ by a term of rank |C|, so in exact arithmetic CG
-    takes at most |C| + 1 steps (Saad, Iterative Methods for Sparse Linear
-    Systems, 2003), each a triangular solve of about 2 fill flops, against at
-    least fill^2 / n for a refactorization.  A larger C has A11[I, I] factored
-    in the order p restricted to I, a nested-dissection order of its subgraph,
-    after the previous submatrix factor is dropped.  ``count`` is the A11-class
-    factorizations, ``fill_nnz`` their stored L and U entries, ``cg_steps`` the
-    CG steps and ``triangular_solves`` the right-hand sides of triangular solves.
+    A is held in the nested-dissection order p of its unknowns at
+    ``points``, and the factor ``full`` of all of A lives for the whole
+    solve.  While the clamped set C is small, 2 |C| n <= fill of that factor
+    (n the size of A), CG solves with A[I, I], applied as x -> (A x~)_I with
+    x~ = x padded by zeros on C, preconditioned by r -> (A^{-1} r~)_I.
+    (A^{-1})[I, I] and A[I, I]^{-1} differ by a term of rank |C|, so in exact
+    arithmetic CG takes at most |C| + 1 steps (Saad, Iterative Methods for
+    Sparse Linear Systems, 2003), each a triangular solve of about 2 fill
+    flops, against at least fill^2 / n for a refactorization.  A larger C has
+    A[I, I] factored in the order p restricted to I, a nested-dissection
+    order of its subgraph, after the previous submatrix factor is dropped.
+    ``count`` is the factorizations, ``fill_nnz`` their stored L and U
+    entries, ``cg_steps`` the CG steps and ``triangular_solves`` the
+    right-hand sides of triangular solves.
     """
 
-    def __init__(self, A11, points):
-        dissected = _Dissected(A11, points, "A11")
-        self.p, self.full, self.A11 = dissected.p, dissected.factor, dissected.factor.A
-        self.free = np.ones(self.A11.shape[0], dtype=bool)
+    def __init__(self, A, points, name):
+        A = sp.csr_matrix(A)
+        self.p = _nested_dissection(points, A)
+        self.full = SpdFactor(A[self.p][:, self.p], name=name)
+        self.A = self.full.A
+        self.free = np.ones(self.A.shape[0], dtype=bool)
         self.order = self.p  # b[order] is b, given on the free nodes, in factor order
         self.factor = self.full  # solves on self.free
         self.count = 1
@@ -370,7 +356,7 @@ class A11Factor:
         return self.dropped_solves + self.full.solves + current
 
     def solve(self, b, free):
-        """A11[free][:, free]^{-1} b, with b given on the free nodes."""
+        """A[free][:, free]^{-1} b, with b given on the free nodes."""
         if not np.array_equal(free, self.free):
             if self.factor is not self.full:
                 self.dropped_solves += self.factor.solves
@@ -379,7 +365,7 @@ class A11Factor:
             self.order = (np.cumsum(free) - 1)[self.p[ordered_free]]
             k = int(np.count_nonzero(~free))
             if 0 < k < free.size and 2 * k * free.size > self.full.lu.nnz:
-                self.factor = SpdFactor(self.A11[ordered_free][:, ordered_free], name="A11")
+                self.factor = SpdFactor(self.A[ordered_free][:, ordered_free], name=self.full.name)
                 self.count += 1
                 self.fill_nnz += int(self.factor.lu.nnz)
         if not free.any():
@@ -390,19 +376,20 @@ class A11Factor:
         return x
 
     def _cg_solve(self, b):
-        """A11[I, I]^{-1} b by CG on the full factor, refined; b in factor order."""
+        """A[I, I]^{-1} b by CG on the full factor, refined; b in factor order."""
         free, padded = self.free[self.p], np.zeros(self.free.size)  # padded stays zero on C
+        name = "%s[I, I]" % self.full.name
 
-        def restricted(x, apply=self.A11.dot):  # (apply(x padded by zeros on C))_I
+        def restricted(x, apply=self.A.dot):  # (apply(x padded by zeros on C))_I
             padded[free] = x
             return apply(padded)[free]
 
         def approx_solve(r):
-            x, steps = _pcg(restricted, lambda r: restricted(r, self.full.lu_solve), r, self.full.norm, "A11[I, I]")
+            x, steps = _pcg(restricted, lambda r: restricted(r, self.full.lu_solve), r, self.full.norm, name)
             self.cg_steps += steps
             return x
 
-        return _refine(b, approx_solve, restricted, "A11[I, I]", _SOLVE_TOL, self.full.norm)
+        return _refine(b, approx_solve, restricted, name, _SOLVE_TOL, self.full.norm)
 
 
 def inner_richardson(u1, w0, system, spec, extremes, a11_factor):
@@ -414,7 +401,7 @@ def inner_richardson(u1, w0, system, spec, extremes, a11_factor):
     clamped set C holds the nodes with P(u) != u and every infeasible
     window (P clamps those to a - under); with the clamp values c_C the
     step solves A11[I, I] u_I = r_I - A11[I, C] c_C on the free rest I by
-    ``a11_factor`` (an A11Factor) and sets u_C = c_C + S1_C^{-1}
+    ``a11_factor`` (an OrderedFactor of A11) and sets u_C = c_C + S1_C^{-1}
     (r - A11 P(u))_C.  The loop stops at the first step whose result has
     the same clamped set and clamp values as the step used: that result
     solves Step 1 exactly (Hintermueller, Ito & Kunisch, SIAM J. Optim.
@@ -454,13 +441,13 @@ def inner_richardson(u1, w0, system, spec, extremes, a11_factor):
 def outer_constant_solve(u1_new, system, spec, extremes, a00_factor):
     """Constant-part solve (Step 2) against the truncated linear iterate.
 
-    Solves A00 u0 = b0 - A10^T w1p by ``a00_factor`` (any factor of A00 with
-    ``solve(b)``), where w1p is the truncation of u1_new against
-    ``extremes``, the patch extremes of the frozen constants.
+    Solves A00 u0 = b0 - A10^T w1p by ``a00_factor``, an OrderedFactor of
+    A00 solving on its all-true free set, where w1p is the truncation of
+    u1_new against ``extremes``, the patch extremes of the frozen constants.
     """
     w1p = truncate_values(np.asarray(u1_new, dtype=float), extremes, spec.bounds)
     rhs = system.b0 - system.A10.T @ w1p
-    return a00_factor.solve(rhs)
+    return a00_factor.solve(rhs, a00_factor.free)
 
 
 def nonlinear_residual(system, solution):
@@ -478,18 +465,18 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     """Nested fixed-point solve of the bound-preserving EG scheme.
 
     Factors only A00, the full A11 once, and principal submatrices of A11
-    when many nodes are clamped (see A11Factor).
+    when many nodes are clamped (see OrderedFactor).
     Starts from one decoupled sweep u1 = A11^{-1} b1,
     u0 = A00^{-1} (b0 - A10^T u1), alternates the Step-1 Newton solve with
     the decoupled constant-part solve, and stops when the L2 increment of
     the constants drops below spec.tol_outer.
     """
     system = _prepare(mesh, spec, dofs, system, lift)
-    a11 = A11Factor(system.A11, mesh.vertices[system.dofs.interior_vertex_ids])
-    a00_factor = _Dissected(system.A00, _centroids(mesh), "A00")
+    a11 = OrderedFactor(system.A11, mesh.vertices[system.dofs.interior_vertex_ids], "A11")
+    a00 = OrderedFactor(system.A00, _centroids(mesh), "A00")
 
     u1 = a11.solve(system.b1, a11.free)
-    u0 = a00_factor.solve(system.b0 - system.A10.T @ u1)
+    u0 = a00.solve(system.b0 - system.A10.T @ u1, a00.free)
 
     trace = SolveTrace(stop_reason="max_outer")
     for _ in range(spec.max_outer):
@@ -497,7 +484,7 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
         slack = feasibility_check(extremes, spec.bounds)
         factorizations, cg_steps = a11.count, a11.cg_steps
         u1, _, incs, inner_ok = inner_richardson(u1, u0, system, spec, extremes, a11)
-        u0_new = outer_constant_solve(u1, system, spec, extremes, a00_factor)
+        u0_new = outer_constant_solve(u1, system, spec, extremes, a00)
         d = u0_new - u0
         u0 = u0_new
         outer_inc = float(np.sqrt(d @ (system.M0_diag * d)))
@@ -514,8 +501,8 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
             trace.stop_reason = "converged"
             break
 
-    trace.fill_nnz = a11.fill_nnz + int(a00_factor.factor.lu.nnz)
-    trace.triangular_solves = a11.triangular_solves + a00_factor.factor.solves
+    trace.fill_nnz = a11.fill_nnz + a00.fill_nnz
+    trace.triangular_solves = a11.triangular_solves + a00.triangular_solves
     u = _compose(system, u1, u0)
     u_plus = apply_P(mesh, system.dofs, u0, u, spec.bounds)
     solution = EGSolution(u=u, u_plus=u_plus, trace=trace)

@@ -193,6 +193,10 @@ def test_non_vectorized_source_fails_loudly():
         dict(tol_outer=np.inf),
         dict(max_inner=0),
         dict(max_outer=0),
+        dict(max_inner=2.5),
+        dict(max_outer=3.5),
+        dict(max_inner=np.inf),
+        dict(max_outer=np.nan),
         dict(beta=np.inf),
         dict(beta=np.nan),
     ],
@@ -200,6 +204,12 @@ def test_non_vectorized_source_fails_loudly():
 def test_spec_validation(kw):
     with pytest.raises(ValueError):
         make_spec(**kw)
+
+
+def test_spec_coerces_integral_counts_to_int():
+    spec = make_spec(beta=2.0, max_inner=3.0, max_outer=np.float64(4.0))
+    assert (spec.beta, spec.max_inner, spec.max_outer) == (2, 3, 4)
+    assert all(type(v) is int for v in (spec.beta, spec.max_inner, spec.max_outer))
 
 
 def _levels(mesh, n):

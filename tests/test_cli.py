@@ -473,7 +473,9 @@ def test_solve_error_propagates(monkeypatch, tmp_path):
         main(["custom", "--out", str(tmp_path)])
 
 
-def test_condition_check_on_one_level_fails(tmp_path, capsys):
-    # the kappa(A) rate needs two levels
-    assert main(["condition", "--levels", "1", "--check", "--out", str(tmp_path)]) == 1
-    assert "CHECK FAILED: condition rates need at least 2 levels" in capsys.readouterr().err
+@pytest.mark.parametrize("experiment", ["smooth", "condition"])
+def test_condition_check_on_one_level_fails(tmp_path, capsys, experiment):
+    # the EOCs and the kappa(A) rate need two levels; no NaN rate is reported
+    assert main([experiment, "--levels", "1", "--check", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "CHECK FAILED: %s rates need at least 2 levels, got 1\n" % experiment

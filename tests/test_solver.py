@@ -13,8 +13,8 @@ from egbp.fespace import DofMap, dirichlet_lift
 from egbp.limiter import feasibility_check, patch_extremes
 from egbp.mesh import _build_mesh, build_structured, refine_uniform
 from egbp.solver import (
-    A11Factor,
     EGSolution,
+    OrderedFactor,
     SolverError,
     SpdFactor,
     inner_richardson,
@@ -241,7 +241,7 @@ def test_inner_richardson_stationary_at_unconstrained_solution():
     w0 = np.zeros(mesh.num_elements)
     extremes = patch_extremes(mesh, w0, dofs)
     u_star = solve_spd(system.A11, system.b1 - system.A10 @ w0)
-    a11 = A11Factor(system.A11, _interior_points(mesh))
+    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11")
     u, n, incs, converged = inner_richardson(u_star, w0, system, spec, extremes, a11)
     assert converged
     assert n == 1
@@ -256,7 +256,7 @@ def test_inner_richardson_converges_from_zero():
     system = assemble_system(mesh, spec, dofs)
     w0 = np.zeros(mesh.num_elements)
     extremes = patch_extremes(mesh, w0, dofs)
-    a11 = A11Factor(system.A11, _interior_points(mesh))
+    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11")
     u, n, incs, converged = inner_richardson(
         np.zeros(dofs.n_interior), w0, system, spec, extremes, a11
     )
@@ -276,7 +276,8 @@ def test_outer_constant_solve_block_consistency():
     u1 = 1e-3 * rng.normal(size=dofs.n_interior)
     w0 = np.zeros(mesh.num_elements)
     extremes = patch_extremes(mesh, w0, dofs)
-    u0 = outer_constant_solve(u1, system, spec, extremes, SpdFactor(system.A00, name="A00"))
+    a00 = OrderedFactor(system.A00, egbp.solver._centroids(mesh), "A00")
+    u0 = outer_constant_solve(u1, system, spec, extremes, a00)
     # with the wide bounds the truncation is the identity
     res = system.A00 @ u0 - (system.b0 - system.A10.T @ u1)
     assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(system.b0)
@@ -388,10 +389,13 @@ def _factored_kinds(monkeypatch, mesh, spec):
             a11_factors[kinds[-1]].append(weakref.ref(self))
             count_alive()
 
-    solve_free = A11Factor.solve
+    solve_free = OrderedFactor.solve
 
     def recording_solve(self, b, free):
-        free_sets.append(free.copy())
+        if self.full.name == "A11":
+            free_sets.append(free.copy())
+        else:  # A00 always solves on all its unknowns
+            assert free.all()
         x = solve_free(self, b, free)
         count_alive()
         return x
@@ -401,7 +405,7 @@ def _factored_kinds(monkeypatch, mesh, spec):
 
     monkeypatch.setattr(egbp.solver, "_nested_dissection", recording_dissection)
     monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
-    monkeypatch.setattr(A11Factor, "solve", recording_solve)
+    monkeypatch.setattr(OrderedFactor, "solve", recording_solve)
     monkeypatch.setattr(egbp.solver, "solve_standard_eg", monolithic)
     monkeypatch.setattr(BlockSystem, "full_matrix", monolithic)
     trace = solve_bound_preserving(mesh, spec, dofs, system).trace
@@ -462,7 +466,7 @@ def test_standard_eg_factors_only_A11_and_A00(monkeypatch):
 
 
 def _step1_case(name):
-    """(system, spec, w0, extremes, A11Factor) of one Step-1 problem for the oracle test."""
+    """(system, spec, w0, extremes, A11 OrderedFactor) of one Step-1 problem for the oracle test."""
     if name == "smooth":
         mesh, spec = _smooth_problem()
     elif name == "layer":
@@ -480,7 +484,7 @@ def _step1_case(name):
         w0[patch[0]], w0[patch[1]] = 0.8, -0.8
     else:
         w0 = solve_bound_preserving(mesh, spec, dofs, system).u.const_coeffs
-    a11 = A11Factor(system.A11, _interior_points(mesh))
+    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11")
     return system, spec, w0, patch_extremes(mesh, w0, dofs), a11
 
 
@@ -529,7 +533,7 @@ def test_a11_free_set_solve_matches_fresh_factor(clamped):
     n = system.A11.shape[0]
     free = _random_free_set(n, clamped, seed=clamped)
     b = np.random.default_rng(7).normal(size=np.count_nonzero(free))
-    a11 = A11Factor(system.A11, _interior_points(mesh))
+    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11")
     x = a11.solve(b, free)
     sub = sp.csc_matrix(system.A11[free][:, free])
     x_ref = spla.splu(sub).solve(b)
@@ -554,13 +558,13 @@ def test_step1_cg_solve_checks_its_answer():
     free = _random_free_set(system.A11.shape[0], 3, seed=3)
     b = np.ones(np.count_nonzero(free))
     sub = system.A11[free][:, free]
-    a11 = A11Factor(system.A11, _interior_points(mesh))
-    a11.full.lu = spla.splu(sp.csc_matrix(2.0 * a11.A11))
+    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11")
+    a11.full.lu = spla.splu(sp.csc_matrix(2.0 * a11.A))
     x = a11.solve(b, free)
     assert np.abs(b - sub @ x).max() <= 1e-13 * (a11.full.norm * np.abs(x).max() + np.abs(b).max())
     assert (a11.count, a11.cg_steps) == (1, 4)  # |C| + 1, as with the LU of A11
-    a11 = A11Factor(system.A11, _interior_points(mesh))
-    a11.full.lu = spla.splu(sp.csc_matrix(-a11.A11))
+    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11")
+    a11.full.lu = spla.splu(sp.csc_matrix(-a11.A))
     with pytest.raises(SolverError, match=r"CG on A11\[I, I\] broke down: r\^T z = .*preconditioner is not positive definite"):
         a11.solve(b, free)
 
@@ -664,22 +668,22 @@ def test_stop_reason(limits, reason):
 
 
 def _free_sets_per_step1(monkeypatch, mesh, spec):
-    """Solve; return (trace, free sets of the A11Factor solves per Step-1 call)."""
+    """Solve; return (trace, free sets of the A11 factor's solves per Step-1 call)."""
     sweeps = []
     newton = egbp.solver.inner_richardson
-    solve_free = A11Factor.solve
+    solve_free = OrderedFactor.solve
 
     def recording_newton(*args, **kwargs):
         sweeps.append([])
         return newton(*args, **kwargs)
 
     def recording_solve(self, b, free):
-        if sweeps:  # not the initial decoupled sweep
+        if sweeps and self.full.name == "A11":  # not the initial sweep, not A00
             sweeps[-1].append(free.copy())
         return solve_free(self, b, free)
 
     monkeypatch.setattr(egbp.solver, "inner_richardson", recording_newton)
-    monkeypatch.setattr(A11Factor, "solve", recording_solve)
+    monkeypatch.setattr(OrderedFactor, "solve", recording_solve)
     return solve_bound_preserving(mesh, spec).trace, sweeps
 
 
