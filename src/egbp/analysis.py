@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import TRI_QP, TRI_QW, _grads_and_areas
+from .assembly import TRI_QP, TRI_QW
 from .fespace import _eval_field
 
 __all__ = [
@@ -22,21 +22,12 @@ __all__ = [
 ]
 
 
-def _quad_values(mesh, uh):
-    """uh at the degree-4 quadrature points, plus physical points/weights."""
-    x = TRI_QP @ mesh.vertices[mesh.triangles]
-    vals = uh.linear_coeffs[mesh.triangles] @ TRI_QP.T
-    vals = vals + uh.const_coeffs[:, None]
-    _, area = _grads_and_areas(mesh)
-    w = TRI_QW * area[:, None]
-    return x, vals, w
-
-
 def error_l2(mesh, u_exact, uh):
     """L2 error by element-wise degree-4 quadrature (constants included)."""
-    x, vals, w = _quad_values(mesh, uh)
+    x = TRI_QP @ mesh.vertices[mesh.triangles]
+    vals = uh.linear_coeffs[mesh.triangles] @ TRI_QP.T + uh.const_coeffs[:, None]
     ue = _eval_field(u_exact, x[..., 0], x[..., 1])
-    return float(np.sqrt(np.sum(w * (ue - vals) ** 2)))
+    return float(np.sqrt(np.sum(TRI_QW * mesh.area[:, None] * (ue - vals) ** 2)))
 
 
 def error_h1_linear(mesh, grad_exact, uh):
@@ -45,11 +36,10 @@ def error_h1_linear(mesh, grad_exact, uh):
     grad_exact(x, y) must return the pair (du/dx, du/dy); the constant
     part of uh has zero gradient and does not contribute.
     """
-    grads, area = _grads_and_areas(mesh)
-    gh = np.einsum("tk,tkd->td", uh.linear_coeffs[mesh.triangles], grads)
+    gh = np.einsum("tk,tkd->td", uh.linear_coeffs[mesh.triangles], mesh.grads)
     x = TRI_QP @ mesh.vertices[mesh.triangles]
     gx, gy = grad_exact(x[..., 0], x[..., 1])
-    w = TRI_QW * area[:, None]
+    w = TRI_QW * mesh.area[:, None]
     err2 = np.sum(w * ((gx - gh[:, None, 0]) ** 2 + (gy - gh[:, None, 1]) ** 2))
     return float(np.sqrt(err2))
 

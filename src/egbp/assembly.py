@@ -95,8 +95,8 @@ class BlockSystem:
     constants, A00 element constants; b1 and b0 carry the action of
     ``lift``, the (nv,) vertex values of the Dirichlet lift, which the
     solves add back to the unknowns numbered by ``dofs``.  ``M1`` is the
-    interior P1 mass matrix and ``M0_diag`` the element areas, both used
-    for L2 norms of increments.
+    interior P1 mass matrix, used for L2 norms of Step-1 increments; the
+    element constants' mass is the mesh's ``area``.
     """
 
     A11: sp.csr_matrix
@@ -106,7 +106,6 @@ class BlockSystem:
     b1: np.ndarray
     b0: np.ndarray
     M1: sp.csr_matrix = field(repr=False)
-    M0_diag: np.ndarray = field(repr=False)
     dofs: DofMap = field(repr=False)
     lift: np.ndarray = field(repr=False)
 
@@ -115,25 +114,13 @@ class BlockSystem:
         return sp.bmat([[self.A11, self.A10], [self.A10.T, self.A00]], format="csr")
 
 
-def _grads_and_areas(mesh):
-    """Per-element barycentric gradients (nt, 3, 2) and areas (nt,)."""
-    x, y = mesh.vertices[:, 0][mesh.triangles.T], mesh.vertices[:, 1][mesh.triangles.T]
-    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
-    # grad phi_k: the edge opposite vertex k turned by -90 degrees, over 2 |T|
-    nxt, prv = [1, 2, 0], [2, 0, 1]
-    g = np.empty((mesh.num_elements, 3, 2))
-    g[..., 0] = ((y[nxt] - y[prv]) / (2.0 * area)).T
-    g[..., 1] = ((x[prv] - x[nxt]) / (2.0 * area)).T
-    return g, area
-
-
 def _facet_penalty(mesh, spec):
     """c_F h_F per facet, c_F = gamma (eps + mu h_F^2) / h_F^beta."""
     hF = mesh.facet_length
     return spec.gamma * (spec.epsilon + spec.mu * hF**2) / hF**spec.beta * hF
 
 
-def _form_values(mesh, spec, grads, area):
+def _form_values(mesh, spec):
     """Values of a_h in the mesh stencil, each entry summed in place.
 
     Returns (p_diag, p_off, c_vert, c_val).  The P1 block has p_diag (nv,)
@@ -143,11 +130,11 @@ def _form_values(mesh, spec, grads, area):
     local edge k the vertex of the neighbor across it that is not on it
     (-1 with value 0 on boundary edges).
     """
-    eps, mu, nt = spec.epsilon, spec.mu, mesh.num_elements
+    eps, mu, nt, area = spec.epsilon, spec.mu, mesh.num_elements, mesh.area
     # (3, nt) arrays, row k for local vertex or local edge k (vertices
     # (k, k + 1)); long rows keep numpy's inner loops long.
     tri, ef = mesh.triangles.T.copy(), mesh.element_facets.T.copy()
-    gx, gy = grads[..., 0].T.copy(), grads[..., 1].T.copy()
+    gx, gy = mesh.grads[..., 0].T.copy(), mesh.grads[..., 1].T.copy()
     h = mesh.facet_length[ef]
     inner = mesh.facet_right[ef] >= 0
     pen = np.where(inner, 0.0, _facet_penalty(mesh, spec)[ef])  # boundary edges only
@@ -191,9 +178,9 @@ def _form_values(mesh, spec, grads, area):
     )
 
 
-def _p1_mass_values(mesh, area):
+def _p1_mass_values(mesh):
     """(diagonal, one value per facet) of the consistent P1 mass matrix."""
-    nv, nf = mesh.num_vertices, mesh.num_facets
+    nv, nf, area = mesh.num_vertices, mesh.num_facets, mesh.area
     return (
         np.bincount(mesh.triangles.ravel(), np.repeat(area / 6.0, 3), minlength=nv),
         np.bincount(mesh.element_facets.ravel(), np.repeat(area / 12.0, 3), minlength=nf),
@@ -251,20 +238,17 @@ def assemble_s(mesh, spec, dofs):
     return spec.alpha * (spec.epsilon + spec.mu * h_i**2)
 
 
-def _f_on_elements(mesh, spec, area):
+def _f_on_elements(mesh, spec):
     """(fvec over all vertex dofs, fvec over element dofs)."""
-    nv = mesh.num_vertices
-    nt = mesh.num_elements
+    nv, tri, area = mesh.num_vertices, mesh.triangles, mesh.area
     if spec.f is None:
-        return np.zeros(nv), np.zeros(nt)
-    tri = mesh.triangles
-    p = mesh.vertices[tri]  # (nt, 3, 2)
+        return np.zeros(nv), np.zeros(mesh.num_elements)
     if spec.f_quadrature == "centroid":
-        cen = p.mean(axis=1)
+        cen = mesh.centroid
         f0 = area * _eval_field(spec.f, cen[:, 0], cen[:, 1])
         fv = np.bincount(tri.ravel(), np.repeat(f0 / 3.0, 3), minlength=nv)
     else:
-        x = TRI_QP @ p  # (nt, nq, 2)
+        x = TRI_QP @ mesh.vertices[tri]  # (nt, nq, 2)
         wf = TRI_QW * area[:, None] * _eval_field(spec.f, x[..., 0], x[..., 1])
         fv = np.bincount(tri.ravel(), (wf @ TRI_QP).ravel(), minlength=nv)
         f0 = wf.sum(axis=1)
@@ -284,12 +268,11 @@ def assemble_system(mesh, spec, dofs=None, lift=None):
         dofs = DofMap.from_mesh(mesh)
     if lift is None:
         lift = dirichlet_lift(mesh, spec.u_D)
-    grads, area = _grads_and_areas(mesh)
-    p_diag, p_off, c_vert, c_val = _form_values(mesh, spec, grads, area)
-    A11, M1 = _vertex_csr(mesh, dofs, (p_diag, p_off), _p1_mass_values(mesh, area))
+    p_diag, p_off, c_vert, c_val = _form_values(mesh, spec)
+    A11, M1 = _vertex_csr(mesh, dofs, (p_diag, p_off), _p1_mass_values(mesh))
 
     # b - A [lift; 0] over all dofs; c_val is 0 where c_vert is -1
-    fv, f0 = _f_on_elements(mesh, spec, area)
+    fv, f0 = _f_on_elements(mesh, spec)
     a, b = mesh.facet_vertices.T
     fv = fv - p_diag * lift - np.bincount(a, p_off * lift[b], minlength=lift.size)
     fv -= np.bincount(b, p_off * lift[a], minlength=lift.size)
@@ -299,12 +282,11 @@ def assemble_system(mesh, spec, dofs=None, lift=None):
     return BlockSystem(
         A11=A11,
         A10=_coupling_csr(c_vert, c_val, dofs),
-        A00=_jump_csr(mesh, _facet_penalty(mesh, spec), spec.mu * area),
+        A00=_jump_csr(mesh, _facet_penalty(mesh, spec), spec.mu * mesh.area),
         S1=assemble_s(mesh, spec, dofs),
         b1=fv[iv],
         b0=f0,
         M1=M1,
-        M0_diag=area,
         dofs=dofs,
         lift=lift,
     )

@@ -242,7 +242,7 @@ def _run_levels(config, spec, name, exact=None, spec_std=None):
             err_l2=np.nan if exact is None else error_l2(mesh, exact[0], u),
             err_h1=np.nan if exact is None else error_h1_linear(mesh, exact[1], u),
             jump_norm=jump_norm(mesh, spec, u.const_coeffs),
-            const_l2=float(np.sqrt(u.const_coeffs @ (system.M0_diag * u.const_coeffs))),
+            const_l2=float(np.sqrt(u.const_coeffs @ (mesh.area * u.const_coeffs))),
             iters=trace.outer_iters,
             nonlinear_residual=trace.nonlinear_residual,
         )
@@ -438,15 +438,26 @@ def _check_smooth(report):
     return failures
 
 
-def _check_layer(report):
+def _check_bounds(report, name):
+    """A failure per level of table ``name`` whose range leaves [a, b] +- 1e-10."""
+    a, b = report.config.bound_a, report.config.bound_b
     failures = []
-    for row in report.tables["layer"][1]:
-        if row["min_val"] < -1e-10 or row["max_val"] > 1.0 + 1e-10:
-            rng = (row["min_val"], row["max_val"])
-            failures.append("bound-preserving range [%.3e, %.3e] violates [0, 1]" % rng)
-    if not any(row["min_val"] < 0.0 for row in report.tables["layer_standard"][1]):
+    for row in report.tables[name][1]:
+        if row["min_val"] < a - 1e-10 or row["max_val"] > b + 1e-10:
+            rng = (row["min_val"], row["max_val"], a, b)
+            failures.append("bound-preserving range [%.3e, %.3e] violates [%g, %g]" % rng)
+    return failures
+
+
+def _check_layer(report):
+    failures = _check_bounds(report, "layer")
+    if not any(row["min_val"] < report.config.bound_a for row in report.tables["layer_standard"][1]):
         failures.append("standard EG did not undershoot on any level")
     return failures
+
+
+def _check_custom(report):
+    return _check_bounds(report, "custom")
 
 
 def _check_condition(report):
@@ -473,7 +484,10 @@ def main(argv=None):
     runners = {
         "smooth": run_smooth, "layer": run_layer, "condition": run_condition, "custom": run_custom,
     }
-    checkers = {"smooth": _check_smooth, "layer": _check_layer, "condition": _check_condition}
+    checkers = {
+        "smooth": _check_smooth, "layer": _check_layer, "condition": _check_condition,
+        "custom": _check_custom,
+    }
     parser = argparse.ArgumentParser(prog="egbp", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in runners:
@@ -507,7 +521,7 @@ def main(argv=None):
     failures = []
     if not report.all_converged:
         failures.append("at least one level did not converge")
-    if config.check and config.experiment in checkers:
+    if config.check:
         failures.extend(checkers[config.experiment](report))
     for msg in failures:
         print("CHECK FAILED: %s" % msg, file=sys.stderr)

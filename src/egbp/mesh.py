@@ -1,9 +1,11 @@
 """Conforming triangulations of axis-aligned rectangles.
 
-Meshes are immutable after construction.  Every facet stores a fixed owner
-("left") element together with the unit normal pointing out of that owner;
-all jump and average formulas elsewhere in the package are expressed
-relative to this owner, which removes any sign ambiguity from assembly.
+Meshes are immutable after construction and carry their element geometry
+(areas, barycentric gradients, centroids), computed once per mesh.  Every
+facet stores a fixed owner ("left") element together with the unit normal
+pointing out of that owner; all jump and average formulas elsewhere in the
+package are expressed relative to this owner, which removes any sign
+ambiguity from assembly.
 """
 
 from __future__ import annotations
@@ -34,8 +36,12 @@ class Mesh:
     patch_indptr : (nv + 1,) int array, vertex->element CSR row pointer.
     patch_elements : (3 * nt,) int array; the node patch omega_i is
         patch_elements[patch_indptr[i]:patch_indptr[i + 1]], ascending.
-    h_elem : (nt,) element diameters h_T.
+    h_elem : (nt,) element diameters h_T, the longest facet of each element.
     h_vertex : (nv,) h_i = max h_T over the node patch.
+    area : (nt,) element areas |T|.
+    grads : (nt, 3, 2) gradient of the barycentric coordinate of each
+        element's local vertex k, constant on the element.
+    centroid : (nt, 2) element centroids.
 
     Facets are numbered in ascending order of their sorted endpoint pair.
     """
@@ -53,6 +59,9 @@ class Mesh:
     patch_elements: np.ndarray = field(repr=False)
     h_elem: np.ndarray = field(repr=False)
     h_vertex: np.ndarray = field(repr=False)
+    area: np.ndarray = field(repr=False)
+    grads: np.ndarray = field(repr=False)
+    centroid: np.ndarray = field(repr=False)
     h: float = 0.0
 
     @property
@@ -84,9 +93,13 @@ def _build_mesh(vertices, triangles):
     p = vertices[triangles]
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    if np.any(areas <= 0.0):
+    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    if np.any(area <= 0.0):
         raise ValueError("mesh contains degenerate or clockwise triangles")
+    # grad phi_k: the edge opposite vertex k turned by -90 degrees, over 2 |T|
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    grads = np.stack((p[:, nxt, 1] - p[:, prv, 1], p[:, prv, 0] - p[:, nxt, 0]), axis=-1)
+    grads /= 2.0 * area[:, None, None]
 
     # Undirected facets from the 3*nt directed edges (t, a, b), grouped by
     # the key of their sorted endpoint pair.  The stable sort keeps each
@@ -106,6 +119,7 @@ def _build_mesh(vertices, triangles):
     owner = order[first]
     element_facets = np.empty(3 * nt, dtype=np.int64)
     element_facets[order] = np.repeat(np.arange(first.size), count)
+    element_facets = element_facets.reshape(nt, 3)
     facet_vertices = np.column_stack((a[owner], b[owner]))
     facet_left = elem[owner]
     facet_right = np.full(first.size, -1, dtype=np.int64)
@@ -127,8 +141,7 @@ def _build_mesh(vertices, triangles):
     patch_indptr = np.concatenate(([0], np.cumsum(patch_size)))
     patch_elements = elem[np.argsort(a, kind="stable")]
 
-    edges = p[:, [1, 2, 0]] - p
-    h_elem = np.hypot(edges[..., 0], edges[..., 1]).max(axis=1)
+    h_elem = facet_length[element_facets].max(axis=1)
     h_vertex = np.maximum.reduceat(h_elem[patch_elements], patch_indptr[:-1])
 
     return Mesh(
@@ -139,12 +152,15 @@ def _build_mesh(vertices, triangles):
         facet_right=_freeze(facet_right),
         facet_length=_freeze(facet_length),
         facet_normal=_freeze(facet_normal),
-        element_facets=_freeze(element_facets.reshape(nt, 3)),
+        element_facets=_freeze(element_facets),
         boundary_vertex=_freeze(boundary_vertex),
         patch_indptr=_freeze(patch_indptr),
         patch_elements=_freeze(patch_elements),
         h_elem=_freeze(h_elem),
         h_vertex=_freeze(h_vertex),
+        area=_freeze(area),
+        grads=_freeze(grads),
+        centroid=_freeze((p[:, 0] + p[:, 1] + p[:, 2]) / 3.0),
         h=float(h_elem.max()),
     )
 

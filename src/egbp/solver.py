@@ -229,10 +229,6 @@ def _refine(b, approx_solve, matvec, name, rel_tol, a_norm):
     )
 
 
-def _centroids(mesh):
-    return mesh.vertices[mesh.triangles].mean(axis=1)
-
-
 def _prepare(mesh, spec, dofs, system, lift):
     """``system``, or one assembled from dofs and lift; a dofs or lift given
     with a system must equal the system's own."""
@@ -296,7 +292,7 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     system = _prepare(mesh, spec, dofs, system, lift)
     n1 = system.dofs.n_interior
     a11 = OrderedFactor(system.A11, mesh.vertices[system.dofs.interior_vertex_ids], "A11")
-    a00 = OrderedFactor(system.A00, _centroids(mesh), "A00")
+    a00 = OrderedFactor(system.A00, mesh.centroid, "A00")
     A10 = sp.csr_matrix(system.A10)[a11.p][:, a00.p]
     A01 = A10.T.tocsr()
 
@@ -473,7 +469,7 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     """
     system = _prepare(mesh, spec, dofs, system, lift)
     a11 = OrderedFactor(system.A11, mesh.vertices[system.dofs.interior_vertex_ids], "A11")
-    a00 = OrderedFactor(system.A00, _centroids(mesh), "A00")
+    a00 = OrderedFactor(system.A00, mesh.centroid, "A00")
 
     u1 = a11.solve(system.b1, a11.free)
     u0 = a00.solve(system.b0 - system.A10.T @ u1, a00.free)
@@ -487,7 +483,7 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
         u0_new = outer_constant_solve(u1, system, spec, extremes, a00)
         d = u0_new - u0
         u0 = u0_new
-        outer_inc = float(np.sqrt(d @ (system.M0_diag * d)))
+        outer_inc = float(np.sqrt(d @ (mesh.area * d)))
         trace.inner_residual_histories.append(incs)
         trace.outer_increments.append(outer_inc)
         trace.worst_slack_per_outer.append(slack)

@@ -26,7 +26,6 @@ import scipy.sparse.linalg as spla
 from egbp.assembly import (
     TRI_QP,
     TRI_QW,
-    _grads_and_areas,
     _jump_csr,
     _p1_mass_values,
     _vertex_csr,
@@ -211,8 +210,10 @@ def connectivity_oracle(vertices, triangles):
     order; the owner is the incident element of smallest index, and the
     facet's (a, b) follow the owner's CCW traversal.  Returns a dict with
     the facet arrays, the facet of each local edge (k, k + 1), boundary
-    flags, the per-vertex patch lists, h_elem and h_vertex, computed the
-    way the package's Mesh documents them.
+    flags, the per-vertex patch lists, h_elem and h_vertex, and the
+    element area (shoelace formula), barycentric gradients (from each
+    element's 3x3 system [1, x, y]) and centroid, computed the way the
+    package's Mesh documents them.
     """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
@@ -267,6 +268,19 @@ def connectivity_oracle(vertices, triangles):
         h_elem[t] = max(np.hypot(*(p[(k + 1) % 3] - p[k])) for k in range(3))
     h_vertex = np.array([h_elem[pl].max() for pl in patches])
 
+    area = np.empty(nt)
+    for t in range(nt):
+        x, y = vertices[triangles[t]].T
+        area[t] = 0.5 * sum(x[k] * y[(k + 1) % 3] - x[(k + 1) % 3] * y[k] for k in range(3))
+    grads = np.empty((nt, 3, 2))
+    for t in range(nt):
+        # column k holds the coefficients (c, gx, gy) of phi_k = c + gx x + gy y
+        V = np.column_stack((np.ones(3), vertices[triangles[t]]))
+        grads[t] = np.linalg.solve(V, np.eye(3))[1:].T
+    centroid = np.empty((nt, 2))
+    for t in range(nt):
+        centroid[t] = vertices[triangles[t]].sum(axis=0) / 3.0
+
     return {
         "facet_vertices": facet_vertices,
         "facet_left": facet_left,
@@ -278,6 +292,9 @@ def connectivity_oracle(vertices, triangles):
         "patches": patches,
         "h_elem": h_elem,
         "h_vertex": h_vertex,
+        "area": area,
+        "grads": grads,
+        "centroid": centroid,
     }
 
 
@@ -481,8 +498,7 @@ def assemble_full(mesh, spec):
 
 def p1_mass_matrix(mesh):
     """Consistent P1 mass matrix over all vertices."""
-    area = _grads_and_areas(mesh)[1]
-    return _vertex_csr(mesh, all_vertices(mesh), _p1_mass_values(mesh, area))[0]
+    return _vertex_csr(mesh, all_vertices(mesh), _p1_mass_values(mesh))[0]
 
 
 def assemble_M_J(mesh):
@@ -491,8 +507,7 @@ def assemble_M_J(mesh):
     J0 accumulates h_F * [w][v] couplings over all facets; boundary facets
     contribute the owner's own constant.
     """
-    area = _grads_and_areas(mesh)[1]
-    return sp.diags(area).tocsr(), _jump_csr(mesh, mesh.facet_length, 0.0)
+    return sp.diags(mesh.area).tocsr(), _jump_csr(mesh, mesh.facet_length, 0.0)
 
 
 def zero_function(mesh):
@@ -576,9 +591,8 @@ def broken_poincare_constant(mesh):
     eigenvalue of M0 v = lambda Jw v, with Jw the unit-weight jump matrix
     (h_F^-1 and the facet integral cancel to weight one per facet).
     """
-    _, area = _grads_and_areas(mesh)
     Jw = _jump_csr(mesh, np.ones(mesh.num_facets), 0.0).toarray()
-    lam = scipy.linalg.eigvalsh(np.diag(area), Jw)
+    lam = scipy.linalg.eigvalsh(np.diag(mesh.area), Jw)
     return float(np.sqrt(lam[-1]))
 
 

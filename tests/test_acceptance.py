@@ -8,6 +8,7 @@ import pytest
 from egbp.cli import (
     StudyConfig,
     _check_condition,
+    _check_custom,
     _check_layer,
     _check_smooth,
     run_condition,
@@ -244,8 +245,9 @@ def test_criterion_8_fixed_point_consistency(smooth_runs, layer_run, custom_run)
     )
 
 
-def test_default_studies_pass_their_own_check(smooth_runs, layer_run, condition_run):
-    # what `egbp smooth|layer|condition --check` asserts on its default run
+def test_default_studies_pass_their_own_check(smooth_runs, layer_run, condition_run, custom_run):
+    # what `egbp smooth|layer|condition|custom --check` asserts on its default run
     assert _check_smooth(smooth_runs[1e-9][0]) == []
     assert _check_layer(layer_run) == []
     assert _check_condition(condition_run[0]) == []
+    assert _check_custom(custom_run) == []

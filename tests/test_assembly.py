@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from egbp.assembly import ProblemSpec, _grads_and_areas, assemble_system
+from egbp.assembly import ProblemSpec, assemble_system
 from egbp.cli import layer_source, smooth_exact
 from egbp.fespace import DofMap, dirichlet_lift
 from egbp.mesh import _build_mesh, build_structured, refine_uniform
@@ -31,8 +31,7 @@ def test_reference_triangle_stiffness():
     mesh = _build_mesh(
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]])
     )
-    grads, area = _grads_and_areas(mesh)
-    K = area[0] * grads[0] @ grads[0].T
+    K = mesh.area[0] * mesh.grads[0] @ mesh.grads[0].T
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert np.allclose(K, expected, atol=1e-14)
 
@@ -123,7 +122,7 @@ def test_rhs_constant_source():
     dofs = DofMap.from_mesh(mesh)
     spec = make_spec(f=lambda x, y: 2.0 + 0.0 * x)
     system = assemble_system(mesh, spec, dofs)
-    areas = _grads_and_areas(mesh)[1]
+    areas = mesh.area
     assert np.allclose(system.b0, 2.0 * areas, rtol=1e-13)
     for k, i in enumerate(dofs.interior_vertex_ids):
         patch = np.flatnonzero((mesh.triangles == i).any(axis=1))

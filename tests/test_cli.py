@@ -13,6 +13,8 @@ from egbp.cli import (
     StudyConfig,
     StudyReport,
     _add_eoc,
+    _check_custom,
+    _check_layer,
     apply_experiment_defaults,
     emit_tables,
     layer_source,
@@ -349,6 +351,39 @@ def test_main_layer_writes_standard_table(tmp_path):
     assert row["elements"] == 288
     assert row["min_val"] < 0.0 and row["violations"] > 0
     assert (tmp_path / "layer_standard.md").exists()
+
+
+def test_bound_checks_read_the_configured_bounds():
+    # [0.1, 0.7] lies in [0, 1] but not in the configured [0, 0.5]
+    row = dict(min_val=0.1, max_val=0.7)
+    report = StudyReport(
+        config=StudyConfig(bound_a=0.0, bound_b=0.5),
+        tables={
+            "layer": (CSV_HEADER, [row]),
+            "layer_standard": (STANDARD_HEADER, [dict(min_val=-0.1, max_val=0.4)]),
+            "custom": (CSV_HEADER, [row]),
+        },
+    )
+    expected = ["bound-preserving range [1.000e-01, 7.000e-01] violates [0, 0.5]"]
+    assert _check_layer(report) == expected
+    assert _check_custom(report) == expected
+    # the comparator's undershoot is measured against a, not against 0
+    report.config = StudyConfig(bound_a=0.2, bound_b=1.0)
+    report.tables["layer"] = (CSV_HEADER, [dict(min_val=0.2, max_val=0.7)])
+    assert _check_layer(report) == []
+    report.config.bound_a = -0.2
+    assert _check_layer(report) == ["standard EG did not undershoot on any level"]
+
+
+def test_main_custom_check_fails_outside_the_bounds(tmp_path, capsys):
+    # zero boundary data below a = 0.001: u+ leaves [a, b] at the boundary
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bound_a = 0.001\n")
+    argv = ["custom", "--levels", "1", "--check", "--config", str(cfg), "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("CHECK FAILED: bound-preserving range [")
+    assert err.endswith("] violates [0.001, 1]\n")
 
 
 def test_main_custom_exit_zero(tmp_path):

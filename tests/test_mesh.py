@@ -1,8 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from egbp.assembly import _grads_and_areas
-from egbp.mesh import _build_mesh, build_structured, refine_uniform
+from egbp.mesh import Mesh, _build_mesh, build_structured, refine_uniform
 from oracles import connectivity_oracle
 
 
@@ -95,7 +96,7 @@ def test_areas_sum_to_rectangle():
     rect = (-2.0, 1.0, 3.0, 4.0)
     mesh = build_structured(4, 7, rect)
     area = (rect[2] - rect[0]) * (rect[3] - rect[1])
-    assert np.sum(_grads_and_areas(mesh)[1]) == pytest.approx(area, rel=1e-12)
+    assert np.sum(mesh.area) == pytest.approx(area, rel=1e-12)
 
 
 def test_quasi_uniformity_structured():
@@ -181,6 +182,26 @@ def test_build_mesh_matches_connectivity_oracle(name):
     assert mesh.patch_indptr[-1] == mesh.patch_elements.size == 3 * mesh.num_elements
     for i, patch in enumerate(ref["patches"]):
         assert np.array_equal(_patch(mesh, i), patch)
+    # The shoelace sum rounds on the scale of the coordinates squared, not of |T|.
+    scale = np.abs(mesh.vertices).max()
+    assert np.abs(mesh.area - ref["area"]).max() <= 1e-15 * scale**2
+    assert np.abs(mesh.centroid - ref["centroid"]).max() <= 1e-15 * scale
+    err = np.abs(mesh.grads - ref["grads"]).max(axis=(1, 2))
+    assert np.all(err <= 1e-12 / mesh.h_elem)
+    assert mesh.area.shape == (mesh.num_elements,)
+    assert mesh.grads.shape == (mesh.num_elements, 3, 2)
+    assert mesh.centroid.shape == (mesh.num_elements, 2)
+
+
+def test_mesh_arrays_are_read_only():
+    mesh = refine_uniform(build_structured(3, 2))
+    arrays = [f.name for f in fields(Mesh) if isinstance(getattr(mesh, f.name), np.ndarray)]
+    assert {"vertices", "triangles", "area", "grads", "centroid"} <= set(arrays)
+    for name in arrays:
+        a = getattr(mesh, name)
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
 
 
 def test_shuffled_mesh_owner_is_smallest_element():

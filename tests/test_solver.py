@@ -276,7 +276,7 @@ def test_outer_constant_solve_block_consistency():
     u1 = 1e-3 * rng.normal(size=dofs.n_interior)
     w0 = np.zeros(mesh.num_elements)
     extremes = patch_extremes(mesh, w0, dofs)
-    a00 = OrderedFactor(system.A00, egbp.solver._centroids(mesh), "A00")
+    a00 = OrderedFactor(system.A00, mesh.centroid, "A00")
     u0 = outer_constant_solve(u1, system, spec, extremes, a00)
     # with the wide bounds the truncation is the identity
     res = system.A00 @ u0 - (system.b0 - system.A10.T @ u1)
@@ -794,7 +794,7 @@ def test_nested_dissection_is_a_deterministic_permutation():
     mesh = refine_uniform(build_structured(12, 12))
     dofs = DofMap.from_mesh(mesh)
     system = assemble_system(mesh, make_spec(f=lambda x, y: 1.0 + 0.0 * x), dofs)
-    x1, x0 = _interior_points(mesh), egbp.solver._centroids(mesh)
+    x1, x0 = _interior_points(mesh), mesh.centroid
     for points, A in (
         (x1, system.A11),
         (x0, system.A00),
@@ -855,7 +855,7 @@ def _dissection_cases(shuffled):
     mesh = _dissection_mesh(shuffled)
     system = assemble_system(mesh, make_spec(f=lambda x, y: 1.0 + 0.0 * x))
     x1 = mesh.vertices[system.dofs.interior_vertex_ids]
-    x0 = egbp.solver._centroids(mesh)
+    x0 = mesh.centroid
     return ((x1, system.A11), (x0, system.A00), (np.vstack([x1, x0]), system.full_matrix()))
 
 
