@@ -42,7 +42,7 @@ TRI_QP = np.array(
 class ProblemSpec:
     """Coefficients, data, penalty parameters, and solver controls.
 
-    The solve reads tol_outer, max_inner and max_outer.  ``omega`` and
+    The solve reads tol_outer.  ``omega`` and
     ``tol_inner`` are read by no solve: Step 1 is solved exactly, without
     damping or a tolerance.  They are accepted (and omega validated) so
     that existing callers keep working.
@@ -59,8 +59,6 @@ class ProblemSpec:
     u_D: object = None
     tol_inner: float = 1e-9
     tol_outer: float = 1e-12
-    max_inner: int = 500
-    max_outer: int = 200
     f_quadrature: str = "degree4"  # "degree4" or "centroid"
 
     def __post_init__(self):
@@ -81,10 +79,9 @@ class ProblemSpec:
             raise ValueError("unknown f_quadrature %r" % self.f_quadrature)
         if not 0.0 <= self.tol_outer < np.inf:
             raise ValueError("tol_outer must be finite and >= 0")
-        counts = (self.beta, self.max_inner, self.max_outer)
-        if not all(np.isfinite(m) and int(m) == m >= 1 for m in counts):
-            raise ValueError("beta, max_inner and max_outer must be integers >= 1")
-        self.beta, self.max_inner, self.max_outer = map(int, counts)
+        if not int(self.beta) == self.beta >= 1:
+            raise ValueError("beta must be an integer >= 1")
+        self.beta = int(self.beta)
 
 
 @dataclass

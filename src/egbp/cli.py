@@ -33,10 +33,7 @@ from .solver import solve_bound_preserving, solve_standard_eg
 __all__ = [
     "StudyConfig",
     "StudyReport",
-    "run_smooth",
-    "run_layer",
-    "run_condition",
-    "run_custom",
+    "run_study",
     "emit_tables",
     "main",
 ]
@@ -62,8 +59,7 @@ _EOC_COLUMNS = {
 CONDITION_BETAS = (1, 2, 4)
 # Settings the conditioning study does not read: it sweeps beta, leaves the
 # stabilizer out of every matrix, and solves nothing.
-CONDITION_UNREAD = ("beta", "alpha", "bound_a", "bound_b", "tol_outer", "max_inner", "max_outer",
-                    "emit_fields")
+CONDITION_UNREAD = ("beta", "alpha", "bound_a", "bound_b", "tol_outer", "emit_fields")
 
 
 @dataclass
@@ -90,8 +86,6 @@ class StudyConfig:
     bound_a: float | None = None
     bound_b: float | None = None
     tol_outer: float | None = None
-    max_inner: int = ProblemSpec.max_inner
-    max_outer: int = ProblemSpec.max_outer
     emit_fields: bool = False
     out_dir: str = "."
     check: bool = False
@@ -105,27 +99,17 @@ class StudyConfig:
             alpha=self.alpha,
             bounds=(self.bound_a, self.bound_b),
             tol_outer=self.tol_outer,
-            max_inner=self.max_inner,
-            max_outer=self.max_outer,
         )
         kwargs.update(overrides)
         return ProblemSpec(**kwargs)
 
 
-# The solver settings default to ProblemSpec's own defaults.
+# Defaults of every experiment, ProblemSpec's own for the solver; _STUDIES overrides some.
 _DEFAULTS = dict(
     levels=5, nx=8, ny=4, x0=0.0, y0=0.0, x1=1.0, y1=1.0, epsilon=1e-5, mu=1.0,
     gamma=ProblemSpec.gamma, beta=ProblemSpec.beta, alpha=ProblemSpec.alpha,
     bound_a=ProblemSpec.bounds[0], bound_b=ProblemSpec.bounds[1], tol_outer=ProblemSpec.tol_outer,
 )
-
-# Per experiment, the values that differ from _DEFAULTS.
-_EXPERIMENT_DEFAULTS = {
-    "smooth": dict(x0=-1.0),
-    "layer": dict(levels=2, nx=12, ny=12, epsilon=1e-7),
-    "condition": dict(nx=2, ny=2, epsilon=1.0),
-    "custom": dict(),
-}
 
 
 @dataclass
@@ -143,9 +127,9 @@ class StudyReport:
 
 def apply_experiment_defaults(config):
     """Fill every field the user left at None with its experiment default."""
-    if config.experiment not in _EXPERIMENT_DEFAULTS:
+    if config.experiment not in _STUDIES:
         raise ValueError("unknown experiment %r" % config.experiment)
-    defaults = {**_DEFAULTS, **_EXPERIMENT_DEFAULTS[config.experiment]}
+    defaults = {**_DEFAULTS, **_STUDIES[config.experiment][2]}
     config = replace(config, **{k: v for k, v in defaults.items() if getattr(config, k) is None})
     if config.levels < 1:
         raise ValueError("levels must be >= 1, got %d" % config.levels)
@@ -270,24 +254,22 @@ def _run_levels(config, spec, name, exact=None, spec_std=None):
     return report
 
 
-def run_smooth(config):
+def _smooth(config):
     """Convergence study with the manufactured smooth solution."""
-    config = apply_experiment_defaults(config)
     u, grad_u, make_f = smooth_exact()
     spec = config.problem_spec(f=make_f(config.epsilon, config.mu), u_D=u)
     return _run_levels(config, spec, "smooth", exact=(u, grad_u))
 
 
-def run_layer(config):
+def _layer(config):
     """Interior-layer study: bound-preserving method plus the standard
     EG comparator (beta = 1, alpha = 0, Schur-complement CG) on every level."""
-    config = apply_experiment_defaults(config)
     spec = config.problem_spec(f=layer_source, f_quadrature="centroid")
     spec_std = replace(spec, beta=1, alpha=0.0)
     return _run_levels(config, spec, "layer", spec_std=spec_std)
 
 
-def run_condition(config):
+def _condition(config):
     """Condition numbers of the monolithic and split matrices.
 
     Sweeps beta over CONDITION_BETAS on each mesh; no CONDITION_UNREAD field
@@ -297,7 +279,6 @@ def run_condition(config):
     32, 128 and 512 elements, at beta = 2 from 0.69 down to 0.20, at beta = 4
     at most 0.19.  A11 does not depend on beta: kappa(A11) is computed once.
     """
-    config = apply_experiment_defaults(config)
     rows = []
     for mesh in _mesh_sequence(config):
         for beta in CONDITION_BETAS:
@@ -318,9 +299,8 @@ def run_condition(config):
     return StudyReport(config=config, tables={"condition": (CONDITION_HEADER, rows)})
 
 
-def run_custom(config):
+def _custom(config):
     """Bound-preserving solve of a unit source with zero boundary data."""
-    config = apply_experiment_defaults(config)
     spec = config.problem_spec(f=lambda x, y: np.ones_like(np.asarray(x, dtype=float)))
     return _run_levels(config, spec, "custom")
 
@@ -456,10 +436,6 @@ def _check_layer(report):
     return failures
 
 
-def _check_custom(report):
-    return _check_bounds(report, "custom")
-
-
 def _check_condition(report):
     if report.config.levels < 2:
         return ["condition rates need at least 2 levels, got %d" % report.config.levels]
@@ -480,17 +456,25 @@ def _check_condition(report):
     return failures
 
 
+# Per experiment: its study, its --check, and the defaults that differ from _DEFAULTS.
+_STUDIES = {
+    "smooth": (_smooth, _check_smooth, dict(x0=-1.0)),
+    "layer": (_layer, _check_layer, dict(levels=2, nx=12, ny=12, epsilon=1e-7)),
+    "condition": (_condition, _check_condition, dict(nx=2, ny=2, epsilon=1.0)),
+    "custom": (_custom, lambda report: _check_bounds(report, "custom"), dict()),
+}
+
+
+def run_study(config):
+    """Fill the defaults of config.experiment, then run that experiment's study."""
+    config = apply_experiment_defaults(config)
+    return _STUDIES[config.experiment][0](config)
+
+
 def main(argv=None):
-    runners = {
-        "smooth": run_smooth, "layer": run_layer, "condition": run_condition, "custom": run_custom,
-    }
-    checkers = {
-        "smooth": _check_smooth, "layer": _check_layer, "condition": _check_condition,
-        "custom": _check_custom,
-    }
     parser = argparse.ArgumentParser(prog="egbp", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in runners:
+    for name in _STUDIES:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", dest="out_dir", help="output directory")
@@ -514,7 +498,7 @@ def main(argv=None):
         os.makedirs(config.out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    report = runners[config.experiment](config)
+    report = run_study(config)
     for path in emit_tables(report, config.out_dir):
         print("wrote %s" % path)
 
@@ -522,7 +506,7 @@ def main(argv=None):
     if not report.all_converged:
         failures.append("at least one level did not converge")
     if config.check:
-        failures.extend(checkers[config.experiment](report))
+        failures.extend(_STUDIES[config.experiment][1](report))
     for msg in failures:
         print("CHECK FAILED: %s" % msg, file=sys.stderr)
     return 1 if failures else 0

@@ -172,6 +172,9 @@ def build_structured(nx, ny, rect=(0.0, 0.0, 1.0, 1.0)):
     its lower-left to its upper-right corner, giving 2*nx*ny triangles.
     Vertices are numbered lexicographically by (y, x).
     """
+    if not all(np.isfinite(n) and int(n) == n for n in (nx, ny)):
+        raise ValueError("subdivision counts must be integers, got (%s, %s)" % (nx, ny))
+    nx, ny = int(nx), int(ny)
     if nx < 1 or ny < 1:
         raise ValueError("subdivision counts must be >= 1, got (%s, %s)" % (nx, ny))
     x0, y0, x1, y1 = rect

@@ -49,7 +49,8 @@ class SolveTrace:
 
     ``stop_reason`` says why the outer loop ended: "converged" (outer
     increment below tol_outer), "inner_stalled" (a Step-1 Newton loop used
-    up max_inner steps before its clamped set settled) or "max_outer".
+    up _MAX_INNER steps before its clamped set settled) or "max_outer"
+    (_MAX_OUTER sweeps).
     Per outer sweep it records the Newton step sizes, the clamped-node
     count of the last Newton step, the worst feasibility slack
     min_i (b - over_i) - (a - under_i), the number of A11-class
@@ -164,11 +165,14 @@ def _bisection_tree(points, A):
     return code, level, depth
 
 
-# Normwise backward error of every factor solve, the Step-1 CG solves included.
+# Normwise backward error of every refined solve: factors, Step-1 CG, the standard solve.
 _SOLVE_TOL = 1e-13
 # Refinement sweeps after the first solve; the standard solve refines its
 # Schur-complement result against the over-penalized monolithic system.
 _MAX_REFINE = 4
+# Newton steps per Step-1 solve and outer sweeps per bound-preserving solve.
+_MAX_INNER = 500
+_MAX_OUTER = 200
 
 
 class SpdFactor:
@@ -201,13 +205,13 @@ class SpdFactor:
 
     def solve(self, b):
         """A^{-1} b to normwise backward error _SOLVE_TOL; SolverError if refinement misses it."""
-        return _refine(b, self.lu_solve, lambda x: self.A @ x, self.name, _SOLVE_TOL, self.norm)
+        return _refine(b, self.lu_solve, lambda x: self.A @ x, self.name, self.norm)
 
 
-def _refine(b, approx_solve, matvec, name, rel_tol, a_norm):
-    """Iterative refinement of approx_solve(b) against matvec to normwise backward error rel_tol.
+def _refine(b, approx_solve, matvec, name, a_norm):
+    """Iterative refinement of approx_solve(b) against matvec to normwise backward error _SOLVE_TOL.
 
-    Stops at ||r||_inf <= rel_tol (a_norm ||x||_inf + ||b||_inf), a_norm >=
+    Stops at ||r||_inf <= _SOLVE_TOL (a_norm ||x||_inf + ||b||_inf), a_norm >=
     ||A||_inf (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).
     """
     x = approx_solve(b)
@@ -219,13 +223,13 @@ def _refine(b, approx_solve, matvec, name, rel_tol, a_norm):
     for sweep in range(_MAX_REFINE + 1):
         r = b - matvec(x)
         scale = a_norm * np.abs(x).max() + bnorm
-        if np.abs(r).max() <= rel_tol * scale:
+        if np.abs(r).max() <= _SOLVE_TOL * scale:
             return x
         if sweep < _MAX_REFINE:
             x = x + approx_solve(r)
     raise SolverError(
         "solve with %s missed backward error %.1e after %d refinement sweeps (%.3e)"
-        % (name, rel_tol, _MAX_REFINE, np.abs(r).max() / scale)
+        % (name, _SOLVE_TOL, _MAX_REFINE, np.abs(r).max() / scale)
     )
 
 
@@ -287,7 +291,7 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     CG on the Schur complement S = A11 - A10 A00^{-1} A10^T (Benzi, Golub &
     Liesen, Acta Numerica 14, 2005) gives u1, then u0 = A00^{-1} (b0 - A10^T
     u1), refined against the monolithic system to normwise backward error
-    1e-12.  Returns the full discrete solution including the Dirichlet lift.
+    _SOLVE_TOL.  Returns the full discrete solution including the Dirichlet lift.
     """
     system = _prepare(mesh, spec, dofs, system, lift)
     n1 = system.dofs.n_interior
@@ -310,7 +314,7 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     norm = matvec(np.ones(p.size), *map(abs, blocks)).max()  # ||A||_inf
     b = np.concatenate([system.b1, system.b0])[p]
     x = np.empty_like(b)
-    x[p] = _refine(b, approx_solve, lambda v: matvec(v, *blocks), "standard EG system", 1e-12, norm)
+    x[p] = _refine(b, approx_solve, lambda v: matvec(v, *blocks), "standard EG system", norm)
     return _compose(system, x[:n1], x[n1:])
 
 
@@ -385,7 +389,7 @@ class OrderedFactor:
             self.cg_steps += steps
             return x
 
-        return _refine(b, approx_solve, restricted, name, _SOLVE_TOL, self.full.norm)
+        return _refine(b, approx_solve, restricted, name, self.full.norm)
 
 
 def inner_richardson(u1, w0, system, spec, extremes, a11_factor):
@@ -404,7 +408,7 @@ def inner_richardson(u1, w0, system, spec, extremes, a11_factor):
     13(3), 2002).
 
     Returns (u1_new, step_count, step_sizes, converged), step sizes in the
-    L2 norm; converged is False if spec.max_inner steps did not settle C.
+    L2 norm; converged is False if _MAX_INNER steps did not settle C.
     """
     rhs = system.b1 - system.A10 @ w0
     lo = spec.bounds[0] - extremes.under
@@ -416,7 +420,7 @@ def inner_richardson(u1, w0, system, spec, extremes, a11_factor):
     u = np.asarray(u1, dtype=float)
     c = clamp_values(u)
     increments = []
-    for _ in range(spec.max_inner):
+    for _ in range(_MAX_INNER):
         free = np.isnan(c)
         clamped = ~free
         if np.any(system.S1[clamped] <= 0.0):
@@ -475,7 +479,7 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     u0 = a00.solve(system.b0 - system.A10.T @ u1, a00.free)
 
     trace = SolveTrace(stop_reason="max_outer")
-    for _ in range(spec.max_outer):
+    for _ in range(_MAX_OUTER):
         extremes = patch_extremes(mesh, u0, system.dofs)
         slack = feasibility_check(extremes, spec.bounds)
         factorizations, cg_steps = a11.count, a11.cg_steps

@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 
 from egbp.cli import (
+    _STUDIES,
     StudyConfig,
     _check_condition,
-    _check_custom,
     _check_layer,
     _check_smooth,
-    run_condition,
-    run_custom,
-    run_layer,
-    run_smooth,
+    run_study,
 )
 
 import test_properties as props
@@ -58,7 +55,7 @@ def smooth_runs():
     for tol_n in (1e-9, 1e-6, 1e-3):
         t0 = time.perf_counter()
         config = StudyConfig(experiment="smooth") if tol_n == 1e-9 else _config_at_tol_inner(tol_n)
-        report = run_smooth(config)
+        report = run_study(config)
         out[tol_n] = (report, time.perf_counter() - t0)
     return out
 
@@ -67,7 +64,7 @@ def smooth_runs():
 def beta_runs():
     out = {}
     for beta in (2, 3, 4):
-        out[beta] = run_smooth(
+        out[beta] = run_study(
             StudyConfig(experiment="smooth", epsilon=1e-3, beta=beta)
         )
     return out
@@ -75,18 +72,18 @@ def beta_runs():
 
 @pytest.fixture(scope="module")
 def layer_run():
-    return run_layer(StudyConfig(experiment="layer"))
+    return run_study(StudyConfig(experiment="layer"))
 
 
 @pytest.fixture(scope="module")
 def custom_run():
-    return run_custom(StudyConfig(experiment="custom"))
+    return run_study(StudyConfig(experiment="custom"))
 
 
 @pytest.fixture(scope="module")
 def condition_run():
     t0 = time.perf_counter()
-    report = run_condition(StudyConfig(experiment="condition"))
+    report = run_study(StudyConfig(experiment="condition"))
     return report, time.perf_counter() - t0
 
 
@@ -250,4 +247,4 @@ def test_default_studies_pass_their_own_check(smooth_runs, layer_run, condition_
     assert _check_smooth(smooth_runs[1e-9][0]) == []
     assert _check_layer(layer_run) == []
     assert _check_condition(condition_run[0]) == []
-    assert _check_custom(custom_run) == []
+    assert _STUDIES["custom"][1](custom_run) == []

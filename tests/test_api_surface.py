@@ -14,7 +14,11 @@ attribute of something else, such as ``copy``, passes unnoticed.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from egbp.assembly import ProblemSpec
+from egbp.cli import StudyConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "egbp"
@@ -124,3 +128,39 @@ def test_every_parameter_is_read():
     ]
     assert sorted(set(unread) - UNREAD_PARAMETERS_ALLOWED) == []
     assert set(unread) >= UNREAD_PARAMETERS_ALLOWED, "stale allowlist entries"
+
+
+# Settings that perfbench sets and no solve reads (see ProblemSpec).
+UNREAD_FIELDS_ALLOWED = {"ProblemSpec.omega", "ProblemSpec.tol_inner"}
+
+
+def _attribute_reads(tree):
+    """Names read as an attribute (x.name) in tree, outside any __post_init__."""
+    validation = {
+        id(n)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+        for n in ast.walk(node)
+    }
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and id(node) not in validation
+    }
+
+
+def test_every_setting_is_read():
+    # a setting that only its validation reads changes nothing
+    reads = set()
+    for path, tree in _trees().items():
+        if path.parent == PACKAGE:
+            reads |= _attribute_reads(tree)
+    unread = {
+        "%s.%s" % (cls.__name__, f.name)
+        for cls in (ProblemSpec, StudyConfig)
+        for f in fields(cls)
+        if f.name not in reads
+    }
+    assert sorted(unread - UNREAD_FIELDS_ALLOWED) == []
+    assert unread >= UNREAD_FIELDS_ALLOWED, "stale allowlist entries"

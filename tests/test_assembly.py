@@ -190,12 +190,12 @@ def test_non_vectorized_source_fails_loudly():
         dict(tol_outer=-1.0),
         dict(tol_outer=np.nan),
         dict(tol_outer=np.inf),
-        dict(max_inner=0),
-        dict(max_outer=0),
-        dict(max_inner=2.5),
-        dict(max_outer=3.5),
-        dict(max_inner=np.inf),
-        dict(max_outer=np.nan),
+        dict(beta=2.5),
+        dict(epsilon=-1.0),
+        dict(mu=0.0),
+        dict(omega=np.nan),
+        dict(bounds=(np.nan, 1.0)),
+        dict(bounds=(0.0, np.nan)),
         dict(beta=np.inf),
         dict(beta=np.nan),
     ],
@@ -206,9 +206,9 @@ def test_spec_validation(kw):
 
 
 def test_spec_coerces_integral_counts_to_int():
-    spec = make_spec(beta=2.0, max_inner=3.0, max_outer=np.float64(4.0))
-    assert (spec.beta, spec.max_inner, spec.max_outer) == (2, 3, 4)
-    assert all(type(v) is int for v in (spec.beta, spec.max_inner, spec.max_outer))
+    for beta in (2.0, np.float64(4.0)):
+        spec = make_spec(beta=beta)
+        assert spec.beta == beta and type(spec.beta) is int
 
 
 def _levels(mesh, n):

@@ -7,21 +7,20 @@ import pytest
 import egbp.cli
 from egbp.assembly import ProblemSpec, assemble_system
 from egbp.cli import (
+    _STUDIES,
     CONDITION_HEADER,
     CSV_HEADER,
     STANDARD_HEADER,
     StudyConfig,
     StudyReport,
     _add_eoc,
-    _check_custom,
     _check_layer,
     apply_experiment_defaults,
     emit_tables,
     layer_source,
     load_config,
     main,
-    run_condition,
-    run_custom,
+    run_study,
     smooth_exact,
 )
 from oracles import parse_report_csv
@@ -217,11 +216,11 @@ def _layer_config_from_main(monkeypatch, tmp_path, argv):
     """Filled config that ``main`` hands to the layer study, without solving."""
     seen = []
 
-    def fake_run_layer(config):
-        seen.append(apply_experiment_defaults(config))
-        return StudyReport(config=seen[-1])
+    def fake_layer(config):
+        seen.append(config)
+        return StudyReport(config=config)
 
-    monkeypatch.setattr(egbp.cli, "run_layer", fake_run_layer)
+    monkeypatch.setitem(_STUDIES, "layer", (fake_layer,) + _STUDIES["layer"][1:])
     assert main(["layer", "--out", str(tmp_path)] + argv) == 0
     return seen[0]
 
@@ -269,7 +268,7 @@ def test_layer_source_values():
 
 def test_run_custom_small():
     config = StudyConfig(experiment="custom", levels=2, nx=4, ny=4, epsilon=1e-3)
-    report = run_custom(config)
+    report = run_study(config)
     assert list(report.tables) == ["custom"]
     rows = report.tables["custom"][1]
     assert len(rows) == 2
@@ -279,6 +278,26 @@ def test_run_custom_small():
     for row in rows:
         assert row["min_val"] >= -1e-10
         assert row["max_val"] <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize(
+    "experiment, defaults, tables",
+    [
+        ("smooth", dict(x0=-1.0, nx=8, ny=4, epsilon=1e-5), ["smooth"]),
+        ("layer", dict(x0=0.0, nx=12, ny=12, epsilon=1e-7), ["layer", "layer_standard"]),
+        ("condition", dict(x0=0.0, nx=2, ny=2, epsilon=1.0), ["condition"]),
+        ("custom", dict(x0=0.0, nx=8, ny=4, epsilon=1e-5), ["custom"]),
+    ],
+)
+def test_run_study_runs_the_configured_experiment(experiment, defaults, tables):
+    # the config's experiment picks the defaults and the study, so the
+    # report echoes it and holds that study's tables on that study's mesh
+    report = run_study(StudyConfig(experiment=experiment, levels=1))
+    assert report.config.experiment == experiment
+    assert {k: getattr(report.config, k) for k in defaults} == defaults
+    assert list(report.tables) == tables
+    elements = 2 * defaults["nx"] * defaults["ny"]
+    assert all(row["elements"] == elements for name in tables for row in report.tables[name][1])
 
 
 def test_run_condition_small(tmp_path, monkeypatch):
@@ -294,7 +313,7 @@ def test_run_condition_small(tmp_path, monkeypatch):
 
     monkeypatch.setattr(egbp.cli, "condition_number", counting)
     config = StudyConfig(experiment="condition", levels=2)
-    report = run_condition(config)
+    report = run_study(config)
     columns, rows = report.tables["condition"]
     assert columns == CONDITION_HEADER
     assert [(r["beta"], r["elements"]) for r in rows] == [
@@ -366,7 +385,7 @@ def test_bound_checks_read_the_configured_bounds():
     )
     expected = ["bound-preserving range [1.000e-01, 7.000e-01] violates [0, 0.5]"]
     assert _check_layer(report) == expected
-    assert _check_custom(report) == expected
+    assert _STUDIES["custom"][1](report) == expected
     # the comparator's undershoot is measured against a, not against 0
     report.config = StudyConfig(bound_a=0.2, bound_b=1.0)
     report.tables["layer"] = (CSV_HEADER, [dict(min_val=0.2, max_val=0.7)])
@@ -456,8 +475,9 @@ def test_levels_below_one_rejected(tmp_path, capsys, levels):
         (["condition"], "bound_b = 1\n", "bound_b cannot be set"),
         (["condition", "--tol-outer", "1e-3"], None, "tol_outer cannot be set"),
         (["condition"], "tol_outer = 1e-12\n", "tol_outer cannot be set"),
-        (["condition"], "max_inner = 500\n", "max_inner cannot be set"),
-        (["condition"], "max_outer = 200\n", "max_outer cannot be set"),
+        # the solver's iteration limits are constants, not settings
+        (["condition"], "max_inner = 500\n", "unknown key"),
+        (["condition"], "max_outer = 200\n", "unknown key"),
         (["condition", "--emit-fields"], None, "emit_fields cannot be set"),
         (["condition"], "emit_fields = false\n", "emit_fields cannot be set"),
         (
@@ -503,7 +523,7 @@ def test_solve_error_propagates(monkeypatch, tmp_path):
     def failing_run(config):
         raise ValueError("failure inside the solve")
 
-    monkeypatch.setattr(egbp.cli, "run_custom", failing_run)
+    monkeypatch.setitem(_STUDIES, "custom", (failing_run,) + _STUDIES["custom"][1:])
     with pytest.raises(ValueError, match="failure inside the solve"):
         main(["custom", "--out", str(tmp_path)])
 

@@ -57,6 +57,21 @@ def test_invalid_arguments():
         build_structured(2, 2, (0.0, 0.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("nx, ny", [(2.5, 2), (2, np.nan), (np.inf, 2)])
+def test_non_integral_counts_rejected(nx, ny):
+    # named in the error, not reported later as a degenerate mesh
+    with pytest.raises(ValueError, match=r"subdivision counts must be integers, got \(%s, %s\)" % (nx, ny)):
+        build_structured(nx, ny)
+
+
+def test_integral_float_counts_build_the_integer_mesh():
+    mesh = build_structured(3.0, np.float64(2.0))
+    expected = build_structured(3, 2)
+    assert (mesh.num_elements, mesh.num_vertices) == (12, 12)
+    assert np.array_equal(mesh.vertices, expected.vertices)
+    assert np.array_equal(mesh.triangles, expected.triangles)
+
+
 def test_refine_counts_and_h():
     mesh = build_structured(1, 1)
     fine = refine_uniform(mesh)

@@ -166,7 +166,7 @@ def test_standard_eg_raises_on_indefinite_schur_complement():
 
 def test_standard_eg_raises_when_the_monolithic_residual_misses(monkeypatch):
     # a Schur solve that returns half of S^{-1} g halves the monolithic
-    # residual per refinement sweep: four sweeps cannot reach 1e-12
+    # residual per refinement sweep: four sweeps cannot reach 1e-13
     mesh = build_structured(8, 8)
     spec = make_spec(epsilon=1e-3, beta=1, alpha=0.0, f=lambda x, y: 1.0 + 0.0 * x)
     pcg = egbp.solver._pcg
@@ -176,7 +176,7 @@ def test_standard_eg_raises_when_the_monolithic_residual_misses(monkeypatch):
         return 0.5 * x, steps
 
     monkeypatch.setattr(egbp.solver, "_pcg", half_pcg)
-    with pytest.raises(SolverError, match="standard EG system missed backward error 1.0e-12"):
+    with pytest.raises(SolverError, match="standard EG system missed backward error 1.0e-13"):
         solve_standard_eg(mesh, spec)
 
 
@@ -646,20 +646,19 @@ def test_solver_deterministic():
     "limits,reason",
     [
         ({}, "converged"),
-        ({"max_inner": 1}, "inner_stalled"),
-        ({"max_outer": 1}, "max_outer"),
+        ({"_MAX_INNER": 1}, "inner_stalled"),
+        ({"_MAX_OUTER": 1}, "max_outer"),
     ],
 )
-def test_stop_reason(limits, reason):
+def test_stop_reason(monkeypatch, limits, reason):
+    for name, value in limits.items():
+        monkeypatch.setattr(egbp.solver, name, value)
     if reason == "inner_stalled":
         # the first Newton step from the decoupled sweep changes the clamped set
         mesh, spec = _many_clamped_problem()
-        spec = replace(spec, **limits)
     else:
         mesh = build_structured(4, 4)
-        spec = make_spec(
-            epsilon=1e-3, f=lambda x, y: 1.0 + 0.0 * x, bounds=(0.0, 0.4), **limits
-        )
+        spec = make_spec(epsilon=1e-3, f=lambda x, y: 1.0 + 0.0 * x, bounds=(0.0, 0.4))
     trace = solve_bound_preserving(mesh, spec).trace
     assert trace.stop_reason == reason
     assert trace.converged == (reason == "converged")
