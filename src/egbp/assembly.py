@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .fespace import DofMap, _eval_field, dirichlet_lift
 
-__all__ = ["ProblemSpec", "BlockSystem", "assemble_s", "assemble_system"]
+__all__ = ["ProblemSpec", "BlockSystem", "assemble_s", "assemble_system", "penalty_stiffness"]
 
 # Degree-4 triangle rule (6 points) in barycentric coordinates.
 _W1, _A1, _B1 = 0.223381589678011, 0.108103018168070, 0.445948490915965
@@ -154,9 +154,10 @@ def _form_values(mesh, spec):
     # P1 block: volume terms (entry (k, k + 1) on the facet of local edge
     # k), and on a boundary edge (a, b) the penalty on the trace and the
     # consistency term of its owner's three vertices against a and b.
-    diag = eps * area * (gx * gx + gy * gy) + mu * area / 6.0
+    diag, off = _stiffness(gx, gy, eps * area)
+    diag += mu * area / 6.0
     diag += pen / 3.0 + yb[:, 0] + np.roll(pen / 3.0 + yb[:, 1], 1, axis=0)
-    off = eps * area * (gx * gx[[1, 2, 0]] + gy * gy[[1, 2, 0]]) + mu * area / 12.0
+    off += mu * area / 12.0
     off += pen / 6.0 + 0.5 * (yb[:, 0] + yb[:, 1])
     off += 0.5 * (np.roll(yb[:, 2], 1, axis=0) + np.roll(yb[:, 2], -1, axis=0))
 
@@ -173,6 +174,25 @@ def _form_values(mesh, spec):
         np.concatenate((tri, across)).T,
         np.concatenate((own, -q[2])).T,
     )
+
+
+def _stiffness(gx, gy, wa):
+    """(diag, off), each (3, nt): w_T |T| grad phi_k . grad phi_j, with wa =
+    w_T |T| for the element weight w_T and gx, gy (3, nt) the components of
+    grad phi_k, at j = k for local vertex k and j = k + 1 for local edge k."""
+    return wa * (gx * gx + gy * gy), wa * (gx * gx[[1, 2, 0]] + gy * gy[[1, 2, 0]])
+
+
+def penalty_stiffness(mesh, spec, dofs):
+    """K_gamma, the P1 stiffness on the dofs' vertices with element weight
+    w_T = gamma (eps + mu h_T^2) h_T^(1 - beta) / 2: constants sampling a P1
+    v jump by about h_T |grad v|, so this is the jump penalty's own scale."""
+    h = mesh.h_elem
+    w = spec.gamma * (spec.epsilon + spec.mu * h**2) * h ** (1 - spec.beta) / 2.0
+    diag, off = _stiffness(mesh.grads[..., 0].T, mesh.grads[..., 1].T, w * mesh.area)
+    d = np.bincount(mesh.triangles.T.ravel(), diag.ravel(), minlength=mesh.num_vertices)
+    o = np.bincount(mesh.element_facets.T.ravel(), off.ravel(), minlength=mesh.num_facets)
+    return _vertex_csr(mesh, dofs, (d, o))[0]
 
 
 def _p1_mass_values(mesh):

@@ -194,6 +194,25 @@ def dense_bilinear_oracle(mesh, spec):
     return A
 
 
+def penalty_stiffness_oracle(mesh, spec, interior_vertex_ids):
+    """Dense K_gamma on the interior vertices, element by element.
+
+    Each element adds w_T |T| grad phi_a . grad phi_b with w_T =
+    gamma (eps + mu h_T^2) h_T^(1 - beta) / 2, h_T its longest edge.
+    """
+    K = np.zeros((mesh.num_vertices, mesh.num_vertices))
+    for T in range(mesh.num_elements):
+        tri = mesh.triangles[T]
+        pts = mesh.vertices[tri]
+        area, grads = _tri_area_grads(pts)
+        h = max(np.linalg.norm(pts[k] - pts[(k + 1) % 3]) for k in range(3))
+        w = spec.gamma * (spec.epsilon + spec.mu * h**2) * h ** (1 - spec.beta) / 2.0
+        for a in range(3):
+            for b in range(3):
+                K[tri[a], tri[b]] += w * area * (grads[a] @ grads[b])
+    return K[np.ix_(interior_vertex_ids, interior_vertex_ids)]
+
+
 def restrict_oracle(mesh, A_full, interior_vertex_ids):
     """Extract the solver-ordered block matrix (interior P1 dofs, constants)."""
     nv = mesh.num_vertices

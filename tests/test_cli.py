@@ -528,9 +528,24 @@ def test_solve_error_propagates(monkeypatch, tmp_path):
         main(["custom", "--out", str(tmp_path)])
 
 
+# Fewest levels whose rates leave out the pre-asymptotic coarsest mesh.
+_MIN_CHECK_LEVELS = {"smooth": 3, "condition": 4}
+
+
 @pytest.mark.parametrize("experiment", ["smooth", "condition"])
 def test_condition_check_on_one_level_fails(tmp_path, capsys, experiment):
     # the EOCs and the kappa(A) rate need two levels; no NaN rate is reported
     assert main([experiment, "--levels", "1", "--check", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err == "CHECK FAILED: %s rates need at least 2 levels, got 1\n" % experiment
+    assert err == "CHECK FAILED: %s rates need at least %d levels, got 1\n" % (experiment, _MIN_CHECK_LEVELS[experiment])
+
+
+@pytest.mark.parametrize("experiment", ["smooth", "condition"])
+def test_rate_checks_pass_from_their_level_minimum(tmp_path, capsys, experiment):
+    # one level fewer names the minimum; at the minimum a working program
+    # passes (with the 8-element mesh in it, the kappa(A11) fit at 4 levels is 2.20)
+    n = _MIN_CHECK_LEVELS[experiment]
+    assert main([experiment, "--levels", str(n - 1), "--check", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "CHECK FAILED: %s rates need at least %d levels, got %d\n" % (experiment, n, n - 1)
+    assert main([experiment, "--levels", str(n), "--check", "--out", str(tmp_path)]) == 0

@@ -26,6 +26,7 @@ from egbp.solver import (
 from oracles import (
     apply_Q,
     element_vertex_values,
+    penalty_stiffness_oracle,
     record_cli_solves,
     richardson_step1_oracle,
     solve_spd,
@@ -134,20 +135,23 @@ def _sheared(mesh):
 
 
 @pytest.mark.parametrize(
-    "mesh, gamma",
+    "mesh, gamma, beta",
     [
-        (refine_uniform(build_structured(8, 8)), 10.0),
-        (_sheared(refine_uniform(build_structured(8, 8))), 10.0),
-        (build_structured(2, 300), 10.0),  # cells 150:1
-        (refine_uniform(build_structured(8, 8)), 3.0),
+        (refine_uniform(build_structured(8, 8)), 10.0, 1),
+        (_sheared(refine_uniform(build_structured(8, 8))), 10.0, 1),
+        (build_structured(2, 300), 10.0, 1),  # cells 150:1
+        (refine_uniform(build_structured(8, 8)), 3.0, 1),
+        (refine_uniform(build_structured(8, 8)), 10.0, 2),
+        (refine_uniform(build_structured(8, 8)), 10.0, 4),
     ],
-    ids=["structured", "sheared", "stretched", "gamma3"],
+    ids=["structured", "sheared", "stretched", "gamma3", "beta2", "beta4"],
 )
-def test_standard_eg_matches_direct_solve(mesh, gamma):
+def test_standard_eg_matches_direct_solve(mesh, gamma, beta):
     # the Schur-complement CG agrees with a sparse direct solve of the
-    # monolithic system, including a nonzero boundary lift
+    # monolithic system, including a nonzero boundary lift; beta moves
+    # K_gamma's weight by h^(1 - beta)
     g = lambda x, y: 0.5 + 0.25 * x - 0.5 * y
-    spec = make_spec(epsilon=1e-3, gamma=gamma, beta=1, alpha=0.0, f=layer_source, u_D=g, bounds=(-10.0, 10.0))
+    spec = make_spec(epsilon=1e-3, gamma=gamma, beta=beta, alpha=0.0, f=layer_source, u_D=g, bounds=(-10.0, 10.0))
     system = assemble_system(mesh, spec)
     ref = spla.spsolve(system.full_matrix().tocsc(), np.concatenate([system.b1, system.b0]))
     u = solve_standard_eg(mesh, spec, system=system)
@@ -183,9 +187,10 @@ def test_standard_eg_raises_when_the_monolithic_residual_misses(monkeypatch):
 def test_standard_eg_raises_at_the_iteration_cap():
     # A11 = I, A00 = I and A10 = [diag(sqrt(1 - lam)), 0] make S = diag(lam)
     # with Strakos's eigenvalues (Linear Algebra Appl. 154-156, 1991), on
-    # which CG in floating point needs about 160 steps for n = 49
+    # which CG in floating point needs about 160 steps for n = 49; at
+    # gamma = 1e12, K_gamma^{-1} is below 1e-9 and the preconditioner is I
     mesh = build_structured(8, 8)
-    spec = make_spec(epsilon=1e-3, beta=1, alpha=0.0, f=lambda x, y: 1.0 + 0.0 * x)
+    spec = make_spec(epsilon=1e-3, gamma=1e12, beta=1, alpha=0.0, f=lambda x, y: 1.0 + 0.0 * x)
     system = assemble_system(mesh, spec)
     n1, n0 = system.A10.shape
     i = np.arange(n1)
@@ -432,7 +437,8 @@ def test_smooth_solve_factors_A11_once(monkeypatch):
 
 def test_standard_eg_factors_only_A11_and_A00(monkeypatch):
     # the comparator factors A11 and A00, each once in its nested-dissection
-    # order, and never builds the monolithic matrix
+    # order, and K_gamma once in A11's order, and never builds the
+    # monolithic matrix
     mesh, spec = _layer_problem(refinements=2)
     spec = replace(spec, beta=1, alpha=0.0)
     system = assemble_system(mesh, spec)
@@ -455,14 +461,41 @@ def test_standard_eg_factors_only_A11_and_A00(monkeypatch):
     monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
     monkeypatch.setattr(BlockSystem, "full_matrix", monolithic)
     u = solve_standard_eg(mesh, spec, system=system)
-    assert [name for name, _ in factored] == ["A11", "A00"]
+    assert [name for name, _ in factored] == ["A11", "A00", "K_gamma"]
     p1, p0 = orders
     assert _same_matrix(factored[0][1], system.A11[p1][:, p1])
     assert _same_matrix(factored[1][1], system.A00[p0][:, p0])
+    K = penalty_stiffness_oracle(mesh, spec, system.dofs.interior_vertex_ids)[np.ix_(p1, p1)]
+    assert np.abs(factored[2][1].toarray() - K).max() <= 1e-13 * np.abs(K).max()
     x1, x0 = u.linear_coeffs[system.dofs.interior_vertex_ids], u.const_coeffs
     r1 = system.A11 @ x1 + system.A10 @ x0 - system.b1
     r0 = system.A10.T @ x1 + system.A00 @ x0 - system.b0
     assert np.abs(np.concatenate([r1, r0])).max() <= 1e-10 * np.abs(system.b0).max()
+
+
+def _comparator_cg_steps(monkeypatch, refinements, gamma):
+    """CG steps of the standard solve of the layer problem (beta = 1, alpha = 0)."""
+    mesh, spec = _layer_problem(refinements)
+    spec = replace(spec, gamma=gamma, beta=1, alpha=0.0)
+    steps, pcg = [], egbp.solver._pcg
+
+    def counting_pcg(*args):
+        x, n = pcg(*args)
+        steps.append(n)
+        return x, n
+
+    monkeypatch.setattr(egbp.solver, "_pcg", counting_pcg)
+    solve_standard_eg(mesh, spec)
+    return mesh.num_elements, sum(steps)
+
+
+def test_standard_eg_cg_steps_do_not_grow_with_refinement(monkeypatch):
+    # A11^{-1} + K_gamma^{-1} preconditions the Schur CG uniformly in h: A11
+    # alone took 26 and 46 steps at gamma = 10, and 95 at gamma = 2
+    (n_coarse, coarse), (n_fine, fine) = (_comparator_cg_steps(monkeypatch, k, 10.0) for k in (2, 3))
+    assert (n_coarse, coarse, n_fine, fine) == (4608, 14, 18432, 17)
+    assert fine - coarse <= 5
+    assert _comparator_cg_steps(monkeypatch, 3, 2.0) == (18432, 18)
 
 
 def _step1_case(name):
@@ -844,7 +877,8 @@ def test_dissection_fill_below_colamd(monkeypatch, shuffled):
     solve_bound_preserving(mesh, spec, dofs, system)
     solve_standard_eg(mesh, spec, dofs, system)
     pinned = _DISSECTION_FILL[shuffled]
-    assert sorted(fills) == sorted([*pinned.items()] * 2)
+    # K_gamma has A11's pattern and order, so A11's fill
+    assert sorted(fills) == sorted([*pinned.items()] * 2 + [("K_gamma", pinned["A11"])])
     assert pinned["A11"] < spla.splu(sp.csc_matrix(system.A11)).nnz
     assert pinned["A00"] < spla.splu(sp.csc_matrix(system.A00)).nnz
 
