@@ -7,8 +7,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import TRI_QP, TRI_QW
 from .fespace import _eval_field
+from .mesh import TRI_QP, TRI_QW
 
 __all__ = [
     "error_l2",
@@ -24,7 +24,7 @@ __all__ = [
 
 def error_l2(mesh, u_exact, uh):
     """L2 error by element-wise degree-4 quadrature (constants included)."""
-    x = TRI_QP @ mesh.vertices[mesh.triangles]
+    x = mesh.quad_points
     vals = uh.linear_coeffs[mesh.triangles] @ TRI_QP.T + uh.const_coeffs[:, None]
     ue = _eval_field(u_exact, x[..., 0], x[..., 1])
     return float(np.sqrt(np.sum(TRI_QW * mesh.area[:, None] * (ue - vals) ** 2)))
@@ -37,7 +37,7 @@ def error_h1_linear(mesh, grad_exact, uh):
     part of uh has zero gradient and does not contribute.
     """
     gh = np.einsum("tk,tkd->td", uh.linear_coeffs[mesh.triangles], mesh.grads)
-    x = TRI_QP @ mesh.vertices[mesh.triangles]
+    x = mesh.quad_points
     gx, gy = grad_exact(x[..., 0], x[..., 1])
     w = TRI_QW * mesh.area[:, None]
     err2 = np.sum(w * ((gx - gh[:, None, 0]) ** 2 + (gy - gh[:, None, 1]) ** 2))

@@ -20,23 +20,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fespace import DofMap, _eval_field, dirichlet_lift
+from .mesh import TRI_QP, TRI_QW
 
 __all__ = ["ProblemSpec", "BlockSystem", "assemble_s", "assemble_system", "penalty_stiffness"]
 
-# Degree-4 triangle rule (6 points) in barycentric coordinates.
-_W1, _A1, _B1 = 0.223381589678011, 0.108103018168070, 0.445948490915965
-_W2, _A2, _B2 = 0.109951743655322, 0.816847572980459, 0.091576213509771
-TRI_QW = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
-TRI_QP = np.array(
-    [
-        [_A1, _B1, _B1],
-        [_B1, _A1, _B1],
-        [_B1, _B1, _A1],
-        [_A2, _B2, _B2],
-        [_B2, _A2, _B2],
-        [_B2, _B2, _A2],
-    ]
-)
 
 @dataclass
 class ProblemSpec:
@@ -265,7 +252,7 @@ def _f_on_elements(mesh, spec):
         f0 = area * _eval_field(spec.f, cen[:, 0], cen[:, 1])
         fv = np.bincount(tri.ravel(), np.repeat(f0 / 3.0, 3), minlength=nv)
     else:
-        x = TRI_QP @ mesh.vertices[tri]  # (nt, nq, 2)
+        x = mesh.quad_points
         wf = TRI_QW * area[:, None] * _eval_field(spec.f, x[..., 0], x[..., 1])
         fv = np.bincount(tri.ravel(), (wf @ TRI_QP).ravel(), minlength=nv)
         f0 = wf.sum(axis=1)

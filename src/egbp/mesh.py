@@ -1,7 +1,8 @@
 """Conforming triangulations of axis-aligned rectangles.
 
 Meshes are immutable after construction and carry their element geometry
-(areas, barycentric gradients, centroids), computed once per mesh.  Every
+(areas, barycentric gradients, centroids), computed once per mesh, and the
+points of the degree-4 triangle rule, computed once on first use.  Every
 facet stores a fixed owner ("left") element together with the unit normal
 pointing out of that owner; all jump and average formulas elsewhere in the
 package are expressed relative to this owner, which removes any sign
@@ -11,10 +12,26 @@ ambiguity from assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 __all__ = ["Mesh", "build_structured", "refine_uniform"]
+
+# Degree-4 triangle rule (6 points) in barycentric coordinates.
+_W1, _A1, _B1 = 0.223381589678011, 0.108103018168070, 0.445948490915965
+_W2, _A2, _B2 = 0.109951743655322, 0.816847572980459, 0.091576213509771
+TRI_QW = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
+TRI_QP = np.array(
+    [
+        [_A1, _B1, _B1],
+        [_B1, _A1, _B1],
+        [_B1, _B1, _A1],
+        [_A2, _B2, _B2],
+        [_B2, _A2, _B2],
+        [_B2, _B2, _A2],
+    ]
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,6 +59,8 @@ class Mesh:
     grads : (nt, 3, 2) gradient of the barycentric coordinate of each
         element's local vertex k, constant on the element.
     centroid : (nt, 2) element centroids.
+    quad_points : (nt, 6, 2) points of the degree-4 rule TRI_QP on each
+        element, computed on first use.
 
     Facets are numbered in ascending order of their sorted endpoint pair.
     """
@@ -63,6 +82,10 @@ class Mesh:
     grads: np.ndarray = field(repr=False)
     centroid: np.ndarray = field(repr=False)
     h: float = 0.0
+
+    @cached_property
+    def quad_points(self):
+        return _freeze(TRI_QP @ self.vertices[self.triangles])
 
     @property
     def num_vertices(self):

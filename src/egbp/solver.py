@@ -8,10 +8,14 @@ conditioning is independent of the penalty exponent) and a direct solve
 with the constant-part matrix A00 = mu*M0 + penalty jump coupling.  The
 Newton solve stops at its first step that leaves the clamped set
 unchanged, since that step solved Step 1 exactly; it has no tolerance.
-The factor of the full A11 lives for the whole solve: a few clamped nodes
-are handled by CG preconditioned with it, many by factoring the submatrix.
-Every matrix is factored in the nested-dissection order of its unknowns'
-mesh positions: interior vertices for A11, element centroids for A00.
+Where A11 is a perturbed mass matrix (eps small against mu h^2), every
+Step-1 solve is CG preconditioned by the diagonal of A11, and A11 is never
+factored; an a-priori bound on the condition number picks that path (see
+_jacobi_pays).  Otherwise the factor of the full A11 lives for the whole
+solve: a few clamped nodes are handled by CG preconditioned with it, many
+by factoring the submatrix.  Every matrix is factored in the
+nested-dissection order of its unknowns' mesh positions: interior
+vertices for A11, element centroids for A00.
 """
 
 from __future__ import annotations
@@ -51,15 +55,21 @@ class SolveTrace:
     increment below tol_outer), "inner_stalled" (a Step-1 Newton loop used
     up _MAX_INNER steps before its clamped set settled) or "max_outer"
     (_MAX_OUTER sweeps).
+    ``a11_path`` is "jacobi" if Step 1 solved by Jacobi-preconditioned CG
+    with no A11 factor, "factor" if it used the factor of A11, and
+    ``kappa_bound`` the bound on the condition number of diag(A11)^{-1} A11
+    that chose the path (see _jacobi_pays).
     Per outer sweep it records the Newton step sizes, the clamped-node
     count of the last Newton step, the worst feasibility slack
     min_i (b - over_i) - (a - under_i), the number of A11-class
-    factorizations the sweep made and its CG steps (see OrderedFactor).
+    factorizations the sweep made and its CG steps, Jacobi or
+    factor-preconditioned (see OrderedFactor).
     ``fill_nnz`` is the stored L and U entries summed over every
-    factorization of the solve, those of A00 and of the A11 class, and
-    ``triangular_solves`` the right-hand sides passed to their triangular
-    solves.  ``outer_iters``, ``converged``, ``inner_iters_per_outer``,
-    ``feasible_per_outer`` and ``feasibility_violations`` are read off them.
+    factorization of the solve, those of A00 and of the A11 class (none on
+    the Jacobi path), and ``triangular_solves`` the right-hand sides passed
+    to their triangular solves.  ``outer_iters``, ``converged``,
+    ``inner_iters_per_outer``, ``feasible_per_outer`` and
+    ``feasibility_violations`` are read off them.
     ``polish_outer_iters`` is always 0: the solve has no sweeps after
     convergence; the field stays because the benchmark records read it.
     """
@@ -75,6 +85,8 @@ class SolveTrace:
     triangular_solves: int = 0
     polish_outer_iters: int = 0
     stop_reason: str = ""
+    a11_path: str = ""
+    kappa_bound: float = np.nan
 
     @property
     def outer_iters(self):
@@ -195,7 +207,7 @@ class SpdFactor:
             self.lu = spla.splu(self.A, permc_spec="NATURAL")
         except RuntimeError as exc:
             raise SolverError("factorization of %s failed: %s" % (name, exc)) from exc
-        self.norm = float(np.asarray(abs(self.A).sum(axis=1)).max(initial=0.0))  # ||A||_inf
+        self.norm = _inf_norm(self.A)
         self.solves = 0
 
     def lu_solve(self, b):
@@ -206,6 +218,10 @@ class SpdFactor:
     def solve(self, b):
         """A^{-1} b to normwise backward error _SOLVE_TOL; SolverError if refinement misses it."""
         return _refine(b, self.lu_solve, lambda x: self.A @ x, self.name, self.norm)
+
+
+def _inf_norm(A):
+    return float(np.asarray(abs(A).sum(axis=1)).max(initial=0.0))
 
 
 def _refine(b, approx_solve, matvec, name, a_norm):
@@ -285,8 +301,33 @@ def _pcg(matvec, precond, g, a_norm, name):
     return x, steps
 
 
+def _kappa_bound(A, mass_diag):
+    """Bound on the condition number of D_I^{-1} A[I, I], D = diag(A), for every I.
+
+    For A = R + M, R positive semidefinite and M the P1 mass matrix times mu
+    with diagonal ``mass_diag`` (A11 = eps K + mu M1 on the interior
+    vertices), Gershgorin bounds the largest eigenvalue by G = max_i
+    sum_j |a_ij| / a_ii, and x^T A x >= x^T M x >= 1/2 x^T diag(M) x (an
+    element mass matrix scaled by its diagonal has the eigenvalues 1/2, 1/2
+    and 2: Wathen, IMA J. Numer. Anal. 7(4), 1987) bounds the smallest by
+    1/2 min_i m_ii / a_ii.  Both bounds hold for every principal submatrix.
+    """
+    d = A.diagonal()
+    if d.size == 0:
+        return 1.0
+    g = (np.asarray(abs(A).sum(axis=1)).ravel() / d).max()
+    return float(g / (0.5 * (mass_diag / d).min()))
+
+
+def _jacobi_pays(kappa, step_cost, factor_cost):
+    """True if CG's step bound 1/2 sqrt(kappa) ln(2 / _CG_TOL) times the cost
+    of a step is at most the cost of a factor (the bound from ||e_k||_A <=
+    2 ((sqrt(kappa) - 1) / (sqrt(kappa) + 1))^k ||e_0||_A; Saad 2003, 6.11)."""
+    return 0.5 * np.sqrt(kappa) * np.log(2.0 / _CG_TOL) * step_cost <= factor_cost
+
+
 def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
-    """Solve of the (non-preserving) EG scheme with factors of A11, A00 and K_gamma.
+    """Solve of the (non-preserving) EG scheme with factors of A00, K_gamma and, unless mass-dominated, A11.
 
     CG on the Schur complement S = A11 - A10 A00^{-1} A10^T (Benzi, Golub &
     Liesen, Acta Numerica 14, 2005) gives u1, then u0 = A00^{-1} (b0 - A10^T
@@ -296,29 +337,42 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     Mardal & Winther, Numer. Linear Algebra Appl. 18(1), 2011): S acts like
     A11 on oscillatory modes and like the penalty's stiffness K_gamma (see
     penalty_stiffness, factored in A11's order) on smooth ones, so the step
-    count barely grows with refinement.  Returns the full discrete solution
-    including the Dirichlet lift.
+    count barely grows with refinement.  Where A11 is mass-dominated,
+    diag(A11)^{-1} stands in for A11^{-1} and A11 is not factored; the Schur
+    CG then takes more steps.  _jacobi_pays charges the Jacobi step bound at
+    one K_gamma triangular solve, f = K_gamma's fill, per step, against the
+    f^2 / n1 of a factor of A11 (as OrderedFactor counts a refactorization),
+    which has K_gamma's pattern and order and so its fill.  Returns the
+    full discrete solution including the Dirichlet lift.
     """
     system = _prepare(mesh, spec, dofs, system, lift)
     n1 = system.dofs.n_interior
-    a11 = OrderedFactor(system.A11, mesh.vertices[system.dofs.interior_vertex_ids], "A11")
+    p1 = _nested_dissection(mesh.vertices[system.dofs.interior_vertex_ids], system.A11)
     a00 = OrderedFactor(system.A00, mesh.centroid, "A00")
-    k_gamma = SpdFactor(penalty_stiffness(mesh, spec, system.dofs)[a11.p][:, a11.p], name="K_gamma")
-    A10 = sp.csr_matrix(system.A10)[a11.p][:, a00.p]
+    k_gamma = SpdFactor(penalty_stiffness(mesh, spec, system.dofs)[p1][:, p1], name="K_gamma")
+    A11 = sp.csc_matrix(sp.csr_matrix(system.A11)[p1][:, p1])
+    A10 = sp.csr_matrix(system.A10)[p1][:, a00.p]
     A01 = A10.T.tocsr()
+    kappa, fill = _kappa_bound(system.A11, spec.mu * system.M1.diagonal()), k_gamma.lu.nnz
+    if _jacobi_pays(kappa, fill, fill**2 / max(n1, 1)):
+        inv_diag = 1.0 / A11.diagonal()
+        a11_inverse = lambda r: inv_diag * r
+    else:
+        a11_inverse = SpdFactor(A11, name="A11").lu_solve
 
-    schur = lambda p: a11.A @ p - A10 @ a00.full.lu_solve(A01 @ p)  # ||S||_2 <= ||A11||_inf
-    precond = lambda r: a11.full.lu_solve(r) + k_gamma.lu_solve(r)
+    schur = lambda p: A11 @ p - A10 @ a00.full.lu_solve(A01 @ p)  # ||S||_2 <= ||A11||_inf
+    precond = lambda r: a11_inverse(r) + k_gamma.lu_solve(r)
+    a11_norm = _inf_norm(A11)
 
     def approx_solve(b):
-        u1 = _pcg(schur, precond, b[:n1] - A10 @ a00.full.lu_solve(b[n1:]), a11.full.norm, "S")[0]
+        u1 = _pcg(schur, precond, b[:n1] - A10 @ a00.full.lu_solve(b[n1:]), a11_norm, "S")[0]
         return np.concatenate([u1, a00.full.lu_solve(b[n1:] - A01 @ u1)])
 
     def matvec(x, M11, M10, M01, M00):  # the monolithic matrix, in the factors' orders
         return np.concatenate([M11 @ x[:n1] + M10 @ x[n1:], M01 @ x[:n1] + M00 @ x[n1:]])
 
-    blocks = (a11.A, A10, A01, a00.A)
-    p = np.concatenate([a11.p, n1 + a00.p])
+    blocks = (A11, A10, A01, a00.A)
+    p = np.concatenate([p1, n1 + a00.p])
     norm = matvec(np.ones(p.size), *map(abs, blocks)).max()  # ||A||_inf
     b = np.concatenate([system.b1, system.b0])[p]
     x = np.empty_like(b)
@@ -329,39 +383,46 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
 class OrderedFactor:
     """Solves with the principal submatrices A[I, I] of an SPD A, I the free set.
 
-    A is held in the nested-dissection order p of its unknowns at
-    ``points``, and the factor ``full`` of all of A lives for the whole
-    solve.  While the clamped set C is small, 2 |C| n <= fill of that factor
-    (n the size of A), CG solves with A[I, I], applied as x -> (A x~)_I with
-    x~ = x padded by zeros on C, preconditioned by r -> (A^{-1} r~)_I.
-    (A^{-1})[I, I] and A[I, I]^{-1} differ by a term of rank |C|, so in exact
-    arithmetic CG takes at most |C| + 1 steps (Saad, Iterative Methods for
-    Sparse Linear Systems, 2003), each a triangular solve of about 2 fill
-    flops, against at least fill^2 / n for a refactorization.  A larger C has
-    A[I, I] factored in the order p restricted to I, a nested-dissection
-    order of its subgraph, after the previous submatrix factor is dropped.
+    With ``jacobi`` every solve is CG on A[I, I], applied as x -> (A x~)_I
+    with x~ = x padded by zeros on the clamped set C, preconditioned by
+    diag(A)_I^{-1}, and nothing is factored: _kappa_bound bounds its
+    condition number for every I at once.  Otherwise A is held in the
+    nested-dissection order p of its unknowns at ``points``, and the factor
+    ``full`` of all of A lives for the whole solve.  While C is small,
+    2 |C| n <= fill of that factor (n the size of A), CG solves with
+    A[I, I] preconditioned by r -> (A^{-1} r~)_I.  (A^{-1})[I, I] and
+    A[I, I]^{-1} differ by a term of rank |C|, so in exact arithmetic CG
+    takes at most |C| + 1 steps (Saad, Iterative Methods for Sparse Linear
+    Systems, 2003), each a triangular solve of about 2 fill flops, against
+    at least fill^2 / n for a refactorization.  A larger C has A[I, I]
+    factored in the order p restricted to I, a nested-dissection order of
+    its subgraph, after the previous submatrix factor is dropped.
     ``count`` is the factorizations, ``fill_nnz`` their stored L and U
     entries, ``cg_steps`` the CG steps and ``triangular_solves`` the
     right-hand sides of triangular solves.
     """
 
-    def __init__(self, A, points, name):
+    def __init__(self, A, points, name, jacobi=False):
         A = sp.csr_matrix(A)
-        self.p = _nested_dissection(points, A)
-        self.full = SpdFactor(A[self.p][:, self.p], name=name)
-        self.A = self.full.A
+        self.name = name
+        if jacobi:
+            self.p, self.A, self.full = np.arange(A.shape[0]), A, None
+            self.norm, self.count, self.fill_nnz = _inf_norm(A), 0, 0
+        else:
+            self.p = _nested_dissection(points, A)
+            self.full = SpdFactor(A[self.p][:, self.p], name=name)
+            self.A, self.norm = self.full.A, self.full.norm
+            self.count, self.fill_nnz = 1, int(self.full.lu.nnz)
         self.free = np.ones(self.A.shape[0], dtype=bool)
         self.order = self.p  # b[order] is b, given on the free nodes, in factor order
-        self.factor = self.full  # solves on self.free
-        self.count = 1
-        self.fill_nnz = int(self.full.lu.nnz)
+        self.factor = self.full  # solves on self.free; None: Jacobi-CG
         self.cg_steps = 0
         self.dropped_solves = 0  # by the factors already replaced
 
     @property
     def triangular_solves(self):
         current = 0 if self.factor is self.full else self.factor.solves
-        return self.dropped_solves + self.full.solves + current
+        return self.dropped_solves + (0 if self.full is None else self.full.solves) + current
 
     def solve(self, b, free):
         """A[free][:, free]^{-1} b, with b given on the free nodes."""
@@ -372,32 +433,38 @@ class OrderedFactor:
             self.factor, self.free = self.full, free
             self.order = (np.cumsum(free) - 1)[self.p[ordered_free]]
             k = int(np.count_nonzero(~free))
-            if 0 < k < free.size and 2 * k * free.size > self.full.lu.nnz:
-                self.factor = SpdFactor(self.A[ordered_free][:, ordered_free], name=self.full.name)
+            if self.full is not None and 0 < k < free.size and 2 * k * free.size > self.full.lu.nnz:
+                self.factor = SpdFactor(self.A[ordered_free][:, ordered_free], name=self.name)
                 self.count += 1
                 self.fill_nnz += int(self.factor.lu.nnz)
         if not free.any():
             return np.zeros(0)
-        cg = self.factor is self.full and not free.all()
+        cg = self.factor is None or (self.factor is self.full and not free.all())
         x = np.empty_like(b)
         x[self.order] = (self._cg_solve if cg else self.factor.solve)(b[self.order])
         return x
 
     def _cg_solve(self, b):
-        """A[I, I]^{-1} b by CG on the full factor, refined; b in factor order."""
+        """A[I, I]^{-1} b by CG, refined; b in factor order."""
         free, padded = self.free[self.p], np.zeros(self.free.size)  # padded stays zero on C
-        name = "%s[I, I]" % self.full.name
+        name = "%s[I, I]" % self.name
 
         def restricted(x, apply=self.A.dot):  # (apply(x padded by zeros on C))_I
             padded[free] = x
             return apply(padded)[free]
 
+        if self.full is None:
+            inv_diag = 1.0 / self.A.diagonal()[free]
+            precond = lambda r: inv_diag * r
+        else:
+            precond = lambda r: restricted(r, self.full.lu_solve)
+
         def approx_solve(r):
-            x, steps = _pcg(restricted, lambda r: restricted(r, self.full.lu_solve), r, self.full.norm, name)
+            x, steps = _pcg(restricted, precond, r, self.norm, name)
             self.cg_steps += steps
             return x
 
-        return _refine(b, approx_solve, restricted, name, self.full.norm)
+        return _refine(b, approx_solve, restricted, name, self.norm)
 
 
 def inner_richardson(u1, w0, system, spec, extremes, a11_factor):
@@ -472,21 +539,27 @@ def nonlinear_residual(system, solution):
 def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     """Nested fixed-point solve of the bound-preserving EG scheme.
 
-    Factors only A00, the full A11 once, and principal submatrices of A11
-    when many nodes are clamped (see OrderedFactor).
+    Factors only A00 and, unless A11 is mass-dominated, the full A11 once
+    and principal submatrices of A11 when many nodes are clamped (see
+    OrderedFactor).  Jacobi-CG takes the place of the A11 factor where
+    _jacobi_pays: its step costs a mat-vec, about nnz(A11) flops, and a
+    nested-dissection factor of a planar mesh's matrix about nnz(A11)^{3/2}
+    (George 1973; Lipton, Rose & Tarjan, SIAM J. Numer. Anal. 16(2), 1979).
     Starts from one decoupled sweep u1 = A11^{-1} b1,
     u0 = A00^{-1} (b0 - A10^T u1), alternates the Step-1 Newton solve with
     the decoupled constant-part solve, and stops when the L2 increment of
     the constants drops below spec.tol_outer.
     """
     system = _prepare(mesh, spec, dofs, system, lift)
-    a11 = OrderedFactor(system.A11, mesh.vertices[system.dofs.interior_vertex_ids], "A11")
+    kappa, nnz = _kappa_bound(system.A11, spec.mu * system.M1.diagonal()), system.A11.nnz
+    jacobi = _jacobi_pays(kappa, nnz, nnz**1.5)
+    a11 = OrderedFactor(system.A11, mesh.vertices[system.dofs.interior_vertex_ids], "A11", jacobi=jacobi)
     a00 = OrderedFactor(system.A00, mesh.centroid, "A00")
 
     u1 = a11.solve(system.b1, a11.free)
     u0 = a00.solve(system.b0 - system.A10.T @ u1, a00.free)
 
-    trace = SolveTrace(stop_reason="max_outer")
+    trace = SolveTrace(stop_reason="max_outer", a11_path="jacobi" if jacobi else "factor", kappa_bound=kappa)
     for _ in range(_MAX_OUTER):
         extremes = patch_extremes(mesh, u0, system.dofs)
         slack = feasibility_check(extremes, spec.bounds)

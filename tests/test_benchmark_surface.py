@@ -30,13 +30,27 @@ def _load(name):
     return sys.modules[name]
 
 
+# The A11 path of each bound-preserving solve on the meshes these passes
+# reach, by element count: eps is 1e-5 (smooth) or 1e-7 (layer), so A11 is
+# mass-dominated, and from 1,152 elements on Jacobi-CG is cheaper than a factor.
+A11_PATH = {64: "factor", 256: "factor", 288: "factor", 1152: "jacobi", 4608: "jacobi"}
+
+
 @pytest.mark.parametrize("name", ["smooth", "layer", "tol_sweep"])
-def test_traced_pass_passes_the_benchmark_gate(name):
+def test_traced_pass_passes_the_benchmark_gate(monkeypatch, name):
     spans, workloads = _load("spans"), _load("workloads")
     reference = json.loads((PERFBENCH / "reference.json").read_text())["solves"]
     wl = workloads.WORKLOADS[name]
     wl = wl.limited(max(1, wl.solve_levels[0]))
     saved = {fn: getattr(egbp.solver, fn) for fn in (*spans.WRAPPED, "SpdFactor")}
+    traces, solve_bp = [], egbp.solver.solve_bound_preserving
+
+    def recording_solve_bp(*args):
+        solution = solve_bp(*args)
+        traces.append(solution.trace)
+        return solution
+
+    monkeypatch.setattr(egbp.solver, "solve_bound_preserving", recording_solve_bp)
     tracer = spans.Tracer(1)
     with spans.installed(tracer, egbp.solver):
         records = workloads.run_pass(wl, (7, 1), tracer).records
@@ -48,9 +62,31 @@ def test_traced_pass_passes_the_benchmark_gate(name):
     reached = {"patch_extremes", "apply_P", "inner_richardson", "outer_constant_solve", "nonlinear_residual"}
     if wl.comparator:
         reached.add("solve_standard_eg")
-        # the comparator factors A11 and A00 through SpdFactor, and no monolithic matrix
-        for factor in ("factor:A11", "factor:A00"):
-            assert tracer.total(factor, parent="solve_standard_eg") > 0.0
     assert all(tracer.calls(fn) > 0 for fn in reached)
+
+    def factored(kind, parent):
+        return sum(1 for n, _, _, _, par in tracer.spans if n == "factor:" + kind and par >= 0 and tracer.spans[par][0] == parent)
+
+    # Each bound-preserving solve factors A00 once and, on the factor path
+    # only, A11 once plus its Step-1 submatrices; the Jacobi path runs CG.
+    bp_records = [rec for rec in records if rec["kind"] == "bp"]
+    assert len(traces) == len(bp_records)
+    for rec, trace in zip(bp_records, traces):
+        assert trace.a11_path == A11_PATH[rec["elements"]], rec["key"]
+        if trace.a11_path == "jacobi":
+            assert sum(trace.a11_factorizations_per_outer) == 0 and sum(trace.cg_steps_per_outer) > 0
+    n_bp, n_std = len(traces), len(records) - len(traces)
+    submatrices = sum(sum(trace.a11_factorizations_per_outer) for trace in traces)
+    assert factored("A00", "solve_bp") == n_bp
+    assert factored("A11", "solve_bp") == sum(trace.a11_path == "factor" for trace in traces)
+    assert factored("A11", "inner_richardson") == submatrices
+    # Each comparator solve factors A00 and K_gamma once and no monolithic
+    # matrix; on 288 and 1,152 elements a factor of A11 costs less than the
+    # Schur steps diag(A11)^{-1} would add, so it factors A11 once too.
+    std_a11 = factored("A11", "solve_standard_eg")
+    assert factored("A00", "solve_standard_eg") == factored("K_gamma", "solve_standard_eg") == n_std
+    assert std_a11 == n_std
     assert tracer.calls("factor:monolithic EG system") == 0
-    assert tracer.counts["factor_count"] >= 2 * len(records) and tracer.counts["lu_fill_nnz"] > 0
+    expected = n_bp + factored("A11", "solve_bp") + submatrices + 2 * n_std + std_a11
+    assert tracer.counts["factor_count"] == expected
+    assert tracer.counts["lu_fill_nnz"] >= sum(trace.fill_nnz for trace in traces) > 0

@@ -320,12 +320,16 @@ def _same_matrix(M, N):
     return M.shape == N.shape and (sp.csc_matrix(M) != sp.csc_matrix(N)).nnz == 0
 
 
-def _smooth_problem():
-    """(mesh, spec) of a small smooth problem whose solve clamps 1 of 21 nodes."""
+def _smooth_problem(refinements=0, epsilon=1e-5):
+    """(mesh, spec) of the smooth problem on the 8 x 4 mesh refined
+    ``refinements`` times; unrefined at eps = 1e-5 its solve clamps 1 of 21
+    nodes and factors A11, refined twice (1,024 elements) it takes Jacobi-CG."""
     mesh = build_structured(8, 4, (-1.0, 0.0, 1.0, 1.0))
+    for _ in range(refinements):
+        mesh = refine_uniform(mesh)
     u_exact = lambda x, y: np.sin(np.pi * (x + 1.0) / 2.0) * np.sin(np.pi * y)
-    f = lambda x, y: (1e-5 * (np.pi**2 / 4.0 + np.pi**2) + 1.0) * u_exact(x, y)
-    spec = make_spec(epsilon=1e-5, beta=4, f=f, u_D=lambda x, y: 0.0 * x, bounds=(0.0, 1.0))
+    f = lambda x, y: (epsilon * (np.pi**2 / 4.0 + np.pi**2) + 1.0) * u_exact(x, y)
+    spec = make_spec(epsilon=epsilon, beta=4, f=f, u_D=lambda x, y: 0.0 * x, bounds=(0.0, 1.0))
     return mesh, spec
 
 
@@ -397,7 +401,7 @@ def _factored_kinds(monkeypatch, mesh, spec):
     solve_free = OrderedFactor.solve
 
     def recording_solve(self, b, free):
-        if self.full.name == "A11":
+        if self.name == "A11":
             free_sets.append(free.copy())
         else:  # A00 always solves on all its unknowns
             assert free.all()
@@ -436,12 +440,11 @@ def test_smooth_solve_factors_A11_once(monkeypatch):
 
 
 def test_standard_eg_factors_only_A11_and_A00(monkeypatch):
-    # the comparator factors A11 and A00, each once in its nested-dissection
-    # order, and K_gamma once in A11's order, and never builds the
-    # monolithic matrix
-    mesh, spec = _layer_problem(refinements=2)
-    spec = replace(spec, beta=1, alpha=0.0)
-    system = assemble_system(mesh, spec)
+    # the comparator factors A00 in its nested-dissection order, K_gamma in
+    # A11's order and, unless _jacobi_pays, A11 in that order too; it never
+    # builds the monolithic matrix.  On 4,608 layer elements eps = 1e-7 takes
+    # diag(A11)^{-1} in place of the A11 factor, eps = 1e-3 the factor.
+    mesh, layer_spec = _layer_problem(refinements=2)
     orders, factored = [], []
     dissection = egbp.solver._nested_dissection
 
@@ -460,23 +463,29 @@ def test_standard_eg_factors_only_A11_and_A00(monkeypatch):
     monkeypatch.setattr(egbp.solver, "_nested_dissection", recording_dissection)
     monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
     monkeypatch.setattr(BlockSystem, "full_matrix", monolithic)
-    u = solve_standard_eg(mesh, spec, system=system)
-    assert [name for name, _ in factored] == ["A11", "A00", "K_gamma"]
-    p1, p0 = orders
-    assert _same_matrix(factored[0][1], system.A11[p1][:, p1])
-    assert _same_matrix(factored[1][1], system.A00[p0][:, p0])
-    K = penalty_stiffness_oracle(mesh, spec, system.dofs.interior_vertex_ids)[np.ix_(p1, p1)]
-    assert np.abs(factored[2][1].toarray() - K).max() <= 1e-13 * np.abs(K).max()
-    x1, x0 = u.linear_coeffs[system.dofs.interior_vertex_ids], u.const_coeffs
-    r1 = system.A11 @ x1 + system.A10 @ x0 - system.b1
-    r0 = system.A10.T @ x1 + system.A00 @ x0 - system.b0
-    assert np.abs(np.concatenate([r1, r0])).max() <= 1e-10 * np.abs(system.b0).max()
+    for epsilon, names in ((1e-7, ["A00", "K_gamma"]), (1e-3, ["A00", "K_gamma", "A11"])):
+        spec = replace(layer_spec, epsilon=epsilon, beta=1, alpha=0.0)
+        system = assemble_system(mesh, spec)
+        orders.clear()
+        factored.clear()
+        u = solve_standard_eg(mesh, spec, system=system)
+        assert [name for name, _ in factored] == names
+        p1, p0 = orders
+        assert _same_matrix(factored[0][1], system.A00[p0][:, p0])
+        K = penalty_stiffness_oracle(mesh, spec, system.dofs.interior_vertex_ids)[np.ix_(p1, p1)]
+        assert np.abs(factored[1][1].toarray() - K).max() <= 1e-13 * np.abs(K).max()
+        if "A11" in names:
+            assert _same_matrix(factored[2][1], system.A11[p1][:, p1])
+        x1, x0 = u.linear_coeffs[system.dofs.interior_vertex_ids], u.const_coeffs
+        r1 = system.A11 @ x1 + system.A10 @ x0 - system.b1
+        r0 = system.A10.T @ x1 + system.A00 @ x0 - system.b0
+        assert np.abs(np.concatenate([r1, r0])).max() <= 1e-10 * np.abs(system.b0).max()
 
 
-def _comparator_cg_steps(monkeypatch, refinements, gamma):
+def _comparator_cg_steps(monkeypatch, refinements, gamma, epsilon):
     """CG steps of the standard solve of the layer problem (beta = 1, alpha = 0)."""
     mesh, spec = _layer_problem(refinements)
-    spec = replace(spec, gamma=gamma, beta=1, alpha=0.0)
+    spec = replace(spec, epsilon=epsilon, gamma=gamma, beta=1, alpha=0.0)
     steps, pcg = [], egbp.solver._pcg
 
     def counting_pcg(*args):
@@ -491,11 +500,43 @@ def _comparator_cg_steps(monkeypatch, refinements, gamma):
 
 def test_standard_eg_cg_steps_do_not_grow_with_refinement(monkeypatch):
     # A11^{-1} + K_gamma^{-1} preconditions the Schur CG uniformly in h: A11
-    # alone took 26 and 46 steps at gamma = 10, and 95 at gamma = 2
-    (n_coarse, coarse), (n_fine, fine) = (_comparator_cg_steps(monkeypatch, k, 10.0) for k in (2, 3))
-    assert (n_coarse, coarse, n_fine, fine) == (4608, 14, 18432, 17)
+    # alone took 26 and 46 steps at gamma = 10, and 95 at gamma = 2.  At
+    # eps = 1e-3 the comparator keeps the A11 factor.
+    (n_coarse, coarse), (n_fine, fine) = (_comparator_cg_steps(monkeypatch, k, 10.0, 1e-3) for k in (2, 3))
+    assert (n_coarse, coarse, n_fine, fine) == (4608, 14, 18432, 16)
     assert fine - coarse <= 5
-    assert _comparator_cg_steps(monkeypatch, 3, 2.0) == (18432, 18)
+    # at eps = 1e-7 diag(A11)^{-1} + K_gamma^{-1}, with no A11 factor
+    (n_coarse, coarse), (n_fine, fine) = (_comparator_cg_steps(monkeypatch, k, 10.0, 1e-7) for k in (2, 3))
+    assert (n_coarse, coarse, n_fine, fine) == (4608, 25, 18432, 25)
+    assert fine - coarse <= 5
+    assert _comparator_cg_steps(monkeypatch, 3, 2.0, 1e-7) == (18432, 22)
+
+
+@pytest.mark.parametrize("epsilon, path", [(1e-5, "jacobi"), (1.0, "factor")])
+def test_bound_preserving_path_follows_the_kappa_bound(monkeypatch, epsilon, path):
+    # 1,024 smooth elements.  At eps = 1e-5 A11 is mass-dominated: nothing of
+    # the A11 class is factored, and every Step-1 solve runs Jacobi-CG.  At
+    # eps = 1 the bound is 2,000 times larger and the solve factors A11.
+    mesh, spec = _smooth_problem(refinements=2, epsilon=epsilon)
+    names = []
+
+    class RecordingFactor(SpdFactor):
+        def __init__(self, A, name="system"):
+            names.append(name)
+            super().__init__(A, name=name)
+
+    monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
+    system = assemble_system(mesh, spec)
+    t = solve_bound_preserving(mesh, spec, system=system).trace
+    assert t.converged and t.a11_path == path
+    assert t.kappa_bound == egbp.solver._kappa_bound(system.A11, spec.mu * system.M1.diagonal())
+    if path == "jacobi":
+        assert names == ["A00"] and sum(t.a11_factorizations_per_outer) == 0
+        assert 4.0 <= t.kappa_bound < 4.01
+        assert sum(t.cg_steps_per_outer) >= sum(t.inner_iters_per_outer) > 0
+    else:
+        assert names[:2] == ["A11", "A00"] and set(names[2:]) <= {"A11"}
+        assert 8000.0 < t.kappa_bound < 8400.0
 
 
 def _step1_case(name):
@@ -579,6 +620,28 @@ def test_a11_free_set_solve_matches_fresh_factor(clamped):
     # the same free set runs CG (or reuses the factor) again
     a11.solve(b, free)
     assert (a11.count, a11.cg_steps) == ((1, 8) if clamped == 3 else (2, 0))
+
+
+@pytest.mark.parametrize("clamped", [0, 3, 40])
+def test_jacobi_free_set_solve_matches_fresh_factor(clamped):
+    # mass-dominated A11 (eps = 1e-5) on 225 nodes, graded by y -> y^2 so that
+    # its diagonal spans a factor 8: with jacobi nothing is factored, and CG
+    # preconditioned by the diagonal stays within the step bound
+    # 1/2 sqrt(kappa) ln(2 / 1e-15) that _jacobi_pays charges
+    mesh = build_structured(16, 16)
+    mesh = _build_mesh(np.column_stack([mesh.vertices[:, 0], mesh.vertices[:, 1] ** 2]), mesh.triangles)
+    spec = make_spec(epsilon=1e-5, f=lambda x, y: 1.0 + 0.0 * x)
+    system = assemble_system(mesh, spec)
+    free = _random_free_set(system.A11.shape[0], clamped, seed=clamped)
+    b = np.random.default_rng(7).normal(size=np.count_nonzero(free))
+    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11", jacobi=True)
+    x = a11.solve(b, free)
+    sub = sp.csc_matrix(system.A11[free][:, free])
+    x_ref = spla.splu(sub).solve(b)
+    assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
+    assert (a11.count, a11.fill_nnz, a11.triangular_solves) == (0, 0, 0)
+    kappa = egbp.solver._kappa_bound(system.A11, spec.mu * system.M1.diagonal())
+    assert 0 < a11.cg_steps <= 0.5 * np.sqrt(kappa) * np.log(2.0 / 1e-15)
 
 
 def test_step1_cg_solve_checks_its_answer():
@@ -710,7 +773,7 @@ def _free_sets_per_step1(monkeypatch, mesh, spec):
         return newton(*args, **kwargs)
 
     def recording_solve(self, b, free):
-        if sweeps and self.full.name == "A11":  # not the initial sweep, not A00
+        if sweeps and self.name == "A11":  # not the initial sweep, not A00
             sweeps[-1].append(free.copy())
         return solve_free(self, b, free)
 
@@ -784,7 +847,7 @@ def test_trace_bookkeeping(monkeypatch):
         assert t.clamped_per_outer[m] == 1
 
 
-@pytest.mark.parametrize("case", ["smooth", "many_clamped"])
+@pytest.mark.parametrize("case", ["smooth", "many_clamped", "jacobi"])
 def test_every_splu_goes_through_spd_factor(monkeypatch, case):
     # The benchmark counts factorizations by installing an SpdFactor subclass
     # with this __init__ signature; no solve path may call splu around it.
@@ -803,9 +866,11 @@ def test_every_splu_goes_through_spd_factor(monkeypatch, case):
 
     monkeypatch.setattr(egbp.solver.spla, "splu", counting_splu)
     monkeypatch.setattr(egbp.solver, "SpdFactor", CountingFactor)
-    mesh, spec = _smooth_problem() if case == "smooth" else _many_clamped_problem()
+    mesh, spec = _many_clamped_problem() if case == "many_clamped" else _smooth_problem(2 if case == "jacobi" else 0)
     trace = solve_bound_preserving(mesh, spec).trace
-    assert calls["splu"] == calls["SpdFactor"] == 2 + sum(trace.a11_factorizations_per_outer)
+    assert trace.a11_path == ("jacobi" if case == "jacobi" else "factor")
+    a11_factors = (trace.a11_path == "factor") + sum(trace.a11_factorizations_per_outer)
+    assert calls["splu"] == calls["SpdFactor"] == 1 + a11_factors
 
 
 def test_trace_fill_nnz_sums_every_factorization(monkeypatch):
@@ -820,6 +885,11 @@ def test_trace_fill_nnz_sums_every_factorization(monkeypatch):
     trace = solve_bound_preserving(*_many_clamped_problem()).trace
     assert len(fills) == 2 + sum(trace.a11_factorizations_per_outer) > 2
     assert trace.fill_nnz == sum(fills)
+    # Jacobi path: A00's factor alone
+    fills.clear()
+    trace = solve_bound_preserving(*_smooth_problem(refinements=2)).trace
+    assert trace.a11_path == "jacobi" and len(fills) == 1
+    assert trace.fill_nnz == fills[0]
 
 
 def test_nested_dissection_is_a_deterministic_permutation():
@@ -1032,6 +1102,14 @@ def test_trace_counts_triangular_solves(monkeypatch, case):
     mesh, spec = _smooth_problem() if case == "smooth" else _layer_problem()
     trace = solve_bound_preserving(mesh, spec).trace
     assert trace.triangular_solves == counted["rhs"]
+    # the smooth case factors A11, the layer case (1,152 elements) runs Jacobi-CG
+    assert trace.a11_path == ("factor" if case == "smooth" else "jacobi")
+    if trace.a11_path == "jacobi":
+        # A00 alone: the initial solve and one per sweep, with no refinement
+        # sweep; every Newton step takes at least one CG step
+        assert trace.triangular_solves == 1 + trace.outer_iters
+        assert sum(trace.cg_steps_per_outer) >= sum(trace.inner_iters_per_outer) > 0
+        return
     # A00: the initial solve and one per sweep; A11: the initial solve, then
     # at least one per Newton step and one per CG step; refinement sweeps on top
     step1 = max(sum(trace.inner_iters_per_outer), sum(trace.cg_steps_per_outer))
