@@ -368,7 +368,7 @@ def richardson_step1_oracle(u1, w0, system, spec, extremes, tol, max_iter, state
 
 
 def solve_spd(A, b, name="system"):
-    """Direct solve of an SPD system in its given (natural) order, refined as SpdFactor.solve is.
+    """SpdFactor.solve of an SPD system in its given (natural) order: CG preconditioned with its LU.
 
     Natural order fills far more than the solver's nested-dissection order
     on large meshes; use it on test-sized matrices only.

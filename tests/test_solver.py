@@ -73,13 +73,51 @@ def test_spd_factor_rejects_bad_matrices():
         SpdFactor(sp.csc_matrix(np.diag([1.0, -2.0, 3.0])))
 
 
-def test_spd_factor_raises_when_refinement_misses():
-    # factors of 2A halve the residual per sweep: four sweeps cannot reach 1e-13
+def test_spd_factor_corrects_a_factor_of_2A():
+    # CG does not change when its preconditioner is scaled: with the LU of
+    # 2A the solve meets backward error 1e-15 within n steps, one
+    # triangular solve each
     A = sp.csc_matrix(np.diag([2.0, 3.0, 4.0]) + 0.5)
     factor = SpdFactor(A, name="A")
     factor.lu = spla.splu(sp.csc_matrix(2.0 * A))
-    with pytest.raises(SolverError, match="refinement"):
+    b = np.array([1.0, -2.0, 3.0])
+    x = factor.solve(b)
+    assert np.abs(b - A @ x).max() <= 1e-15 * (factor.norm * np.abs(x).max() + np.abs(b).max())
+    assert np.abs(x - np.linalg.solve(A.toarray(), b)).max() <= 1e-15 * np.abs(x).max()
+    assert 1 <= factor.solves <= 3
+
+
+def test_spd_factor_raises_when_the_preconditioner_is_indefinite():
+    # with the LU of -A the preconditioner is negative definite: CG breaks down at its first step
+    A = sp.csc_matrix(np.diag([2.0, 3.0, 4.0]) + 0.5)
+    factor = SpdFactor(A, name="A")
+    factor.lu = spla.splu(sp.csc_matrix(-A))
+    with pytest.raises(SolverError, match=r"CG on A broke down: r\^T z = .*preconditioner is not positive definite"):
         factor.solve(np.ones(3))
+    assert factor.solves == 1
+
+
+def test_spd_factor_raises_on_a_nan_rhs():
+    # NaN compares false with every bound: the stop test must not read it as converged
+    factor = SpdFactor(sp.csc_matrix(np.diag([2.0, 3.0, 4.0]) + 0.5), name="A")
+    with pytest.raises(SolverError, match="CG on A met non-finite values after 0 steps"):
+        factor.solve(np.array([1.0, np.nan, 1.0]))
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 1e-5])
+def test_factor_solves_take_one_cg_step(epsilon):
+    # on the nested-dissection factors of A11 and A00 of 4,096 smooth
+    # elements, SpdFactor.solve meets backward error 1e-15 in one CG step:
+    # one triangular solve per right-hand side
+    mesh, spec = _smooth_problem(refinements=3, epsilon=epsilon)
+    system = assemble_system(mesh, spec)
+    rng = np.random.default_rng(3)
+    for A, points, b in ((system.A11, _interior_points(mesh), system.b1), (system.A00, mesh.centroid, system.b0)):
+        factor = OrderedFactor(A, points, "A")
+        for rhs in (b, rng.normal(size=b.size)):
+            x = factor.solve(rhs, factor.free)
+            assert np.abs(rhs - A @ x).max() <= 1e-15 * (factor.norm * np.abs(x).max() + np.abs(rhs).max())
+        assert (factor.triangular_solves, factor.cg_steps) == (2, 0)
 
 
 def test_standard_eg_zero_data_gives_zero():
@@ -169,19 +207,28 @@ def test_standard_eg_raises_on_indefinite_schur_complement():
 
 
 def test_standard_eg_raises_when_the_monolithic_residual_misses(monkeypatch):
-    # a Schur solve that returns half of S^{-1} g halves the monolithic
-    # residual per refinement sweep: four sweeps cannot reach 1e-13
+    # a Schur solve that returns c S^{-1} g leaves a monolithic backward
+    # error above 1e-15, and the solve checks it once: c = 1/2, and
+    # c = 1 + 1e-12, whose backward error of 8e-15 a check at 1e-13 passes
     mesh = build_structured(8, 8)
     spec = make_spec(epsilon=1e-3, beta=1, alpha=0.0, f=lambda x, y: 1.0 + 0.0 * x)
     pcg = egbp.solver._pcg
+    for c in (0.5, 1.0 + 1e-12):
+        monkeypatch.setattr(egbp.solver, "_pcg", lambda *args, c=c: (c * pcg(*args)[0], 0))
+        with pytest.raises(SolverError, match="standard EG system missed backward error 1e-15"):
+            solve_standard_eg(mesh, spec)
 
-    def half_pcg(*args):
-        x, steps = pcg(*args)
-        return 0.5 * x, steps
 
-    monkeypatch.setattr(egbp.solver, "_pcg", half_pcg)
-    with pytest.raises(SolverError, match="standard EG system missed backward error 1.0e-13"):
-        solve_standard_eg(mesh, spec)
+@pytest.mark.parametrize("block", ["b1", "b0"])
+def test_standard_eg_raises_on_a_nan_rhs(block):
+    # a NaN in either block of the load vector reaches the Schur CG's residual
+    mesh = build_structured(8, 8)
+    spec = make_spec(epsilon=1e-3, beta=1, alpha=0.0, f=lambda x, y: 1.0 + 0.0 * x)
+    system = assemble_system(mesh, spec)
+    b = getattr(system, block).copy()
+    b[3] = np.nan
+    with pytest.raises(SolverError, match=r"CG on S met non-finite values after 0 steps"):
+        solve_standard_eg(mesh, spec, system=replace(system, **{block: b}))
 
 
 def test_standard_eg_raises_at_the_iteration_cap():
@@ -646,7 +693,7 @@ def test_jacobi_free_set_solve_matches_fresh_factor(clamped):
 
 def test_step1_cg_solve_checks_its_answer():
     # CG does not change when its preconditioner is scaled: with the LU of
-    # 2·A11 as the full factor the solve still meets backward error 1e-13.
+    # 2·A11 as the full factor the solve still meets backward error 1e-15.
     # With the LU of -A11 the preconditioner is negative definite: CG breaks
     # down at its first step.
     mesh = build_structured(16, 16)
@@ -657,7 +704,7 @@ def test_step1_cg_solve_checks_its_answer():
     a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11")
     a11.full.lu = spla.splu(sp.csc_matrix(2.0 * a11.A))
     x = a11.solve(b, free)
-    assert np.abs(b - sub @ x).max() <= 1e-13 * (a11.full.norm * np.abs(x).max() + np.abs(b).max())
+    assert np.abs(b - sub @ x).max() <= 1e-15 * (a11.full.norm * np.abs(x).max() + np.abs(b).max())
     assert (a11.count, a11.cg_steps) == (1, 4)  # |C| + 1, as with the LU of A11
     a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11")
     a11.full.lu = spla.splu(sp.csc_matrix(-a11.A))
@@ -1105,12 +1152,13 @@ def test_trace_counts_triangular_solves(monkeypatch, case):
     # the smooth case factors A11, the layer case (1,152 elements) runs Jacobi-CG
     assert trace.a11_path == ("factor" if case == "smooth" else "jacobi")
     if trace.a11_path == "jacobi":
-        # A00 alone: the initial solve and one per sweep, with no refinement
-        # sweep; every Newton step takes at least one CG step
+        # A00 alone: the initial solve and one per sweep, each one CG step
+        # on the factor; every Newton step takes at least one CG step
         assert trace.triangular_solves == 1 + trace.outer_iters
         assert sum(trace.cg_steps_per_outer) >= sum(trace.inner_iters_per_outer) > 0
         return
     # A00: the initial solve and one per sweep; A11: the initial solve, then
-    # at least one per Newton step and one per CG step; refinement sweeps on top
+    # at least one per Newton step and one per CG step; factor solves that take
+    # a second CG step on top
     step1 = max(sum(trace.inner_iters_per_outer), sum(trace.cg_steps_per_outer))
     assert trace.triangular_solves >= 2 + trace.outer_iters + step1
