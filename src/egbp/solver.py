@@ -13,7 +13,8 @@ Step-1 solve is CG preconditioned by the diagonal of A11, and A11 is never
 factored; an a-priori bound on the condition number picks that path (see
 _jacobi_pays).  Otherwise the factor of the full A11 lives for the whole
 solve: a few clamped nodes are handled by CG preconditioned with it, many
-by factoring the submatrix.  Every matrix is factored in the
+by factoring the submatrix.  A Step-1 CG step multiplies only the rows of
+A11 at the free nodes (see OrderedFactor).  Every matrix is factored in the
 nested-dissection order of its unknowns' mesh positions: interior
 vertices for A11, element centroids for A00.  Every linear solve is one
 routine, CG (_pcg) to normwise backward error _CG_TOL; a factor enters
@@ -65,7 +66,8 @@ class SolveTrace:
     count of the last Newton step, the worst feasibility slack
     min_i (b - over_i) - (a - under_i), the number of A11-class
     factorizations the sweep made and its CG steps, Jacobi or
-    factor-preconditioned (see OrderedFactor).
+    factor-preconditioned (see OrderedFactor); ``initial_cg_steps`` is
+    those of the initial sweep's A11 solve, before the first outer sweep.
     ``fill_nnz`` is the stored L and U entries summed over every
     factorization of the solve, those of A00 and of the A11 class (none on
     the Jacobi path), and ``triangular_solves`` the right-hand sides passed
@@ -82,6 +84,7 @@ class SolveTrace:
     clamped_per_outer: list = field(default_factory=list)
     a11_factorizations_per_outer: list = field(default_factory=list)
     cg_steps_per_outer: list = field(default_factory=list)
+    initial_cg_steps: int = 0
     nonlinear_residual: float = np.nan
     fill_nnz: int = 0
     triangular_solves: int = 0
@@ -191,22 +194,23 @@ class SpdFactor:
     """Sparse LU factorization of an SPD matrix, in the order given, and CG preconditioned with it.
 
     The caller orders the matrix (see _nested_dissection): SuperLU adds no
-    fill-reducing column order of its own.  ``solves`` counts the
-    right-hand sides passed to the triangular solves so far.
+    fill-reducing column order of its own.  ``A`` is held in CSR, so that
+    OrderedFactor can cut rows from it.  ``solves`` counts the right-hand
+    sides passed to the triangular solves so far.
     """
 
     def __init__(self, A, name="system"):
-        self.A = sp.csc_matrix(A)
+        csc = sp.csc_matrix(A)
         self.name = name
-        if self.A.shape[0] != self.A.shape[1]:
+        if csc.shape[0] != csc.shape[1]:
             raise SolverError("matrix %s is not square" % name)
-        diag = self.A.diagonal()
-        if np.any(diag <= 0.0):
+        if np.any(csc.diagonal() <= 0.0):
             raise SolverError("matrix %s has a nonpositive diagonal entry" % name)
         try:
-            self.lu = spla.splu(self.A, permc_spec="NATURAL")
+            self.lu = spla.splu(csc, permc_spec="NATURAL")
         except RuntimeError as exc:
             raise SolverError("factorization of %s failed: %s" % (name, exc)) from exc
+        self.A = csc.tocsr()
         self.norm = _inf_norm(self.A)
         self.solves = 0
 
@@ -361,23 +365,26 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
 class OrderedFactor:
     """Solves with the principal submatrices A[I, I] of an SPD A, I the free set.
 
-    With ``jacobi`` every solve is CG on A[I, I], applied as x -> (A x~)_I
-    with x~ = x padded by zeros on the clamped set C, preconditioned by
-    diag(A)_I^{-1}, and nothing is factored: _kappa_bound bounds its
-    condition number for every I at once.  Otherwise A is held in the
-    nested-dissection order p of its unknowns at ``points``, and the factor
-    ``full`` of all of A lives for the whole solve.  While C is small,
-    2 |C| n <= fill of that factor (n the size of A), CG solves with
-    A[I, I] preconditioned by r -> (A^{-1} r~)_I.  (A^{-1})[I, I] and
-    A[I, I]^{-1} differ by a term of rank |C|, so in exact arithmetic CG
-    takes at most |C| + 1 steps (Saad, Iterative Methods for Sparse Linear
-    Systems, 2003), each a triangular solve of about 2 fill flops, against
-    at least fill^2 / n for a refactorization.  A larger C has A[I, I]
-    factored in the order p restricted to I, a nested-dissection order of
-    its subgraph, after the previous submatrix factor is dropped.
-    ``count`` is the factorizations, ``fill_nnz`` their stored L and U
-    entries, ``cg_steps`` the CG steps and ``triangular_solves`` the
-    right-hand sides of triangular solves.
+    A is held once in CSR, and ``rows`` = A[I, :] is cut from it when I
+    changes.  A CG step on A[I, I] multiplies only these rows, x ->
+    A[I, :] x~ with x~ = x padded by zeros on the clamped set C; each row
+    keeps its stored entries in their order, so the product is the free
+    part of the full one, bit for bit.  With ``jacobi`` every solve is CG
+    on A[I, I] preconditioned by diag(A)_I^{-1}, and nothing is factored:
+    _kappa_bound bounds its condition number for every I at once.
+    Otherwise A is held in the nested-dissection order p of its unknowns at
+    ``points``, and the factor ``full`` of all of A lives for the whole
+    solve.  While C is small, 2 |C| n <= fill of that factor (n the size of
+    A), CG solves with A[I, I] preconditioned by r -> (A^{-1} r~)_I.
+    (A^{-1})[I, I] and A[I, I]^{-1} differ by a term of rank |C|, so in
+    exact arithmetic CG takes at most |C| + 1 steps (Saad, Iterative
+    Methods for Sparse Linear Systems, 2003), each a triangular solve of
+    about 2 fill flops, against at least fill^2 / n for a refactorization.
+    A larger C has A[I, I] factored in the order p restricted to I, a
+    nested-dissection order of its subgraph, after the previous submatrix
+    factor is dropped.  ``count`` is the factorizations, ``fill_nnz`` their
+    stored L and U entries, ``cg_steps`` the CG steps and
+    ``triangular_solves`` the right-hand sides of triangular solves.
     """
 
     def __init__(self, A, points, name, jacobi=False):
@@ -391,7 +398,10 @@ class OrderedFactor:
             self.full = SpdFactor(A[self.p][:, self.p], name=name)
             self.A, self.norm = self.full.A, self.full.norm
             self.count, self.fill_nnz = 1, int(self.full.lu.nnz)
+        self.inv_diag = 1.0 / self.A.diagonal()
         self.free = np.ones(self.A.shape[0], dtype=bool)
+        self.ids = np.arange(self.A.shape[0])  # I = self.free, in factor order
+        self.rows = self.A  # A[I, :], A itself while every node is free
         self.order = self.p  # b[order] is b, given on the free nodes, in factor order
         self.factor = self.full  # solves on self.free; None: Jacobi-CG
         self.cg_steps = 0
@@ -404,15 +414,15 @@ class OrderedFactor:
 
     def solve(self, b, free):
         """A[free][:, free]^{-1} b, with b given on the free nodes."""
-        ordered_free = free[self.p]
         if not np.array_equal(free, self.free):
             if self.factor is not self.full:
                 self.dropped_solves += self.factor.solves
-            self.factor, self.free = self.full, free
-            self.order = (np.cumsum(free) - 1)[self.p[ordered_free]]
+            self.factor, self.free, self.ids = self.full, free, np.flatnonzero(free[self.p])
+            self.order = (np.cumsum(free) - 1)[self.p[self.ids]]
+            self.rows = self.A if free.all() else self.A[self.ids]
             k = int(np.count_nonzero(~free))
             if self.full is not None and 0 < k < free.size and 2 * k * free.size > self.full.lu.nnz:
-                self.factor = SpdFactor(self.A[ordered_free][:, ordered_free], name=self.name)
+                self.factor = SpdFactor(self.rows[:, self.ids], name=self.name)
                 self.count += 1
                 self.fill_nnz += int(self.factor.lu.nnz)
         if not free.any():
@@ -423,15 +433,16 @@ class OrderedFactor:
             return x
         padded = np.zeros(free.size)  # stays zero on C
 
-        def restricted(v, apply=self.A.dot):  # (apply(v padded by zeros on C))_I
-            padded[ordered_free] = v
-            return apply(padded)[ordered_free]
+        def pad(v):
+            padded[self.ids] = v
+            return padded
 
         if self.full is None:
-            inv_diag = 1.0 / self.A.diagonal()[ordered_free]
+            inv_diag = self.inv_diag[self.ids]
             precond = lambda r: inv_diag * r
         else:
-            precond = lambda r: restricted(r, self.full.lu_solve)
+            precond = lambda r: self.full.lu_solve(pad(r))[self.ids]
+        restricted = lambda v: self.rows @ pad(v)
         x[self.order], steps = _pcg(restricted, precond, b[self.order], self.norm, "%s[I, I]" % self.name)
         self.cg_steps += steps
         return x
@@ -529,7 +540,8 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     u1 = a11.solve(system.b1, a11.free)
     u0 = a00.solve(system.b0 - system.A10.T @ u1, a00.free)
 
-    trace = SolveTrace(stop_reason="max_outer", a11_path="jacobi" if jacobi else "factor", kappa_bound=kappa)
+    path = "jacobi" if jacobi else "factor"
+    trace = SolveTrace(stop_reason="max_outer", a11_path=path, kappa_bound=kappa, initial_cg_steps=a11.cg_steps)
     for _ in range(_MAX_OUTER):
         extremes = patch_extremes(mesh, u0, system.dofs)
         slack = feasibility_check(extremes, spec.bounds)

@@ -6,6 +6,9 @@ stable.  Nothing is shared with the package's vectorized mesh, limiter and
 assembly paths.  The exception is ``coo_assembly_oracle``, the package's
 former vectorized COO assembly, kept as the reference for the stencil
 assembly; it shares only the quadrature rule and the field evaluation.
+Another is ``padded_restricted_solve``, the Step-1 CG of OrderedFactor
+with its former padded full product, kept as the bit-for-bit reference
+for the free-row product; it shares the CG routine and the factors.
 
 The last section holds helpers that no study, CLI path or benchmark runs:
 point evaluation, interpolation, the full operator over all dofs, the
@@ -35,7 +38,7 @@ import egbp.cli
 from egbp.cli import CSV_HEADER
 from egbp.fespace import DofMap, EGFunction, _eval_field
 from egbp.limiter import apply_P
-from egbp.solver import SpdFactor
+from egbp.solver import SpdFactor, _pcg
 
 # 7-point Gauss-Legendre rule on [0, 1]; exact through degree 13, far more
 # than needed for products of P1 traces and gradients.
@@ -374,6 +377,49 @@ def solve_spd(A, b, name="system"):
     on large meshes; use it on test-sized matrices only.
     """
     return SpdFactor(A, name=name).solve(np.asarray(b, dtype=float))
+
+
+def padded_restricted_solve(factor, b, free):
+    """(A[I, I]^{-1} b, CG steps) of an OrderedFactor ``factor`` of A, I = ``free``, by the padded full product.
+
+    The solve as OrderedFactor.solve made it before its CG multiplied only
+    the free rows: every CG step multiplies the whole A, in the factor's
+    order, by the vector padded with zeros on the clamped set C and keeps
+    the free part of the product.  On the factor path that product is taken
+    with A in CSC, as the full factor then held it, and the preconditioner
+    is the full factor's solve, padded alike; the Jacobi path multiplies
+    the CSR A it holds and scales by its diagonal.  An all-free set on the
+    factor path is solved with the full factor, and a set with
+    2 |C| n > fill of the full factor with a fresh factor of its
+    submatrix.  Reads ``factor``'s order, matrix, factor, norm and name,
+    and changes none of its counters.
+    """
+    n = free.size
+    ordered_free = free[factor.p]
+    order = (np.cumsum(free) - 1)[factor.p[ordered_free]]
+    A = factor.A if factor.full is None else sp.csc_matrix(factor.full.A)
+    x = np.empty_like(b)
+    if not free.any():
+        return np.zeros(0), 0
+    if factor.full is not None and free.all():
+        x[order] = _pcg(A.dot, factor.full.lu.solve, b[order], factor.norm, factor.name)[0]
+        return x, 0
+    if factor.full is not None and 2 * np.count_nonzero(~free) * n > factor.full.lu.nnz:
+        x[order] = SpdFactor(A[ordered_free][:, ordered_free], name=factor.name).solve(b[order])
+        return x, 0
+    padded = np.zeros(n)
+
+    def restricted(v, apply=A.dot):  # (apply(v padded by zeros on C))_I
+        padded[ordered_free] = v
+        return apply(padded)[ordered_free]
+
+    if factor.full is None:
+        inv_diag = 1.0 / A.diagonal()[ordered_free]
+        precond = lambda r: inv_diag * r
+    else:
+        precond = lambda r: restricted(r, factor.full.lu.solve)
+    x[order], steps = _pcg(restricted, precond, b[order], factor.norm, "%s[I, I]" % factor.name)
+    return x, steps
 
 
 def _coo_f_on_elements(mesh, spec, area):

@@ -5,7 +5,9 @@
 ``SpdFactor(A, name)`` and compares every solve with the fingerprints in
 ``perfbench/reference.json``.  One traced pass of each workload, on its
 meshes up to the first level it solves on (level 1 at least), must pass
-the benchmark's own gate.  No result file is written.
+the benchmark's own gate.  No result file is written.  The counts of one
+benchmark solve are pinned, so that a change made for speed cannot alter
+the iteration unnoticed.
 """
 
 import importlib.util
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import egbp.solver
+from egbp.mesh import build_structured, refine_uniform
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -90,3 +93,19 @@ def test_traced_pass_passes_the_benchmark_gate(monkeypatch, name):
     expected = n_bp + factored("A11", "solve_bp") + submatrices + 2 * n_std + std_a11
     assert tracer.counts["factor_count"] == expected
     assert tracer.counts["lu_fill_nnz"] >= sum(trace.fill_nnz for trace in traces) > 0
+
+
+def test_layer_solve_counts_are_pinned():
+    # The layer workload's problem (eps = 1e-7, beta = 4) on its 4,608-element
+    # level: Jacobi-CG, 3 outer sweeps of 3 Newton steps each, 29 CG steps in
+    # the initial sweep and 174 in the Newton steps, and one A00 triangular
+    # solve for the initial sweep and each outer sweep.
+    wl = _load("workloads").WORKLOADS["layer"]
+    mesh = build_structured(wl.nx, wl.ny, wl.rect)
+    for _ in range(2):
+        mesh = refine_uniform(mesh)
+    trace = egbp.solver.solve_bound_preserving(mesh, wl.spec).trace
+    assert (mesh.num_elements, trace.a11_path, trace.stop_reason) == (4608, "jacobi", "converged")
+    assert trace.inner_iters_per_outer == [3, 3, 3]
+    assert (trace.initial_cg_steps, trace.cg_steps_per_outer) == (29, [57, 60, 57])
+    assert trace.triangular_solves == 4

@@ -26,6 +26,7 @@ from egbp.solver import (
 from oracles import (
     apply_Q,
     element_vertex_values,
+    padded_restricted_solve,
     penalty_stiffness_oracle,
     record_cli_solves,
     richardson_step1_oracle,
@@ -691,6 +692,33 @@ def test_jacobi_free_set_solve_matches_fresh_factor(clamped):
     assert 0 < a11.cg_steps <= 0.5 * np.sqrt(kappa) * np.log(2.0 / 1e-15)
 
 
+@pytest.mark.parametrize("jacobi", [True, False])
+@pytest.mark.parametrize("clamped", [0, 1, 112, 218])  # none, one, half and 97% of 225 nodes
+def test_free_row_cg_matches_the_padded_full_product(jacobi, clamped):
+    # The Step-1 CG multiplies only the rows A[I, :] of the free set, cut
+    # again whenever the set changes: the answers and CG step counts equal,
+    # bit for bit, those of the padded product with the whole A.  Each count
+    # runs a set, another set of the same size, the first set again and the
+    # all-free set.  On the factor path (full fill 5,604, so CG while
+    # |C| <= 12) one clamped node runs CG in |C| + 1 = 2 steps, and half and
+    # 97% factor a submatrix cut from the row block.
+    mesh = build_structured(16, 16)
+    mesh = _build_mesh(np.column_stack([mesh.vertices[:, 0], mesh.vertices[:, 1] ** 2]), mesh.triangles)
+    system = assemble_system(mesh, make_spec(epsilon=1e-5, f=lambda x, y: 1.0 + 0.0 * x))
+    n = system.A11.shape[0]
+    first, second = (_random_free_set(n, clamped, seed) for seed in (clamped, clamped + 1))
+    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11", jacobi=jacobi)
+    rng = np.random.default_rng(7)
+    for free in (first, second, first, np.ones(n, dtype=bool)):
+        b = rng.normal(size=np.count_nonzero(free))
+        x_ref, steps = padded_restricted_solve(a11, b, free)
+        cg_steps = a11.cg_steps
+        x = a11.solve(b, free)
+        assert x.tobytes() == x_ref.tobytes()
+        assert a11.cg_steps - cg_steps == steps
+        assert steps > 0 if jacobi else steps == (2 if clamped == 1 and not free.all() else 0)
+
+
 def test_step1_cg_solve_checks_its_answer():
     # CG does not change when its preconditioner is scaled: with the LU of
     # 2·A11 as the full factor the solve still meets backward error 1e-15.
@@ -1153,10 +1181,13 @@ def test_trace_counts_triangular_solves(monkeypatch, case):
     assert trace.a11_path == ("factor" if case == "smooth" else "jacobi")
     if trace.a11_path == "jacobi":
         # A00 alone: the initial solve and one per sweep, each one CG step
-        # on the factor; every Newton step takes at least one CG step
+        # on the factor; the initial A11 solve and every Newton step take at
+        # least one CG step
         assert trace.triangular_solves == 1 + trace.outer_iters
         assert sum(trace.cg_steps_per_outer) >= sum(trace.inner_iters_per_outer) > 0
+        assert trace.initial_cg_steps > 0
         return
+    assert trace.initial_cg_steps == 0  # all nodes free: one solve with the full factor
     # A00: the initial solve and one per sweep; A11: the initial solve, then
     # at least one per Newton step and one per CG step; factor solves that take
     # a second CG step on top
