@@ -12,9 +12,10 @@ Where A11 is a perturbed mass matrix (eps small against mu h^2), every
 Step-1 solve is CG preconditioned by the diagonal of A11, and A11 is never
 factored; an a-priori bound on the condition number picks that path (see
 _jacobi_pays).  Otherwise the factor of the full A11 lives for the whole
-solve: a few clamped nodes are handled by CG preconditioned with it, many
-by factoring the submatrix.  A Step-1 CG step multiplies only the rows of
-A11 at the free nodes (see OrderedFactor).  Every matrix is factored in the
+solve and preconditions while few nodes are clamped; many clamped nodes
+have the submatrix factored.  Each Step-1 solve is one CG on the free
+rows of A11, and its free set picks only the preconditioner (see
+OrderedFactor).  Every matrix is factored in the
 nested-dissection order of its unknowns' mesh positions: interior
 vertices for A11, element centroids for A00.  Every linear solve is one
 routine, CG (_pcg) to normwise backward error _CG_TOL; a factor enters
@@ -65,13 +66,14 @@ class SolveTrace:
     Per outer sweep it records the Newton step sizes, the clamped-node
     count of the last Newton step, the worst feasibility slack
     min_i (b - over_i) - (a - under_i), the number of A11-class
-    factorizations the sweep made and its CG steps, Jacobi or
-    factor-preconditioned (see OrderedFactor); ``initial_cg_steps`` is
-    those of the initial sweep's A11 solve, before the first outer sweep.
+    factorizations the sweep made and its Step-1 CG steps, whatever
+    preconditions them (see OrderedFactor); ``initial_cg_steps`` is those
+    of the initial sweep's A11 solve, before the first outer sweep.
     ``fill_nnz`` is the stored L and U entries summed over every
     factorization of the solve, those of A00 and of the A11 class (none on
-    the Jacobi path), and ``triangular_solves`` the right-hand sides passed
-    to their triangular solves.  ``outer_iters``, ``converged``,
+    the Jacobi path), and ``triangular_solves`` the triangular solves with
+    them: one per CG step preconditioned with a factor, A00's and, off the
+    Jacobi path, A11's.  ``outer_iters``, ``converged``,
     ``inner_iters_per_outer``, ``feasible_per_outer`` and
     ``feasibility_violations`` are read off them.
     ``polish_outer_iters`` is always 0: the solve has no sweeps after
@@ -195,8 +197,10 @@ class SpdFactor:
 
     The caller orders the matrix (see _nested_dissection): SuperLU adds no
     fill-reducing column order of its own.  ``A`` is held in CSR, so that
-    OrderedFactor can cut rows from it.  ``solves`` counts the right-hand
-    sides passed to the triangular solves so far.
+    OrderedFactor can cut rows from it.  The solvers use the factor only
+    as a preconditioner, ``lu_solve``, inside their own CG; ``solves``
+    counts the right-hand sides passed to it so far.  ``solve`` has no
+    caller in the package: perfbench's traced subclass wraps it.
     """
 
     def __init__(self, A, name="system"):
@@ -365,26 +369,28 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
 class OrderedFactor:
     """Solves with the principal submatrices A[I, I] of an SPD A, I the free set.
 
-    A is held once in CSR, and ``rows`` = A[I, :] is cut from it when I
-    changes.  A CG step on A[I, I] multiplies only these rows, x ->
-    A[I, :] x~ with x~ = x padded by zeros on the clamped set C; each row
-    keeps its stored entries in their order, so the product is the free
-    part of the full one, bit for bit.  With ``jacobi`` every solve is CG
-    on A[I, I] preconditioned by diag(A)_I^{-1}, and nothing is factored:
-    _kappa_bound bounds its condition number for every I at once.
-    Otherwise A is held in the nested-dissection order p of its unknowns at
-    ``points``, and the factor ``full`` of all of A lives for the whole
-    solve.  While C is small, 2 |C| n <= fill of that factor (n the size of
-    A), CG solves with A[I, I] preconditioned by r -> (A^{-1} r~)_I.
-    (A^{-1})[I, I] and A[I, I]^{-1} differ by a term of rank |C|, so in
-    exact arithmetic CG takes at most |C| + 1 steps (Saad, Iterative
-    Methods for Sparse Linear Systems, 2003), each a triangular solve of
-    about 2 fill flops, against at least fill^2 / n for a refactorization.
-    A larger C has A[I, I] factored in the order p restricted to I, a
-    nested-dissection order of its subgraph, after the previous submatrix
-    factor is dropped.  ``count`` is the factorizations, ``fill_nnz`` their
-    stored L and U entries, ``cg_steps`` the CG steps and
-    ``triangular_solves`` the right-hand sides of triangular solves.
+    Every solve is one CG (_pcg) on A[I, I], and the free set picks only
+    its preconditioner M.  A is held once in CSR.  A CG step multiplies A
+    itself while every node is free, else only the rows A[I, :], cut from
+    A when I changes, by x~ = x padded with zeros on the clamped set C;
+    each row keeps its stored entries in their order, so the product is the
+    free part of the full one, bit for bit.  With ``jacobi`` M is
+    diag(A)_I^{-1} and nothing is factored: _kappa_bound bounds the
+    condition number for every I at once.  Otherwise A is held in the
+    nested-dissection order p of its unknowns at ``points``, and the factor
+    ``full`` of all of A lives for the whole solve.  With every node free M
+    is its solve, and CG is iterative refinement with an optimal step.
+    While 2 |C| n <= fill of that factor (n the size of A), M is
+    r -> (A^{-1} r~)_I: (A^{-1})[I, I] and A[I, I]^{-1} differ by a term of
+    rank |C|, so in exact arithmetic CG takes at most |C| + 1 steps (Saad,
+    Iterative Methods for Sparse Linear Systems, 2003), each a triangular
+    solve of about 2 fill flops, against at least fill^2 / n for a
+    refactorization.  A larger C has M the factor of A[I, I], cut from the
+    row block in the order p restricted to I, a nested-dissection order of
+    its subgraph; it replaces the previous one.  An empty I factors nothing
+    and takes no step.  ``count`` is the factorizations, ``fill_nnz`` their
+    stored L and U entries and ``cg_steps`` the CG steps, off the Jacobi
+    path one triangular solve each.
     """
 
     def __init__(self, A, points, name, jacobi=False):
@@ -393,57 +399,49 @@ class OrderedFactor:
         if jacobi:
             self.p, self.A, self.full = np.arange(A.shape[0]), A, None
             self.norm, self.count, self.fill_nnz = _inf_norm(A), 0, 0
+            self.inv_diag = 1.0 / A.diagonal()
         else:
             self.p = _nested_dissection(points, A)
             self.full = SpdFactor(A[self.p][:, self.p], name=name)
             self.A, self.norm = self.full.A, self.full.norm
             self.count, self.fill_nnz = 1, int(self.full.lu.nnz)
-        self.inv_diag = 1.0 / self.A.diagonal()
         self.free = np.ones(self.A.shape[0], dtype=bool)
         self.ids = np.arange(self.A.shape[0])  # I = self.free, in factor order
         self.rows = self.A  # A[I, :], A itself while every node is free
         self.order = self.p  # b[order] is b, given on the free nodes, in factor order
-        self.factor = self.full  # solves on self.free; None: Jacobi-CG
+        self.factor = self.full  # preconditions on self.free; None: Jacobi
         self.cg_steps = 0
-        self.dropped_solves = 0  # by the factors already replaced
-
-    @property
-    def triangular_solves(self):
-        current = 0 if self.factor is self.full else self.factor.solves
-        return self.dropped_solves + (0 if self.full is None else self.full.solves) + current
 
     def solve(self, b, free):
         """A[free][:, free]^{-1} b, with b given on the free nodes."""
         if not np.array_equal(free, self.free):
-            if self.factor is not self.full:
-                self.dropped_solves += self.factor.solves
             self.factor, self.free, self.ids = self.full, free, np.flatnonzero(free[self.p])
             self.order = (np.cumsum(free) - 1)[self.p[self.ids]]
             self.rows = self.A if free.all() else self.A[self.ids]
             k = int(np.count_nonzero(~free))
-            if self.full is not None and 0 < k < free.size and 2 * k * free.size > self.full.lu.nnz:
+            if self.full is not None and k < free.size and 2 * k * free.size > self.full.lu.nnz:
                 self.factor = SpdFactor(self.rows[:, self.ids], name=self.name)
                 self.count += 1
                 self.fill_nnz += int(self.factor.lu.nnz)
-        if not free.any():
-            return np.zeros(0)
-        x = np.empty_like(b)
-        if self.factor is not None and (self.factor is not self.full or free.all()):
-            x[self.order] = self.factor.solve(b[self.order])
-            return x
+        factor, full, ids, rows = self.factor, self.full, self.ids, self.rows
         padded = np.zeros(free.size)  # stays zero on C
 
         def pad(v):
-            padded[self.ids] = v
+            padded[ids] = v
             return padded
 
-        if self.full is None:
-            inv_diag = self.inv_diag[self.ids]
+        if factor is None:
+            inv_diag = self.inv_diag[ids]
             precond = lambda r: inv_diag * r
+        elif factor is full and not free.all():
+            precond = lambda r: full.lu_solve(pad(r))[ids]
         else:
-            precond = lambda r: self.full.lu_solve(pad(r))[self.ids]
-        restricted = lambda v: self.rows @ pad(v)
-        x[self.order], steps = _pcg(restricted, precond, b[self.order], self.norm, "%s[I, I]" % self.name)
+            precond = factor.lu_solve
+        matvec = self.A.dot if free.all() else lambda v: rows @ pad(v)
+        name = self.name if free.all() else "%s[I, I]" % self.name
+        norm = self.norm if factor is None else factor.norm
+        x = np.empty_like(b)
+        x[self.order], steps = _pcg(matvec, precond, b[self.order], norm, name)
         self.cg_steps += steps
         return x
 
@@ -565,7 +563,7 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
             break
 
     trace.fill_nnz = a11.fill_nnz + a00.fill_nnz
-    trace.triangular_solves = a11.triangular_solves + a00.triangular_solves
+    trace.triangular_solves = a00.cg_steps + (0 if jacobi else a11.cg_steps)
     u = _compose(system, u1, u0)
     u_plus = apply_P(mesh, system.dofs, u0, u, spec.bounds)
     solution = EGSolution(u=u, u_plus=u_plus, trace=trace)

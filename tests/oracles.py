@@ -391,8 +391,10 @@ def padded_restricted_solve(factor, b, free):
     the CSR A it holds and scales by its diagonal.  An all-free set on the
     factor path is solved with the full factor, and a set with
     2 |C| n > fill of the full factor with a fresh factor of its
-    submatrix.  Reads ``factor``'s order, matrix, factor, norm and name,
-    and changes none of its counters.
+    submatrix, each by CG on the matrix it factors, preconditioned with
+    it, as SpdFactor.solve does; their steps are counted too.  Reads
+    ``factor``'s order, matrix, factor, norm and name, and changes none of
+    its counters.
     """
     n = free.size
     ordered_free = free[factor.p]
@@ -402,11 +404,12 @@ def padded_restricted_solve(factor, b, free):
     if not free.any():
         return np.zeros(0), 0
     if factor.full is not None and free.all():
-        x[order] = _pcg(A.dot, factor.full.lu.solve, b[order], factor.norm, factor.name)[0]
-        return x, 0
+        x[order], steps = _pcg(A.dot, factor.full.lu.solve, b[order], factor.norm, factor.name)
+        return x, steps
     if factor.full is not None and 2 * np.count_nonzero(~free) * n > factor.full.lu.nnz:
-        x[order] = SpdFactor(A[ordered_free][:, ordered_free], name=factor.name).solve(b[order])
-        return x, 0
+        sub = SpdFactor(A[ordered_free][:, ordered_free], name=factor.name)
+        x[order], steps = _pcg(sub.A.dot, sub.lu.solve, b[order], sub.norm, factor.name)
+        return x, steps
     padded = np.zeros(n)
 
     def restricted(v, apply=A.dot):  # (apply(v padded by zeros on C))_I

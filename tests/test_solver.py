@@ -1,3 +1,4 @@
+import gc
 import weakref
 from dataclasses import asdict, replace
 
@@ -108,8 +109,8 @@ def test_spd_factor_raises_on_a_nan_rhs():
 @pytest.mark.parametrize("epsilon", [1.0, 1e-5])
 def test_factor_solves_take_one_cg_step(epsilon):
     # on the nested-dissection factors of A11 and A00 of 4,096 smooth
-    # elements, SpdFactor.solve meets backward error 1e-15 in one CG step:
-    # one triangular solve per right-hand side
+    # elements, an all-free solve meets backward error 1e-15 in one CG step
+    # preconditioned with the factor: one triangular solve per right-hand side
     mesh, spec = _smooth_problem(refinements=3, epsilon=epsilon)
     system = assemble_system(mesh, spec)
     rng = np.random.default_rng(3)
@@ -118,7 +119,7 @@ def test_factor_solves_take_one_cg_step(epsilon):
         for rhs in (b, rng.normal(size=b.size)):
             x = factor.solve(rhs, factor.free)
             assert np.abs(rhs - A @ x).max() <= 1e-15 * (factor.norm * np.abs(x).max() + np.abs(rhs).max())
-        assert (factor.triangular_solves, factor.cg_steps) == (2, 0)
+        assert (factor.full.solves, factor.cg_steps) == (2, 2)
 
 
 def test_standard_eg_zero_data_gives_zero():
@@ -474,10 +475,14 @@ def _factored_kinds(monkeypatch, mesh, spec):
 
 
 def test_bound_preserving_factors_only_A11_and_A00(monkeypatch):
-    # most nodes clamped: Step 1 factors principal submatrices, one at a time
+    # most nodes clamped: Step 1 factors principal submatrices, one at a
+    # time, and takes one CG step with each; the first sweep's last Newton
+    # step and the later sweeps clamp all 49 nodes, and factor nothing and
+    # take no CG step
     kinds, trace = _factored_kinds(monkeypatch, *_many_clamped_problem())
-    assert kinds.count("A11[idx]") >= 2
-    assert sum(trace.cg_steps_per_outer) == 0
+    assert kinds.count("A11[idx]") == 2
+    assert trace.clamped_per_outer == [49, 49, 49] and trace.inner_iters_per_outer == [3, 1, 1]
+    assert trace.a11_factorizations_per_outer == trace.cg_steps_per_outer == [2, 0, 0]
 
 
 def test_smooth_solve_factors_A11_once(monkeypatch):
@@ -634,9 +639,10 @@ def test_step1_newton_matches_richardson_oracle(name):
         assert a11.cg_steps == 9
         assert a11.factor is a11.full and not a11.free.all() and a11.count == 1
     elif name == "layer":
-        # far too many clamped nodes for CG: submatrices are factored
+        # far too many clamped nodes for the full factor: submatrices are
+        # factored, and each Newton step is one CG step
         assert clamped_share >= 0.9
-        assert a11.cg_steps == 0 and a11.count >= 2
+        assert a11.cg_steps == n == 4 and a11.count == 4
     else:
         assert np.any(lo > hi)
 
@@ -664,10 +670,10 @@ def test_a11_free_set_solve_matches_fresh_factor(clamped):
     if clamped == 3:
         assert (a11.count, a11.cg_steps) == (1, 4)  # |C| + 1 CG steps
     else:
-        assert (a11.count, a11.cg_steps) == (2, 0)
-    # the same free set runs CG (or reuses the factor) again
+        assert (a11.count, a11.cg_steps) == (2, 1)  # one step with the submatrix factor
+    # the same free set runs CG with the same preconditioner again
     a11.solve(b, free)
-    assert (a11.count, a11.cg_steps) == ((1, 8) if clamped == 3 else (2, 0))
+    assert (a11.count, a11.cg_steps) == ((1, 8) if clamped == 3 else (2, 2))
 
 
 @pytest.mark.parametrize("clamped", [0, 3, 40])
@@ -687,9 +693,49 @@ def test_jacobi_free_set_solve_matches_fresh_factor(clamped):
     sub = sp.csc_matrix(system.A11[free][:, free])
     x_ref = spla.splu(sub).solve(b)
     assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
-    assert (a11.count, a11.fill_nnz, a11.triangular_solves) == (0, 0, 0)
+    assert (a11.count, a11.fill_nnz, a11.full, a11.factor) == (0, 0, None, None)
     kappa = egbp.solver._kappa_bound(system.A11, spec.mu * system.M1.diagonal())
     assert 0 < a11.cg_steps <= 0.5 * np.sqrt(kappa) * np.log(2.0 / 1e-15)
+
+
+@pytest.mark.parametrize("jacobi", [True, False])
+def test_all_clamped_free_set_solves_nothing(jacobi):
+    # an empty free set: no factorization, no CG step, no triangular solve
+    mesh = build_structured(16, 16)
+    system = assemble_system(mesh, make_spec(epsilon=1e-5, f=lambda x, y: 1.0 + 0.0 * x))
+    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11", jacobi=jacobi)
+    count, fill_nnz = a11.count, a11.fill_nnz
+    x = a11.solve(np.zeros(0), np.zeros(system.A11.shape[0], dtype=bool))
+    assert x.shape == (0,)
+    assert (a11.count, a11.fill_nnz, a11.cg_steps) == (count, fill_nnz, 0)
+    assert a11.factor is a11.full and (jacobi or a11.full.solves == 0)
+
+
+@pytest.mark.parametrize("case", ["smooth", "layer"])
+def test_factors_are_freed_when_the_solve_returns(monkeypatch, case):
+    # No reference cycle holds a factor: with the cyclic collector off, every
+    # SpdFactor built by either solve is freed once the call returns.  The
+    # bound-preserving solve factors A11 and A00 (and, on the layer's 288
+    # elements, 6 submatrices of A11), the comparator A00, K_gamma and A11.
+    refs = []
+
+    class RecordingFactor(SpdFactor):
+        def __init__(self, A, name="system"):
+            super().__init__(A, name=name)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
+    mesh, spec = _smooth_problem() if case == "smooth" else _layer_problem(refinements=0)
+    gc.disable()
+    try:
+        solve_bound_preserving(mesh, spec)
+        n_bp = len(refs)
+        solve_standard_eg(mesh, spec)
+        alive = [ref() is not None for ref in refs]
+    finally:
+        gc.enable()
+    assert (mesh.num_elements, n_bp, len(refs) - n_bp) == ((64, 2, 3) if case == "smooth" else (288, 8, 3))
+    assert not any(alive)
 
 
 @pytest.mark.parametrize("jacobi", [True, False])
@@ -699,9 +745,11 @@ def test_free_row_cg_matches_the_padded_full_product(jacobi, clamped):
     # again whenever the set changes: the answers and CG step counts equal,
     # bit for bit, those of the padded product with the whole A.  Each count
     # runs a set, another set of the same size, the first set again and the
-    # all-free set.  On the factor path (full fill 5,604, so CG while
-    # |C| <= 12) one clamped node runs CG in |C| + 1 = 2 steps, and half and
-    # 97% factor a submatrix cut from the row block.
+    # all-free set.  On the factor path (full fill 5,604, so the full
+    # factor preconditions while |C| <= 12) one clamped node runs CG in
+    # |C| + 1 = 2 steps, half and 97% factor a submatrix cut from the row
+    # block, and a solve preconditioned by an exact factor of its own matrix
+    # takes one step.
     mesh = build_structured(16, 16)
     mesh = _build_mesh(np.column_stack([mesh.vertices[:, 0], mesh.vertices[:, 1] ** 2]), mesh.triangles)
     system = assemble_system(mesh, make_spec(epsilon=1e-5, f=lambda x, y: 1.0 + 0.0 * x))
@@ -716,7 +764,7 @@ def test_free_row_cg_matches_the_padded_full_product(jacobi, clamped):
         x = a11.solve(b, free)
         assert x.tobytes() == x_ref.tobytes()
         assert a11.cg_steps - cg_steps == steps
-        assert steps > 0 if jacobi else steps == (2 if clamped == 1 and not free.all() else 0)
+        assert steps > 0 if jacobi else steps == (2 if clamped == 1 and not free.all() else 1)
 
 
 def test_step1_cg_solve_checks_its_answer():
@@ -1187,9 +1235,7 @@ def test_trace_counts_triangular_solves(monkeypatch, case):
         assert sum(trace.cg_steps_per_outer) >= sum(trace.inner_iters_per_outer) > 0
         assert trace.initial_cg_steps > 0
         return
-    assert trace.initial_cg_steps == 0  # all nodes free: one solve with the full factor
-    # A00: the initial solve and one per sweep; A11: the initial solve, then
-    # at least one per Newton step and one per CG step; factor solves that take
-    # a second CG step on top
-    step1 = max(sum(trace.inner_iters_per_outer), sum(trace.cg_steps_per_outer))
-    assert trace.triangular_solves >= 2 + trace.outer_iters + step1
+    assert trace.initial_cg_steps == 1  # all nodes free: one CG step with the full factor
+    # every CG step preconditioned with a factor is one triangular solve:
+    # A00's one step per solve, the initial sweep and every Step-1 CG step
+    assert trace.triangular_solves == 1 + trace.outer_iters + trace.initial_cg_steps + sum(trace.cg_steps_per_outer)
