@@ -14,12 +14,12 @@ factored; an a-priori bound on the condition number picks that path (see
 _jacobi_pays).  Otherwise the factor of the full A11 lives for the whole
 solve and preconditions while few nodes are clamped; many clamped nodes
 have the submatrix factored.  Each Step-1 solve is one CG on the free
-rows of A11, and its free set picks only the preconditioner (see
-OrderedFactor).  Every matrix is factored in the
-nested-dissection order of its unknowns' mesh positions: interior
-vertices for A11, element centroids for A00.  Every linear solve is one
-routine, CG (_pcg) to normwise backward error _CG_TOL; a factor enters
-only as its preconditioner.
+rows of A11, started at the current Newton iterate, and its free set
+picks only the preconditioner (see OrderedFactor).  Every matrix is
+factored in the nested-dissection order of its unknowns' mesh positions:
+interior vertices for A11, element centroids for A00.  Every linear solve
+is one routine, CG (_pcg) to normwise backward error _CG_TOL; a factor
+enters only as its preconditioner.
 """
 
 from __future__ import annotations
@@ -67,8 +67,10 @@ class SolveTrace:
     count of the last Newton step, the worst feasibility slack
     min_i (b - over_i) - (a - under_i), the number of A11-class
     factorizations the sweep made and its Step-1 CG steps, whatever
-    preconditions them (see OrderedFactor); ``initial_cg_steps`` is those
-    of the initial sweep's A11 solve, before the first outer sweep.
+    preconditions them (see OrderedFactor); a solve whose start, the
+    current iterate, already meets the backward error adds 0.
+    ``initial_cg_steps`` is those of the initial sweep's A11 solve, before
+    the first outer sweep.
     ``fill_nnz`` is the stored L and U entries summed over every
     factorization of the solve, those of A00 and of the A11 class (none on
     the Jacobi path), and ``triangular_solves`` the triangular solves with
@@ -199,8 +201,10 @@ class SpdFactor:
     fill-reducing column order of its own.  ``A`` is held in CSR, so that
     OrderedFactor can cut rows from it.  The solvers use the factor only
     as a preconditioner, ``lu_solve``, inside their own CG; ``solves``
-    counts the right-hand sides passed to it so far.  ``solve`` has no
-    caller in the package: perfbench's traced subclass wraps it.
+    counts the right-hand sides passed to it so far.  ``lu_solve`` takes
+    SuperLU's transposed solve, which presumes A exactly symmetric.
+    ``solve`` has no caller in the package: perfbench's traced subclass
+    wraps it.
     """
 
     def __init__(self, A, name="system"):
@@ -219,9 +223,17 @@ class SpdFactor:
         self.solves = 0
 
     def lu_solve(self, b):
-        """The triangular solves with the factor, b one vector or one per column."""
+        """The triangular solves with the factor, b one vector or one per column.
+
+        They solve A^T x = b, the same system: every matrix factored here
+        (A11, A00, K_gamma and each A11[I, I], in nested-dissection order) is
+        exactly symmetric.  SuperLU's transposed solve is the faster one: on
+        the 18,432-element layer mesh an A00 solve takes 1.5 ms against 2.1
+        ms, a K_gamma solve (9,025 unknowns) 1.0 ms against 1.4 ms (medians
+        of 1,000 interleaved solves, one thread, 2-vCPU VM).
+        """
         self.solves += 1 if b.ndim == 1 else b.shape[1]
-        return self.lu.solve(b)
+        return self.lu.solve(b, trans="T")
 
     def solve(self, b):
         """A^{-1} b by _pcg preconditioned with the factor, which is iterative
@@ -254,16 +266,23 @@ def _compose(system, u1, u0):
     return EGFunction(lin, u0.copy())
 
 
-def _pcg(matvec, precond, g, a_norm, name):
-    """(A^{-1} g, steps) by CG on the A of ``matvec``, preconditioned with ``precond``.
+def _pcg(matvec, precond, g, a_norm, name, x0=None):
+    """(A^{-1} g, steps) by CG on the A of ``matvec``, preconditioned with ``precond``, from ``x0``.
 
     Stops at normwise backward error _CG_TOL, ||r||_inf <= _CG_TOL (a_norm
     ||x||_inf + ||g||_inf), a_norm a bound on ||A|| (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 12).  SolverError on a non-finite
-    residual, on breakdown (p^T A p <= 0, or r^T z <= 0: the preconditioner
-    is not positive definite) or after g.size steps.
+    Stability of Numerical Algorithms, ch. 12).  The start ``x0`` costs one
+    product, r = g - A x0; without one x starts at zero and r at g.  A start
+    that meets the test is returned as it is, after 0 steps.  SolverError on
+    a non-finite residual, on breakdown (p^T A p <= 0, or r^T z <= 0: the
+    preconditioner is not positive definite) or after g.size steps.
     """
-    x, r, p, rz = np.zeros_like(g), g.copy(), np.zeros_like(g), 1.0
+    if x0 is None:
+        x, r = np.zeros_like(g), g.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = g - matvec(x)
+    p, rz = np.zeros_like(g), 1.0
     gnorm, steps = np.abs(g).max(initial=0.0), 0
     while not (res := np.abs(r).max(initial=0.0)) <= _CG_TOL * (a_norm * np.abs(x).max(initial=0.0) + gnorm):
         if not np.isfinite(res):
@@ -369,8 +388,9 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
 class OrderedFactor:
     """Solves with the principal submatrices A[I, I] of an SPD A, I the free set.
 
-    Every solve is one CG (_pcg) on A[I, I], and the free set picks only
-    its preconditioner M.  A is held once in CSR.  A CG step multiplies A
+    Every solve is one CG (_pcg) on A[I, I], from a start given on the
+    free nodes or from zero, and the free set picks only its
+    preconditioner M.  A is held once in CSR.  A CG step multiplies A
     itself while every node is free, else only the rows A[I, :], cut from
     A when I changes, by x~ = x padded with zeros on the clamped set C;
     each row keeps its stored entries in their order, so the product is the
@@ -387,10 +407,12 @@ class OrderedFactor:
     solve of about 2 fill flops, against at least fill^2 / n for a
     refactorization.  A larger C has M the factor of A[I, I], cut from the
     row block in the order p restricted to I, a nested-dissection order of
-    its subgraph; it replaces the previous one.  An empty I factors nothing
-    and takes no step.  ``count`` is the factorizations, ``fill_nnz`` their
-    stored L and U entries and ``cg_steps`` the CG steps, off the Jacobi
-    path one triangular solve each.
+    its subgraph; it replaces the previous one, and it is cut when I
+    changes, even if the start then meets the backward error and CG takes
+    no step.  An empty I factors nothing and takes no step.  ``count`` is
+    the factorizations, ``fill_nnz`` their stored L and U entries and
+    ``cg_steps`` the CG steps, off the Jacobi path one triangular solve
+    each.
     """
 
     def __init__(self, A, points, name, jacobi=False):
@@ -412,8 +434,8 @@ class OrderedFactor:
         self.factor = self.full  # preconditions on self.free; None: Jacobi
         self.cg_steps = 0
 
-    def solve(self, b, free):
-        """A[free][:, free]^{-1} b, with b given on the free nodes."""
+    def solve(self, b, free, x0=None):
+        """A[free][:, free]^{-1} b by CG from ``x0`` (zero if None), b and x0 given on the free nodes."""
         if not np.array_equal(free, self.free):
             self.factor, self.free, self.ids = self.full, free, np.flatnonzero(free[self.p])
             self.order = (np.cumsum(free) - 1)[self.p[self.ids]]
@@ -441,7 +463,8 @@ class OrderedFactor:
         name = self.name if free.all() else "%s[I, I]" % self.name
         norm = self.norm if factor is None else factor.norm
         x = np.empty_like(b)
-        x[self.order], steps = _pcg(matvec, precond, b[self.order], norm, name)
+        start = None if x0 is None else x0[self.order]
+        x[self.order], steps = _pcg(matvec, precond, b[self.order], norm, name, start)
         self.cg_steps += steps
         return x
 
@@ -455,11 +478,11 @@ def inner_richardson(u1, w0, system, spec, extremes, a11_factor):
     clamped set C holds the nodes with P(u) != u and every infeasible
     window (P clamps those to a - under); with the clamp values c_C the
     step solves A11[I, I] u_I = r_I - A11[I, C] c_C on the free rest I by
-    ``a11_factor`` (an OrderedFactor of A11) and sets u_C = c_C + S1_C^{-1}
-    (r - A11 P(u))_C.  The loop stops at the first step whose result has
-    the same clamped set and clamp values as the step used: that result
-    solves Step 1 exactly (Hintermueller, Ito & Kunisch, SIAM J. Optim.
-    13(3), 2002).
+    ``a11_factor`` (an OrderedFactor of A11), starting CG at the current
+    u_I, and sets u_C = c_C + S1_C^{-1} (r - A11 P(u))_C.  The loop stops
+    at the first step whose result has the same clamped set and clamp
+    values as the step used: that result solves Step 1 exactly
+    (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13(3), 2002).
 
     Returns (u1_new, step_count, step_sizes, converged), step sizes in the
     L2 norm; converged is False if _MAX_INNER steps did not settle C.
@@ -480,7 +503,7 @@ def inner_richardson(u1, w0, system, spec, extremes, a11_factor):
         if np.any(system.S1[clamped] <= 0.0):
             raise SolverError("Step 1 is singular: a clamped node has no stabilizer (alpha = 0)")
         p = np.where(free, 0.0, c)
-        p[free] = a11_factor.solve((rhs - system.A11 @ p)[free], free)
+        p[free] = a11_factor.solve((rhs - system.A11 @ p)[free], free, u[free])
         u_new = p.copy()
         u_new[clamped] += (rhs - system.A11 @ p)[clamped] / system.S1[clamped]
         d = u_new - u

@@ -379,7 +379,7 @@ def solve_spd(A, b, name="system"):
     return SpdFactor(A, name=name).solve(np.asarray(b, dtype=float))
 
 
-def padded_restricted_solve(factor, b, free):
+def padded_restricted_solve(factor, b, free, x0=None):
     """(A[I, I]^{-1} b, CG steps) of an OrderedFactor ``factor`` of A, I = ``free``, by the padded full product.
 
     The solve as OrderedFactor.solve made it before its CG multiplied only
@@ -387,28 +387,32 @@ def padded_restricted_solve(factor, b, free):
     order, by the vector padded with zeros on the clamped set C and keeps
     the free part of the product.  On the factor path that product is taken
     with A in CSC, as the full factor then held it, and the preconditioner
-    is the full factor's solve, padded alike; the Jacobi path multiplies
-    the CSR A it holds and scales by its diagonal.  An all-free set on the
-    factor path is solved with the full factor, and a set with
-    2 |C| n > fill of the full factor with a fresh factor of its
-    submatrix, each by CG on the matrix it factors, preconditioned with
-    it, as SpdFactor.solve does; their steps are counted too.  Reads
-    ``factor``'s order, matrix, factor, norm and name, and changes none of
-    its counters.
+    is the full factor's transposed solve (A is symmetric), padded alike;
+    the Jacobi path multiplies the CSR A it holds and scales by its
+    diagonal.  An all-free set on the factor path is solved with the full
+    factor, and a set with 2 |C| n > fill of the full factor with a fresh
+    factor of its submatrix, each by CG on the matrix it factors,
+    preconditioned with it, as SpdFactor.solve does; their steps are
+    counted too.  CG starts at ``x0``, given on the free nodes like b, or
+    at zero.  Reads ``factor``'s order, matrix, factor, norm and name, and
+    changes none of its counters.
     """
     n = free.size
     ordered_free = free[factor.p]
     order = (np.cumsum(free) - 1)[factor.p[ordered_free]]
     A = factor.A if factor.full is None else sp.csc_matrix(factor.full.A)
+    start = None if x0 is None else x0[order]
     x = np.empty_like(b)
     if not free.any():
         return np.zeros(0), 0
     if factor.full is not None and free.all():
-        x[order], steps = _pcg(A.dot, factor.full.lu.solve, b[order], factor.norm, factor.name)
+        lu = factor.full.lu
+        x[order], steps = _pcg(A.dot, lambda r: lu.solve(r, trans="T"), b[order], factor.norm, factor.name, start)
         return x, steps
     if factor.full is not None and 2 * np.count_nonzero(~free) * n > factor.full.lu.nnz:
         sub = SpdFactor(A[ordered_free][:, ordered_free], name=factor.name)
-        x[order], steps = _pcg(sub.A.dot, sub.lu.solve, b[order], sub.norm, factor.name)
+        precond = lambda r: sub.lu.solve(r, trans="T")
+        x[order], steps = _pcg(sub.A.dot, precond, b[order], sub.norm, factor.name, start)
         return x, steps
     padded = np.zeros(n)
 
@@ -420,8 +424,8 @@ def padded_restricted_solve(factor, b, free):
         inv_diag = 1.0 / A.diagonal()[ordered_free]
         precond = lambda r: inv_diag * r
     else:
-        precond = lambda r: restricted(r, factor.full.lu.solve)
-    x[order], steps = _pcg(restricted, precond, b[order], factor.norm, "%s[I, I]" % factor.name)
+        precond = lambda r: restricted(r, lambda v: factor.full.lu.solve(v, trans="T"))
+    x[order], steps = _pcg(restricted, precond, b[order], factor.norm, "%s[I, I]" % factor.name, start)
     return x, steps
 
 

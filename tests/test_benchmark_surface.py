@@ -98,8 +98,9 @@ def test_traced_pass_passes_the_benchmark_gate(monkeypatch, name):
 def test_layer_solve_counts_are_pinned():
     # The layer workload's problem (eps = 1e-7, beta = 4) on its 4,608-element
     # level: Jacobi-CG, 3 outer sweeps of 3 Newton steps each, 29 CG steps in
-    # the initial sweep and 174 in the Newton steps, and one A00 triangular
-    # solve for the initial sweep and each outer sweep.
+    # the initial sweep and 49 in the Newton steps, each of which starts at
+    # the current iterate, and one A00 triangular solve for the initial sweep
+    # and each outer sweep.
     wl = _load("workloads").WORKLOADS["layer"]
     mesh = build_structured(wl.nx, wl.ny, wl.rect)
     for _ in range(2):
@@ -107,5 +108,27 @@ def test_layer_solve_counts_are_pinned():
     trace = egbp.solver.solve_bound_preserving(mesh, wl.spec).trace
     assert (mesh.num_elements, trace.a11_path, trace.stop_reason) == (4608, "jacobi", "converged")
     assert trace.inner_iters_per_outer == [3, 3, 3]
-    assert (trace.initial_cg_steps, trace.cg_steps_per_outer) == (29, [57, 60, 57])
+    assert (trace.initial_cg_steps, trace.cg_steps_per_outer) == (29, [26, 16, 7])
     assert trace.triangular_solves == 4
+
+
+def test_layer_solve_converges_at_294912_elements():
+    # The layer workload's problem refined twice past its finest level.  Each
+    # Step-1 CG starts at the current Newton iterate, and a start that meets
+    # the backward error comes back unchanged, so the clamped set settles:
+    # 4 + 3 Newton steps.  Started from zero, every solve moved u at the
+    # clamp windows by round-off, and the first Step 1 used up all 500
+    # Newton steps.  The solve passes the benchmark's gate; the fingerprint
+    # is not compared, as the reference has none at this size.
+    workloads = _load("workloads")
+    wl = workloads.WORKLOADS["layer"]
+    mesh = build_structured(wl.nx, wl.ny, wl.rect)
+    for _ in range(5):
+        mesh = refine_uniform(mesh)
+    system = egbp.solver.assemble_system(mesh, wl.spec)
+    solution = egbp.solver.solve_bound_preserving(mesh, wl.spec, system=system)
+    trace = solution.trace
+    assert (mesh.num_elements, trace.a11_path, trace.stop_reason) == (294912, "jacobi", "converged")
+    assert trace.inner_iters_per_outer == [4, 3]
+    rec = workloads._post_bp("layer/294912", mesh, wl.spec, system, solution, None)
+    assert workloads.gate(rec, {}) == ([], ["no reference fingerprint"])

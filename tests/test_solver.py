@@ -449,12 +449,12 @@ def _factored_kinds(monkeypatch, mesh, spec):
 
     solve_free = OrderedFactor.solve
 
-    def recording_solve(self, b, free):
+    def recording_solve(self, b, free, x0=None):
         if self.name == "A11":
             free_sets.append(free.copy())
-        else:  # A00 always solves on all its unknowns
-            assert free.all()
-        x = solve_free(self, b, free)
+        else:  # A00 always solves on all its unknowns, from zero
+            assert free.all() and x0 is None
+        x = solve_free(self, b, free, x0)
         count_alive()
         return x
 
@@ -640,9 +640,11 @@ def test_step1_newton_matches_richardson_oracle(name):
         assert a11.factor is a11.full and not a11.free.all() and a11.count == 1
     elif name == "layer":
         # far too many clamped nodes for the full factor: submatrices are
-        # factored, and each Newton step is one CG step
+        # factored, and each Newton step is one CG step, but the last, whose
+        # free set drops 2 of the 98 nodes: its start, the previous iterate,
+        # already meets the backward error, and it takes none
         assert clamped_share >= 0.9
-        assert a11.cg_steps == n == 4 and a11.count == 4
+        assert (n, a11.cg_steps, a11.count) == (4, 3, 4)
     else:
         assert np.any(lo > hi)
 
@@ -738,6 +740,14 @@ def test_factors_are_freed_when_the_solve_returns(monkeypatch, case):
     assert not any(alive)
 
 
+def _graded_a11(jacobi):
+    """(system, OrderedFactor of A11) of the graded 16 x 16 mesh at eps = 1e-5, 225 nodes."""
+    mesh = build_structured(16, 16)
+    mesh = _build_mesh(np.column_stack([mesh.vertices[:, 0], mesh.vertices[:, 1] ** 2]), mesh.triangles)
+    system = assemble_system(mesh, make_spec(epsilon=1e-5, f=lambda x, y: 1.0 + 0.0 * x))
+    return system, OrderedFactor(system.A11, _interior_points(mesh), "A11", jacobi=jacobi)
+
+
 @pytest.mark.parametrize("jacobi", [True, False])
 @pytest.mark.parametrize("clamped", [0, 1, 112, 218])  # none, one, half and 97% of 225 nodes
 def test_free_row_cg_matches_the_padded_full_product(jacobi, clamped):
@@ -749,22 +759,90 @@ def test_free_row_cg_matches_the_padded_full_product(jacobi, clamped):
     # factor preconditions while |C| <= 12) one clamped node runs CG in
     # |C| + 1 = 2 steps, half and 97% factor a submatrix cut from the row
     # block, and a solve preconditioned by an exact factor of its own matrix
-    # takes one step.
-    mesh = build_structured(16, 16)
-    mesh = _build_mesh(np.column_stack([mesh.vertices[:, 0], mesh.vertices[:, 1] ** 2]), mesh.triangles)
-    system = assemble_system(mesh, make_spec(epsilon=1e-5, f=lambda x, y: 1.0 + 0.0 * x))
+    # takes one step.  Each set is solved from zero and again from a random
+    # start.
+    system, a11 = _graded_a11(jacobi)
     n = system.A11.shape[0]
     first, second = (_random_free_set(n, clamped, seed) for seed in (clamped, clamped + 1))
-    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11", jacobi=jacobi)
     rng = np.random.default_rng(7)
     for free in (first, second, first, np.ones(n, dtype=bool)):
         b = rng.normal(size=np.count_nonzero(free))
-        x_ref, steps = padded_restricted_solve(a11, b, free)
-        cg_steps = a11.cg_steps
-        x = a11.solve(b, free)
-        assert x.tobytes() == x_ref.tobytes()
-        assert a11.cg_steps - cg_steps == steps
-        assert steps > 0 if jacobi else steps == (2 if clamped == 1 and not free.all() else 1)
+        for x0 in (None, rng.normal(size=b.size)):
+            x_ref, steps = padded_restricted_solve(a11, b, free, x0)
+            cg_steps = a11.cg_steps
+            x = a11.solve(b, free, x0)
+            assert x.tobytes() == x_ref.tobytes()
+            assert a11.cg_steps - cg_steps == steps
+            assert steps > 0 if jacobi else steps == (2 if clamped == 1 and not free.all() else 1)
+
+
+@pytest.mark.parametrize("jacobi", [True, False])
+@pytest.mark.parametrize("clamped", [0, 3, 112])
+def test_start_that_meets_the_backward_error_takes_no_step(jacobi, clamped):
+    # A solve started at the answer of the same system returns that start,
+    # bit for bit, after 0 CG steps (0 triangular solves on the factor path)
+    system, a11 = _graded_a11(jacobi)
+    free = _random_free_set(system.A11.shape[0], clamped, seed=clamped)
+    b = np.random.default_rng(7).normal(size=np.count_nonzero(free))
+    x0 = a11.solve(b, free)
+    counts = lambda: (a11.cg_steps, 0 if jacobi else a11.factor.solves)
+    before = counts()
+    x = a11.solve(b, free, x0)
+    assert x.tobytes() == x0.tobytes() and x is not x0
+    assert counts() == before
+
+
+@pytest.mark.parametrize("jacobi", [True, False])
+def test_random_starts_meet_the_backward_error(jacobi):
+    # From a random start, on random free sets of 0 to 218 clamped nodes, CG
+    # meets normwise backward error 1e-15 and agrees with the solve from zero
+    system, a11 = _graded_a11(jacobi)
+    n = system.A11.shape[0]
+    rng = np.random.default_rng(11)
+    for clamped in (0, 1, 3, 40, 112, 218):
+        for seed in range(3):
+            free = _random_free_set(n, clamped, seed=100 * clamped + seed)
+            sub = system.A11[free][:, free]
+            b = rng.normal(size=np.count_nonzero(free))
+            x0 = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=b.size)
+            cold = a11.solve(b, free)
+            x = a11.solve(b, free, x0)
+            norm = egbp.solver._inf_norm(sub)
+            assert np.abs(b - sub @ x).max() <= 1e-15 * (norm * np.abs(x).max() + np.abs(b).max())
+            assert np.linalg.norm(x - cold) <= 1e-13 * np.linalg.norm(cold)
+
+
+@pytest.mark.parametrize("case", ["jacobi", "factor"])
+def test_every_factored_matrix_is_exactly_symmetric(monkeypatch, case):
+    # SpdFactor.lu_solve takes SuperLU's transposed solve, which solves the
+    # same system only for a symmetric matrix: every matrix factored by
+    # either solve is equal to its transpose, entry for entry.  On the
+    # 48 x 48 mesh the layer data (eps = 1e-7) factor A00 and K_gamma; eps =
+    # 1e-2 with bounds [0, 0.5] also factors A11 in both solves and 5
+    # submatrices A11[I, I] in Step 1.
+    names = []
+
+    class CheckedFactor(SpdFactor):
+        def __init__(self, A, name="system"):
+            super().__init__(A, name=name)
+            assert (self.A != self.A.T).nnz == 0, name
+            names.append((name, self.A.shape[0]))
+
+    monkeypatch.setattr(egbp.solver, "SpdFactor", CheckedFactor)
+    mesh = build_structured(48, 48)
+    if case == "jacobi":
+        spec = _layer_problem(refinements=0)[1]
+    else:
+        spec = make_spec(epsilon=1e-2, beta=4, f=lambda x, y: 1.0 + 0.0 * x, bounds=(0.0, 0.5))
+    assert solve_bound_preserving(mesh, spec).trace.converged
+    n_bp = len(names)
+    solve_standard_eg(mesh, replace(spec, beta=1, alpha=0.0))
+    if case == "jacobi":
+        assert names == [("A00", 4608), ("A00", 4608), ("K_gamma", 2209)]
+    else:
+        assert names[:2] == [("A11", 2209), ("A00", 4608)] and n_bp == 7
+        assert all(name == "A11" and size < 2209 for name, size in names[2:n_bp])
+        assert names[n_bp:] == [("A00", 4608), ("K_gamma", 2209), ("A11", 2209)]
 
 
 def test_step1_cg_solve_checks_its_answer():
@@ -895,10 +973,10 @@ def _free_sets_per_step1(monkeypatch, mesh, spec):
         sweeps.append([])
         return newton(*args, **kwargs)
 
-    def recording_solve(self, b, free):
+    def recording_solve(self, b, free, x0=None):
         if sweeps and self.name == "A11":  # not the initial sweep, not A00
             sweeps[-1].append(free.copy())
-        return solve_free(self, b, free)
+        return solve_free(self, b, free, x0)
 
     monkeypatch.setattr(egbp.solver, "inner_richardson", recording_newton)
     monkeypatch.setattr(OrderedFactor, "solve", recording_solve)
@@ -1217,9 +1295,9 @@ def test_trace_counts_triangular_solves(monkeypatch, case):
         def __init__(self, lu):
             self.lu, self.nnz = lu, lu.nnz
 
-        def solve(self, b):
+        def solve(self, b, trans="N"):
             counted["rhs"] += 1 if b.ndim == 1 else b.shape[1]
-            return self.lu.solve(b)
+            return self.lu.solve(b, trans=trans)
 
     monkeypatch.setattr(egbp.solver.spla, "splu", lambda *a, **k: CountingLU(splu(*a, **k)))
     mesh, spec = _smooth_problem() if case == "smooth" else _layer_problem()
