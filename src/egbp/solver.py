@@ -17,13 +17,16 @@ have the submatrix factored.  Each Step-1 solve is one CG on the free
 rows of A11, started at the current Newton iterate, and its free set
 picks only the preconditioner (see OrderedFactor).  Every matrix is
 factored in the nested-dissection order of its unknowns' mesh positions:
-interior vertices for A11, element centroids for A00.  Every linear solve
-is one routine, CG (_pcg) to normwise backward error _CG_TOL; a factor
-enters only as its preconditioner.
+interior vertices for A11, element centroids for A00.  Each mesh keeps
+its last factor of A00, for every later solve whose A00 equals it bit for
+bit (see _a00_factor).  Every linear solve is one routine, CG (_pcg) to
+normwise backward error _CG_TOL; a factor enters only as its
+preconditioner.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,11 +74,13 @@ class SolveTrace:
     current iterate, already meets the backward error adds 0.
     ``initial_cg_steps`` is those of the initial sweep's A11 solve, before
     the first outer sweep.
-    ``fill_nnz`` is the stored L and U entries summed over every
-    factorization of the solve, those of A00 and of the A11 class (none on
-    the Jacobi path), and ``triangular_solves`` the triangular solves with
-    them: one per CG step preconditioned with a factor, A00's and, off the
-    Jacobi path, A11's.  ``outer_iters``, ``converged``,
+    ``a00_reused`` is True if the solve took the factor of A00 its mesh
+    kept from an earlier solve (see _a00_factor), False if it factored A00.
+    ``fill_nnz`` is the stored L and U entries summed over the
+    factorizations this solve made, of A00 unless reused and of the A11
+    class (none on the Jacobi path), and ``triangular_solves`` this solve's
+    triangular solves: one per CG step preconditioned with a factor, A00's
+    and, off the Jacobi path, A11's.  ``outer_iters``, ``converged``,
     ``inner_iters_per_outer``, ``feasible_per_outer`` and
     ``feasibility_violations`` are read off them.
     ``polish_outer_iters`` is always 0: the solve has no sweeps after
@@ -96,6 +101,7 @@ class SolveTrace:
     stop_reason: str = ""
     a11_path: str = ""
     kappa_bound: float = np.nan
+    a00_reused: bool = False
 
     @property
     def outer_iters(self):
@@ -347,13 +353,14 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     CG then takes more steps.  _jacobi_pays charges the Jacobi step bound at
     one K_gamma triangular solve, f = K_gamma's fill, per step, against the
     f^2 / n1 of a factor of A11 (as OrderedFactor counts a refactorization),
-    which has K_gamma's pattern and order and so its fill.  Returns the
-    full discrete solution including the Dirichlet lift.
+    which has K_gamma's pattern and order and so its fill.  The A00 factor
+    is the mesh's kept one if equal (see _a00_factor).  Returns the full
+    discrete solution including the Dirichlet lift.
     """
     system = _prepare(mesh, spec, dofs, system, lift)
     n1 = system.dofs.n_interior
     p1 = _nested_dissection(mesh.vertices[system.dofs.interior_vertex_ids], system.A11)
-    a00 = OrderedFactor(system.A00, mesh.centroid, "A00")
+    a00 = _a00_factor(mesh, system.A00)[0]
     k_gamma = SpdFactor(penalty_stiffness(mesh, spec, system.dofs)[p1][:, p1], name="K_gamma")
     A11 = sp.csc_matrix(sp.csr_matrix(system.A11)[p1][:, p1])
     A10 = sp.csr_matrix(system.A10)[p1][:, a00.p]
@@ -469,6 +476,37 @@ class OrderedFactor:
         return x
 
 
+# The last A00 factor of each live mesh, (a copy of A00, its OrderedFactor);
+# an entry dies with its mesh, as the value holds no reference to it.
+_A00_FACTORS = weakref.WeakKeyDictionary()
+
+
+def _a00_factor(mesh, A00):
+    """(OrderedFactor of A00 at ``mesh``'s centroids, reused): the factor the
+    mesh keeps if its A00 equals this one bit for bit, else a new one.
+
+    A Mesh is immutable and hashed by identity; a system's A00 is neither,
+    so shape, indptr, indices and data are compared with the copy kept
+    beside the factor.  A00 depends on the mesh, mu, gamma and beta: solves
+    of one problem on one mesh share a factor whatever their tol_inner, and
+    so does a standard solve on a bound-preserving solve's system.  A new
+    factor replaces the kept one, freed first, so each live mesh holds at
+    most one; on a refinement hierarchy the coarser meshes' factors add at
+    most about 1/3 of the finest one's.  Solves that share the factor share
+    its ``cg_steps``, which a solve reads as a difference: concurrent solves
+    on one mesh would mix their counts.
+    """
+    A00 = sp.csr_matrix(A00)
+    kept = _A00_FACTORS.pop(mesh, None)
+    reused = kept is not None and kept[0].shape == A00.shape
+    reused = reused and all(np.array_equal(getattr(kept[0], a), getattr(A00, a)) for a in ("indptr", "indices", "data"))
+    if not reused:
+        del kept  # the old factor is freed before the new one is made
+        kept = (A00.copy(), OrderedFactor(A00, mesh.centroid, "A00"))
+    _A00_FACTORS[mesh] = kept
+    return kept[1], reused
+
+
 def inner_richardson(u1, w0, system, spec, extremes, a11_factor):
     """Active-set (semismooth) Newton solve of the continuous-part problem (Step 1).
 
@@ -541,7 +579,8 @@ def nonlinear_residual(system, solution):
 def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     """Nested fixed-point solve of the bound-preserving EG scheme.
 
-    Factors only A00 and, unless A11 is mass-dominated, the full A11 once
+    Factors only A00, unless the mesh kept an equal factor (see
+    _a00_factor), and, unless A11 is mass-dominated, the full A11 once
     and principal submatrices of A11 when many nodes are clamped (see
     OrderedFactor).  Jacobi-CG takes the place of the A11 factor where
     _jacobi_pays: its step costs a mat-vec, about nnz(A11) flops, and a
@@ -556,13 +595,16 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     kappa, nnz = _kappa_bound(system.A11, spec.mu * system.M1.diagonal()), system.A11.nnz
     jacobi = _jacobi_pays(kappa, nnz, nnz**1.5)
     a11 = OrderedFactor(system.A11, mesh.vertices[system.dofs.interior_vertex_ids], "A11", jacobi=jacobi)
-    a00 = OrderedFactor(system.A00, mesh.centroid, "A00")
+    a00, a00_reused = _a00_factor(mesh, system.A00)
+    a00_steps = a00.cg_steps
 
     u1 = a11.solve(system.b1, a11.free)
     u0 = a00.solve(system.b0 - system.A10.T @ u1, a00.free)
 
     path = "jacobi" if jacobi else "factor"
-    trace = SolveTrace(stop_reason="max_outer", a11_path=path, kappa_bound=kappa, initial_cg_steps=a11.cg_steps)
+    trace = SolveTrace(
+        stop_reason="max_outer", a11_path=path, kappa_bound=kappa, initial_cg_steps=a11.cg_steps, a00_reused=a00_reused
+    )
     for _ in range(_MAX_OUTER):
         extremes = patch_extremes(mesh, u0, system.dofs)
         slack = feasibility_check(extremes, spec.bounds)
@@ -585,8 +627,8 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
             trace.stop_reason = "converged"
             break
 
-    trace.fill_nnz = a11.fill_nnz + a00.fill_nnz
-    trace.triangular_solves = a00.cg_steps + (0 if jacobi else a11.cg_steps)
+    trace.fill_nnz = a11.fill_nnz + (0 if a00_reused else a00.fill_nnz)
+    trace.triangular_solves = a00.cg_steps - a00_steps + (0 if jacobi else a11.cg_steps)
     u = _compose(system, u1, u0)
     u_plus = apply_P(mesh, system.dofs, u0, u, spec.bounds)
     solution = EGSolution(u=u, u_plus=u_plus, trace=trace)

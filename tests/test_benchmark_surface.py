@@ -70,27 +70,32 @@ def test_traced_pass_passes_the_benchmark_gate(monkeypatch, name):
     def factored(kind, parent):
         return sum(1 for n, _, _, _, par in tracer.spans if n == "factor:" + kind and par >= 0 and tracer.spans[par][0] == parent)
 
-    # Each bound-preserving solve factors A00 once and, on the factor path
-    # only, A11 once plus its Step-1 submatrices; the Jacobi path runs CG.
+    # A bound-preserving solve factors A00 unless an earlier solve on its
+    # mesh did (tol_sweep solves its mesh three times) and, on the factor
+    # path only, A11 once plus its Step-1 submatrices; the Jacobi path runs CG.
     bp_records = [rec for rec in records if rec["kind"] == "bp"]
     assert len(traces) == len(bp_records)
     for rec, trace in zip(bp_records, traces):
         assert trace.a11_path == A11_PATH[rec["elements"]], rec["key"]
         if trace.a11_path == "jacobi":
             assert sum(trace.a11_factorizations_per_outer) == 0 and sum(trace.cg_steps_per_outer) > 0
-    n_bp, n_std = len(traces), len(records) - len(traces)
+    meshes = [rec["elements"] for rec in bp_records]
+    assert [trace.a00_reused for trace in traces] == [m in meshes[:i] for i, m in enumerate(meshes)]
+    n_meshes, n_std = len(set(meshes)), len(records) - len(traces)
+    assert n_meshes == len(wl.solve_levels)
     submatrices = sum(sum(trace.a11_factorizations_per_outer) for trace in traces)
-    assert factored("A00", "solve_bp") == n_bp
+    assert factored("A00", "solve_bp") == n_meshes
     assert factored("A11", "solve_bp") == sum(trace.a11_path == "factor" for trace in traces)
     assert factored("A11", "inner_richardson") == submatrices
-    # Each comparator solve factors A00 and K_gamma once and no monolithic
-    # matrix; on 288 and 1,152 elements a factor of A11 costs less than the
-    # Schur steps diag(A11)^{-1} would add, so it factors A11 once too.
+    # Each comparator solve factors A00 (its beta = 1 differs from the
+    # bound-preserving solve's) and K_gamma once and no monolithic matrix;
+    # on 288 and 1,152 elements a factor of A11 costs less than the Schur
+    # steps diag(A11)^{-1} would add, so it factors A11 once too.
     std_a11 = factored("A11", "solve_standard_eg")
     assert factored("A00", "solve_standard_eg") == factored("K_gamma", "solve_standard_eg") == n_std
     assert std_a11 == n_std
     assert tracer.calls("factor:monolithic EG system") == 0
-    expected = n_bp + factored("A11", "solve_bp") + submatrices + 2 * n_std + std_a11
+    expected = n_meshes + factored("A11", "solve_bp") + submatrices + 2 * n_std + std_a11
     assert tracer.counts["factor_count"] == expected
     assert tracer.counts["lu_fill_nnz"] >= sum(trace.fill_nnz for trace in traces) > 0
 

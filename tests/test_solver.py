@@ -716,28 +716,33 @@ def test_all_clamped_free_set_solves_nothing(jacobi):
 @pytest.mark.parametrize("case", ["smooth", "layer"])
 def test_factors_are_freed_when_the_solve_returns(monkeypatch, case):
     # No reference cycle holds a factor: with the cyclic collector off, every
-    # SpdFactor built by either solve is freed once the call returns.  The
-    # bound-preserving solve factors A11 and A00 (and, on the layer's 288
-    # elements, 6 submatrices of A11), the comparator A00, K_gamma and A11.
+    # SpdFactor built by either solve but the mesh's A00 is freed once the
+    # call returns, and A00's once the mesh goes.  The bound-preserving
+    # solve factors A11 and A00 (and, on the layer's 288 elements, 6
+    # submatrices of A11), the comparator, on the same A00, K_gamma and A11.
     refs = []
 
     class RecordingFactor(SpdFactor):
         def __init__(self, A, name="system"):
             super().__init__(A, name=name)
-            refs.append(weakref.ref(self))
+            refs.append((name, weakref.ref(self)))
 
     monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
     mesh, spec = _smooth_problem() if case == "smooth" else _layer_problem(refinements=0)
+    elements = mesh.num_elements
     gc.disable()
     try:
         solve_bound_preserving(mesh, spec)
         n_bp = len(refs)
         solve_standard_eg(mesh, spec)
-        alive = [ref() is not None for ref in refs]
+        alive = [name for name, ref in refs if ref() is not None]
+        del mesh
+        alive_without_mesh = [name for name, ref in refs if ref() is not None]
     finally:
         gc.enable()
-    assert (mesh.num_elements, n_bp, len(refs) - n_bp) == ((64, 2, 3) if case == "smooth" else (288, 8, 3))
-    assert not any(alive)
+    assert (elements, n_bp, len(refs) - n_bp) == ((64, 2, 2) if case == "smooth" else (288, 8, 2))
+    assert [name for name, _ in refs].count("A00") == 1
+    assert (alive, alive_without_mesh) == (["A00"], [])
 
 
 def _graded_a11(jacobi):
@@ -1131,8 +1136,8 @@ _DISSECTION_FILL = {False: {"A11": 92554, "A00": 139930}, True: {"A11": 91982, "
 @pytest.mark.parametrize("shuffled", [False, True])
 def test_dissection_fill_below_colamd(monkeypatch, shuffled):
     # 4,608 elements; SuperLU's default COLAMD order fills more on both
-    # matrices.  The bound-preserving and the standard solve factor A11 and
-    # A00 in the same orders.
+    # matrices.  The bound-preserving and the standard solve factor A11 in
+    # the same order, and the standard solve reuses the factor of A00.
     mesh = _dissection_mesh(shuffled)
     dofs = DofMap.from_mesh(mesh)
     spec = make_spec(f=lambda x, y: 1.0 + 0.0 * x, bounds=(-1e6, 1e6))
@@ -1149,7 +1154,7 @@ def test_dissection_fill_below_colamd(monkeypatch, shuffled):
     solve_standard_eg(mesh, spec, dofs, system)
     pinned = _DISSECTION_FILL[shuffled]
     # K_gamma has A11's pattern and order, so A11's fill
-    assert sorted(fills) == sorted([*pinned.items()] * 2 + [("K_gamma", pinned["A11"])])
+    assert sorted(fills) == sorted([*pinned.items(), ("A11", pinned["A11"]), ("K_gamma", pinned["A11"])])
     assert pinned["A11"] < spla.splu(sp.csc_matrix(system.A11)).nnz
     assert pinned["A00"] < spla.splu(sp.csc_matrix(system.A00)).nnz
 
@@ -1180,13 +1185,68 @@ def test_separators_cover_every_entry_between_siblings(shuffled):
 
 @pytest.mark.parametrize("case", ["smooth", "layer"])
 def test_bound_preserving_reruns_bit_identical(case):
-    # the choice between CG and a submatrix factor depends on counts only
+    # the choice between CG and a submatrix factor depends on counts only;
+    # the rerun assembles anew and reuses the mesh's factor of A00, whose
+    # fill it does not count
     mesh, spec = _smooth_problem() if case == "smooth" else _layer_problem()
     a, b = (solve_bound_preserving(mesh, spec) for _ in range(2))
     for fa, fb in ((a.u, b.u), (a.u_plus, b.u_plus)):
         assert np.array_equal(fa.linear_coeffs, fb.linear_coeffs)
         assert np.array_equal(fa.const_coeffs, fb.const_coeffs)
-    assert asdict(a.trace) == asdict(b.trace)
+    a00_fill = OrderedFactor(assemble_system(mesh, spec).A00, mesh.centroid, "A00").fill_nnz
+    assert (a.trace.a00_reused, b.trace.a00_reused, a.trace.fill_nnz - b.trace.fill_nnz) == (False, True, a00_fill)
+    assert asdict(a.trace) == asdict(replace(b.trace, a00_reused=False, fill_nnz=a.trace.fill_nnz))
+
+
+def _same_function(f, g):
+    return f.linear_coeffs.tobytes() == g.linear_coeffs.tobytes() and f.const_coeffs.tobytes() == g.const_coeffs.tobytes()
+
+
+@pytest.mark.parametrize("case", ["smooth", "layer"])
+def test_one_system_solved_twice_reuses_the_a00_factor(monkeypatch, case):
+    # The second solve of one system takes the factor of A00 its mesh kept:
+    # u and u+ are bit-identical, and each trace counts the triangular
+    # solves made during its own solve, the same number for both
+    counted = _count_triangular_solves(monkeypatch)
+    mesh, spec = _smooth_problem() if case == "smooth" else _layer_problem()
+    system = assemble_system(mesh, spec)
+    solutions = []
+    for _ in range(2):
+        counted["rhs"] = 0
+        solutions.append(solve_bound_preserving(mesh, spec, system=system))
+        assert solutions[-1].trace.triangular_solves == counted["rhs"] > 0
+    a, b = solutions
+    assert _same_function(a.u, b.u) and _same_function(a.u_plus, b.u_plus)
+    assert (a.trace.a00_reused, b.trace.a00_reused) == (False, True)
+    assert a.trace.triangular_solves == b.trace.triangular_solves
+
+
+@pytest.mark.parametrize("scale", [2.0, 1.0 + 2.0**-52])
+def test_a00_changed_in_place_is_factored_anew(scale):
+    # One diagonal entry of A00 scaled in place between two solves on one
+    # mesh, by 2 or by one unit in the last place: the second solve factors
+    # A00 again and equals, bit for bit, a solve of the changed system on a
+    # fresh copy of the mesh
+    mesh, spec = _smooth_problem()
+    system = assemble_system(mesh, spec)
+    first = solve_bound_preserving(mesh, spec, system=system)
+    A00 = system.A00
+    A00.data[A00.indptr[5] + np.flatnonzero(A00.indices[A00.indptr[5] : A00.indptr[6]] == 5)[0]] *= scale
+    changed = solve_bound_preserving(mesh, spec, system=system)
+    fresh = solve_bound_preserving(_smooth_problem()[0], spec, system=system)
+    assert (first.trace.a00_reused, changed.trace.a00_reused, fresh.trace.a00_reused) == (False, False, False)
+    assert _same_function(changed.u, fresh.u) and _same_function(changed.u_plus, fresh.u_plus)
+    assert asdict(changed.trace) == asdict(fresh.trace)
+    if scale == 2.0:
+        assert not np.array_equal(changed.u.const_coeffs, first.u.const_coeffs)
+
+
+def test_another_beta_on_the_same_mesh_factors_a00_anew():
+    # A00's penalty depends on beta; the mesh keeps one factor, the last
+    mesh, spec = _smooth_problem()
+    traces = [solve_bound_preserving(mesh, replace(spec, beta=beta)).trace for beta in (4, 3, 3, 4)]
+    assert [trace.a00_reused for trace in traces] == [False, False, True, False]
+    assert all(trace.converged for trace in traces)
 
 
 @pytest.mark.parametrize("experiment", ["smooth", "layer"])
@@ -1286,8 +1346,8 @@ def test_refinement_stops_at_backward_error():
     assert factor.solves >= 1
 
 
-@pytest.mark.parametrize("case", ["smooth", "layer"])
-def test_trace_counts_triangular_solves(monkeypatch, case):
+def _count_triangular_solves(monkeypatch):
+    """{"rhs": n}, n the right-hand sides of the triangular solves with every factor made from now on."""
     counted = {"rhs": 0}
     splu = egbp.solver.spla.splu
 
@@ -1300,6 +1360,12 @@ def test_trace_counts_triangular_solves(monkeypatch, case):
             return self.lu.solve(b, trans=trans)
 
     monkeypatch.setattr(egbp.solver.spla, "splu", lambda *a, **k: CountingLU(splu(*a, **k)))
+    return counted
+
+
+@pytest.mark.parametrize("case", ["smooth", "layer"])
+def test_trace_counts_triangular_solves(monkeypatch, case):
+    counted = _count_triangular_solves(monkeypatch)
     mesh, spec = _smooth_problem() if case == "smooth" else _layer_problem()
     trace = solve_bound_preserving(mesh, spec).trace
     assert trace.triangular_solves == counted["rhs"]
