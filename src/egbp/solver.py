@@ -18,8 +18,9 @@ rows of A11, started at the current Newton iterate, and its free set
 picks only the preconditioner (see OrderedFactor).  Every matrix is
 factored in the nested-dissection order of its unknowns' mesh positions:
 interior vertices for A11, element centroids for A00.  Each mesh keeps
-its last factor of A00, for every later solve whose A00 equals it bit for
-bit (see _a00_factor).  Every linear solve is one routine, CG (_pcg) to
+its first factor of A00, for every later solve whose A00 equals it bit
+for bit, and lends its order to every other A00 of its pattern
+(see _a00_factor).  Every linear solve is one routine, CG (_pcg) to
 normwise backward error _CG_TOL; a factor enters only as its
 preconditioner.
 """
@@ -75,7 +76,9 @@ class SolveTrace:
     ``initial_cg_steps`` is those of the initial sweep's A11 solve, before
     the first outer sweep.
     ``a00_reused`` is True if the solve took the factor of A00 its mesh
-    kept from an earlier solve (see _a00_factor), False if it factored A00.
+    kept from an earlier solve (see _a00_factor), False if it factored A00:
+    as the mesh's first factor, which the mesh keeps, or as one of its own,
+    freed when the solve returns.
     ``fill_nnz`` is the stored L and U entries summed over the
     factorizations this solve made, of A00 unless reused and of the A11
     class (none on the Jacobi path), and ``triangular_solves`` this solve's
@@ -364,7 +367,7 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     k_gamma = SpdFactor(penalty_stiffness(mesh, spec, system.dofs)[p1][:, p1], name="K_gamma")
     A11 = sp.csc_matrix(sp.csr_matrix(system.A11)[p1][:, p1])
     A10 = sp.csr_matrix(system.A10)[p1][:, a00.p]
-    A01 = A10.T.tocsr()
+    A01 = A10.T
     kappa, fill = _kappa_bound(system.A11, spec.mu * system.M1.diagonal()), k_gamma.lu.nnz
     if _jacobi_pays(kappa, fill, fill**2 / max(n1, 1)):
         inv_diag = 1.0 / A11.diagonal()
@@ -380,7 +383,8 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
 
     blocks = (A11, A10, A01, a00.A)
     p = np.concatenate([p1, n1 + a00.p])
-    norm = matvec(np.ones(p.size), *map(abs, blocks)).max()  # ||A||_inf
+    o1, o0 = np.ones(n1), np.ones(p.size - n1)  # ||A||_inf, one block's |.| alive at a time
+    norm = np.concatenate([abs(A11) @ o1 + abs(A10) @ o0, abs(A01) @ o1 + abs(a00.A) @ o0]).max()
     b = np.concatenate([system.b1, system.b0])[p]
     u1 = _pcg(schur, precond, b[:n1] - A10 @ a00.full.lu_solve(b[n1:]), _inf_norm(A11), "S")[0]
     y = np.concatenate([u1, a00.full.lu_solve(b[n1:] - A01 @ u1)])
@@ -404,7 +408,8 @@ class OrderedFactor:
     free part of the full one, bit for bit.  With ``jacobi`` M is
     diag(A)_I^{-1} and nothing is factored: _kappa_bound bounds the
     condition number for every I at once.  Otherwise A is held in the
-    nested-dissection order p of its unknowns at ``points``, and the factor
+    order ``p``, by default the nested-dissection order of its unknowns at
+    ``points`` (an order given is not checked against A), and the factor
     ``full`` of all of A lives for the whole solve.  With every node free M
     is its solve, and CG is iterative refinement with an optimal step.
     While 2 |C| n <= fill of that factor (n the size of A), M is
@@ -422,7 +427,7 @@ class OrderedFactor:
     each.
     """
 
-    def __init__(self, A, points, name, jacobi=False):
+    def __init__(self, A, points, name, jacobi=False, p=None):
         A = sp.csr_matrix(A)
         self.name = name
         if jacobi:
@@ -430,7 +435,7 @@ class OrderedFactor:
             self.norm, self.count, self.fill_nnz = _inf_norm(A), 0, 0
             self.inv_diag = 1.0 / A.diagonal()
         else:
-            self.p = _nested_dissection(points, A)
+            self.p = _nested_dissection(points, A) if p is None else p
             self.full = SpdFactor(A[self.p][:, self.p], name=name)
             self.A, self.norm = self.full.A, self.full.norm
             self.count, self.fill_nnz = 1, int(self.full.lu.nnz)
@@ -476,7 +481,7 @@ class OrderedFactor:
         return x
 
 
-# The last A00 factor of each live mesh, (a copy of A00, its OrderedFactor);
+# The first A00 factor of each live mesh, (a copy of A00, its OrderedFactor);
 # an entry dies with its mesh, as the value holds no reference to it.
 _A00_FACTORS = weakref.WeakKeyDictionary()
 
@@ -489,22 +494,28 @@ def _a00_factor(mesh, A00):
     so shape, indptr, indices and data are compared with the copy kept
     beside the factor.  A00 depends on the mesh, mu, gamma and beta: solves
     of one problem on one mesh share a factor whatever their tol_inner, and
-    so does a standard solve on a bound-preserving solve's system.  A new
-    factor replaces the kept one, freed first, so each live mesh holds at
-    most one; on a refinement hierarchy the coarser meshes' factors add at
-    most about 1/3 of the finest one's.  Solves that share the factor share
-    its ``cg_steps``, which a solve reads as a difference: concurrent solves
-    on one mesh would mix their counts.
+    so does a standard solve on a bound-preserving solve's system.  The
+    mesh keeps the first factor it makes.  Another A00, such as the layer
+    comparator's at beta = 1, gets a factor of its own, which dies with the
+    solve; if it has the kept one's pattern, it takes the kept order and
+    only its numbers are factored.  So each live mesh keeps one factor, and
+    on a refinement hierarchy the coarser meshes' factors add at most about
+    1/3 of the finest one's; a solve with another A00 holds its own beside
+    it.  Solves that share the factor share its ``cg_steps``, which a solve
+    reads as a difference: concurrent solves on one mesh would mix their
+    counts.
     """
     A00 = sp.csr_matrix(A00)
-    kept = _A00_FACTORS.pop(mesh, None)
-    reused = kept is not None and kept[0].shape == A00.shape
-    reused = reused and all(np.array_equal(getattr(kept[0], a), getattr(A00, a)) for a in ("indptr", "indices", "data"))
-    if not reused:
-        del kept  # the old factor is freed before the new one is made
-        kept = (A00.copy(), OrderedFactor(A00, mesh.centroid, "A00"))
-    _A00_FACTORS[mesh] = kept
-    return kept[1], reused
+    kept = _A00_FACTORS.get(mesh)
+    same = kept is not None and kept[0].shape == A00.shape
+    same = same and all(np.array_equal(getattr(kept[0], a), getattr(A00, a)) for a in ("indptr", "indices"))
+    if same and np.array_equal(kept[0].data, A00.data):
+        return kept[1], True
+    factor = OrderedFactor(A00, mesh.centroid, "A00", p=kept[1].p if same else None)
+    if kept is None:  # the copy shares the assembly's read-only index arrays
+        index = [a.copy() if a.flags.writeable else a for a in (A00.indices, A00.indptr)]
+        _A00_FACTORS[mesh] = (sp.csr_matrix((A00.data.copy(), *index), shape=A00.shape), factor)
+    return factor, False
 
 
 def inner_richardson(u1, w0, system, spec, extremes, a11_factor):

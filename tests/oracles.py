@@ -29,9 +29,8 @@ import scipy.sparse.linalg as spla
 from egbp.assembly import (
     TRI_QP,
     TRI_QW,
-    _jump_csr,
-    _p1_mass_values,
-    _vertex_csr,
+    _jump_matrix,
+    _stencil,
     assemble_system,
 )
 import egbp.cli
@@ -570,7 +569,8 @@ def assemble_full(mesh, spec):
 
 def p1_mass_matrix(mesh):
     """Consistent P1 mass matrix over all vertices."""
-    return _vertex_csr(mesh, all_vertices(mesh), _p1_mass_values(mesh))[0]
+    st = _stencil(mesh, all_vertices(mesh))
+    return st.vertex.matrix(st.mass)
 
 
 def assemble_M_J(mesh):
@@ -579,7 +579,7 @@ def assemble_M_J(mesh):
     J0 accumulates h_F * [w][v] couplings over all facets; boundary facets
     contribute the owner's own constant.
     """
-    return sp.diags(mesh.area).tocsr(), _jump_csr(mesh, mesh.facet_length, 0.0)
+    return sp.diags(mesh.area).tocsr(), _jump_matrix(mesh, _stencil(mesh, all_vertices(mesh)), mesh.facet_length, 0.0)
 
 
 def zero_function(mesh):
@@ -663,7 +663,7 @@ def broken_poincare_constant(mesh):
     eigenvalue of M0 v = lambda Jw v, with Jw the unit-weight jump matrix
     (h_F^-1 and the facet integral cancel to weight one per facet).
     """
-    Jw = _jump_csr(mesh, np.ones(mesh.num_facets), 0.0).toarray()
+    Jw = _jump_matrix(mesh, _stencil(mesh, all_vertices(mesh)), np.ones(mesh.num_facets), 0.0).toarray()
     lam = scipy.linalg.eigvalsh(np.diag(mesh.area), Jw)
     return float(np.sqrt(lam[-1]))
 

@@ -1,12 +1,15 @@
+import gc
 import itertools
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from egbp.assembly import ProblemSpec, assemble_system
+import egbp.assembly
+from egbp.assembly import ProblemSpec, assemble_system, penalty_stiffness
 from egbp.cli import layer_source, smooth_exact
 from egbp.fespace import DofMap, dirichlet_lift
 from egbp.mesh import _build_mesh, build_structured, refine_uniform
@@ -273,27 +276,38 @@ def test_blocks_match_coo_oracle(mesh, spec):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
 
 
+def _same_system(a, b):
+    """True if the blocks, S1 and the right-hand sides of a and b agree byte for byte."""
+    for name in ("A11", "A10", "A00", "M1"):
+        x, y = getattr(a, name), getattr(b, name)
+        if x.shape != y.shape:
+            return False
+        for part in ("data", "indices", "indptr"):
+            u, v = getattr(x, part), getattr(y, part)
+            if u.dtype != v.dtype or u.tobytes() != v.tobytes():
+                return False
+    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in ("b1", "b0", "S1"))
+
+
 def test_assembly_is_deterministic():
     mesh = _perturbed_mesh(3)
     u, _, make_f = smooth_exact()
     spec = make_spec(epsilon=1e-3, f=make_f(1e-3, 1.0), u_D=u)
     dofs = DofMap.from_mesh(mesh)
     first, second = (assemble_system(mesh, spec, dofs, dirichlet_lift(mesh, u)) for _ in range(2))
-    for name in ("A11", "A10", "A00", "M1"):
-        a, b = getattr(first, name), getattr(second, name)
-        for part in ("data", "indices", "indptr"):
-            x, y = getattr(a, part), getattr(b, part)
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, part)
-    assert first.b1.tobytes() == second.b1.tobytes()
-    assert first.b0.tobytes() == second.b0.tobytes()
+    assert _same_system(first, second)
+
+
+def _split_triangle():
+    """A triangle split at an inner point into three elements."""
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9], [0.4, 0.3]])
+    return _build_mesh(vertices, np.array([[0, 1, 3], [1, 2, 3], [2, 0, 3]]))
 
 
 def test_vertex_opposite_two_edges_of_an_element():
-    # a triangle split at an inner point: element (0, 1, 3) meets vertex 2
-    # across both of its edges at 3, so its A10 column holds vertex 2 twice
-    # before the two values are summed into one entry
-    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9], [0.4, 0.3]])
-    mesh = _build_mesh(vertices, np.array([[0, 1, 3], [1, 2, 3], [2, 0, 3]]))
+    # element (0, 1, 3) meets vertex 2 across both of its edges at 3, so its
+    # A10 column holds vertex 2 twice before the two values are summed into one entry
+    mesh = _split_triangle()
     spec = make_spec(epsilon=0.1, gamma=3.0, beta=2)
     every = all_vertices(mesh)
     system = assemble_system(mesh, spec, every)
@@ -305,3 +319,61 @@ def test_vertex_opposite_two_edges_of_an_element():
     O = dense_bilinear_oracle(mesh, spec)
     A = assemble_full(mesh, spec).toarray()
     assert np.abs(A - O).max() <= 1e-12 * np.abs(O).max()
+
+
+@pytest.mark.parametrize("every", [False, True], ids=["interior", "all-vertices"])
+@pytest.mark.parametrize("make_mesh", [lambda: _perturbed_mesh(5), _split_triangle], ids=["perturbed", "split"])
+def test_stencil_reuse_matches_a_fresh_mesh(make_mesh, every):
+    # The first assembly on a mesh builds its stencil and every later one
+    # reuses it; each equals, byte for byte, an assembly on a fresh copy of
+    # the mesh, whatever the coefficients, quadrature and lift.  So does
+    # K_gamma, which reads the same vertex pattern.
+    mesh = make_mesh()
+    dofs = (all_vertices if every else DofMap.from_mesh)(mesh)
+    u, _, make_f = smooth_exact()
+    grid = itertools.product((1.0, 1e-6), (1.0, 0.25), (10.0, 3.0), (1, 4), (1.0, 0.0), ("degree4", "centroid"), (None, u))
+    for eps, mu, gamma, beta, alpha, quadrature, u_D in grid:
+        spec = make_spec(epsilon=eps, mu=mu, gamma=gamma, beta=beta, alpha=alpha, f=make_f(eps, mu), u_D=u_D, f_quadrature=quadrature)
+        fresh = make_mesh()
+        assert _same_system(assemble_system(mesh, spec, dofs), assemble_system(fresh, spec, dofs))
+        K, K_fresh = penalty_stiffness(mesh, spec, dofs), penalty_stiffness(fresh, spec, dofs)
+        assert all(getattr(K, p).tobytes() == getattr(K_fresh, p).tobytes() for p in ("data", "indices", "indptr"))
+
+
+def test_a_custom_dofmap_gets_its_own_stencil():
+    # Alternating interior and all-vertex dofs on one mesh: each assembly
+    # equals one on a fresh copy of the mesh with the same dofs
+    mesh, spec = _perturbed_mesh(2), make_spec(epsilon=1e-3, gamma=4.0, beta=3)
+    interior, every = DofMap.from_mesh(mesh), all_vertices(mesh)
+    for dofs in (interior, every, interior, every):
+        system = assemble_system(mesh, spec, dofs)
+        assert system.A11.shape == (dofs.n_interior,) * 2
+        assert _same_system(system, assemble_system(_perturbed_mesh(2), spec, dofs))
+
+
+def test_blocks_changed_in_place_leave_the_next_assembly_alone():
+    # A system owns its values: scaling them in place changes no later
+    # assembly.  The index arrays it shares with the stencil are read-only.
+    mesh, spec = _perturbed_mesh(4), make_spec(epsilon=1e-2)
+    first = assemble_system(mesh, spec)
+    for name in ("A11", "A10", "A00", "M1"):
+        getattr(first, name).data *= 2.0
+    assert _same_system(assemble_system(mesh, spec), assemble_system(_perturbed_mesh(4), spec))
+    for name in ("A11", "A10", "A00"):
+        with pytest.raises(ValueError):
+            getattr(first, name).indices[0] = 0
+
+
+def test_the_stencil_dies_with_its_mesh():
+    # No reference cycle holds a stencil: with the cyclic collector off it
+    # is freed once its mesh goes, while a system assembled on it lives on
+    mesh = _perturbed_mesh(6)
+    gc.disable()
+    try:
+        system = assemble_system(mesh, make_spec())
+        stencil = weakref.ref(egbp.assembly._STENCILS[mesh])
+        del mesh
+        alive = stencil() is not None
+    finally:
+        gc.enable()
+    assert not alive and system.A00.nnz > 0

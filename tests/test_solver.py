@@ -496,7 +496,8 @@ def test_standard_eg_factors_only_A11_and_A00(monkeypatch):
     # the comparator factors A00 in its nested-dissection order, K_gamma in
     # A11's order and, unless _jacobi_pays, A11 in that order too; it never
     # builds the monolithic matrix.  On 4,608 layer elements eps = 1e-7 takes
-    # diag(A11)^{-1} in place of the A11 factor, eps = 1e-3 the factor.
+    # diag(A11)^{-1} in place of the A11 factor, eps = 1e-3 the factor.  The
+    # second A00 has the first's pattern, so it takes the first's order.
     mesh, layer_spec = _layer_problem(refinements=2)
     orders, factored = [], []
     dissection = egbp.solver._nested_dissection
@@ -523,7 +524,7 @@ def test_standard_eg_factors_only_A11_and_A00(monkeypatch):
         factored.clear()
         u = solve_standard_eg(mesh, spec, system=system)
         assert [name for name, _ in factored] == names
-        p1, p0 = orders
+        p1, p0 = orders if epsilon == 1e-7 else (*orders, p0)
         assert _same_matrix(factored[0][1], system.A00[p0][:, p0])
         K = penalty_stiffness_oracle(mesh, spec, system.dofs.interior_vertex_ids)[np.ix_(p1, p1)]
         assert np.abs(factored[1][1].toarray() - K).max() <= 1e-13 * np.abs(K).max()
@@ -1242,11 +1243,46 @@ def test_a00_changed_in_place_is_factored_anew(scale):
 
 
 def test_another_beta_on_the_same_mesh_factors_a00_anew():
-    # A00's penalty depends on beta; the mesh keeps one factor, the last
+    # A00's penalty depends on beta; the mesh keeps one factor, the first
     mesh, spec = _smooth_problem()
     traces = [solve_bound_preserving(mesh, replace(spec, beta=beta)).trace for beta in (4, 3, 3, 4)]
-    assert [trace.a00_reused for trace in traces] == [False, False, True, False]
+    assert [trace.a00_reused for trace in traces] == [False, False, False, True]
     assert all(trace.converged for trace in traces)
+
+
+def test_one_layer_level_orders_a00_once(monkeypatch):
+    # One level of the layer study: the bound-preserving solve, then the
+    # comparator at beta = 1 on a system of its own.  The comparator's A00
+    # has the kept one's pattern, so A00 is ordered once; its factor is its
+    # own and, with the cyclic collector off, dead once the call returns,
+    # while the mesh keeps the bound-preserving solve's.
+    mesh, spec = _layer_problem()
+    sizes, refs = [], []
+    dissection = egbp.solver._nested_dissection
+
+    def counting_dissection(points, A):
+        sizes.append(len(points))
+        return dissection(points, A)
+
+    class RecordingFactor(SpdFactor):
+        def __init__(self, A, name="system"):
+            super().__init__(A, name=name)
+            refs.append((name, weakref.ref(self)))
+
+    monkeypatch.setattr(egbp.solver, "_nested_dissection", counting_dissection)
+    monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
+    comparator = replace(spec, beta=1, alpha=0.0)
+    gc.disable()
+    try:
+        bp = solve_bound_preserving(mesh, spec)
+        u = solve_standard_eg(mesh, comparator)
+        a00 = [ref() is not None for name, ref in refs if name == "A00"]
+    finally:
+        gc.enable()
+    assert sizes.count(mesh.num_elements) == 1
+    assert a00 == [True, False] and not bp.trace.a00_reused
+    fresh = solve_standard_eg(_layer_problem()[0], comparator)
+    assert _same_function(u, fresh)
 
 
 @pytest.mark.parametrize("experiment", ["smooth", "layer"])
