@@ -9,7 +9,10 @@ continuous, interior facets couple only the element constants: their
 penalty term and the consistency terms against the linear part's gradient
 averages.  Boundary facets see the full trace.  Values are summed by
 np.bincount in a fixed order (deterministic), and each off-diagonal value
-is stored once for both of its entries (exactly symmetric).
+is stored once for both of its entries (exactly symmetric).  Dirichlet data
+are imposed weakly (Nitsche): the right-hand side keeps the penalty and the
+symmetric consistency term of the data, taken as the trace of the lift, and
+subtracts the rest of a_h(lift, v).
 
 The stencil's index structure depends only on the mesh and the interior
 vertices, so each mesh keeps it while it lives (see _Stencil): the first
@@ -231,13 +234,19 @@ def _stencil(mesh, dofs):
     return kept
 
 
-def _form_values(mesh, spec, st, pen):
-    """Values of a_h in the stencil ``st``, each entry summed in place.
+def _form_values(mesh, spec, st, pen, lift):
+    """Values of a_h in the stencil ``st``, each entry summed in place, and its action on ``lift``.
 
-    Returns (p_diag, p_off, c_val).  The P1 block has p_diag (nv,) on its
-    diagonal and p_off[f] at (a, b) and (b, a) of each facet f = (a, b).
-    Column t of the vertex-element block holds c_val[:, t] (6,) at the
-    vertices st.corners[:, t] (value 0 at -1).  ``pen`` is _facet_penalty.
+    Returns (p_diag, p_off, c_val, l1, l0).  The P1 block has p_diag (nv,)
+    on its diagonal and p_off[f] at (a, b) and (b, a) of each facet f =
+    (a, b).  Column t of the vertex-element block holds c_val[:, t] (6,)
+    at the vertices st.corners[:, t] (value 0 at -1).  ``pen`` is
+    _facet_penalty.  l1 (nv,) and l0 (nt,) are a_h(lift, v) for each
+    vertex and element basis function v, less Nitsche's data terms
+    c_F int_F lift v - eps int_F (grad v . n) lift on the boundary facets,
+    which the right-hand side keeps with u_D taken as the lift's trace:
+    the boundary trace is penalized toward the lift, not toward 0.  Each is
+    summed from the terms that remain, so none cancels a penalty term.
     """
     eps, mu, area = spec.epsilon, spec.mu, mesh.area
     # (3, nt) arrays, row k for local vertex or local edge k (vertices
@@ -263,21 +272,37 @@ def _form_values(mesh, spec, st, pen):
     # consistency term of its owner's three vertices against a and b.
     diag, off = _stiffness(gx, gy, eps * area)
     diag += mu * area / 6.0
-    diag += pen / 3.0 + yb[0] + np.roll(pen / 3.0 + yb[1], 1, axis=0)
     off += mu * area / 12.0
+    # a_h(lift, phi) of the volume terms and, on a boundary edge, of
+    # -eps int (grad lift . n) phi, a half to each of its two vertices, on
+    # the elements where some corner's lift value is nonzero: the others
+    # add 0 (for a Dirichlet lift, the elements at the boundary)
+    touched = np.flatnonzero(np.append(lift != 0.0, False)[st.corners].any(axis=0))
+    lv, d, o = lift[tri[:, touched]], diag[:, touched], off[:, touched]
+    flux = np.einsum("kjt,jt->kt", x[..., touched], lv) * np.where(inner[:, touched], 0.0, 0.5)
+    l1 = d * lv + o * np.roll(lv, -1, axis=0) + flux + np.roll(o * lv + flux, 1, axis=0)
+    diag += pen / 3.0 + yb[0] + np.roll(pen / 3.0 + yb[1], 1, axis=0)
     off += pen / 6.0 + 0.5 * (yb[0] + yb[1])
     off += 0.5 * (np.roll(yb[2], 1, axis=0) + np.roll(yb[2], -1, axis=0))
 
     # Vertex-element block: the mass coupling, the penalty of the trace on
     # boundary edges, the element's own consistency terms, and the terms
     # of the twin's vertices against this element's constant.
+    # The lift sees all of it but the penalty.
     q = np.take(y.reshape(3, -1), st.twin, axis=1) * inner
-    own = mu * area / 3.0 + x[0] + x[1] + x[2] + 0.5 * (pen + np.roll(pen, 1, axis=0))
-    own -= q[1] + np.roll(q[0], 1, axis=0)
+    twins = q[1] + np.roll(q[0], 1, axis=0)
+    unpenalized = mu * area / 3.0 + x[0] + x[1] + x[2]
+    own = unpenalized + 0.5 * (pen + np.roll(pen, 1, axis=0))
+    own -= twins
+    l0 = np.zeros(mesh.num_elements)
+    l0[touched] = np.einsum("jt,jt->t", unpenalized[:, touched] - twins[:, touched], lv)
+    l0[touched] -= np.einsum("jt,jt->t", q[2][:, touched], lift[st.corners[3:, touched]])
     return (
         np.bincount(tri.ravel(), diag.ravel(), minlength=mesh.num_vertices),
         np.bincount(ef.ravel(), off.ravel(), minlength=mesh.num_facets),
         np.concatenate((own, -q[2])),
+        np.bincount(tri[:, touched].ravel(), l1.ravel(), minlength=mesh.num_vertices),
+        l0,
     )
 
 
@@ -358,22 +383,16 @@ def assemble_system(mesh, spec, dofs=None, lift=None):
         lift = dirichlet_lift(mesh, spec.u_D)
     st = _stencil(mesh, dofs)
     pen = _facet_penalty(mesh, spec)
-    p_diag, p_off, c_val = _form_values(mesh, spec, st, pen)
-
-    # b - A [lift; 0] over all dofs; c_val is 0 where st.corners is -1
+    p_diag, p_off, c_val, l1, l0 = _form_values(mesh, spec, st, pen, lift)
     fv, f0 = _f_on_elements(mesh, spec)
-    a, b = mesh.facet_vertices.T
-    fv = fv - p_diag * lift - np.bincount(a, p_off * lift[b], minlength=lift.size)
-    fv -= np.bincount(b, p_off * lift[a], minlength=lift.size)
-    f0 = f0 - (c_val.T * lift[st.corners.T]).sum(axis=1)
 
     return BlockSystem(
         A11=st.vertex.matrix(np.concatenate((p_diag, p_off))),
         A10=st.coupling.matrix(c_val.ravel()),
         A00=_jump_matrix(mesh, st, pen, spec.mu * mesh.area),
         S1=assemble_s(mesh, spec, dofs),
-        b1=fv[dofs.interior_vertex_ids],
-        b0=f0,
+        b1=(fv - l1)[dofs.interior_vertex_ids],
+        b0=f0 - l0,
         M1=st.vertex.matrix(st.mass),
         dofs=dofs,
         lift=lift,

@@ -11,11 +11,11 @@ unchanged, since that step solved Step 1 exactly; it has no tolerance.
 Where A11 is a perturbed mass matrix (eps small against mu h^2), every
 Step-1 solve is CG preconditioned by the diagonal of A11, and A11 is never
 factored; an a-priori bound on the condition number picks that path (see
-_jacobi_pays).  Otherwise the factor of the full A11 lives for the whole
-solve and preconditions while few nodes are clamped; many clamped nodes
-have the submatrix factored.  Each Step-1 solve is one CG on the free
-rows of A11, started at the current Newton iterate, and its free set
-picks only the preconditioner (see OrderedFactor).  Every matrix is
+_jacobi_pays).  Otherwise A11 is factored once per solve, and that one
+factor preconditions every free set; no submatrix is factored.  Each
+Step-1 solve is one CG on the free rows of A11, started at the current
+Newton iterate, and its free set picks only the preconditioner (see
+OrderedFactor).  Every matrix is
 factored in the nested-dissection order of its unknowns' mesh positions:
 interior vertices for A11, element centroids for A00.  Each mesh keeps
 its first factor of A00, for every later solve whose A00 equals it bit
@@ -69,8 +69,7 @@ class SolveTrace:
     that chose the path (see _jacobi_pays).
     Per outer sweep it records the Newton step sizes, the clamped-node
     count of the last Newton step, the worst feasibility slack
-    min_i (b - over_i) - (a - under_i), the number of A11-class
-    factorizations the sweep made and its Step-1 CG steps, whatever
+    min_i (b - over_i) - (a - under_i) and its Step-1 CG steps, whatever
     preconditions them (see OrderedFactor); a solve whose start, the
     current iterate, already meets the backward error adds 0.
     ``initial_cg_steps`` is those of the initial sweep's A11 solve, before
@@ -80,8 +79,8 @@ class SolveTrace:
     as the mesh's first factor, which the mesh keeps, or as one of its own,
     freed when the solve returns.
     ``fill_nnz`` is the stored L and U entries summed over the
-    factorizations this solve made, of A00 unless reused and of the A11
-    class (none on the Jacobi path), and ``triangular_solves`` this solve's
+    factorizations this solve made, of A00 unless reused and of A11 (none
+    on the Jacobi path), and ``triangular_solves`` this solve's
     triangular solves: one per CG step preconditioned with a factor, A00's
     and, off the Jacobi path, A11's.  ``outer_iters``, ``converged``,
     ``inner_iters_per_outer``, ``feasible_per_outer`` and
@@ -94,7 +93,6 @@ class SolveTrace:
     outer_increments: list = field(default_factory=list)
     worst_slack_per_outer: list = field(default_factory=list)
     clamped_per_outer: list = field(default_factory=list)
-    a11_factorizations_per_outer: list = field(default_factory=list)
     cg_steps_per_outer: list = field(default_factory=list)
     initial_cg_steps: int = 0
     nonlinear_residual: float = np.nan
@@ -207,13 +205,12 @@ class SpdFactor:
     """Sparse LU factorization of an SPD matrix, in the order given, and CG preconditioned with it.
 
     The caller orders the matrix (see _nested_dissection): SuperLU adds no
-    fill-reducing column order of its own.  ``A`` is held in CSR, so that
-    OrderedFactor can cut rows from it.  The solvers use the factor only
-    as a preconditioner, ``lu_solve``, inside their own CG; ``solves``
-    counts the right-hand sides passed to it so far.  ``lu_solve`` takes
-    SuperLU's transposed solve, which presumes A exactly symmetric.
-    ``solve`` has no caller in the package: perfbench's traced subclass
-    wraps it.
+    fill-reducing column order of its own.  ``A`` is the matrix given, not
+    a copy.  The solvers use the factor only as a preconditioner,
+    ``lu_solve``, inside their own CG; ``solves`` counts the right-hand
+    sides passed to it so far.  ``lu_solve`` takes SuperLU's transposed
+    solve, which presumes A exactly symmetric.  ``solve`` has no caller in
+    the package: perfbench's traced subclass wraps it.
     """
 
     def __init__(self, A, name="system"):
@@ -227,19 +224,18 @@ class SpdFactor:
             self.lu = spla.splu(csc, permc_spec="NATURAL")
         except RuntimeError as exc:
             raise SolverError("factorization of %s failed: %s" % (name, exc)) from exc
-        self.A = csc.tocsr()
-        self.norm = _inf_norm(self.A)
+        self.A = A
         self.solves = 0
 
     def lu_solve(self, b):
         """The triangular solves with the factor, b one vector or one per column.
 
         They solve A^T x = b, the same system: every matrix factored here
-        (A11, A00, K_gamma and each A11[I, I], in nested-dissection order) is
-        exactly symmetric.  SuperLU's transposed solve is the faster one: on
-        the 18,432-element layer mesh an A00 solve takes 1.5 ms against 2.1
-        ms, a K_gamma solve (9,025 unknowns) 1.0 ms against 1.4 ms (medians
-        of 1,000 interleaved solves, one thread, 2-vCPU VM).
+        (A11, A00 and K_gamma, in nested-dissection order) is exactly
+        symmetric.  SuperLU's transposed solve is the faster one: on the
+        18,432-element layer mesh an A00 solve takes 1.5 ms against 2.1 ms,
+        a K_gamma solve (9,025 unknowns) 1.0 ms against 1.4 ms (medians of
+        1,000 interleaved solves, one thread, 2-vCPU VM).
         """
         self.solves += 1 if b.ndim == 1 else b.shape[1]
         return self.lu.solve(b, trans="T")
@@ -248,7 +244,7 @@ class SpdFactor:
         """A^{-1} b by _pcg preconditioned with the factor, which is iterative
         refinement with an optimal step length: one step, one triangular
         solve, unless round-off leaves it short of _CG_TOL."""
-        return _pcg(self.A.dot, self.lu_solve, b, self.norm, self.name)[0]
+        return _pcg(self.A.dot, self.lu_solve, b, _inf_norm(self.A), self.name)[0]
 
 
 def _inf_norm(A):
@@ -355,10 +351,10 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     diag(A11)^{-1} stands in for A11^{-1} and A11 is not factored; the Schur
     CG then takes more steps.  _jacobi_pays charges the Jacobi step bound at
     one K_gamma triangular solve, f = K_gamma's fill, per step, against the
-    f^2 / n1 of a factor of A11 (as OrderedFactor counts a refactorization),
-    which has K_gamma's pattern and order and so its fill.  The A00 factor
-    is the mesh's kept one if equal (see _a00_factor).  Returns the full
-    discrete solution including the Dirichlet lift.
+    f^2 / n1 flops that a factor of A11 takes at least (f entries over n1
+    columns), which has K_gamma's pattern and order and so its fill.  The
+    A00 factor is the mesh's kept one if equal (see _a00_factor).  Returns
+    the full discrete solution including the Dirichlet lift.
     """
     system = _prepare(mesh, spec, dofs, system, lift)
     n1 = system.dofs.n_interior
@@ -399,84 +395,74 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
 class OrderedFactor:
     """Solves with the principal submatrices A[I, I] of an SPD A, I the free set.
 
-    Every solve is one CG (_pcg) on A[I, I], from a start given on the
-    free nodes or from zero, and the free set picks only its
-    preconditioner M.  A is held once in CSR.  A CG step multiplies A
-    itself while every node is free, else only the rows A[I, :], cut from
-    A when I changes, by x~ = x padded with zeros on the clamped set C;
-    each row keeps its stored entries in their order, so the product is the
-    free part of the full one, bit for bit.  With ``jacobi`` M is
-    diag(A)_I^{-1} and nothing is factored: _kappa_bound bounds the
-    condition number for every I at once.  Otherwise A is held in the
-    order ``p``, by default the nested-dissection order of its unknowns at
-    ``points`` (an order given is not checked against A), and the factor
-    ``full`` of all of A lives for the whole solve.  With every node free M
-    is its solve, and CG is iterative refinement with an optimal step.
-    While 2 |C| n <= fill of that factor (n the size of A), M is
-    r -> (A^{-1} r~)_I: (A^{-1})[I, I] and A[I, I]^{-1} differ by a term of
-    rank |C|, so in exact arithmetic CG takes at most |C| + 1 steps (Saad,
-    Iterative Methods for Sparse Linear Systems, 2003), each a triangular
-    solve of about 2 fill flops, against at least fill^2 / n for a
-    refactorization.  A larger C has M the factor of A[I, I], cut from the
-    row block in the order p restricted to I, a nested-dissection order of
-    its subgraph; it replaces the previous one, and it is cut when I
-    changes, even if the start then meets the backward error and CG takes
-    no step.  An empty I factors nothing and takes no step.  ``count`` is
-    the factorizations, ``fill_nnz`` their stored L and U entries and
-    ``cg_steps`` the CG steps, off the Jacobi path one triangular solve
-    each.
+    A is held once, in CSR in the order ``p``, and at most one matrix is
+    factored: A itself.  Every solve is one CG (_pcg) on A[I, I], from a
+    start given on the free nodes or from zero, to backward error against
+    ||A||_inf, and the free set picks only its preconditioner M.  A CG step
+    multiplies A itself while every node is free, else only the rows
+    A[I, :], cut from A when I changes, by x~ = x padded with zeros on the
+    clamped set C; each row keeps its stored entries in their order, so
+    the product is the free part of the full one, bit for bit.  With
+    ``jacobi`` p is the identity, A is held as given, M is diag(A)_I^{-1}
+    and nothing is factored: _kappa_bound bounds the condition number for
+    every I at once.  Otherwise p is, by default, the nested-dissection
+    order of A's unknowns at ``points`` (an order given is not checked
+    against A), A is held as A[p][:, p] with sorted indices, and its
+    factor ``full`` lives for the whole solve.  With every node free M is
+    that factor's solve, and CG is iterative refinement with an optimal
+    step; otherwise M is r -> (A^{-1} r~)_I.  (A^{-1})[I, I] and
+    A[I, I]^{-1} differ by a term of rank |C|, so in exact arithmetic CG
+    takes at most |C| + 1 steps (Saad, Iterative Methods for Sparse Linear
+    Systems, 2003).  An empty I takes no step.  ``fill_nnz`` is the
+    factor's stored L and U entries (0 with ``jacobi``) and ``cg_steps``
+    the CG steps, off the Jacobi path one triangular solve each.
     """
 
     def __init__(self, A, points, name, jacobi=False, p=None):
         A = sp.csr_matrix(A)
         self.name = name
-        if jacobi:
-            self.p, self.A, self.full = np.arange(A.shape[0]), A, None
-            self.norm, self.count, self.fill_nnz = _inf_norm(A), 0, 0
-            self.inv_diag = 1.0 / A.diagonal()
-        else:
-            self.p = _nested_dissection(points, A) if p is None else p
-            self.full = SpdFactor(A[self.p][:, self.p], name=name)
-            self.A, self.norm = self.full.A, self.full.norm
-            self.count, self.fill_nnz = 1, int(self.full.lu.nnz)
+        self.p = np.arange(A.shape[0]) if jacobi else _nested_dissection(points, A) if p is None else p
+        if not jacobi:
+            A = A[self.p][:, self.p]
+            A.sort_indices()
+        self.A, self.norm = A, _inf_norm(A)
+        self.full = None if jacobi else SpdFactor(A, name=name)
+        self.inv_diag = 1.0 / A.diagonal() if jacobi else None
         self.free = np.ones(self.A.shape[0], dtype=bool)
         self.ids = np.arange(self.A.shape[0])  # I = self.free, in factor order
         self.rows = self.A  # A[I, :], A itself while every node is free
         self.order = self.p  # b[order] is b, given on the free nodes, in factor order
-        self.factor = self.full  # preconditions on self.free; None: Jacobi
         self.cg_steps = 0
+
+    @property
+    def fill_nnz(self):
+        return 0 if self.full is None else int(self.full.lu.nnz)
 
     def solve(self, b, free, x0=None):
         """A[free][:, free]^{-1} b by CG from ``x0`` (zero if None), b and x0 given on the free nodes."""
         if not np.array_equal(free, self.free):
-            self.factor, self.free, self.ids = self.full, free, np.flatnonzero(free[self.p])
+            self.free, self.ids = free, np.flatnonzero(free[self.p])
             self.order = (np.cumsum(free) - 1)[self.p[self.ids]]
             self.rows = self.A if free.all() else self.A[self.ids]
-            k = int(np.count_nonzero(~free))
-            if self.full is not None and k < free.size and 2 * k * free.size > self.full.lu.nnz:
-                self.factor = SpdFactor(self.rows[:, self.ids], name=self.name)
-                self.count += 1
-                self.fill_nnz += int(self.factor.lu.nnz)
-        factor, full, ids, rows = self.factor, self.full, self.ids, self.rows
+        full, ids, rows = self.full, self.ids, self.rows
         padded = np.zeros(free.size)  # stays zero on C
 
         def pad(v):
             padded[ids] = v
             return padded
 
-        if factor is None:
+        if full is None:
             inv_diag = self.inv_diag[ids]
             precond = lambda r: inv_diag * r
-        elif factor is full and not free.all():
-            precond = lambda r: full.lu_solve(pad(r))[ids]
+        elif free.all():
+            precond = full.lu_solve
         else:
-            precond = factor.lu_solve
+            precond = lambda r: full.lu_solve(pad(r))[ids]
         matvec = self.A.dot if free.all() else lambda v: rows @ pad(v)
         name = self.name if free.all() else "%s[I, I]" % self.name
-        norm = self.norm if factor is None else factor.norm
         x = np.empty_like(b)
         start = None if x0 is None else x0[self.order]
-        x[self.order], steps = _pcg(matvec, precond, b[self.order], norm, name, start)
+        x[self.order], steps = _pcg(matvec, precond, b[self.order], self.norm, name, start)
         self.cg_steps += steps
         return x
 
@@ -591,9 +577,9 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     """Nested fixed-point solve of the bound-preserving EG scheme.
 
     Factors only A00, unless the mesh kept an equal factor (see
-    _a00_factor), and, unless A11 is mass-dominated, the full A11 once
-    and principal submatrices of A11 when many nodes are clamped (see
-    OrderedFactor).  Jacobi-CG takes the place of the A11 factor where
+    _a00_factor), and, unless A11 is mass-dominated, A11 once, whose
+    factor preconditions every Step-1 free set (see OrderedFactor).
+    Jacobi-CG takes the place of the A11 factor where
     _jacobi_pays: its step costs a mat-vec, about nnz(A11) flops, and a
     nested-dissection factor of a planar mesh's matrix about nnz(A11)^{3/2}
     (George 1973; Lipton, Rose & Tarjan, SIAM J. Numer. Anal. 16(2), 1979).
@@ -619,7 +605,7 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     for _ in range(_MAX_OUTER):
         extremes = patch_extremes(mesh, u0, system.dofs)
         slack = feasibility_check(extremes, spec.bounds)
-        factorizations, cg_steps = a11.count, a11.cg_steps
+        cg_steps = a11.cg_steps
         u1, _, incs, inner_ok = inner_richardson(u1, u0, system, spec, extremes, a11)
         u0_new = outer_constant_solve(u1, system, spec, extremes, a00)
         d = u0_new - u0
@@ -629,7 +615,6 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
         trace.outer_increments.append(outer_inc)
         trace.worst_slack_per_outer.append(slack)
         trace.clamped_per_outer.append(int(np.count_nonzero(~a11.free)))
-        trace.a11_factorizations_per_outer.append(a11.count - factorizations)
         trace.cg_steps_per_outer.append(a11.cg_steps - cg_steps)
         if not inner_ok:
             trace.stop_reason = "inner_stalled"

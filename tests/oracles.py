@@ -385,21 +385,19 @@ def padded_restricted_solve(factor, b, free, x0=None):
     the free rows: every CG step multiplies the whole A, in the factor's
     order, by the vector padded with zeros on the clamped set C and keeps
     the free part of the product.  On the factor path that product is taken
-    with A in CSC, as the full factor then held it, and the preconditioner
+    with A in CSC, as the full factor once held it, and the preconditioner
     is the full factor's transposed solve (A is symmetric), padded alike;
     the Jacobi path multiplies the CSR A it holds and scales by its
-    diagonal.  An all-free set on the factor path is solved with the full
-    factor, and a set with 2 |C| n > fill of the full factor with a fresh
-    factor of its submatrix, each by CG on the matrix it factors,
-    preconditioned with it, as SpdFactor.solve does; their steps are
-    counted too.  CG starts at ``x0``, given on the free nodes like b, or
-    at zero.  Reads ``factor``'s order, matrix, factor, norm and name, and
-    changes none of its counters.
+    diagonal.  An all-free set on the factor path is solved by CG on A
+    preconditioned with the full factor, as SpdFactor.solve does.  CG
+    starts at ``x0``, given on the free nodes like b, or at zero.  Reads
+    ``factor``'s order, matrix, factor, norm and name, and changes none of
+    its counters.
     """
     n = free.size
     ordered_free = free[factor.p]
     order = (np.cumsum(free) - 1)[factor.p[ordered_free]]
-    A = factor.A if factor.full is None else sp.csc_matrix(factor.full.A)
+    A = factor.A if factor.full is None else sp.csc_matrix(factor.A)
     start = None if x0 is None else x0[order]
     x = np.empty_like(b)
     if not free.any():
@@ -407,11 +405,6 @@ def padded_restricted_solve(factor, b, free, x0=None):
     if factor.full is not None and free.all():
         lu = factor.full.lu
         x[order], steps = _pcg(A.dot, lambda r: lu.solve(r, trans="T"), b[order], factor.norm, factor.name, start)
-        return x, steps
-    if factor.full is not None and 2 * np.count_nonzero(~free) * n > factor.full.lu.nnz:
-        sub = SpdFactor(A[ordered_free][:, ordered_free], name=factor.name)
-        precond = lambda r: sub.lu.solve(r, trans="T")
-        x[order], steps = _pcg(sub.A.dot, precond, b[order], sub.norm, factor.name, start)
         return x, steps
     padded = np.zeros(n)
 
@@ -458,7 +451,11 @@ def coo_assembly_oracle(mesh, spec, dofs, lift):
     conversion, and the blocks are cut out with np.ix_.  Returns a dict of
     the blocks and loads, and under "scale" each block summed from the
     absolute values of its terms: the size of each entry's rounding.
-    ``lift`` holds the vertex values of the Dirichlet lift.
+    ``lift`` holds the vertex values of the Dirichlet lift.  The loads are
+    b = f - A_lift [lift; 0], A_lift summed from every term but Nitsche's
+    boundary data terms, the penalty c_F int_F u v and -eps int_F
+    (grad v . n) u on boundary facets, which the right-hand side keeps
+    with u_D taken as the lift.
     """
     nv, nt = mesh.num_vertices, mesh.num_elements
     tri = mesh.triangles
@@ -472,12 +469,13 @@ def coo_assembly_oracle(mesh, spec, dofs, lift):
         grads[:, i, 1] = e[:, 0]
     grads /= (2.0 * area)[:, None, None]
 
-    rows, cols, vals = [], [], []
+    rows, cols, vals, lifted = [], [], [], []
 
-    def add(r, c, v):
+    def add(r, c, v, data=False):  # data: a term the lift leaves to the right-hand side
         rows.append(np.asarray(r, dtype=np.int64).ravel())
         cols.append(np.asarray(c, dtype=np.int64).ravel())
         vals.append(np.asarray(v, dtype=float).ravel())
+        lifted.append(np.full(rows[-1].size, not data))
 
     Ke = spec.epsilon * area[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
     Me = spec.mu * area[:, None, None] / 12.0 * (np.ones((3, 3)) + np.eye(3))
@@ -516,31 +514,32 @@ def coo_assembly_oracle(mesh, spec, dofs, lift):
     a_id, b_id = mesh.facet_vertices[bnd, 0], mesh.facet_vertices[bnd, 1]
     n, h, c_pen = normal[bnd], hF[bnd], cF[bnd]
     dT = cdof[T]
-    add(a_id, a_id, c_pen * h / 3.0)
-    add(b_id, b_id, c_pen * h / 3.0)
-    add(a_id, b_id, c_pen * h / 6.0)
-    add(b_id, a_id, c_pen * h / 6.0)
+    add(a_id, a_id, c_pen * h / 3.0, data=True)
+    add(b_id, b_id, c_pen * h / 3.0, data=True)
+    add(a_id, b_id, c_pen * h / 6.0, data=True)
+    add(b_id, a_id, c_pen * h / 6.0, data=True)
     for v_id in (a_id, b_id):
-        add(v_id, dT, c_pen * h / 2.0)
-        add(dT, v_id, c_pen * h / 2.0)
-    add(dT, dT, c_pen * h)
+        add(v_id, dT, c_pen * h / 2.0, data=True)
+        add(dT, v_id, c_pen * h / 2.0, data=True)
+    add(dT, dT, c_pen * h, data=True)
     gn = np.einsum("fkd,fd->fk", grads[T], n)
     vdofs = tri[T]
     for target, weight in ((a_id, 0.5), (b_id, 0.5), (dT, 1.0)):
         coef = -spec.epsilon * weight * h[:, None] * gn
-        add(vdofs, np.broadcast_to(target[:, None], vdofs.shape), coef)
+        # -eps int (grad v . n) u, v the vertex functions, then -eps int (grad u . n) v
+        add(vdofs, np.broadcast_to(target[:, None], vdofs.shape), coef, data=True)
         add(np.broadcast_to(target[:, None], vdofs.shape), vdofs, coef)
 
     index = (np.concatenate(rows), np.concatenate(cols))
-    vals = np.concatenate(vals)
-    A, A_abs = (
-        sp.coo_matrix((v, index), shape=(nv + nt, nv + nt)).tocsr() for v in (vals, np.abs(vals))
+    vals, lifted = np.concatenate(vals), np.concatenate(lifted)
+    A, A_abs, A_lift = (
+        sp.coo_matrix((v, index), shape=(nv + nt, nv + nt)).tocsr() for v in (vals, np.abs(vals), vals * lifted)
     )
     Mloc = area[:, None, None] / 12.0 * (np.ones((3, 3)) + np.eye(3))
     M = sp.coo_matrix((Mloc.ravel(), (r.ravel(), c.ravel())), shape=(nv, nv)).tocsr()
 
     bfull = np.concatenate(_coo_f_on_elements(mesh, spec, area))
-    bfull = bfull - A @ np.concatenate([lift, np.zeros(nt)])
+    bfull = bfull - A_lift @ np.concatenate([lift, np.zeros(nt)])
     iv = dofs.interior_vertex_ids
     ev = nv + np.arange(nt)
     blocks = {"A11": (iv, iv), "A10": (iv, ev), "A00": (ev, ev)}

@@ -248,3 +248,16 @@ def test_default_studies_pass_their_own_check(smooth_runs, layer_run, condition_
     assert _check_layer(layer_run) == []
     assert _check_condition(condition_run[0]) == []
     assert _STUDIES["custom"][1](custom_run) == []
+
+
+@pytest.mark.parametrize("epsilon", [1e-5, 1.0])
+def test_smooth_rates_with_nonzero_dirichlet_data(epsilon):
+    # On [0, 1] x [0, 1] the smooth solution is sin(pi y) on x = 0: the
+    # Dirichlet lift is nonzero, and the right-hand side keeps Nitsche's
+    # boundary data terms of it, so the boundary trace is penalized toward
+    # the data and the rates are those of zero data.
+    report = run_study(StudyConfig(experiment="smooth", x0=0.0, epsilon=epsilon))
+    rows = _rows(report)
+    assert report.config.levels == 5 and report.all_converged
+    assert 1.9 <= rows[-1]["eoc_l2"] <= 2.1 and 0.9 <= rows[-1]["eoc_h1"] <= 1.1
+    assert _check_smooth(report) == []

@@ -133,21 +133,25 @@ def test_rhs_constant_source():
 
 
 def test_rhs_lift_action():
-    mesh = build_structured(3, 3)
+    # The scheme is consistent with nonzero Dirichlet data: for a linear g,
+    # -eps lap g + mu g = mu g, and the P1 interpolant of g with zero
+    # constants solves the system.  Its boundary trace is the lift, which
+    # the penalty and the symmetric consistency term leave to the
+    # right-hand side: a_h([g_I; 0], v) = b(v) for every basis function v.
+    mesh = _perturbed_mesh(4)
     dofs = DofMap.from_mesh(mesh)
     g = lambda x, y: 1.0 + 2.0 * x - y
-    spec = make_spec(f=lambda x, y: 0.0 * x, u_D=g)
     lift = dirichlet_lift(mesh, g)
-    system = assemble_system(mesh, spec, dofs, lift)
-    assert system.lift is lift and system.dofs is dofs
-    # lift=None is the lift of spec.u_D
-    assert np.array_equal(assemble_system(mesh, spec, dofs).lift, lift)
-    # b = -A (lift), restricted: reproduce by hand from the full operator
-    lvec = np.concatenate([lift, np.zeros(mesh.num_elements)])
-    full = assemble_full(mesh, spec) @ lvec
-    nv = mesh.num_vertices
-    assert np.allclose(system.b1, -full[dofs.interior_vertex_ids], atol=1e-13)
-    assert np.allclose(system.b0, -full[nv:], atol=1e-13)
+    g_I = g(*mesh.vertices[dofs.interior_vertex_ids].T)
+    for epsilon in (1.0, 1e-5):
+        spec = make_spec(epsilon=epsilon, f=g, u_D=g)
+        system = assemble_system(mesh, spec, dofs, lift)
+        assert system.lift is lift and system.dofs is dofs
+        # lift=None is the lift of spec.u_D
+        assert np.array_equal(assemble_system(mesh, spec, dofs).lift, lift)
+        r1, r0 = system.A11 @ g_I - system.b1, system.A10.T @ g_I - system.b0
+        scale = abs(system.full_matrix()).max() * np.abs(g_I).max()
+        assert np.abs(np.concatenate([r1, r0])).max() <= 1e-13 * scale
 
 
 def test_centroid_quadrature_constant_source_exact():

@@ -84,7 +84,7 @@ def test_spd_factor_corrects_a_factor_of_2A():
     factor.lu = spla.splu(sp.csc_matrix(2.0 * A))
     b = np.array([1.0, -2.0, 3.0])
     x = factor.solve(b)
-    assert np.abs(b - A @ x).max() <= 1e-15 * (factor.norm * np.abs(x).max() + np.abs(b).max())
+    assert np.abs(b - A @ x).max() <= 1e-15 * (egbp.solver._inf_norm(A) * np.abs(x).max() + np.abs(b).max())
     assert np.abs(x - np.linalg.solve(A.toarray(), b)).max() <= 1e-15 * np.abs(x).max()
     assert 1 <= factor.solves <= 3
 
@@ -116,6 +116,10 @@ def test_factor_solves_take_one_cg_step(epsilon):
     rng = np.random.default_rng(3)
     for A, points, b in ((system.A11, _interior_points(mesh), system.b1), (system.A00, mesh.centroid, system.b0)):
         factor = OrderedFactor(A, points, "A")
+        # A is held once, in order p with sorted indices, and the factor keeps that matrix
+        ordered = sp.csc_matrix(A)[factor.p][:, factor.p].tocsr()
+        assert factor.full.A is factor.A and factor.A.has_sorted_indices
+        assert all(np.array_equal(getattr(factor.A, a), getattr(ordered, a)) for a in ("indptr", "indices", "data"))
         for rhs in (b, rng.normal(size=b.size)):
             x = factor.solve(rhs, factor.free)
             assert np.abs(rhs - A @ x).max() <= 1e-15 * (factor.norm * np.abs(x).max() + np.abs(rhs).max())
@@ -401,25 +405,14 @@ def _layer_problem(refinements=1):
 def _factored_kinds(monkeypatch, mesh, spec):
     """Solve and return (kinds of the factored matrices, trace).
 
-    Asserts that every factored matrix is A00[p][:, p] or a principal
-    submatrix A11[q][:, q] (entry for entry), p a recorded nested-dissection
-    order, which is a permutation, and q that order restricted to a recorded
-    free set; that the full A11 lives for the whole solve with at most one
-    submatrix factor alive beside it, and that the monolithic paths are
-    never used.
+    Asserts that every factored matrix is A00[p][:, p] or A11[p][:, p]
+    (entry for entry), p a recorded nested-dissection order, which is a
+    permutation; that the A11 factor lives for the whole solve, and that
+    the monolithic paths are never used.
     """
     dofs = DofMap.from_mesh(mesh)
     system = assemble_system(mesh, spec, dofs)
-    free_sets = [np.ones(dofs.n_interior, dtype=bool)]
-    orders = []
-    kinds = []
-    a11_factors = {"A11": [], "A11[idx]": []}
-    most_alive = {"A11": 0, "A11[idx]": 0}
-
-    def count_alive():
-        for kind, refs in a11_factors.items():
-            most_alive[kind] = max(most_alive[kind], sum(ref() is not None for ref in refs))
-
+    orders, kinds, a11_factors = [], [], []
     dissection = egbp.solver._nested_dissection
 
     def recording_dissection(points, A):
@@ -431,31 +424,23 @@ def _factored_kinds(monkeypatch, mesh, spec):
     class RecordingFactor(SpdFactor):
         def __init__(self, A, name="system"):
             super().__init__(A, name=name)
-            n0 = system.A00.shape[0]
-            if any(_same_matrix(self.A, system.A00[p][:, p]) for p in orders if p.size == n0):
-                kinds.append("A00")
-                return
-            idx = [
-                q
-                for p in orders
-                if p.size == dofs.n_interior
-                for q in (p[f[p]] for f in free_sets)
-                if _same_matrix(self.A, system.A11[q][:, q])
+            matches = [
+                kind
+                for kind, M in (("A00", system.A00), ("A11", system.A11))
+                if any(_same_matrix(self.A, M[p][:, p]) for p in orders if p.size == M.shape[0])
             ]
-            assert idx, "factored a matrix that is neither A00 nor a principal submatrix of A11"
-            kinds.append("A11" if idx[0].size == dofs.n_interior else "A11[idx]")
-            a11_factors[kinds[-1]].append(weakref.ref(self))
-            count_alive()
+            assert len(matches) == 1, "factored a matrix that is neither A00 nor A11"
+            kinds.append(matches[0])
+            if matches[0] == "A11":
+                a11_factors.append(weakref.ref(self))
 
     solve_free = OrderedFactor.solve
 
     def recording_solve(self, b, free, x0=None):
-        if self.name == "A11":
-            free_sets.append(free.copy())
-        else:  # A00 always solves on all its unknowns, from zero
+        if self.name != "A11":  # A00 always solves on all its unknowns, from zero
             assert free.all() and x0 is None
         x = solve_free(self, b, free, x0)
-        count_alive()
+        assert all(ref() is not None for ref in a11_factors)
         return x
 
     def monolithic(*args, **kwargs):
@@ -469,26 +454,23 @@ def _factored_kinds(monkeypatch, mesh, spec):
     trace = solve_bound_preserving(mesh, spec, dofs, system).trace
     assert trace.converged
     assert len(orders) == 2  # one order each for A11 and A00
-    assert kinds.count("A00") == 1 and kinds.count("A11") == 1
-    assert most_alive == {"A11": 1, "A11[idx]": min(1, kinds.count("A11[idx]"))}
     return kinds, trace
 
 
 def test_bound_preserving_factors_only_A11_and_A00(monkeypatch):
-    # most nodes clamped: Step 1 factors principal submatrices, one at a
-    # time, and takes one CG step with each; the first sweep's last Newton
-    # step and the later sweeps clamp all 49 nodes, and factor nothing and
-    # take no CG step
+    # most nodes clamped: Step 1 factors no submatrix.  Its CG on the full
+    # factor takes 9 steps in the first sweep; that sweep's last Newton step
+    # and the later sweeps clamp all 49 nodes, and take no CG step
     kinds, trace = _factored_kinds(monkeypatch, *_many_clamped_problem())
-    assert kinds.count("A11[idx]") == 2
+    assert kinds == ["A11", "A00"]
     assert trace.clamped_per_outer == [49, 49, 49] and trace.inner_iters_per_outer == [3, 1, 1]
-    assert trace.a11_factorizations_per_outer == trace.cg_steps_per_outer == [2, 0, 0]
+    assert trace.cg_steps_per_outer == [9, 0, 0]
 
 
 def test_smooth_solve_factors_A11_once(monkeypatch):
-    # one clamped node: CG on the full factor, no submatrix
+    # one clamped node: CG on the full factor
     kinds, trace = _factored_kinds(monkeypatch, *_smooth_problem())
-    assert kinds.count("A11[idx]") == 0
+    assert kinds == ["A11", "A00"]
     assert sum(trace.cg_steps_per_outer) >= 1
 
 
@@ -585,11 +567,11 @@ def test_bound_preserving_path_follows_the_kappa_bound(monkeypatch, epsilon, pat
     assert t.converged and t.a11_path == path
     assert t.kappa_bound == egbp.solver._kappa_bound(system.A11, spec.mu * system.M1.diagonal())
     if path == "jacobi":
-        assert names == ["A00"] and sum(t.a11_factorizations_per_outer) == 0
+        assert names == ["A00"]
         assert 4.0 <= t.kappa_bound < 4.01
         assert sum(t.cg_steps_per_outer) >= sum(t.inner_iters_per_outer) > 0
     else:
-        assert names[:2] == ["A11", "A00"] and set(names[2:]) <= {"A11"}
+        assert names == ["A11", "A00"]
         assert 8000.0 < t.kappa_bound < 8400.0
 
 
@@ -633,19 +615,17 @@ def test_step1_newton_matches_richardson_oracle(name):
     r = system.b1 - system.A10 @ w0
     assert np.linalg.norm(system.A11 @ p + system.S1 * (u - p) - r) <= 1e-12 * np.linalg.norm(r)
     clamped_share = np.mean(p != u)
+    # every free set is solved by CG on the full factor, one triangular
+    # solve per step, and no submatrix is factored
+    assert a11.full.solves == a11.cg_steps and not a11.free.all()
     if name == "smooth":
-        # the settled clamped set is solved by CG on the full factor:
         # 4, 3 and 2 steps for the three Newton steps
         assert clamped_share < 0.1
         assert a11.cg_steps == 9
-        assert a11.factor is a11.full and not a11.free.all() and a11.count == 1
     elif name == "layer":
-        # far too many clamped nodes for the full factor: submatrices are
-        # factored, and each Newton step is one CG step, but the last, whose
-        # free set drops 2 of the 98 nodes: its start, the previous iterate,
-        # already meets the backward error, and it takes none
+        # at least 90% of the 2,209 nodes clamped: 18 steps over the 4 Newton steps
         assert clamped_share >= 0.9
-        assert (n, a11.cg_steps, a11.count) == (4, 3, 4)
+        assert (n, a11.cg_steps) == (4, 18)
     else:
         assert np.any(lo > hi)
 
@@ -658,7 +638,8 @@ def _random_free_set(n, clamped, seed):
 
 @pytest.mark.parametrize("clamped", [3, 40])
 def test_a11_free_set_solve_matches_fresh_factor(clamped):
-    # 225 nodes, full-factor fill 5,736: CG on the full factor while 2 |C| n <= fill (|C| <= 12)
+    # 225 nodes: CG on the full factor for every free set, at most |C| + 1
+    # steps in exact arithmetic
     mesh = build_structured(16, 16)
     system = assemble_system(mesh, make_spec(f=lambda x, y: 1.0 + 0.0 * x))
     n = system.A11.shape[0]
@@ -670,13 +651,11 @@ def test_a11_free_set_solve_matches_fresh_factor(clamped):
     x_ref = spla.splu(sub).solve(b)
     assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
     assert np.linalg.norm(sub @ x - b) <= 1e-13 * np.linalg.norm(b)
-    if clamped == 3:
-        assert (a11.count, a11.cg_steps) == (1, 4)  # |C| + 1 CG steps
-    else:
-        assert (a11.count, a11.cg_steps) == (2, 1)  # one step with the submatrix factor
+    steps = 4 if clamped == 3 else 22
+    assert a11.cg_steps == a11.full.solves == steps
     # the same free set runs CG with the same preconditioner again
     a11.solve(b, free)
-    assert (a11.count, a11.cg_steps) == ((1, 8) if clamped == 3 else (2, 2))
+    assert a11.cg_steps == a11.full.solves == 2 * steps
 
 
 @pytest.mark.parametrize("clamped", [0, 3, 40])
@@ -696,7 +675,7 @@ def test_jacobi_free_set_solve_matches_fresh_factor(clamped):
     sub = sp.csc_matrix(system.A11[free][:, free])
     x_ref = spla.splu(sub).solve(b)
     assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
-    assert (a11.count, a11.fill_nnz, a11.full, a11.factor) == (0, 0, None, None)
+    assert (a11.fill_nnz, a11.full) == (0, None)
     kappa = egbp.solver._kappa_bound(system.A11, spec.mu * system.M1.diagonal())
     assert 0 < a11.cg_steps <= 0.5 * np.sqrt(kappa) * np.log(2.0 / 1e-15)
 
@@ -707,11 +686,11 @@ def test_all_clamped_free_set_solves_nothing(jacobi):
     mesh = build_structured(16, 16)
     system = assemble_system(mesh, make_spec(epsilon=1e-5, f=lambda x, y: 1.0 + 0.0 * x))
     a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11", jacobi=jacobi)
-    count, fill_nnz = a11.count, a11.fill_nnz
+    full = a11.full
     x = a11.solve(np.zeros(0), np.zeros(system.A11.shape[0], dtype=bool))
     assert x.shape == (0,)
-    assert (a11.count, a11.fill_nnz, a11.cg_steps) == (count, fill_nnz, 0)
-    assert a11.factor is a11.full and (jacobi or a11.full.solves == 0)
+    assert (a11.full, a11.cg_steps) == (full, 0)
+    assert jacobi or a11.full.solves == 0
 
 
 @pytest.mark.parametrize("case", ["smooth", "layer"])
@@ -719,8 +698,8 @@ def test_factors_are_freed_when_the_solve_returns(monkeypatch, case):
     # No reference cycle holds a factor: with the cyclic collector off, every
     # SpdFactor built by either solve but the mesh's A00 is freed once the
     # call returns, and A00's once the mesh goes.  The bound-preserving
-    # solve factors A11 and A00 (and, on the layer's 288 elements, 6
-    # submatrices of A11), the comparator, on the same A00, K_gamma and A11.
+    # solve factors A11 and A00, the comparator, on the same A00, K_gamma
+    # and A11.
     refs = []
 
     class RecordingFactor(SpdFactor):
@@ -741,7 +720,7 @@ def test_factors_are_freed_when_the_solve_returns(monkeypatch, case):
         alive_without_mesh = [name for name, ref in refs if ref() is not None]
     finally:
         gc.enable()
-    assert (elements, n_bp, len(refs) - n_bp) == ((64, 2, 2) if case == "smooth" else (288, 8, 2))
+    assert (elements, n_bp, len(refs) - n_bp) == ((64, 2, 2) if case == "smooth" else (288, 2, 2))
     assert [name for name, _ in refs].count("A00") == 1
     assert (alive, alive_without_mesh) == (["A00"], [])
 
@@ -761,12 +740,10 @@ def test_free_row_cg_matches_the_padded_full_product(jacobi, clamped):
     # again whenever the set changes: the answers and CG step counts equal,
     # bit for bit, those of the padded product with the whole A.  Each count
     # runs a set, another set of the same size, the first set again and the
-    # all-free set.  On the factor path (full fill 5,604, so the full
-    # factor preconditions while |C| <= 12) one clamped node runs CG in
-    # |C| + 1 = 2 steps, half and 97% factor a submatrix cut from the row
-    # block, and a solve preconditioned by an exact factor of its own matrix
-    # takes one step.  Each set is solved from zero and again from a random
-    # start.
+    # all-free set.  On the factor path the full factor preconditions every
+    # set: the all-free set takes one step, one clamped node |C| + 1 = 2,
+    # half of the nodes 12 and 97% (7 free nodes) 7.  Each set is solved
+    # from zero and again from a random start.
     system, a11 = _graded_a11(jacobi)
     n = system.A11.shape[0]
     first, second = (_random_free_set(n, clamped, seed) for seed in (clamped, clamped + 1))
@@ -779,7 +756,7 @@ def test_free_row_cg_matches_the_padded_full_product(jacobi, clamped):
             x = a11.solve(b, free, x0)
             assert x.tobytes() == x_ref.tobytes()
             assert a11.cg_steps - cg_steps == steps
-            assert steps > 0 if jacobi else steps == (2 if clamped == 1 and not free.all() else 1)
+            assert steps > 0 if jacobi else steps == (1 if free.all() else {0: 1, 1: 2, 112: 12, 218: 7}[clamped])
 
 
 @pytest.mark.parametrize("jacobi", [True, False])
@@ -791,7 +768,7 @@ def test_start_that_meets_the_backward_error_takes_no_step(jacobi, clamped):
     free = _random_free_set(system.A11.shape[0], clamped, seed=clamped)
     b = np.random.default_rng(7).normal(size=np.count_nonzero(free))
     x0 = a11.solve(b, free)
-    counts = lambda: (a11.cg_steps, 0 if jacobi else a11.factor.solves)
+    counts = lambda: (a11.cg_steps, 0 if jacobi else a11.full.solves)
     before = counts()
     x = a11.solve(b, free, x0)
     assert x.tobytes() == x0.tobytes() and x is not x0
@@ -824,8 +801,8 @@ def test_every_factored_matrix_is_exactly_symmetric(monkeypatch, case):
     # same system only for a symmetric matrix: every matrix factored by
     # either solve is equal to its transpose, entry for entry.  On the
     # 48 x 48 mesh the layer data (eps = 1e-7) factor A00 and K_gamma; eps =
-    # 1e-2 with bounds [0, 0.5] also factors A11 in both solves and 5
-    # submatrices A11[I, I] in Step 1.
+    # 1e-2 with bounds [0, 0.5] also factors A11 in both solves, and no
+    # submatrix, though Step 1 clamps 1,329 of its 2,209 nodes.
     names = []
 
     class CheckedFactor(SpdFactor):
@@ -846,8 +823,7 @@ def test_every_factored_matrix_is_exactly_symmetric(monkeypatch, case):
     if case == "jacobi":
         assert names == [("A00", 4608), ("A00", 4608), ("K_gamma", 2209)]
     else:
-        assert names[:2] == [("A11", 2209), ("A00", 4608)] and n_bp == 7
-        assert all(name == "A11" and size < 2209 for name, size in names[2:n_bp])
+        assert names[:n_bp] == [("A11", 2209), ("A00", 4608)]
         assert names[n_bp:] == [("A00", 4608), ("K_gamma", 2209), ("A11", 2209)]
 
 
@@ -864,8 +840,8 @@ def test_step1_cg_solve_checks_its_answer():
     a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11")
     a11.full.lu = spla.splu(sp.csc_matrix(2.0 * a11.A))
     x = a11.solve(b, free)
-    assert np.abs(b - sub @ x).max() <= 1e-15 * (a11.full.norm * np.abs(x).max() + np.abs(b).max())
-    assert (a11.count, a11.cg_steps) == (1, 4)  # |C| + 1, as with the LU of A11
+    assert np.abs(b - sub @ x).max() <= 1e-15 * (a11.norm * np.abs(x).max() + np.abs(b).max())
+    assert a11.full.solves == a11.cg_steps == 4  # |C| + 1, as with the LU of A11
     a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11")
     a11.full.lu = spla.splu(sp.csc_matrix(-a11.A))
     with pytest.raises(SolverError, match=r"CG on A11\[I, I\] broke down: r\^T z = .*preconditioner is not positive definite"):
@@ -1015,9 +991,8 @@ def test_trace_bookkeeping(monkeypatch):
         assert n == len(incs)
     assert t.outer_increments[-1] <= spec.tol_outer
     assert t.feasibility_violations == sum(1 for ok in t.feasible_per_outer if not ok)
-    # per outer sweep: worst feasibility slack, clamped nodes, A11-class factorizations
+    # per outer sweep: worst feasibility slack and clamped nodes
     assert t.outer_iters == len(t.worst_slack_per_outer) == len(t.clamped_per_outer)
-    assert t.outer_iters == len(t.a11_factorizations_per_outer)
     assert t.feasible_per_outer == [slack >= 0.0 for slack in t.worst_slack_per_outer]
     dofs = DofMap.from_mesh(mesh)
     system = assemble_system(mesh, spec, dofs)
@@ -1036,7 +1011,7 @@ def test_trace_bookkeeping(monkeypatch):
     monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
     sol = solve_bound_preserving(mesh, spec)
     t = sol.trace
-    assert names.count("A11") == 1 + sum(t.a11_factorizations_per_outer) >= 2
+    assert names == ["A11"] and t.a00_reused  # the mesh kept the first solve's A00 factor
     iv = dofs.interior_vertex_ids
     clamped = np.count_nonzero(sol.u.linear_coeffs[iv] != sol.u_plus.linear_coeffs[iv])
     assert 0 < t.clamped_per_outer[-1] == clamped <= iv.size
@@ -1047,7 +1022,7 @@ def test_trace_bookkeeping(monkeypatch):
     names.clear()
     t, sweeps = _free_sets_per_step1(monkeypatch, *_smooth_problem())
     assert t.converged and t.outer_iters == len(sweeps) == len(t.cg_steps_per_outer)
-    assert names.count("A11") == 1 and sum(t.a11_factorizations_per_outer) == 0
+    assert names == ["A11", "A00"]
     for m, frees in enumerate(sweeps):
         assert [np.count_nonzero(~free) for free in frees] == [1] * len(frees)
         assert t.cg_steps_per_outer[m] == 2 * len(frees) > 0
@@ -1076,8 +1051,7 @@ def test_every_splu_goes_through_spd_factor(monkeypatch, case):
     mesh, spec = _many_clamped_problem() if case == "many_clamped" else _smooth_problem(2 if case == "jacobi" else 0)
     trace = solve_bound_preserving(mesh, spec).trace
     assert trace.a11_path == ("jacobi" if case == "jacobi" else "factor")
-    a11_factors = (trace.a11_path == "factor") + sum(trace.a11_factorizations_per_outer)
-    assert calls["splu"] == calls["SpdFactor"] == 1 + a11_factors
+    assert calls["splu"] == calls["SpdFactor"] == 1 + (trace.a11_path == "factor")
 
 
 def test_trace_fill_nnz_sums_every_factorization(monkeypatch):
@@ -1089,8 +1063,9 @@ def test_trace_fill_nnz_sums_every_factorization(monkeypatch):
             fills.append(self.lu.nnz)
 
     monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
+    # factor path, most nodes clamped: A11 and A00, no submatrix
     trace = solve_bound_preserving(*_many_clamped_problem()).trace
-    assert len(fills) == 2 + sum(trace.a11_factorizations_per_outer) > 2
+    assert trace.a11_path == "factor" and len(fills) == 2
     assert trace.fill_nnz == sum(fills)
     # Jacobi path: A00's factor alone
     fills.clear()
@@ -1186,8 +1161,8 @@ def test_separators_cover_every_entry_between_siblings(shuffled):
 
 @pytest.mark.parametrize("case", ["smooth", "layer"])
 def test_bound_preserving_reruns_bit_identical(case):
-    # the choice between CG and a submatrix factor depends on counts only;
-    # the rerun assembles anew and reuses the mesh's factor of A00, whose
+    # the choice between Jacobi-CG and the A11 factor depends on counts
+    # only; the rerun assembles anew and reuses the mesh's factor of A00, whose
     # fill it does not count
     mesh, spec = _smooth_problem() if case == "smooth" else _layer_problem()
     a, b = (solve_bound_preserving(mesh, spec) for _ in range(2))
@@ -1374,10 +1349,10 @@ def test_refinement_stops_at_backward_error():
     x = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
     b = A @ x
     factor = SpdFactor(A)
-    assert factor.norm == 4.0
+    assert factor.A is A and egbp.solver._inf_norm(A) == 4.0
     y = factor.solve(b)
     r = np.abs(b - A @ y).max()
-    assert r <= 1e-12 * (factor.norm * np.abs(y).max() + np.abs(b).max())
+    assert r <= 1e-12 * (4.0 * np.abs(y).max() + np.abs(b).max())
     assert np.abs(y - x).max() <= 1e-9
     assert factor.solves >= 1
 
@@ -1419,3 +1394,42 @@ def test_trace_counts_triangular_solves(monkeypatch, case):
     # every CG step preconditioned with a factor is one triangular solve:
     # A00's one step per solve, the initial sweep and every Step-1 CG step
     assert trace.triangular_solves == 1 + trace.outer_iters + trace.initial_cg_steps + sum(trace.cg_steps_per_outer)
+
+
+def test_step1_start_that_meets_the_backward_error_factors_nothing(monkeypatch):
+    # The 288-element layer solve clamps 97 of its 121 nodes, and some Newton
+    # steps change the free set while the current iterate already meets the
+    # backward error on the new one.  Such a Step-1 solve returns its start
+    # after no factorization and no triangular solve: every free set is
+    # preconditioned with the factor of the full A11, made once per solve.
+    counted = _count_triangular_solves(monkeypatch)
+    counted["splu"] = 0
+    splu = egbp.solver.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        counted["splu"] += 1
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(egbp.solver.spla, "splu", counting_splu)
+    mesh, spec = _layer_problem(refinements=0)
+    system = assemble_system(mesh, spec)
+    norm = egbp.solver._inf_norm(system.A11)
+    solve_free, met = OrderedFactor.solve, []
+
+    def recording_solve(self, b, free, x0=None):
+        if x0 is None:  # the initial sweep's A11 solve and every A00 solve
+            return solve_free(self, b, free, x0)
+        r = b - system.A11[free][:, free] @ x0
+        meets = np.abs(r).max() <= 1e-15 * (norm * np.abs(x0).max() + np.abs(b).max())
+        before = dict(counted)
+        x = solve_free(self, b, free, x0)
+        met.append((meets, counted["splu"] - before["splu"], counted["rhs"] - before["rhs"], x.tobytes() == x0.tobytes()))
+        return x
+
+    monkeypatch.setattr(OrderedFactor, "solve", recording_solve)
+    trace = solve_bound_preserving(mesh, spec, system=system).trace
+    assert (mesh.num_elements, trace.a11_path, trace.inner_iters_per_outer) == (288, "factor", [3, 3, 1, 1])
+    assert [bool(m[0]) for m in met] == [False, False, True, False, False, True, False, False]
+    assert all(m[1] == 0 for m in met)
+    assert [m[1:] for m in met if m[0]] == [(0, 0, True)] * 2
+    assert counted["splu"] == 2  # A11 and A00, before Step 1
