@@ -15,13 +15,11 @@ _jacobi_pays).  Otherwise A11 is factored once per solve, and that one
 factor preconditions every free set; no submatrix is factored.  Each
 Step-1 solve is one CG on the free rows of A11, started at the current
 Newton iterate, and its free set picks only the preconditioner (see
-OrderedFactor).  Every matrix is
-factored in the nested-dissection order of its unknowns' mesh positions:
-interior vertices for A11, element centroids for A00.  Each mesh keeps
-its first factor of A00, for every later solve whose A00 equals it bit
-for bit, and lends its order to every other A00 of its pattern
-(see _a00_factor).  Every linear solve is one routine, CG (_pcg) to
-normwise backward error _CG_TOL; a factor enters only as its
+OrderedFactor).  Every matrix is factored in the order its mesh's
+assembly stencil keeps for its unknowns (see assembly._order), and each
+mesh keeps its last factor of A00 for every later solve whose A00 equals
+it bit for bit (see _a00_factor).  Every linear solve is one routine, CG
+(_pcg) to normwise backward error _CG_TOL; a factor enters only as its
 preconditioner.
 """
 
@@ -34,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_system, penalty_stiffness
+from .assembly import _check_dofs, _order, assemble_system, penalty_stiffness
 from .fespace import EGFunction
 from .limiter import apply_P, feasibility_check, patch_extremes, truncate_values
 
@@ -75,9 +73,8 @@ class SolveTrace:
     ``initial_cg_steps`` is those of the initial sweep's A11 solve, before
     the first outer sweep.
     ``a00_reused`` is True if the solve took the factor of A00 its mesh
-    kept from an earlier solve (see _a00_factor), False if it factored A00:
-    as the mesh's first factor, which the mesh keeps, or as one of its own,
-    freed when the solve returns.
+    kept from an earlier solve (see _a00_factor), False if it factored A00,
+    which the mesh then keeps in place of the factor before.
     ``fill_nnz`` is the stored L and U entries summed over the
     factorizations this solve made, of A00 unless reused and of A11 (none
     on the Jacobi path), and ``triangular_solves`` this solve's
@@ -134,65 +131,6 @@ class EGSolution:
     trace: SolveTrace
 
 
-# Nested-dissection leaves hold about this many unknowns.
-_ND_LEAF = 32
-
-
-def _nested_dissection(points, A):
-    """Nested-dissection order of the unknowns at ``points`` (n, 2) for the graph of A.
-
-    The unknowns are bisected by position; the separator of each split holds
-    one end of every entry of A across it, see _bisection_tree.  Each
-    separator is ordered after both halves it separates (George, SIAM J.
-    Numer. Anal. 10(2), 1973), so an elimination in this order makes no
-    fill between sibling halves.  Ties keep the input order: the result is
-    deterministic.
-    """
-    n = np.shape(points)[0]
-    if n <= _ND_LEAF:
-        return np.arange(n)
-    code, level, depth = _bisection_tree(points, A)
-    # post-order of the bisection tree: a tree node sorts by the largest
-    # code beneath it, after the deeper nodes that share that code
-    below = depth - level
-    last = (((code >> below) + 1) << below) - 1
-    return np.lexsort((-level, last))
-
-
-def _bisection_tree(points, A):
-    """Morton code, separator level and tree depth of the n > _ND_LEAF unknowns at ``points``.
-
-    The bounding box is bisected at its midpoint, longer axis first, down to
-    leaves of about _ND_LEAF unknowns: one code of ``depth`` bits per
-    unknown, whose first s bits name its tree node at depth s.  Two codes
-    split at the depth of their common prefix.  Every off-diagonal entry of
-    the structurally symmetric A whose ends fall in the two halves of a
-    split makes its end in the lower half a separator of that split, and an
-    unknown's level is the shallowest split it separates (``depth`` if
-    none): every entry between sibling halves has an end whose level is at
-    most the depth of their split.
-    """
-    points = np.asarray(points, dtype=float)
-    n = points.shape[0]
-    bits = int(np.ceil(np.log2(n / _ND_LEAF) / 2))
-    lo = points.min(axis=0)
-    span = points.max(axis=0) - lo
-    cells = np.minimum((points - lo) / np.where(span > 0, span, 1.0) * 2**bits, 2**bits - 1)
-    cells = cells.astype(np.int64)
-    long_axis, short_axis = np.argsort(-span, kind="stable")
-    code = np.zeros(n, dtype=np.int64)
-    for k in range(bits):
-        code |= ((cells[:, long_axis] >> k) & 1) << (2 * k + 1)
-        code |= ((cells[:, short_axis] >> k) & 1) << (2 * k)
-    depth = 2 * bits
-    A = sp.coo_matrix(A)
-    ci, cj = code[A.row], code[A.col]
-    cut = ci < cj  # each crossing entry once, from its lower-half end
-    level = np.full(n, depth)
-    np.minimum.at(level, A.row[cut], depth - np.frexp(ci[cut] ^ cj[cut])[1])
-    return code, level, depth
-
-
 # Normwise backward error of every solve: factors, Step-1 CG, the Schur CG and
 # the standard solve's check.  At 1e-12 the layer comparator's extremes moved by 2e-12.
 _CG_TOL = 1e-15
@@ -204,7 +142,7 @@ _MAX_OUTER = 200
 class SpdFactor:
     """Sparse LU factorization of an SPD matrix, in the order given, and CG preconditioned with it.
 
-    The caller orders the matrix (see _nested_dissection): SuperLU adds no
+    The caller orders the matrix (see assembly._order): SuperLU adds no
     fill-reducing column order of its own.  ``A`` is the matrix given, not
     a copy.  The solvers use the factor only as a preconditioner,
     ``lu_solve``, inside their own CG; ``solves`` counts the right-hand
@@ -253,9 +191,13 @@ def _inf_norm(A):
 
 def _prepare(mesh, spec, dofs, system, lift):
     """``system``, or one assembled from dofs and lift; a dofs or lift given
-    with a system must equal the system's own."""
+    with a system must equal the system's own, and the system's dofs and A00
+    must fit the mesh."""
     if system is None:
         return assemble_system(mesh, spec, dofs, lift)
+    _check_dofs(mesh, system.dofs)
+    if system.A00.shape != (mesh.num_elements,) * 2:
+        raise ValueError("system.A00 has shape %s, the mesh %d elements" % (system.A00.shape, mesh.num_elements))
     own = system.dofs.interior_vertex_ids
     if dofs is not None and not np.array_equal(dofs.interior_vertex_ids, own):
         raise ValueError("dofs differ from the ones the system was assembled with")
@@ -358,8 +300,8 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     """
     system = _prepare(mesh, spec, dofs, system, lift)
     n1 = system.dofs.n_interior
-    p1 = _nested_dissection(mesh.vertices[system.dofs.interior_vertex_ids], system.A11)
-    a00 = _a00_factor(mesh, system.A00)[0]
+    p1 = _order(mesh, system.dofs, "vertex")
+    a00 = _a00_factor(mesh, system)[0]
     k_gamma = SpdFactor(penalty_stiffness(mesh, spec, system.dofs)[p1][:, p1], name="K_gamma")
     A11 = sp.csc_matrix(sp.csr_matrix(system.A11)[p1][:, p1])
     A10 = sp.csr_matrix(system.A10)[p1][:, a00.p]
@@ -395,39 +337,36 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
 class OrderedFactor:
     """Solves with the principal submatrices A[I, I] of an SPD A, I the free set.
 
-    A is held once, in CSR in the order ``p``, and at most one matrix is
-    factored: A itself.  Every solve is one CG (_pcg) on A[I, I], from a
-    start given on the free nodes or from zero, to backward error against
-    ||A||_inf, and the free set picks only its preconditioner M.  A CG step
-    multiplies A itself while every node is free, else only the rows
-    A[I, :], cut from A when I changes, by x~ = x padded with zeros on the
-    clamped set C; each row keeps its stored entries in their order, so
-    the product is the free part of the full one, bit for bit.  With
-    ``jacobi`` p is the identity, A is held as given, M is diag(A)_I^{-1}
-    and nothing is factored: _kappa_bound bounds the condition number for
-    every I at once.  Otherwise p is, by default, the nested-dissection
-    order of A's unknowns at ``points`` (an order given is not checked
-    against A), A is held as A[p][:, p] with sorted indices, and its
+    Every solve is one CG (_pcg) on A[I, I], from a start given on the free
+    nodes or from zero, to backward error against ||A||_inf, and the free
+    set picks only its preconditioner M.  A CG step multiplies A itself
+    while every node is free, else only the rows A[I, :], cut from A when I
+    changes, by x~ = x padded with zeros on the clamped set C; each row
+    keeps its stored entries in their order, so the product is the free
+    part of the full one, bit for bit.  Without an order ``p``, A is held
+    in CSR as given, M is diag(A)_I^{-1} and nothing is factored (Jacobi):
+    _kappa_bound bounds the condition number for every I at once.  Given
+    p, A is held once, as A[p][:, p] with sorted indices, and factored; the
     factor ``full`` lives for the whole solve.  With every node free M is
     that factor's solve, and CG is iterative refinement with an optimal
     step; otherwise M is r -> (A^{-1} r~)_I.  (A^{-1})[I, I] and
     A[I, I]^{-1} differ by a term of rank |C|, so in exact arithmetic CG
     takes at most |C| + 1 steps (Saad, Iterative Methods for Sparse Linear
     Systems, 2003).  An empty I takes no step.  ``fill_nnz`` is the
-    factor's stored L and U entries (0 with ``jacobi``) and ``cg_steps``
-    the CG steps, off the Jacobi path one triangular solve each.
+    factor's stored L and U entries (0 for Jacobi) and ``cg_steps`` the CG
+    steps, off the Jacobi path one triangular solve each.
     """
 
-    def __init__(self, A, points, name, jacobi=False, p=None):
+    def __init__(self, A, name, p=None):
         A = sp.csr_matrix(A)
         self.name = name
-        self.p = np.arange(A.shape[0]) if jacobi else _nested_dissection(points, A) if p is None else p
-        if not jacobi:
-            A = A[self.p][:, self.p]
+        self.p = np.arange(A.shape[0]) if p is None else p
+        if p is not None:
+            A = A[p][:, p]
             A.sort_indices()
         self.A, self.norm = A, _inf_norm(A)
-        self.full = None if jacobi else SpdFactor(A, name=name)
-        self.inv_diag = 1.0 / A.diagonal() if jacobi else None
+        self.full = None if p is None else SpdFactor(A, name=name)
+        self.inv_diag = 1.0 / A.diagonal() if p is None else None
         self.free = np.ones(self.A.shape[0], dtype=bool)
         self.ids = np.arange(self.A.shape[0])  # I = self.free, in factor order
         self.rows = self.A  # A[I, :], A itself while every node is free
@@ -467,40 +406,34 @@ class OrderedFactor:
         return x
 
 
-# The first A00 factor of each live mesh, (a copy of A00, its OrderedFactor);
+# The last A00 factor of each live mesh, (a copy of A00, its OrderedFactor);
 # an entry dies with its mesh, as the value holds no reference to it.
 _A00_FACTORS = weakref.WeakKeyDictionary()
 
 
-def _a00_factor(mesh, A00):
-    """(OrderedFactor of A00 at ``mesh``'s centroids, reused): the factor the
-    mesh keeps if its A00 equals this one bit for bit, else a new one.
+def _a00_factor(mesh, system):
+    """(OrderedFactor of the system's A00, reused): the factor the mesh keeps
+    if its A00 equals this one bit for bit, else a new one, which it keeps.
 
     A Mesh is immutable and hashed by identity; a system's A00 is neither,
-    so shape, indptr, indices and data are compared with the copy kept
-    beside the factor.  A00 depends on the mesh, mu, gamma and beta: solves
-    of one problem on one mesh share a factor whatever their tol_inner, and
-    so does a standard solve on a bound-preserving solve's system.  The
-    mesh keeps the first factor it makes.  Another A00, such as the layer
-    comparator's at beta = 1, gets a factor of its own, which dies with the
-    solve; if it has the kept one's pattern, it takes the kept order and
-    only its numbers are factored.  So each live mesh keeps one factor, and
-    on a refinement hierarchy the coarser meshes' factors add at most about
-    1/3 of the finest one's; a solve with another A00 holds its own beside
-    it.  Solves that share the factor share its ``cg_steps``, which a solve
-    reads as a difference: concurrent solves on one mesh would mix their
-    counts.
+    so indptr, indices and data are compared with the copy kept beside the
+    factor.  A00 depends on the mesh, mu, gamma and beta: solves of one
+    problem on one mesh share a factor whatever their tol_inner.  Another
+    A00, such as the layer comparator's at beta = 1, drops the kept factor
+    before it is factored, in the stencil's element order: a mesh holds
+    one A00 factor, and the coarser meshes of a refinement hierarchy add
+    at most about 1/3 of the finest one's.  Solves that share the factor
+    share its ``cg_steps``, which a solve reads as a difference.
     """
-    A00 = sp.csr_matrix(A00)
-    kept = _A00_FACTORS.get(mesh)
-    same = kept is not None and kept[0].shape == A00.shape
-    same = same and all(np.array_equal(getattr(kept[0], a), getattr(A00, a)) for a in ("indptr", "indices"))
-    if same and np.array_equal(kept[0].data, A00.data):
+    A00 = sp.csr_matrix(system.A00)
+    kept = _A00_FACTORS.pop(mesh, None)
+    if kept is not None and all(np.array_equal(getattr(kept[0], a), getattr(A00, a)) for a in ("indptr", "indices", "data")):
+        _A00_FACTORS[mesh] = kept
         return kept[1], True
-    factor = OrderedFactor(A00, mesh.centroid, "A00", p=kept[1].p if same else None)
-    if kept is None:  # the copy shares the assembly's read-only index arrays
-        index = [a.copy() if a.flags.writeable else a for a in (A00.indices, A00.indptr)]
-        _A00_FACTORS[mesh] = (sp.csr_matrix((A00.data.copy(), *index), shape=A00.shape), factor)
+    kept = None  # the kept factor dies here, unless a solve still holds it
+    factor = OrderedFactor(A00, "A00", _order(mesh, system.dofs, "element"))
+    index = [a.copy() if a.flags.writeable else a for a in (A00.indices, A00.indptr)]  # read-only ones are the stencil's
+    _A00_FACTORS[mesh] = (sp.csr_matrix((A00.data.copy(), *index), shape=A00.shape), factor)
     return factor, False
 
 
@@ -591,8 +524,8 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     system = _prepare(mesh, spec, dofs, system, lift)
     kappa, nnz = _kappa_bound(system.A11, spec.mu * system.M1.diagonal()), system.A11.nnz
     jacobi = _jacobi_pays(kappa, nnz, nnz**1.5)
-    a11 = OrderedFactor(system.A11, mesh.vertices[system.dofs.interior_vertex_ids], "A11", jacobi=jacobi)
-    a00, a00_reused = _a00_factor(mesh, system.A00)
+    a11 = OrderedFactor(system.A11, "A11", None if jacobi else _order(mesh, system.dofs, "vertex"))
+    a00, a00_reused = _a00_factor(mesh, system)
     a00_steps = a00.cg_steps
 
     u1 = a11.solve(system.b1, a11.free)

@@ -7,8 +7,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import egbp.assembly
 import egbp.solver
-from egbp.assembly import BlockSystem, ProblemSpec, assemble_system
+from egbp.assembly import BlockSystem, ProblemSpec, _order, assemble_system
 from egbp.cli import StudyConfig, apply_experiment_defaults, layer_source, main, smooth_exact
 from egbp.fespace import DofMap, dirichlet_lift
 from egbp.limiter import feasibility_check, patch_extremes
@@ -51,6 +52,11 @@ def make_spec(**kw):
 
 def _interior_points(mesh):
     return mesh.vertices[DofMap.from_mesh(mesh).interior_vertex_ids]
+
+
+def _a11_factor(mesh, system, jacobi=False):
+    """OrderedFactor of the system's A11: Jacobi, or factored in the stencil's vertex order."""
+    return OrderedFactor(system.A11, "A11", None if jacobi else _order(mesh, system.dofs, "vertex"))
 
 
 def test_solve_spd_matches_dense_oracle():
@@ -114,8 +120,8 @@ def test_factor_solves_take_one_cg_step(epsilon):
     mesh, spec = _smooth_problem(refinements=3, epsilon=epsilon)
     system = assemble_system(mesh, spec)
     rng = np.random.default_rng(3)
-    for A, points, b in ((system.A11, _interior_points(mesh), system.b1), (system.A00, mesh.centroid, system.b0)):
-        factor = OrderedFactor(A, points, "A")
+    for A, kind, b in ((system.A11, "vertex", system.b1), (system.A00, "element", system.b0)):
+        factor = OrderedFactor(A, "A", _order(mesh, system.dofs, kind))
         # A is held once, in order p with sorted indices, and the factor keeps that matrix
         ordered = sp.csc_matrix(A)[factor.p][:, factor.p].tocsr()
         assert factor.full.A is factor.A and factor.A.has_sorted_indices
@@ -289,6 +295,39 @@ def test_dofs_or_lift_not_the_systems_own_rejected(solve):
         solve(mesh, spec, DofMap(every, every), system)
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["dofs_of_another_mesh", "vertex_out_of_range", "not_inverse", "short_lift", "nan_lift",
+     "bp_system_of_another_mesh", "standard_system_of_another_mesh", "a00_of_another_size"],
+)
+def test_input_that_does_not_fit_the_mesh_is_rejected(case):
+    # a ValueError that names the argument, before any index work (else an
+    # IndexError inside the assembly or the solve, or, for a NaN lift, a
+    # failed CG in the solve)
+    mesh, spec = build_structured(4, 4), make_spec(f=lambda x, y: 1.0 + 0.0 * x)
+    dofs, lift, other = DofMap.from_mesh(mesh), np.zeros(mesh.num_vertices), build_structured(5, 4)
+    iv, v2i = dofs.interior_vertex_ids, dofs.vertex_to_interior
+    system = assemble_system(mesh, spec)
+    call, message = {
+        "dofs_of_another_mesh": (lambda: assemble_system(mesh, spec, DofMap.from_mesh(other)), "dofs.vertex_to_interior"),
+        "vertex_out_of_range": (
+            lambda: assemble_system(mesh, spec, DofMap(np.append(iv[:-1], mesh.num_vertices), v2i)), "dofs.interior_vertex_ids"
+        ),
+        "not_inverse": (lambda: assemble_system(mesh, spec, DofMap(iv[::-1], v2i)), "not the inverse"),
+        "short_lift": (lambda: assemble_system(mesh, spec, dofs, lift[:-1]), "lift"),
+        "nan_lift": (lambda: assemble_system(mesh, spec, dofs, np.where(np.arange(lift.size) == 3, np.nan, lift)), "lift"),
+        "bp_system_of_another_mesh": (
+            lambda: solve_bound_preserving(mesh, spec, system=assemble_system(other, spec)), "dofs.vertex_to_interior"
+        ),
+        "standard_system_of_another_mesh": (
+            lambda: solve_standard_eg(mesh, spec, system=assemble_system(other, spec)), "dofs.vertex_to_interior"
+        ),
+        "a00_of_another_size": (lambda: solve_bound_preserving(mesh, spec, system=replace(system, A00=system.A00[:-1, :-1])), "system.A00"),
+    }[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_inner_richardson_stationary_at_unconstrained_solution():
     # When no clamp is active the fixed point of the sweep solves
     # A11 u = b1 - A10 w0; starting there, the first increment is ~0.
@@ -299,7 +338,7 @@ def test_inner_richardson_stationary_at_unconstrained_solution():
     w0 = np.zeros(mesh.num_elements)
     extremes = patch_extremes(mesh, w0, dofs)
     u_star = solve_spd(system.A11, system.b1 - system.A10 @ w0)
-    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11")
+    a11 = _a11_factor(mesh, system)
     u, n, incs, converged = inner_richardson(u_star, w0, system, spec, extremes, a11)
     assert converged
     assert n == 1
@@ -314,7 +353,7 @@ def test_inner_richardson_converges_from_zero():
     system = assemble_system(mesh, spec, dofs)
     w0 = np.zeros(mesh.num_elements)
     extremes = patch_extremes(mesh, w0, dofs)
-    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11")
+    a11 = _a11_factor(mesh, system)
     u, n, incs, converged = inner_richardson(
         np.zeros(dofs.n_interior), w0, system, spec, extremes, a11
     )
@@ -334,7 +373,7 @@ def test_outer_constant_solve_block_consistency():
     u1 = 1e-3 * rng.normal(size=dofs.n_interior)
     w0 = np.zeros(mesh.num_elements)
     extremes = patch_extremes(mesh, w0, dofs)
-    a00 = OrderedFactor(system.A00, mesh.centroid, "A00")
+    a00 = OrderedFactor(system.A00, "A00", _order(mesh, dofs, "element"))
     u0 = outer_constant_solve(u1, system, spec, extremes, a00)
     # with the wide bounds the truncation is the identity
     res = system.A00 @ u0 - (system.b0 - system.A10.T @ u1)
@@ -413,11 +452,11 @@ def _factored_kinds(monkeypatch, mesh, spec):
     dofs = DofMap.from_mesh(mesh)
     system = assemble_system(mesh, spec, dofs)
     orders, kinds, a11_factors = [], [], []
-    dissection = egbp.solver._nested_dissection
+    dissection = egbp.assembly._nested_dissection
 
-    def recording_dissection(points, A):
-        p = dissection(points, A)
-        assert np.array_equal(np.sort(p), np.arange(A.shape[0]))
+    def recording_dissection(points, pattern):
+        p = dissection(points, pattern)
+        assert np.array_equal(np.sort(p), np.arange(pattern.shape[0]))
         orders.append(p)
         return p
 
@@ -446,7 +485,7 @@ def _factored_kinds(monkeypatch, mesh, spec):
     def monolithic(*args, **kwargs):
         raise AssertionError("the bound-preserving solve used the monolithic system")
 
-    monkeypatch.setattr(egbp.solver, "_nested_dissection", recording_dissection)
+    monkeypatch.setattr(egbp.assembly, "_nested_dissection", recording_dissection)
     monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
     monkeypatch.setattr(OrderedFactor, "solve", recording_solve)
     monkeypatch.setattr(egbp.solver, "solve_standard_eg", monolithic)
@@ -479,13 +518,13 @@ def test_standard_eg_factors_only_A11_and_A00(monkeypatch):
     # A11's order and, unless _jacobi_pays, A11 in that order too; it never
     # builds the monolithic matrix.  On 4,608 layer elements eps = 1e-7 takes
     # diag(A11)^{-1} in place of the A11 factor, eps = 1e-3 the factor.  The
-    # second A00 has the first's pattern, so it takes the first's order.
+    # mesh's stencil keeps both orders: the second solve makes neither again.
     mesh, layer_spec = _layer_problem(refinements=2)
     orders, factored = [], []
-    dissection = egbp.solver._nested_dissection
+    dissection = egbp.assembly._nested_dissection
 
-    def recording_dissection(points, A):
-        orders.append(dissection(points, A))
+    def recording_dissection(points, pattern):
+        orders.append(dissection(points, pattern))
         return orders[-1]
 
     class RecordingFactor(SpdFactor):
@@ -496,7 +535,7 @@ def test_standard_eg_factors_only_A11_and_A00(monkeypatch):
     def monolithic(*args, **kwargs):
         raise AssertionError("the standard solve built the monolithic matrix")
 
-    monkeypatch.setattr(egbp.solver, "_nested_dissection", recording_dissection)
+    monkeypatch.setattr(egbp.assembly, "_nested_dissection", recording_dissection)
     monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
     monkeypatch.setattr(BlockSystem, "full_matrix", monolithic)
     for epsilon, names in ((1e-7, ["A00", "K_gamma"]), (1e-3, ["A00", "K_gamma", "A11"])):
@@ -506,7 +545,9 @@ def test_standard_eg_factors_only_A11_and_A00(monkeypatch):
         factored.clear()
         u = solve_standard_eg(mesh, spec, system=system)
         assert [name for name, _ in factored] == names
-        p1, p0 = orders if epsilon == 1e-7 else (*orders, p0)
+        if epsilon == 1e-7:
+            p1, p0 = orders
+        assert len(orders) == (2 if epsilon == 1e-7 else 0)
         assert _same_matrix(factored[0][1], system.A00[p0][:, p0])
         K = penalty_stiffness_oracle(mesh, spec, system.dofs.interior_vertex_ids)[np.ix_(p1, p1)]
         assert np.abs(factored[1][1].toarray() - K).max() <= 1e-13 * np.abs(K).max()
@@ -594,7 +635,7 @@ def _step1_case(name):
         w0[patch[0]], w0[patch[1]] = 0.8, -0.8
     else:
         w0 = solve_bound_preserving(mesh, spec, dofs, system).u.const_coeffs
-    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11")
+    a11 = _a11_factor(mesh, system)
     return system, spec, w0, patch_extremes(mesh, w0, dofs), a11
 
 
@@ -645,7 +686,7 @@ def test_a11_free_set_solve_matches_fresh_factor(clamped):
     n = system.A11.shape[0]
     free = _random_free_set(n, clamped, seed=clamped)
     b = np.random.default_rng(7).normal(size=np.count_nonzero(free))
-    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11")
+    a11 = _a11_factor(mesh, system)
     x = a11.solve(b, free)
     sub = sp.csc_matrix(system.A11[free][:, free])
     x_ref = spla.splu(sub).solve(b)
@@ -670,7 +711,7 @@ def test_jacobi_free_set_solve_matches_fresh_factor(clamped):
     system = assemble_system(mesh, spec)
     free = _random_free_set(system.A11.shape[0], clamped, seed=clamped)
     b = np.random.default_rng(7).normal(size=np.count_nonzero(free))
-    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11", jacobi=True)
+    a11 = _a11_factor(mesh, system, jacobi=True)
     x = a11.solve(b, free)
     sub = sp.csc_matrix(system.A11[free][:, free])
     x_ref = spla.splu(sub).solve(b)
@@ -685,7 +726,7 @@ def test_all_clamped_free_set_solves_nothing(jacobi):
     # an empty free set: no factorization, no CG step, no triangular solve
     mesh = build_structured(16, 16)
     system = assemble_system(mesh, make_spec(epsilon=1e-5, f=lambda x, y: 1.0 + 0.0 * x))
-    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11", jacobi=jacobi)
+    a11 = _a11_factor(mesh, system, jacobi)
     full = a11.full
     x = a11.solve(np.zeros(0), np.zeros(system.A11.shape[0], dtype=bool))
     assert x.shape == (0,)
@@ -730,7 +771,7 @@ def _graded_a11(jacobi):
     mesh = build_structured(16, 16)
     mesh = _build_mesh(np.column_stack([mesh.vertices[:, 0], mesh.vertices[:, 1] ** 2]), mesh.triangles)
     system = assemble_system(mesh, make_spec(epsilon=1e-5, f=lambda x, y: 1.0 + 0.0 * x))
-    return system, OrderedFactor(system.A11, _interior_points(mesh), "A11", jacobi=jacobi)
+    return system, _a11_factor(mesh, system, jacobi)
 
 
 @pytest.mark.parametrize("jacobi", [True, False])
@@ -837,12 +878,12 @@ def test_step1_cg_solve_checks_its_answer():
     free = _random_free_set(system.A11.shape[0], 3, seed=3)
     b = np.ones(np.count_nonzero(free))
     sub = system.A11[free][:, free]
-    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11")
+    a11 = _a11_factor(mesh, system)
     a11.full.lu = spla.splu(sp.csc_matrix(2.0 * a11.A))
     x = a11.solve(b, free)
     assert np.abs(b - sub @ x).max() <= 1e-15 * (a11.norm * np.abs(x).max() + np.abs(b).max())
     assert a11.full.solves == a11.cg_steps == 4  # |C| + 1, as with the LU of A11
-    a11 = OrderedFactor(system.A11, _interior_points(mesh), "A11")
+    a11 = _a11_factor(mesh, system)
     a11.full.lu = spla.splu(sp.csc_matrix(-a11.A))
     with pytest.raises(SolverError, match=r"CG on A11\[I, I\] broke down: r\^T z = .*preconditioner is not positive definite"):
         a11.solve(b, free)
@@ -1084,10 +1125,10 @@ def test_nested_dissection_is_a_deterministic_permutation():
         (x0, system.A00),
         (np.vstack([x1, x0]), system.full_matrix()),
     ):
-        p = egbp.solver._nested_dissection(points, A)
+        p = egbp.assembly._nested_dissection(points, A)
         assert np.array_equal(np.sort(p), np.arange(A.shape[0]))
         assert not np.array_equal(p, np.arange(A.shape[0]))
-        assert np.array_equal(egbp.solver._nested_dissection(points.copy(), A.copy()), p)
+        assert np.array_equal(egbp.assembly._nested_dissection(points.copy(), A.copy()), p)
 
 
 def _row_shuffled(mesh, seed):
@@ -1147,7 +1188,7 @@ def _dissection_cases(shuffled):
 @pytest.mark.parametrize("shuffled", [False, True])
 def test_separators_cover_every_entry_between_siblings(shuffled):
     for points, A in _dissection_cases(shuffled):
-        code, level, depth = egbp.solver._bisection_tree(points, A)
+        code, level, depth = egbp.assembly._bisection_tree(points, A)
         assert depth >= 6 and np.unique(code).size > 2 ** (depth - 1)
         A = sp.coo_matrix(A)
         between = code[A.row] != code[A.col]
@@ -1169,7 +1210,8 @@ def test_bound_preserving_reruns_bit_identical(case):
     for fa, fb in ((a.u, b.u), (a.u_plus, b.u_plus)):
         assert np.array_equal(fa.linear_coeffs, fb.linear_coeffs)
         assert np.array_equal(fa.const_coeffs, fb.const_coeffs)
-    a00_fill = OrderedFactor(assemble_system(mesh, spec).A00, mesh.centroid, "A00").fill_nnz
+    system = assemble_system(mesh, spec)
+    a00_fill = OrderedFactor(system.A00, "A00", _order(mesh, system.dofs, "element")).fill_nnz
     assert (a.trace.a00_reused, b.trace.a00_reused, a.trace.fill_nnz - b.trace.fill_nnz) == (False, True, a00_fill)
     assert asdict(a.trace) == asdict(replace(b.trace, a00_reused=False, fill_nnz=a.trace.fill_nnz))
 
@@ -1218,33 +1260,40 @@ def test_a00_changed_in_place_is_factored_anew(scale):
 
 
 def test_another_beta_on_the_same_mesh_factors_a00_anew():
-    # A00's penalty depends on beta; the mesh keeps one factor, the first
+    # A00's penalty depends on beta; the mesh keeps one factor, the last
     mesh, spec = _smooth_problem()
     traces = [solve_bound_preserving(mesh, replace(spec, beta=beta)).trace for beta in (4, 3, 3, 4)]
-    assert [trace.a00_reused for trace in traces] == [False, False, False, True]
+    assert [trace.a00_reused for trace in traces] == [False, False, True, False]
     assert all(trace.converged for trace in traces)
+
+
+def _counting_dissection(monkeypatch):
+    """The sizes of the unknown sets that _nested_dissection orders from now on."""
+    sizes, dissection = [], egbp.assembly._nested_dissection
+
+    def counting_dissection(points, pattern):
+        sizes.append(len(points))
+        return dissection(points, pattern)
+
+    monkeypatch.setattr(egbp.assembly, "_nested_dissection", counting_dissection)
+    return sizes
 
 
 def test_one_layer_level_orders_a00_once(monkeypatch):
     # One level of the layer study: the bound-preserving solve, then the
-    # comparator at beta = 1 on a system of its own.  The comparator's A00
-    # has the kept one's pattern, so A00 is ordered once; its factor is its
-    # own and, with the cyclic collector off, dead once the call returns,
-    # while the mesh keeps the bound-preserving solve's.
+    # comparator at beta = 1 on a system of its own.  A00 is ordered once,
+    # by the mesh's stencil.  The comparator's A00 differs from the kept
+    # one, so, with the cyclic collector off, the bound-preserving solve's
+    # factor is dead once the comparator returns, and the mesh keeps the
+    # comparator's; u equals a comparator solve on a fresh mesh.
     mesh, spec = _layer_problem()
-    sizes, refs = [], []
-    dissection = egbp.solver._nested_dissection
-
-    def counting_dissection(points, A):
-        sizes.append(len(points))
-        return dissection(points, A)
+    sizes, refs = _counting_dissection(monkeypatch), []
 
     class RecordingFactor(SpdFactor):
         def __init__(self, A, name="system"):
             super().__init__(A, name=name)
             refs.append((name, weakref.ref(self)))
 
-    monkeypatch.setattr(egbp.solver, "_nested_dissection", counting_dissection)
     monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
     comparator = replace(spec, beta=1, alpha=0.0)
     gc.disable()
@@ -1255,9 +1304,56 @@ def test_one_layer_level_orders_a00_once(monkeypatch):
     finally:
         gc.enable()
     assert sizes.count(mesh.num_elements) == 1
-    assert a00 == [True, False] and not bp.trace.a00_reused
+    assert a00 == [False, True] and not bp.trace.a00_reused
     fresh = solve_standard_eg(_layer_problem()[0], comparator)
     assert _same_function(u, fresh)
+
+
+def test_one_layer_level_holds_one_a00_factor_at_a_time(monkeypatch):
+    # The bound-preserving solve at beta = 4, then the comparator at beta =
+    # 1 on the same mesh: with the cyclic collector off, every earlier
+    # OrderedFactor of A00 is dead when the next A00 is factored, so at most
+    # one is alive at any time, and the mesh keeps the last
+    mesh, spec = _layer_problem()
+    refs = []
+
+    class RecordingFactor(OrderedFactor):
+        def __init__(self, A, *args, **kwargs):
+            super().__init__(A, *args, **kwargs)
+            if self.name == "A00":
+                refs.append(weakref.ref(self))
+
+    class CheckedSpdFactor(SpdFactor):
+        def __init__(self, A, name="system"):
+            assert name != "A00" or [ref() for ref in refs] == [None] * len(refs)
+            super().__init__(A, name=name)
+
+    monkeypatch.setattr(egbp.solver, "OrderedFactor", RecordingFactor)
+    monkeypatch.setattr(egbp.solver, "SpdFactor", CheckedSpdFactor)
+    gc.disable()
+    try:
+        solve_bound_preserving(mesh, spec)
+        solve_standard_eg(mesh, replace(spec, beta=1, alpha=0.0))
+        alive = [ref() is not None for ref in refs]
+    finally:
+        gc.enable()
+    assert alive == [False, True]  # beta = 4, then beta = 1
+
+
+def test_each_mesh_orders_its_unknowns_once(monkeypatch):
+    # A layer level's bound-preserving solve (Jacobi-CG, no A11 order), its
+    # comparator (A00 and K_gamma in A11's order) and a second comparator
+    # on the same mesh: the stencil orders the interior vertices once and
+    # the elements once, and the second comparator gives the first's u bit
+    # for bit.
+    mesh, spec = _layer_problem()
+    sizes = _counting_dissection(monkeypatch)
+    comparator = replace(spec, beta=1, alpha=0.0)
+    bp = solve_bound_preserving(mesh, spec)
+    first, second = (solve_standard_eg(mesh, comparator) for _ in range(2))
+    assert bp.trace.a11_path == "jacobi"
+    assert sorted(sizes) == sorted([DofMap.from_mesh(mesh).n_interior, mesh.num_elements])
+    assert _same_function(first, second)
 
 
 @pytest.mark.parametrize("experiment", ["smooth", "layer"])
