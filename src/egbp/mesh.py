@@ -113,12 +113,15 @@ def _build_mesh(vertices, triangles):
     nv = vertices.shape[0]
     nt = triangles.shape[0]
 
+    if not np.all(np.isfinite(vertices)):
+        raise ValueError("mesh has a non-finite vertex")
     p = vertices[triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    if np.any(area <= 0.0):
-        raise ValueError("mesh contains degenerate or clockwise triangles")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite area, rejected below
+        d1 = p[:, 1] - p[:, 0]
+        d2 = p[:, 2] - p[:, 0]
+        area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    if not np.all((area > 0.0) & np.isfinite(area)):  # NaN compares false
+        raise ValueError("mesh contains degenerate, clockwise or non-finite triangles")
     # grad phi_k: the edge opposite vertex k turned by -90 degrees, over 2 |T|
     nxt, prv = [1, 2, 0], [2, 0, 1]
     grads = np.stack((p[:, nxt, 1] - p[:, prv, 1], p[:, prv, 0] - p[:, nxt, 0]), axis=-1)
@@ -204,8 +207,9 @@ def build_structured(nx, ny, rect=(0.0, 0.0, 1.0, 1.0)):
     if not (x1 > x0 and y1 > y0):
         raise ValueError("degenerate rectangle %r" % (rect,))
 
-    xs = x0 + (x1 - x0) * np.arange(nx + 1) / nx
-    ys = y0 + (y1 - y0) * np.arange(ny + 1) / ny
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite vertex, which _build_mesh rejects
+        xs = x0 + (x1 - x0) * np.arange(nx + 1) / nx
+        ys = y0 + (y1 - y0) * np.arange(ny + 1) / ny
     X, Y = np.meshgrid(xs, ys)
     vertices = np.column_stack((X.ravel(), Y.ravel()))
 

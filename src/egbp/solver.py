@@ -19,8 +19,9 @@ OrderedFactor).  Every matrix is factored in the order its mesh's
 assembly stencil keeps for its unknowns (see assembly._order), and each
 mesh keeps its last factor of A00 for every later solve whose A00 equals
 it bit for bit (see _a00_factor).  Every linear solve is one routine, CG
-(_pcg) to normwise backward error _CG_TOL; a factor enters only as its
-preconditioner.
+(_pcg) to normwise backward error _CG_TOL, on the system's blocks in the
+system's numbering; a factor enters only as its preconditioner
+(OrderedFactor.inverse), and its order only inside that.
 """
 
 from __future__ import annotations
@@ -142,13 +143,14 @@ _MAX_OUTER = 200
 class SpdFactor:
     """Sparse LU factorization of an SPD matrix, in the order given, and CG preconditioned with it.
 
-    The caller orders the matrix (see assembly._order): SuperLU adds no
-    fill-reducing column order of its own.  ``A`` is the matrix given, not
-    a copy.  The solvers use the factor only as a preconditioner,
-    ``lu_solve``, inside their own CG; ``solves`` counts the right-hand
-    sides passed to it so far.  ``lu_solve`` takes SuperLU's transposed
-    solve, which presumes A exactly symmetric.  ``solve`` has no caller in
-    the package: perfbench's traced subclass wraps it.
+    OrderedFactor, its only maker in the package, passes the matrix in
+    its fill-reducing order (see assembly._order): SuperLU adds no column
+    order of its own.  ``A`` is the matrix given, not a copy.  The solvers
+    use the factor only as a preconditioner, ``lu_solve`` inside
+    OrderedFactor.inverse; ``solves`` counts its calls so far.
+    ``lu_solve`` takes SuperLU's transposed solve, which presumes A
+    exactly symmetric.  ``solve`` has no caller in the package:
+    perfbench's traced subclass wraps it.
     """
 
     def __init__(self, A, name="system"):
@@ -166,7 +168,7 @@ class SpdFactor:
         self.solves = 0
 
     def lu_solve(self, b):
-        """The triangular solves with the factor, b one vector or one per column.
+        """The triangular solves with the factor for one vector b.
 
         They solve A^T x = b, the same system: every matrix factored here
         (A11, A00 and K_gamma, in nested-dissection order) is exactly
@@ -175,7 +177,7 @@ class SpdFactor:
         a K_gamma solve (9,025 unknowns) 1.0 ms against 1.4 ms (medians of
         1,000 interleaved solves, one thread, 2-vCPU VM).
         """
-        self.solves += 1 if b.ndim == 1 else b.shape[1]
+        self.solves += 1
         return self.lu.solve(b, trans="T")
 
     def solve(self, b):
@@ -281,7 +283,7 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
 
     CG on the Schur complement S = A11 - A10 A00^{-1} A10^T (Benzi, Golub &
     Liesen, Acta Numerica 14, 2005) gives u1, then u0 = A00^{-1} (b0 - A10^T
-    u1), checked once against the monolithic system: SolverError unless its
+    u1), checked once against the system's blocks: SolverError unless its
     normwise backward error is at most _CG_TOL (one Schur solve met it on
     every layer mesh measured, 288 to 294,912 elements).  CG is
     preconditioned by A11^{-1} + K_gamma^{-1}, one inverse per regime
@@ -295,47 +297,36 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     one K_gamma triangular solve, f = K_gamma's fill, per step, against the
     f^2 / n1 flops that a factor of A11 takes at least (f entries over n1
     columns), which has K_gamma's pattern and order and so its fill.  The
-    A00 factor is the mesh's kept one if equal (see _a00_factor).  Returns
-    the full discrete solution including the Dirichlet lift.
+    A00 factor is the mesh's kept one if equal (see _a00_factor).  Every
+    inverse is an OrderedFactor's, in the system's numbering.  Returns the
+    full discrete solution including the Dirichlet lift.
     """
     system = _prepare(mesh, spec, dofs, system, lift)
     n1 = system.dofs.n_interior
     p1 = _order(mesh, system.dofs, "vertex")
     a00 = _a00_factor(mesh, system)[0]
-    k_gamma = SpdFactor(penalty_stiffness(mesh, spec, system.dofs)[p1][:, p1], name="K_gamma")
-    A11 = sp.csc_matrix(sp.csr_matrix(system.A11)[p1][:, p1])
-    A10 = sp.csr_matrix(system.A10)[p1][:, a00.p]
-    A01 = A10.T
-    kappa, fill = _kappa_bound(system.A11, spec.mu * system.M1.diagonal()), k_gamma.lu.nnz
-    if _jacobi_pays(kappa, fill, fill**2 / max(n1, 1)):
-        inv_diag = 1.0 / A11.diagonal()
-        a11_inverse = lambda r: inv_diag * r
-    else:
-        a11_inverse = SpdFactor(A11, name="A11").lu_solve
+    k_gamma = OrderedFactor(penalty_stiffness(mesh, spec, system.dofs), "K_gamma", p1)
+    A11, A10, A00 = system.A11, system.A10, system.A00
+    kappa, fill = _kappa_bound(A11, spec.mu * system.M1.diagonal()), k_gamma.fill_nnz
+    a11 = OrderedFactor(A11, "A11", None if _jacobi_pays(kappa, fill, fill**2 / max(n1, 1)) else p1)
 
-    schur = lambda p: A11 @ p - A10 @ a00.full.lu_solve(A01 @ p)  # ||S||_2 <= ||A11||_inf
-    precond = lambda r: a11_inverse(r) + k_gamma.lu_solve(r)
-
-    def matvec(x, M11, M10, M01, M00):  # the monolithic matrix, in the factors' orders
-        return np.concatenate([M11 @ x[:n1] + M10 @ x[n1:], M01 @ x[:n1] + M00 @ x[n1:]])
-
-    blocks = (A11, A10, A01, a00.A)
-    p = np.concatenate([p1, n1 + a00.p])
-    o1, o0 = np.ones(n1), np.ones(p.size - n1)  # ||A||_inf, one block's |.| alive at a time
-    norm = np.concatenate([abs(A11) @ o1 + abs(A10) @ o0, abs(A01) @ o1 + abs(a00.A) @ o0]).max()
-    b = np.concatenate([system.b1, system.b0])[p]
-    u1 = _pcg(schur, precond, b[:n1] - A10 @ a00.full.lu_solve(b[n1:]), _inf_norm(A11), "S")[0]
-    y = np.concatenate([u1, a00.full.lu_solve(b[n1:] - A01 @ u1)])
-    res, scale = np.abs(b - matvec(y, *blocks)).max(), norm * np.abs(y).max() + np.abs(b).max()
+    schur = lambda p: A11 @ p - A10 @ a00.inverse(A10.T @ p)  # ||S||_2 <= ||A11||_inf
+    precond = lambda r: a11.inverse(r) + k_gamma.inverse(r)
+    b1, b0 = system.b1, system.b0
+    u1 = _pcg(schur, precond, b1 - A10 @ a00.inverse(b0), a11.norm, "S")[0]
+    u0 = a00.inverse(b0 - A10.T @ u1)
+    o1, o0 = np.ones(n1), np.ones(b0.size)  # ||A||_inf, one block's |.| alive at a time
+    norm = np.concatenate([abs(A11) @ o1 + abs(A10) @ o0, abs(A10.T) @ o1 + abs(A00) @ o0]).max()
+    x, b = np.concatenate([u1, u0]), np.concatenate([b1, b0])
+    res = np.abs(b - np.concatenate([A11 @ u1 + A10 @ u0, A10.T @ u1 + A00 @ u0])).max()
+    scale = norm * np.abs(x).max() + np.abs(b).max()
     if not res <= _CG_TOL * scale:
         raise SolverError("standard EG system missed backward error %.0e: residual %.3e, scale %.3e" % (_CG_TOL, res, scale))
-    x = np.empty_like(b)
-    x[p] = y
-    return _compose(system, x[:n1], x[n1:])
+    return _compose(system, u1, u0)
 
 
 class OrderedFactor:
-    """Solves with the principal submatrices A[I, I] of an SPD A, I the free set.
+    """Solves with the principal submatrices A[I, I] of an SPD A, I the free set, in A's numbering.
 
     Every solve is one CG (_pcg) on A[I, I], from a start given on the free
     nodes or from zero, to backward error against ||A||_inf, and the free
@@ -343,70 +334,71 @@ class OrderedFactor:
     while every node is free, else only the rows A[I, :], cut from A when I
     changes, by x~ = x padded with zeros on the clamped set C; each row
     keeps its stored entries in their order, so the product is the free
-    part of the full one, bit for bit.  Without an order ``p``, A is held
-    in CSR as given, M is diag(A)_I^{-1} and nothing is factored (Jacobi):
-    _kappa_bound bounds the condition number for every I at once.  Given
-    p, A is held once, as A[p][:, p] with sorted indices, and factored; the
-    factor ``full`` lives for the whole solve.  With every node free M is
-    that factor's solve, and CG is iterative refinement with an optimal
-    step; otherwise M is r -> (A^{-1} r~)_I.  (A^{-1})[I, I] and
-    A[I, I]^{-1} differ by a term of rank |C|, so in exact arithmetic CG
-    takes at most |C| + 1 steps (Saad, Iterative Methods for Sparse Linear
-    Systems, 2003).  An empty I takes no step.  ``fill_nnz`` is the
-    factor's stored L and U entries (0 for Jacobi) and ``cg_steps`` the CG
-    steps, off the Jacobi path one triangular solve each.
+    part of the full one, bit for bit.  ``A`` is the matrix given, in CSR
+    (a CSR one is not copied).  ``inverse`` applies the preconditioner of
+    the all-free set in A's numbering.  Without an order ``p`` it is
+    diag(A)^{-1} and nothing is factored (Jacobi): _kappa_bound bounds the
+    condition number for every I at once.  Given p, ``full`` is the factor
+    of A[p][:, p] (sorted indices), which lives as long as this object, and
+    ``inverse`` is its triangular solve between a gather and a scatter by
+    p; nothing else reads p.  With every node free M is ``inverse``, and CG
+    is iterative refinement with an optimal step; otherwise M is r ->
+    inverse(r~)_I.  (A^{-1})[I, I] and A[I, I]^{-1} differ by a term of
+    rank |C|, so in exact arithmetic CG takes at most |C| + 1 steps (Saad,
+    Iterative Methods for Sparse Linear Systems, 2003).  An empty I takes
+    no step.  ``fill_nnz`` is the factor's stored L and U entries (0 for
+    Jacobi) and ``cg_steps`` the CG steps, off the Jacobi path one
+    triangular solve each.
     """
 
     def __init__(self, A, name, p=None):
-        A = sp.csr_matrix(A)
-        self.name = name
-        self.p = np.arange(A.shape[0]) if p is None else p
-        if p is not None:
-            A = A[p][:, p]
-            A.sort_indices()
-        self.A, self.norm = A, _inf_norm(A)
-        self.full = None if p is None else SpdFactor(A, name=name)
-        self.inv_diag = 1.0 / A.diagonal() if p is None else None
-        self.free = np.ones(self.A.shape[0], dtype=bool)
-        self.ids = np.arange(self.A.shape[0])  # I = self.free, in factor order
-        self.rows = self.A  # A[I, :], A itself while every node is free
-        self.order = self.p  # b[order] is b, given on the free nodes, in factor order
+        self.A = A = A.tocsr()
+        self.name, self.norm, self._p = name, _inf_norm(A), p
+        if p is None:
+            self.full, self._inv_diag = None, 1.0 / A.diagonal()
+        else:
+            ordered = A[p][:, p]
+            ordered.sort_indices()
+            self.full = SpdFactor(ordered, name=name)
+        self.free = np.ones(A.shape[0], dtype=bool)
+        self.ids = np.arange(A.shape[0])  # I = self.free
+        self.rows = A  # A[I, :], A itself while every node is free
         self.cg_steps = 0
 
     @property
     def fill_nnz(self):
         return 0 if self.full is None else int(self.full.lu.nnz)
 
+    def inverse(self, r):
+        """M r for the all-free set, r in A's numbering: diag(A)^{-1} r, or A^{-1} r by one triangular solve."""
+        if self.full is None:
+            return self._inv_diag * r
+        x = np.empty_like(r)
+        x[self._p] = self.full.lu_solve(r[self._p])
+        return x
+
     def solve(self, b, free, x0=None):
         """A[free][:, free]^{-1} b by CG from ``x0`` (zero if None), b and x0 given on the free nodes."""
         if not np.array_equal(free, self.free):
-            self.free, self.ids = free, np.flatnonzero(free[self.p])
-            self.order = (np.cumsum(free) - 1)[self.p[self.ids]]
+            self.free, self.ids = free, np.flatnonzero(free)
             self.rows = self.A if free.all() else self.A[self.ids]
-        full, ids, rows = self.full, self.ids, self.rows
-        padded = np.zeros(free.size)  # stays zero on C
-
-        def pad(v):
-            padded[ids] = v
-            return padded
-
-        if full is None:
-            inv_diag = self.inv_diag[ids]
-            precond = lambda r: inv_diag * r
-        elif free.all():
-            precond = full.lu_solve
+        if free.all():
+            x, steps = _pcg(self.A.dot, self.inverse, b, self.norm, self.name, x0)
         else:
-            precond = lambda r: full.lu_solve(pad(r))[ids]
-        matvec = self.A.dot if free.all() else lambda v: rows @ pad(v)
-        name = self.name if free.all() else "%s[I, I]" % self.name
-        x = np.empty_like(b)
-        start = None if x0 is None else x0[self.order]
-        x[self.order], steps = _pcg(matvec, precond, b[self.order], self.norm, name, start)
+            ids, rows = self.ids, self.rows
+            padded = np.zeros(free.size)  # stays zero on C
+
+            def pad(v):
+                padded[ids] = v
+                return padded
+
+            precond = lambda r: self.inverse(pad(r))[ids]
+            x, steps = _pcg(lambda v: rows @ pad(v), precond, b, self.norm, "%s[I, I]" % self.name, x0)
         self.cg_steps += steps
         return x
 
 
-# The last A00 factor of each live mesh, (a copy of A00, its OrderedFactor);
+# The last A00 factor of each live mesh, an OrderedFactor of a copy of A00;
 # an entry dies with its mesh, as the value holds no reference to it.
 _A00_FACTORS = weakref.WeakKeyDictionary()
 
@@ -416,24 +408,25 @@ def _a00_factor(mesh, system):
     if its A00 equals this one bit for bit, else a new one, which it keeps.
 
     A Mesh is immutable and hashed by identity; a system's A00 is neither,
-    so indptr, indices and data are compared with the copy kept beside the
-    factor.  A00 depends on the mesh, mu, gamma and beta: solves of one
-    problem on one mesh share a factor whatever their tol_inner.  Another
-    A00, such as the layer comparator's at beta = 1, drops the kept factor
-    before it is factored, in the stencil's element order: a mesh holds
-    one A00 factor, and the coarser meshes of a refinement hierarchy add
-    at most about 1/3 of the finest one's.  Solves that share the factor
-    share its ``cg_steps``, which a solve reads as a difference.
+    so the factor is made of a copy of A00, its ``A``, and indptr, indices
+    and data are compared with that copy.  A00 depends on the mesh, mu,
+    gamma and beta: solves of one problem on one mesh share a factor
+    whatever their tol_inner.  Another A00, such as the layer comparator's
+    at beta = 1, drops the kept factor before it is factored, in the
+    stencil's element order: a mesh holds one A00 factor, and the coarser
+    meshes of a refinement hierarchy add at most about 1/3 of the finest
+    one's.  Solves that share the factor share its ``cg_steps``, which a
+    solve reads as a difference.
     """
-    A00 = sp.csr_matrix(system.A00)
+    A00 = system.A00.tocsr()
     kept = _A00_FACTORS.pop(mesh, None)
-    if kept is not None and all(np.array_equal(getattr(kept[0], a), getattr(A00, a)) for a in ("indptr", "indices", "data")):
+    if kept is not None and all(np.array_equal(getattr(kept.A, a), getattr(A00, a)) for a in ("indptr", "indices", "data")):
         _A00_FACTORS[mesh] = kept
-        return kept[1], True
+        return kept, True
     kept = None  # the kept factor dies here, unless a solve still holds it
-    factor = OrderedFactor(A00, "A00", _order(mesh, system.dofs, "element"))
     index = [a.copy() if a.flags.writeable else a for a in (A00.indices, A00.indptr)]  # read-only ones are the stencil's
-    _A00_FACTORS[mesh] = (sp.csr_matrix((A00.data.copy(), *index), shape=A00.shape), factor)
+    copy = sp.csr_matrix((A00.data.copy(), *index), shape=A00.shape)
+    _A00_FACTORS[mesh] = factor = OrderedFactor(copy, "A00", _order(mesh, system.dofs, "element"))
     return factor, False
 
 

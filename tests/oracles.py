@@ -8,7 +8,8 @@ former vectorized COO assembly, kept as the reference for the stencil
 assembly; it shares only the quadrature rule and the field evaluation.
 Another is ``padded_restricted_solve``, the Step-1 CG of OrderedFactor
 with its former padded full product, kept as the bit-for-bit reference
-for the free-row product; it shares the CG routine and the factors.
+for the free-row product; it shares the CG routine and the factors'
+``inverse``.
 
 The last section holds helpers that no study, CLI path or benchmark runs:
 point evaluation, interpolation, the full operator over all dofs, the
@@ -382,43 +383,27 @@ def padded_restricted_solve(factor, b, free, x0=None):
     """(A[I, I]^{-1} b, CG steps) of an OrderedFactor ``factor`` of A, I = ``free``, by the padded full product.
 
     The solve as OrderedFactor.solve made it before its CG multiplied only
-    the free rows: every CG step multiplies the whole A, in the factor's
-    order, by the vector padded with zeros on the clamped set C and keeps
-    the free part of the product.  On the factor path that product is taken
-    with A in CSC, as the full factor once held it, and the preconditioner
-    is the full factor's transposed solve (A is symmetric), padded alike;
-    the Jacobi path multiplies the CSR A it holds and scales by its
-    diagonal.  An all-free set on the factor path is solved by CG on A
-    preconditioned with the full factor, as SpdFactor.solve does.  CG
-    starts at ``x0``, given on the free nodes like b, or at zero.  Reads
-    ``factor``'s order, matrix, factor, norm and name, and changes none of
-    its counters.
+    the free rows: every CG step multiplies the whole A, in A's numbering,
+    by the vector padded with zeros on the clamped set C and keeps the free
+    part of the product.  The preconditioner is ``factor.inverse`` of the
+    vector padded alike, restricted to I.  An all-free set is solved by CG
+    on A preconditioned with ``factor.inverse``.  CG starts at ``x0``,
+    given on the free nodes like b, or at zero.  Reads ``factor``'s
+    matrix, inverse, norm and name; of its counters only the full factor's
+    triangular solves move.
     """
-    n = free.size
-    ordered_free = free[factor.p]
-    order = (np.cumsum(free) - 1)[factor.p[ordered_free]]
-    A = factor.A if factor.full is None else sp.csc_matrix(factor.A)
-    start = None if x0 is None else x0[order]
-    x = np.empty_like(b)
     if not free.any():
         return np.zeros(0), 0
-    if factor.full is not None and free.all():
-        lu = factor.full.lu
-        x[order], steps = _pcg(A.dot, lambda r: lu.solve(r, trans="T"), b[order], factor.norm, factor.name, start)
-        return x, steps
-    padded = np.zeros(n)
+    if free.all():
+        return _pcg(factor.A.dot, factor.inverse, b, factor.norm, factor.name, x0)
+    padded = np.zeros(free.size)
 
-    def restricted(v, apply=A.dot):  # (apply(v padded by zeros on C))_I
-        padded[ordered_free] = v
-        return apply(padded)[ordered_free]
+    def restricted(v, apply=factor.A.dot):  # (apply(v padded by zeros on C))_I
+        padded[free] = v
+        return apply(padded)[free]
 
-    if factor.full is None:
-        inv_diag = 1.0 / A.diagonal()[ordered_free]
-        precond = lambda r: inv_diag * r
-    else:
-        precond = lambda r: restricted(r, lambda v: factor.full.lu.solve(v, trans="T"))
-    x[order], steps = _pcg(restricted, precond, b[order], factor.norm, "%s[I, I]" % factor.name, start)
-    return x, steps
+    precond = lambda r: restricted(r, factor.inverse)
+    return _pcg(restricted, precond, b, factor.norm, "%s[I, I]" % factor.name, x0)
 
 
 def _coo_f_on_elements(mesh, spec, area):

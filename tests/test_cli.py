@@ -490,6 +490,8 @@ def test_levels_below_one_rejected(tmp_path, capsys, levels):
         (["condition"], "experiment = custom\n", "config file sets experiment = custom"),
         # a 1 x 1 coarse mesh has no interior vertex, so its A11 has no condition number
         (["condition", "--levels", "1"], "nx = 1\nny = 1\n", "condition study requires nx, ny >= 2"),
+        # an infinite rectangle leaves non-finite vertices: rejected before any directory is made
+        (["smooth"], "x1 = inf\n", "non-finite vertex"),
     ],
 )
 def test_input_error_exits_2(monkeypatch, tmp_path, capsys, argv, cfg, message):

@@ -243,6 +243,25 @@ def test_clockwise_triangle_raises():
         _build_mesh(vertices, [(0, 1, 2), (1, 2, 3)])
 
 
+@pytest.mark.parametrize("x1", [np.inf, 1e308])  # 1e308 overflows: 2 * 1e308 / 2 is inf
+def test_non_finite_rectangle_raises(x1):
+    with pytest.raises(ValueError, match="non-finite vertex"):
+        build_structured(2, 2, (0.0, 0.0, x1, 1.0))
+
+
+def test_nan_vertex_raises():
+    # NaN compares false with 0: the area test alone would let it through
+    vertices = [(0.0, 0.0), (1.0, 0.0), (np.nan, 1.0)]
+    with pytest.raises(ValueError, match="non-finite vertex"):
+        _build_mesh(vertices, [(0, 1, 2)])
+
+
+def test_overflowing_area_raises():
+    vertices = [(0.0, 0.0), (1e308, 0.0), (-1e308, 1e308)]
+    with pytest.raises(ValueError, match="non-finite triangles"):
+        _build_mesh(vertices, [(0, 1, 2)])
+
+
 def test_vertex_outside_every_triangle_raises():
     vertices = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (5.0, 5.0)]
     with pytest.raises(ValueError, match="belongs to no triangle"):

@@ -121,11 +121,12 @@ def test_factor_solves_take_one_cg_step(epsilon):
     system = assemble_system(mesh, spec)
     rng = np.random.default_rng(3)
     for A, kind, b in ((system.A11, "vertex", system.b1), (system.A00, "element", system.b0)):
-        factor = OrderedFactor(A, "A", _order(mesh, system.dofs, kind))
-        # A is held once, in order p with sorted indices, and the factor keeps that matrix
-        ordered = sp.csc_matrix(A)[factor.p][:, factor.p].tocsr()
-        assert factor.full.A is factor.A and factor.A.has_sorted_indices
-        assert all(np.array_equal(getattr(factor.A, a), getattr(ordered, a)) for a in ("indptr", "indices", "data"))
+        p = _order(mesh, system.dofs, kind)
+        factor = OrderedFactor(A, "A", p)
+        # A is held as given, with no copy; the factor keeps A[p][:, p] with sorted indices
+        ordered = sp.csc_matrix(A)[p][:, p].tocsr()
+        assert factor.A is A and factor.full.A.has_sorted_indices
+        assert all(np.array_equal(getattr(factor.full.A, a), getattr(ordered, a)) for a in ("indptr", "indices", "data"))
         for rhs in (b, rng.normal(size=b.size)):
             x = factor.solve(rhs, factor.free)
             assert np.abs(rhs - A @ x).max() <= 1e-15 * (factor.norm * np.abs(x).max() + np.abs(rhs).max())
@@ -801,6 +802,24 @@ def test_free_row_cg_matches_the_padded_full_product(jacobi, clamped):
 
 
 @pytest.mark.parametrize("jacobi", [True, False])
+def test_inverse_works_in_the_callers_numbering(jacobi):
+    # inverse takes and returns vectors in A's own numbering: on the factor
+    # path it recovers x from A x to round-off with one triangular solve, on
+    # the Jacobi path it scales by the reciprocal diagonal, bit for bit
+    system, a11 = _graded_a11(jacobi)
+    A = system.A11
+    x = np.random.default_rng(5).normal(size=A.shape[0])
+    r = A @ x
+    if jacobi:
+        assert a11.inverse(r).tobytes() == ((1.0 / A.diagonal()) * r).tobytes()
+    else:
+        solves = a11.full.solves
+        assert np.abs(a11.inverse(r) - x).max() <= 1e-14 * np.abs(x).max()
+        assert a11.full.solves == solves + 1
+    assert a11.cg_steps == 0
+
+
+@pytest.mark.parametrize("jacobi", [True, False])
 @pytest.mark.parametrize("clamped", [0, 3, 112])
 def test_start_that_meets_the_backward_error_takes_no_step(jacobi, clamped):
     # A solve started at the answer of the same system returns that start,
@@ -879,12 +898,12 @@ def test_step1_cg_solve_checks_its_answer():
     b = np.ones(np.count_nonzero(free))
     sub = system.A11[free][:, free]
     a11 = _a11_factor(mesh, system)
-    a11.full.lu = spla.splu(sp.csc_matrix(2.0 * a11.A))
+    a11.full.lu = spla.splu(sp.csc_matrix(2.0 * a11.full.A))
     x = a11.solve(b, free)
     assert np.abs(b - sub @ x).max() <= 1e-15 * (a11.norm * np.abs(x).max() + np.abs(b).max())
     assert a11.full.solves == a11.cg_steps == 4  # |C| + 1, as with the LU of A11
     a11 = _a11_factor(mesh, system)
-    a11.full.lu = spla.splu(sp.csc_matrix(-a11.A))
+    a11.full.lu = spla.splu(sp.csc_matrix(-a11.full.A))
     with pytest.raises(SolverError, match=r"CG on A11\[I, I\] broke down: r\^T z = .*preconditioner is not positive definite"):
         a11.solve(b, free)
 
