@@ -17,12 +17,15 @@ subtracts the rest of a_h(lift, v).
 The stencil's index structure depends only on the mesh and the interior
 vertices, so each mesh keeps it while it lives (see _Stencil): the first
 assembly on a mesh builds it from the arrays that assembly needs anyway,
-and every assembly, the first included, computes values only and places
-them into it.  The blocks of all assemblies on one mesh share its
-read-only index arrays and own their values.  The stencil also keeps the
-order in which the solvers factor each kind of unknown (see _order).  A
-stencil with both orders takes about 187 bytes per element: 2.9 MB at
-16,384 elements, 3.3 MB at 18,432.
+and every assembly, the first included, places values into it.  The
+blocks of all assemblies on one mesh share its read-only index arrays and
+own their values.  Of the values, only A00 and S1 depend on the penalty
+(gamma, beta) and the stabilizer (alpha), which act on the discontinuous
+part alone; the stencil keeps the others from its last assembly (see
+_values), so an assembly that differs from the last only in gamma, beta
+or alpha, as the comparator's does, computes A00 and S1 alone.  The
+stencil also keeps the order in which the solvers factor each kind of
+unknown (see _order).
 """
 
 from __future__ import annotations
@@ -180,6 +183,10 @@ class _Stencil:
     ``element`` (A00) from (one per element, one per facet) and
     ``coupling`` (A10) from the (6, nt) values at ``corners``.  ``mass``
     holds the P1 mass matrix's values, M1 = vertex.matrix(mass).
+    ``values`` holds the output of the last value pass and its data (see
+    _values).  A stencil with both orders and kept values takes about 280
+    bytes per element, 93 of them kept values: 4.4 MB at 16,384 elements,
+    4.9 MB at 18,432.
     """
 
     interior_vertex_ids: np.ndarray
@@ -192,6 +199,7 @@ class _Stencil:
     coupling: _Pattern
     mass: np.ndarray
     orders: dict = field(default_factory=dict)  # kind -> the order of _order, made on first use
+    values: dict = field(default_factory=dict)  # the last value pass: its data and its output, see _values
 
 
 # The stencil of each live mesh, for one interior vertex set; an entry dies
@@ -441,6 +449,26 @@ def _f_on_elements(mesh, spec):
     return fv, f0
 
 
+def _values(mesh, spec, st, pen, lift):
+    """_form_values and then _f_on_elements, as the stencil ``st`` kept them
+    from its last pass if that pass had equal data and an equal lift.
+
+    Of the penalty (gamma, beta) and the stabilizer (alpha) only ``pen``
+    reaches these values, on boundary facets, where it reaches a stored entry
+    only if a dof lies on one; then gamma and beta are data too.  ``f`` is
+    known by its object: a source that changes what it returns is a new one.
+    """
+    data = (spec.epsilon, spec.mu, spec.f, spec.f_quadrature)
+    if mesh.boundary_vertex[st.interior_vertex_ids].any():
+        data += (spec.gamma, spec.beta)
+    kept = st.values
+    if kept and kept["data"] == data and np.array_equal(kept["lift"], lift):
+        return kept["out"]
+    out = tuple(map(_freeze, _form_values(mesh, spec, st, pen, lift) + _f_on_elements(mesh, spec)))
+    kept.update(data=data, lift=_freeze(np.array(lift)), out=out)
+    return out
+
+
 def _check_dofs(mesh, dofs):
     """ValueError unless ``dofs`` number vertices of ``mesh``: an integer
     vertex_to_interior of length nv, and interior_vertex_ids, vertices of
@@ -472,8 +500,7 @@ def assemble_system(mesh, spec, dofs=None, lift=None):
         raise ValueError("lift must hold one finite value per vertex, shape (%d,)" % mesh.num_vertices)
     st = _stencil(mesh, dofs)
     pen = _facet_penalty(mesh, spec)
-    p_diag, p_off, c_val, l1, l0 = _form_values(mesh, spec, st, pen, lift)
-    fv, f0 = _f_on_elements(mesh, spec)
+    p_diag, p_off, c_val, l1, l0, fv, f0 = _values(mesh, spec, st, pen, lift)
 
     return BlockSystem(
         A11=st.vertex.matrix(np.concatenate((p_diag, p_off))),

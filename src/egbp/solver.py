@@ -340,15 +340,15 @@ class OrderedFactor:
     diag(A)^{-1} and nothing is factored (Jacobi): _kappa_bound bounds the
     condition number for every I at once.  Given p, ``full`` is the factor
     of A[p][:, p] (sorted indices), which lives as long as this object, and
-    ``inverse`` is its triangular solve between a gather and a scatter by
-    p; nothing else reads p.  With every node free M is ``inverse``, and CG
-    is iterative refinement with an optimal step; otherwise M is r ->
-    inverse(r~)_I.  (A^{-1})[I, I] and A[I, I]^{-1} differ by a term of
-    rank |C|, so in exact arithmetic CG takes at most |C| + 1 steps (Saad,
-    Iterative Methods for Sparse Linear Systems, 2003).  An empty I takes
-    no step.  ``fill_nnz`` is the factor's stored L and U entries (0 for
-    Jacobi) and ``cg_steps`` the CG steps, off the Jacobi path one
-    triangular solve each.
+    ``inverse`` is its triangular solve between two gathers, by p and by
+    its inverse; nothing else reads p.  With every node free M is
+    ``inverse``, and CG is iterative refinement with an optimal step;
+    otherwise M is r -> inverse(r~)_I.  (A^{-1})[I, I] and A[I, I]^{-1}
+    differ by a term of rank |C|, so in exact arithmetic CG takes at most
+    |C| + 1 steps (Saad, Iterative Methods for Sparse Linear Systems,
+    2003).  An empty I takes no step.  ``fill_nnz`` is the factor's stored
+    L and U entries (0 for Jacobi) and ``cg_steps`` the CG steps, off the
+    Jacobi path one triangular solve each.
     """
 
     def __init__(self, A, name, p=None):
@@ -360,6 +360,8 @@ class OrderedFactor:
             ordered = A[p][:, p]
             ordered.sort_indices()
             self.full = SpdFactor(ordered, name=name)
+            self._q = np.empty_like(p)  # the inverse of p
+            self._q[p] = np.arange(p.size)
         self.free = np.ones(A.shape[0], dtype=bool)
         self.ids = np.arange(A.shape[0])  # I = self.free
         self.rows = A  # A[I, :], A itself while every node is free
@@ -373,9 +375,7 @@ class OrderedFactor:
         """M r for the all-free set, r in A's numbering: diag(A)^{-1} r, or A^{-1} r by one triangular solve."""
         if self.full is None:
             return self._inv_diag * r
-        x = np.empty_like(r)
-        x[self._p] = self.full.lu_solve(r[self._p])
-        return x
+        return self.full.lu_solve(r[self._p])[self._q]
 
     def solve(self, b, free, x0=None):
         """A[free][:, free]^{-1} b by CG from ``x0`` (zero if None), b and x0 given on the free nodes."""

@@ -10,7 +10,7 @@ import scipy.linalg
 
 import egbp.assembly
 from egbp.assembly import ProblemSpec, assemble_system, penalty_stiffness
-from egbp.cli import layer_source, smooth_exact
+from egbp.cli import StudyConfig, layer_source, run_study, smooth_exact
 from egbp.fespace import DofMap, dirichlet_lift
 from egbp.mesh import _build_mesh, build_structured, refine_uniform
 
@@ -109,6 +109,24 @@ def test_a11_independent_of_beta():
         mats.append(system.A11.toarray())
     assert np.array_equal(mats[0], mats[1])
     assert np.array_equal(mats[0], mats[2])
+    # The penalty (gamma, beta) and the stabilizer (alpha) act only on the
+    # discontinuous part: of the blocks, only A00 and S1 depend on them.
+    # Each system is assembled on a fresh mesh, so none reuses kept values.
+    u, _, make_f = smooth_exact()
+    spec = make_spec(epsilon=1e-3, f=make_f(1e-3, 1.0), u_D=lambda x, y: 1.0 + x * y)
+    systems = {
+        (beta, alpha): assemble_system(_perturbed_mesh(10), replace(spec, beta=beta, alpha=alpha))
+        for beta in (1, 4)
+        for alpha in (0.0, 1.0)
+    }
+    first = systems[1, 0.0]
+    for (beta, alpha), system in systems.items():
+        for name in ("A11", "A10", "M1"):
+            assert getattr(system, name).data.tobytes() == getattr(first, name).data.tobytes(), name
+        for name in ("b1", "b0"):
+            assert getattr(system, name).tobytes() == getattr(first, name).tobytes(), name
+        assert (system.A00.data.tobytes() == first.A00.data.tobytes()) == (beta == 1)
+        assert (system.S1.tobytes() == first.S1.tobytes()) == (alpha == 0.0)
 
 
 def test_stabilizer_diagonal_formula():
@@ -355,14 +373,95 @@ def test_a_custom_dofmap_gets_its_own_stencil():
         assert _same_system(system, assemble_system(_perturbed_mesh(2), spec, dofs))
 
 
-def test_blocks_changed_in_place_leave_the_next_assembly_alone():
+def _count_value_passes(monkeypatch):
+    """The list of the meshes that _form_values runs on from now on."""
+    form_values, meshes = egbp.assembly._form_values, []
+
+    def counted(mesh, *args):
+        meshes.append(mesh)
+        return form_values(mesh, *args)
+
+    monkeypatch.setattr(egbp.assembly, "_form_values", counted)
+    return meshes
+
+
+@pytest.mark.parametrize("every", [False, True], ids=["interior", "all-vertices"])
+def test_another_penalty_reuses_the_kept_values(every, monkeypatch):
+    # beta = 4, another alpha, the comparator's beta = 1, then another gamma:
+    # each system equals one on a fresh mesh, byte for byte.  The penalty
+    # reaches the kept values only on boundary facets: interior dofs store
+    # none of those entries and run one value pass, all-vertex dofs store
+    # them and run one per (gamma, beta).
+    mesh = _perturbed_mesh(8)
+    dofs = (all_vertices if every else DofMap.from_mesh)(mesh)
+    u, _, make_f = smooth_exact()
+    spec = make_spec(epsilon=1e-3, f=make_f(1e-3, 1.0), u_D=lambda x, y: 1.0 + x * y)
+    changes = (dict(), dict(alpha=0.0), dict(beta=1, alpha=0.0), dict(gamma=3.0, alpha=0.5))
+    specs = [replace(spec, **change) for change in changes]
+    fresh = [assemble_system(_perturbed_mesh(8), spec_, dofs) for spec_ in specs]
+    runs = _count_value_passes(monkeypatch)
+    for spec_, want in zip(specs, fresh):
+        assert _same_system(assemble_system(mesh, spec_, dofs), want)
+    assert len(runs) == (3 if every else 1)
+
+
+def test_other_data_or_lift_run_the_value_pass_anew(monkeypatch):
+    # epsilon, mu, the f object, the quadrature or the lift changed, the
+    # lift also in place, in the caller's array: each is a new value pass,
+    # and each system equals one on a fresh mesh, byte for byte
+    mesh = _perturbed_mesh(9)
+    u, _, make_f = smooth_exact()
+    spec = make_spec(epsilon=1e-3, f=make_f(1e-3, 1.0))
+    lift = dirichlet_lift(mesh, lambda x, y: 1.0 + x * y)
+    i = np.flatnonzero(mesh.boundary_vertex)[5]
+    moved = lift.copy()
+    moved[i] += 0.5
+    changes = [
+        (replace(spec, epsilon=1e-2), lift),
+        (replace(spec, mu=0.5), lift),
+        (replace(spec, f=make_f(1e-3, 1.0)), lift),
+        (replace(spec, f_quadrature="centroid"), lift),
+        (spec, moved),
+    ]
+    fresh = [assemble_system(_perturbed_mesh(9), spec_, None, lift_) for spec_, lift_ in changes]
+    runs = _count_value_passes(monkeypatch)
+    for (spec_, lift_), want in zip(changes, fresh):
+        assemble_system(mesh, spec, None, lift)
+        before = len(runs)
+        assert _same_system(assemble_system(mesh, spec_, None, lift_), want)
+        assert len(runs) == before + 1
+    caller = lift.copy()
+    assemble_system(mesh, spec, None, caller)
+    caller[i] += 0.5
+    before = len(runs)
+    assert _same_system(assemble_system(mesh, spec, None, caller), fresh[-1])
+    assert len(runs) == before + 1
+
+
+def test_a_layer_level_runs_one_value_pass(monkeypatch):
+    # the bound-preserving solve and the comparator (beta = 1, alpha = 0) on one mesh
+    runs = _count_value_passes(monkeypatch)
+    report = run_study(StudyConfig(experiment="layer", levels=1))
+    assert len(report.tables["layer"][1]) == len(report.tables["layer_standard"][1]) == 1
+    assert len(runs) == 1
+
+
+def test_blocks_changed_in_place_leave_the_next_assembly_alone(monkeypatch):
     # A system owns its values: scaling them in place changes no later
-    # assembly.  The index arrays it shares with the stencil are read-only.
+    # assembly, nor one at another beta that reuses the kept values.  The
+    # index arrays it shares with the stencil are read-only.
     mesh, spec = _perturbed_mesh(4), make_spec(epsilon=1e-2)
     first = assemble_system(mesh, spec)
     for name in ("A11", "A10", "A00", "M1"):
         getattr(first, name).data *= 2.0
+    for name in ("b1", "b0", "S1"):
+        getattr(first, name)[:] *= 2.0
     assert _same_system(assemble_system(mesh, spec), assemble_system(_perturbed_mesh(4), spec))
+    other = replace(spec, beta=1)
+    want = assemble_system(_perturbed_mesh(4), other)
+    runs = _count_value_passes(monkeypatch)
+    assert _same_system(assemble_system(mesh, other), want)
+    assert len(runs) == 0
     for name in ("A11", "A10", "A00"):
         with pytest.raises(ValueError):
             getattr(first, name).indices[0] = 0
