@@ -15,7 +15,7 @@ symmetric consistency term of the data, taken as the trace of the lift, and
 subtracts the rest of a_h(lift, v).
 
 The stencil's index structure depends only on the mesh and the interior
-vertices, so each mesh keeps it while it lives (see _Stencil): the first
+vertices, so each mesh keeps it (see _Stencil and Mesh): the first
 assembly on a mesh builds it from the arrays that assembly needs anyway,
 and every assembly, the first included, places values into it.  The
 blocks of all assemblies on one mesh share its read-only index arrays and
@@ -30,7 +30,6 @@ unknown (see _order).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,7 @@ import scipy.sparse as sp
 from .fespace import DofMap, _eval_field, dirichlet_lift
 from .mesh import TRI_QP, TRI_QW, _freeze
 
-__all__ = ["ProblemSpec", "BlockSystem", "assemble_s", "assemble_system", "penalty_stiffness"]
+__all__ = ["ProblemSpec", "BlockSystem", "assemble_system", "penalty_stiffness"]
 
 
 @dataclass
@@ -97,7 +96,9 @@ class BlockSystem:
     ``lift``, the (nv,) vertex values of the Dirichlet lift, which the
     solves add back to the unknowns numbered by ``dofs``.  ``M1`` is the
     interior P1 mass matrix, used for L2 norms of Step-1 increments; the
-    element constants' mass is the mesh's ``area``.
+    element constants' mass is the mesh's ``area``.  S1 is the diagonal of
+    the nodal stabilizer, S1[i] = alpha (eps + mu h_i^2) with h_i = max h_T
+    over the node patch of interior vertex i.
     """
 
     A11: sp.csr_matrix
@@ -185,8 +186,8 @@ class _Stencil:
     holds the P1 mass matrix's values, M1 = vertex.matrix(mass).
     ``values`` holds the output of the last value pass and its data (see
     _values).  A stencil with both orders and kept values takes about 280
-    bytes per element, 93 of them kept values: 4.4 MB at 16,384 elements,
-    4.9 MB at 18,432.
+    bytes per element, 92 of them kept values: 4.59 MB at 16,384 elements,
+    5.16 MB at 18,432.
     """
 
     interior_vertex_ids: np.ndarray
@@ -200,11 +201,6 @@ class _Stencil:
     mass: np.ndarray
     orders: dict = field(default_factory=dict)  # kind -> the order of _order, made on first use
     values: dict = field(default_factory=dict)  # the last value pass: its data and its output, see _values
-
-
-# The stencil of each live mesh, for one interior vertex set; an entry dies
-# with its mesh, as the stencil holds no reference to it.
-_STENCILS = weakref.WeakKeyDictionary()
 
 
 def _order(mesh, dofs, kind):
@@ -279,7 +275,7 @@ def _stencil(mesh, dofs):
     """The stencil ``mesh`` keeps, built anew if it keeps none or one for
     other interior vertices than the dofs'."""
     iv = dofs.interior_vertex_ids
-    kept = _STENCILS.get(mesh)
+    kept = mesh._kept.get("stencil")
     if kept is not None and np.array_equal(kept.interior_vertex_ids, iv):
         return kept
     nv, nt = mesh.num_vertices, mesh.num_elements
@@ -306,7 +302,7 @@ def _stencil(mesh, dofs):
     src = np.arange(6 * nt).reshape(6, nt).T[stored]
     coupling = _Pattern.of(sp.csc_matrix((src, rows[stored], colptr), (iv.size, nt)).tocsr())
 
-    kept = _STENCILS[mesh] = _Stencil(
+    kept = mesh._kept["stencil"] = _Stencil(
         _freeze(iv.copy()), _ints(corners), _freeze(inner), _freeze(mesh.facet_left[ef] == np.arange(nt)),
         _ints(twin), vertex, element, coupling, _freeze(_p1_mass_values(mesh)),
     )
@@ -420,16 +416,6 @@ def _jump_matrix(mesh, st, weight, diag):
     return st.element.matrix(np.concatenate((diag + weight[mesh.element_facets].sum(axis=1), -weight)))
 
 
-def assemble_s(mesh, spec, dofs):
-    """Diagonal of the nodal stabilizer over interior vertices.
-
-    S1[i] = alpha * (eps * h_i^(d-2) + mu * h_i^d) with d = 2 and
-    h_i = max{h_T : T in omega_i}.
-    """
-    h_i = mesh.h_vertex[dofs.interior_vertex_ids]
-    return spec.alpha * (spec.epsilon + spec.mu * h_i**2)
-
-
 def _f_on_elements(mesh, spec):
     """(fvec over all vertex dofs, fvec over element dofs)."""
     nv, tri, area = mesh.num_vertices, mesh.triangles, mesh.area
@@ -506,7 +492,7 @@ def assemble_system(mesh, spec, dofs=None, lift=None):
         A11=st.vertex.matrix(np.concatenate((p_diag, p_off))),
         A10=st.coupling.matrix(c_val.ravel()),
         A00=_jump_matrix(mesh, st, pen, spec.mu * mesh.area),
-        S1=assemble_s(mesh, spec, dofs),
+        S1=spec.alpha * (spec.epsilon + spec.mu * mesh.h_vertex[dofs.interior_vertex_ids] ** 2),
         b1=(fv - l1)[dofs.interior_vertex_ids],
         b0=f0 - l0,
         M1=st.vertex.matrix(st.mass),

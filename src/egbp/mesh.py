@@ -1,8 +1,9 @@
 """Conforming triangulations of axis-aligned rectangles.
 
 Meshes are immutable after construction and carry their element geometry
-(areas, barycentric gradients, centroids), computed once per mesh, and the
-points of the degree-4 triangle rule, computed once on first use.  Every
+(areas, barycentric gradients, centroids), computed once per mesh, the
+points of the degree-4 triangle rule, computed once on first use, and what
+later assemblies and solves on the mesh reuse (see Mesh).  Every
 facet stores a fixed owner ("left") element together with the unit normal
 pointing out of that owner; all jump and average formulas elsewhere in the
 package are expressed relative to this owner, which removes any sign
@@ -62,6 +63,11 @@ class Mesh:
     quad_points : (nt, 6, 2) points of the degree-4 rule TRI_QP on each
         element, computed on first use.
 
+    ``_kept`` holds what later calls on the mesh reuse: the assembly
+    stencil of one interior vertex set (assembly._stencil) and the last A00
+    factor (solver._a00_factor).  Nothing kept refers to the mesh, so it
+    dies with the mesh.
+
     Facets are numbered in ascending order of their sorted endpoint pair.
     """
 
@@ -82,6 +88,7 @@ class Mesh:
     grads: np.ndarray = field(repr=False)
     centroid: np.ndarray = field(repr=False)
     h: float = 0.0
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def quad_points(self):

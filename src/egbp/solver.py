@@ -26,7 +26,6 @@ system's numbering; a factor enters only as its preconditioner
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -398,35 +397,29 @@ class OrderedFactor:
         return x
 
 
-# The last A00 factor of each live mesh, an OrderedFactor of a copy of A00;
-# an entry dies with its mesh, as the value holds no reference to it.
-_A00_FACTORS = weakref.WeakKeyDictionary()
-
-
 def _a00_factor(mesh, system):
     """(OrderedFactor of the system's A00, reused): the factor the mesh keeps
     if its A00 equals this one bit for bit, else a new one, which it keeps.
 
-    A Mesh is immutable and hashed by identity; a system's A00 is neither,
-    so the factor is made of a copy of A00, its ``A``, and indptr, indices
-    and data are compared with that copy.  A00 depends on the mesh, mu,
-    gamma and beta: solves of one problem on one mesh share a factor
-    whatever their tol_inner.  Another A00, such as the layer comparator's
-    at beta = 1, drops the kept factor before it is factored, in the
-    stencil's element order: a mesh holds one A00 factor, and the coarser
-    meshes of a refinement hierarchy add at most about 1/3 of the finest
-    one's.  Solves that share the factor share its ``cg_steps``, which a
-    solve reads as a difference.
+    A system's A00 may change in place, so the factor is made of a copy of
+    A00, its ``A``, and indptr, indices and data are compared with that
+    copy.  A00 depends on the mesh, mu, gamma and beta: solves of one
+    problem on one mesh share a factor whatever their tol_inner.  Another
+    A00, such as the layer comparator's at beta = 1, drops the kept factor
+    before it is factored, in the stencil's element order: a mesh holds one
+    A00 factor, and the coarser meshes of a refinement hierarchy add at
+    most about 1/3 of the finest one's.  Solves that share the factor share
+    its ``cg_steps``, which a solve reads as a difference.
     """
     A00 = system.A00.tocsr()
-    kept = _A00_FACTORS.pop(mesh, None)
+    kept = mesh._kept.pop("A00", None)
     if kept is not None and all(np.array_equal(getattr(kept.A, a), getattr(A00, a)) for a in ("indptr", "indices", "data")):
-        _A00_FACTORS[mesh] = kept
+        mesh._kept["A00"] = kept
         return kept, True
     kept = None  # the kept factor dies here, unless a solve still holds it
     index = [a.copy() if a.flags.writeable else a for a in (A00.indices, A00.indptr)]  # read-only ones are the stencil's
     copy = sp.csr_matrix((A00.data.copy(), *index), shape=A00.shape)
-    _A00_FACTORS[mesh] = factor = OrderedFactor(copy, "A00", _order(mesh, system.dofs, "element"))
+    mesh._kept["A00"] = factor = OrderedFactor(copy, "A00", _order(mesh, system.dofs, "element"))
     return factor, False
 
 

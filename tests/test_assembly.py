@@ -13,6 +13,7 @@ from egbp.assembly import ProblemSpec, assemble_system, penalty_stiffness
 from egbp.cli import StudyConfig, layer_source, run_study, smooth_exact
 from egbp.fespace import DofMap, dirichlet_lift
 from egbp.mesh import _build_mesh, build_structured, refine_uniform
+from egbp.solver import _a00_factor, solve_bound_preserving
 
 from oracles import (
     all_vertices,
@@ -468,15 +469,18 @@ def test_blocks_changed_in_place_leave_the_next_assembly_alone(monkeypatch):
 
 
 def test_the_stencil_dies_with_its_mesh():
-    # No reference cycle holds a stencil: with the cyclic collector off it
-    # is freed once its mesh goes, while a system assembled on it lives on
-    mesh = _perturbed_mesh(6)
+    # No reference cycle holds a stencil or the kept A00 factor: with the
+    # cyclic collector off both are freed once their mesh goes, while a
+    # system assembled on it lives on
+    mesh, spec = _perturbed_mesh(6), make_spec()
     gc.disable()
     try:
-        system = assemble_system(mesh, make_spec())
-        stencil = weakref.ref(egbp.assembly._STENCILS[mesh])
-        del mesh
-        alive = stencil() is not None
+        system = assemble_system(mesh, spec)
+        solve_bound_preserving(mesh, spec, system=system)
+        factor, reused = _a00_factor(mesh, system)
+        kept = [weakref.ref(egbp.assembly._stencil(mesh, system.dofs)), weakref.ref(factor)]
+        del mesh, factor
+        alive = [ref() is not None for ref in kept]
     finally:
         gc.enable()
-    assert not alive and system.A00.nnz > 0
+    assert reused and alive == [False, False] and system.A00.nnz > 0
