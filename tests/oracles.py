@@ -12,10 +12,11 @@ for the free-row product; it shares the CG routine and the factors'
 ``inverse``.
 
 The last section holds helpers that no study, CLI path or benchmark runs:
-point evaluation, interpolation, the full operator over all dofs, the
-element mass and jump matrices, the complement Q, the comparison bound,
-the broken Poincare constant, the zero function, a recorder of the CLI's
-solves and the CSV readers.  The tests use them as references or as
+the sheared and stretched mesh transforms, point evaluation,
+interpolation, the full operator over all dofs, the element mass and jump
+matrices, the complement Q, the comparison bound, the broken Poincare
+constant, the zero function, a recorder of the CLI's solves and the CSV
+readers.  The tests use them as references or as
 statements of the paper's theory; they build on the package's own
 assembly and limiter.
 """
@@ -38,6 +39,7 @@ import egbp.cli
 from egbp.cli import CSV_HEADER
 from egbp.fespace import DofMap, EGFunction, _eval_field
 from egbp.limiter import apply_P
+from egbp.mesh import _build_mesh
 from egbp.solver import SpdFactor, _pcg
 
 # 7-point Gauss-Legendre rule on [0, 1]; exact through degree 13, far more
@@ -538,6 +540,19 @@ def coo_assembly_oracle(mesh, spec, dofs, lift):
 # ---------------------------------------------------------------------------
 # Helpers the package does not run, built on its assembly and limiter
 # ---------------------------------------------------------------------------
+
+
+def sheared(mesh, s):
+    """The mesh under x -> x + s y: for s = 2, obtuse triangles."""
+    vertices = mesh.vertices.copy()
+    vertices[:, 0] += s * vertices[:, 1]
+    return _build_mesh(vertices, mesh.triangles)
+
+
+def stretched(mesh):
+    """The mesh under y -> y^2: cells flatten toward y = 0.  On the 16 x 16
+    structured mesh the diagonal of a mass-dominated A11 spans a factor 8."""
+    return _build_mesh(np.column_stack([mesh.vertices[:, 0], mesh.vertices[:, 1] ** 2]), mesh.triangles)
 
 
 def all_vertices(mesh):

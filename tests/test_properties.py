@@ -8,10 +8,10 @@ import pytest
 from egbp.assembly import ProblemSpec, assemble_system
 from egbp.fespace import DofMap, EGFunction
 from egbp.limiter import apply_P, patch_extremes, truncate_values
-from egbp.mesh import _build_mesh, build_structured, refine_uniform
+from egbp.mesh import build_structured, refine_uniform
 from egbp.solver import _kappa_bound
 
-from oracles import apply_Q, assemble_full, dense_bilinear_oracle, element_vertex_values
+from oracles import apply_Q, assemble_full, dense_bilinear_oracle, element_vertex_values, sheared
 
 N_TRIALS = 1000
 
@@ -210,22 +210,15 @@ def test_feasibility_sufficient_condition_search():
         assert feasibility_check(patch_extremes(MESH, w0, DOFS), (a, b)) >= 0.0
 
 
-def _sheared(mesh):
-    """The mesh under x -> x + y."""
-    vertices = mesh.vertices.copy()
-    vertices[:, 0] += vertices[:, 1]
-    return _build_mesh(vertices, mesh.triangles)
-
-
 def test_kappa_bound_holds_on_every_free_set():
-    # The bound that picks Jacobi-CG over an A11 factor holds for the dense
-    # condition number of D_I^{-1/2} A11[I, I] D_I^{-1/2} on random free sets
-    # I, structured and sheared meshes of at most 256 elements, eps from
-    # 1e-7 to 1 and two values of mu; and its premise, A11 - mu M1 positive
-    # semidefinite, holds there.
+    # The interval [lo, hi] whose ratio picks Jacobi-CG over an A11 factor
+    # encloses the dense eigenvalues of D_I^{-1/2} A11[I, I] D_I^{-1/2} on
+    # random free sets I, structured and sheared meshes of at most 256
+    # elements, eps from 1e-7 to 1 and two values of mu; and its premise,
+    # A11 - mu M1 positive semidefinite, holds there.
     rng = np.random.default_rng(106)
     meshes = [build_structured(8, 8), build_structured(16, 8)]
-    meshes += [_sheared(mesh) for mesh in meshes]
+    meshes += [sheared(mesh, 1.0) for mesh in meshes]
     trials = 0
     for mesh in meshes:
         for epsilon in (1e-7, 1e-5, 1e-3, 1.0):
@@ -233,12 +226,12 @@ def test_kappa_bound_holds_on_every_free_set():
                 system = assemble_system(mesh, ProblemSpec(epsilon=epsilon, mu=mu))
                 A = system.A11.toarray()
                 assert np.linalg.eigvalsh(A - mu * system.M1.toarray()).min() >= -1e-14 * np.abs(A).max()
-                bound = _kappa_bound(system.A11, mu * system.M1.diagonal())
+                lo, hi = _kappa_bound(system.A11, mu * system.M1.diagonal())
                 for _ in range(32):
                     free = rng.random(A.shape[0]) < rng.uniform(0.05, 1.0)
                     free[rng.integers(A.shape[0])] = True
                     d = np.sqrt(A.diagonal()[free])
                     lam = np.linalg.eigvalsh(A[np.ix_(free, free)] / d[:, None] / d[None, :])
-                    assert lam[-1] / lam[0] <= bound * (1.0 + 1e-12), "trial %d" % trials
+                    assert lo * (1.0 - 1e-12) <= lam[0] and lam[-1] <= hi * (1.0 + 1e-12), "trial %d" % trials
                     trials += 1
     assert trials >= N_TRIALS

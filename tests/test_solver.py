@@ -32,7 +32,9 @@ from oracles import (
     penalty_stiffness_oracle,
     record_cli_solves,
     richardson_step1_oracle,
+    sheared,
     solve_spd,
+    stretched,
 )
 
 
@@ -178,18 +180,11 @@ def test_bound_preserving_without_interior_vertices():
     assert sol.trace.fill_nnz == SpdFactor(system.A00).lu.nnz
 
 
-def _sheared(mesh):
-    """The mesh under x -> x + 2y: obtuse triangles."""
-    vertices = mesh.vertices.copy()
-    vertices[:, 0] += 2.0 * vertices[:, 1]
-    return _build_mesh(vertices, mesh.triangles)
-
-
 @pytest.mark.parametrize(
     "mesh, gamma, beta",
     [
         (refine_uniform(build_structured(8, 8)), 10.0, 1),
-        (_sheared(refine_uniform(build_structured(8, 8))), 10.0, 1),
+        (sheared(refine_uniform(build_structured(8, 8)), 2.0), 10.0, 1),
         (build_structured(2, 300), 10.0, 1),  # cells 150:1
         (refine_uniform(build_structured(8, 8)), 3.0, 1),
         (refine_uniform(build_structured(8, 8)), 10.0, 2),
@@ -583,11 +578,50 @@ def test_standard_eg_cg_steps_do_not_grow_with_refinement(monkeypatch):
     (n_coarse, coarse), (n_fine, fine) = (_comparator_cg_steps(monkeypatch, k, 10.0, 1e-3) for k in (2, 3))
     assert (n_coarse, coarse, n_fine, fine) == (4608, 14, 18432, 16)
     assert fine - coarse <= 5
-    # at eps = 1e-7 diag(A11)^{-1} + K_gamma^{-1}, with no A11 factor
+    # at eps = 1e-7 a Chebyshev polynomial of D^{-1} A11 times D^{-1}, plus
+    # K_gamma^{-1}, with no A11 factor; D^{-1} in its place took 25 and 25
+    # steps, and 22 at gamma = 2
     (n_coarse, coarse), (n_fine, fine) = (_comparator_cg_steps(monkeypatch, k, 10.0, 1e-7) for k in (2, 3))
-    assert (n_coarse, coarse, n_fine, fine) == (4608, 25, 18432, 25)
+    assert (n_coarse, coarse, n_fine, fine) == (4608, 15, 18432, 17)
     assert fine - coarse <= 5
-    assert _comparator_cg_steps(monkeypatch, 3, 2.0, 1e-7) == (18432, 22)
+    assert _comparator_cg_steps(monkeypatch, 3, 2.0, 1e-7) == (18432, 19)
+
+
+@pytest.mark.parametrize("steps", [1, 2, egbp.solver._CHEBYSHEV_STEPS, 6])
+@pytest.mark.parametrize("epsilon", [1e-7, 1e-4])
+@pytest.mark.parametrize(
+    "mesh",
+    [build_structured(8, 8), sheared(build_structured(8, 8), 2.0), stretched(build_structured(12, 12))],
+    ids=["structured", "sheared", "stretched"],
+)
+def test_chebyshev_preconditioner_is_spd_and_near_inverse(monkeypatch, mesh, epsilon, steps):
+    # Dense, on a mass-dominated A11 of at most 121 nodes: _kappa_bound's
+    # interval encloses the eigenvalues of D^{-1} A11, the comparator's A11
+    # block C = q(D^{-1} A11) D^{-1} is symmetric positive definite, and the
+    # eigenvalues of C A11 lie within e = 1 / T_k(theta / delta) of 1
+    system = assemble_system(mesh, make_spec(epsilon=epsilon, f=lambda x, y: 1.0 + 0.0 * x))
+    A, d = system.A11.toarray(), system.A11.diagonal()
+    lo, hi = egbp.solver._kappa_bound(system.A11, system.M1.diagonal())
+    lam = np.linalg.eigvalsh(A / np.sqrt(d)[:, None] / np.sqrt(d)[None, :])
+    assert lo <= lam[0] and lam[-1] <= hi
+    monkeypatch.setattr(egbp.solver, "_CHEBYSHEV_STEPS", steps)
+    apply = egbp.solver._chebyshev(OrderedFactor(system.A11, "A11"), lo, hi)
+    C = np.column_stack([apply(col) for col in np.eye(d.size)])
+    assert np.abs(C - C.T).max() <= 1e-14 * np.abs(C).max()
+    assert np.linalg.eigvalsh(0.5 * (C + C.T)).min() > 0.0
+    L = np.linalg.cholesky(A)
+    mu = np.linalg.eigvalsh(L.T @ C @ L)  # the eigenvalues of C A11
+    e = 1.0 / np.cosh(steps * np.arccosh((hi + lo) / (hi - lo)))
+    assert 1.0 - e - 1e-13 <= mu[0] and mu[-1] <= 1.0 + e + 1e-13
+
+
+@pytest.mark.parametrize("p", [None, np.array([1, 0])], ids=["jacobi", "factor"])
+@pytest.mark.parametrize("diagonal", [(1.0, 0.0), (1.0, -2.0)])
+def test_ordered_factor_rejects_a_nonpositive_diagonal(p, diagonal):
+    # the Jacobi mode divides by the diagonal, and the comparator's Chebyshev
+    # block needs it positive: both modes raise before any solve
+    with pytest.raises(SolverError, match="matrix X has a nonpositive diagonal entry"):
+        OrderedFactor(sp.csr_matrix(np.diag(diagonal)), "X", p)
 
 
 @pytest.mark.parametrize("epsilon, path", [(1e-5, "jacobi"), (1.0, "factor")])
@@ -607,7 +641,8 @@ def test_bound_preserving_path_follows_the_kappa_bound(monkeypatch, epsilon, pat
     system = assemble_system(mesh, spec)
     t = solve_bound_preserving(mesh, spec, system=system).trace
     assert t.converged and t.a11_path == path
-    assert t.kappa_bound == egbp.solver._kappa_bound(system.A11, spec.mu * system.M1.diagonal())
+    lo, hi = egbp.solver._kappa_bound(system.A11, spec.mu * system.M1.diagonal())
+    assert t.kappa_bound == hi / lo
     if path == "jacobi":
         assert names == ["A00"]
         assert 4.0 <= t.kappa_bound < 4.01
@@ -706,8 +741,7 @@ def test_jacobi_free_set_solve_matches_fresh_factor(clamped):
     # its diagonal spans a factor 8: with jacobi nothing is factored, and CG
     # preconditioned by the diagonal stays within the step bound
     # 1/2 sqrt(kappa) ln(2 / 1e-15) that _jacobi_pays charges
-    mesh = build_structured(16, 16)
-    mesh = _build_mesh(np.column_stack([mesh.vertices[:, 0], mesh.vertices[:, 1] ** 2]), mesh.triangles)
+    mesh = stretched(build_structured(16, 16))
     spec = make_spec(epsilon=1e-5, f=lambda x, y: 1.0 + 0.0 * x)
     system = assemble_system(mesh, spec)
     free = _random_free_set(system.A11.shape[0], clamped, seed=clamped)
@@ -718,8 +752,8 @@ def test_jacobi_free_set_solve_matches_fresh_factor(clamped):
     x_ref = spla.splu(sub).solve(b)
     assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
     assert (a11.fill_nnz, a11.full) == (0, None)
-    kappa = egbp.solver._kappa_bound(system.A11, spec.mu * system.M1.diagonal())
-    assert 0 < a11.cg_steps <= 0.5 * np.sqrt(kappa) * np.log(2.0 / 1e-15)
+    lo, hi = egbp.solver._kappa_bound(system.A11, spec.mu * system.M1.diagonal())
+    assert 0 < a11.cg_steps <= 0.5 * np.sqrt(hi / lo) * np.log(2.0 / 1e-15)
 
 
 @pytest.mark.parametrize("jacobi", [True, False])
@@ -769,8 +803,7 @@ def test_factors_are_freed_when_the_solve_returns(monkeypatch, case):
 
 def _graded_a11(jacobi):
     """(system, OrderedFactor of A11) of the graded 16 x 16 mesh at eps = 1e-5, 225 nodes."""
-    mesh = build_structured(16, 16)
-    mesh = _build_mesh(np.column_stack([mesh.vertices[:, 0], mesh.vertices[:, 1] ** 2]), mesh.triangles)
+    mesh = stretched(build_structured(16, 16))
     system = assemble_system(mesh, make_spec(epsilon=1e-5, f=lambda x, y: 1.0 + 0.0 * x))
     return system, _a11_factor(mesh, system, jacobi)
 
