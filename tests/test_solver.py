@@ -1,5 +1,7 @@
 import gc
+import threading
 import weakref
+from concurrent.futures import Future
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -515,6 +517,8 @@ def test_standard_eg_factors_only_A11_and_A00(monkeypatch):
     # builds the monolithic matrix.  On 4,608 layer elements eps = 1e-7 takes
     # diag(A11)^{-1} in place of the A11 factor, eps = 1e-3 the factor.  The
     # mesh's stencil keeps both orders: the second solve makes neither again.
+    # K_gamma is factored on a worker thread beside A00, so the factors are
+    # read by name, each made once; the caller makes both orders, A11's first.
     mesh, layer_spec = _layer_problem(refinements=2)
     orders, factored = [], []
     dissection = egbp.assembly._nested_dissection
@@ -540,19 +544,142 @@ def test_standard_eg_factors_only_A11_and_A00(monkeypatch):
         orders.clear()
         factored.clear()
         u = solve_standard_eg(mesh, spec, system=system)
-        assert [name for name, _ in factored] == names
+        assert sorted(name for name, _ in factored) == sorted(names)
         if epsilon == 1e-7:
             p1, p0 = orders
         assert len(orders) == (2 if epsilon == 1e-7 else 0)
-        assert _same_matrix(factored[0][1], system.A00[p0][:, p0])
+        made = dict(factored)
+        assert _same_matrix(made["A00"], system.A00[p0][:, p0])
         K = penalty_stiffness_oracle(mesh, spec, system.dofs.interior_vertex_ids)[np.ix_(p1, p1)]
-        assert np.abs(factored[1][1].toarray() - K).max() <= 1e-13 * np.abs(K).max()
+        assert np.abs(made["K_gamma"].toarray() - K).max() <= 1e-13 * np.abs(K).max()
         if "A11" in names:
-            assert _same_matrix(factored[2][1], system.A11[p1][:, p1])
+            assert _same_matrix(made["A11"], system.A11[p1][:, p1])
         x1, x0 = u.linear_coeffs[system.dofs.interior_vertex_ids], u.const_coeffs
         r1 = system.A11 @ x1 + system.A10 @ x0 - system.b1
         r0 = system.A10.T @ x1 + system.A00 @ x0 - system.b0
         assert np.abs(np.concatenate([r1, r0])).max() <= 1e-10 * np.abs(system.b0).max()
+
+
+def _comparator_problem(epsilon):
+    """(mesh, spec, system) of the comparator on a fresh 4,608-element layer mesh:
+    at eps = 1e-7 it takes the Chebyshev block in place of an A11 factor, at 1e-3 the factor."""
+    mesh, layer_spec = _layer_problem(refinements=2)
+    spec = replace(layer_spec, epsilon=epsilon, beta=1, alpha=0.0)
+    return mesh, spec, assemble_system(mesh, spec)
+
+
+def _factor_threads(monkeypatch, fail=None):
+    """[name, thread that made it, threads alive then, thread that dropped it]
+    of each factor made from now on, the last None while its SuperLU object
+    lives; a factor named ``fail`` raises SolverError once made."""
+    seen = []
+
+    class Tracked:
+        # holds the factor's SuperLU object, the only reference to it, so both die together
+        def __init__(self, lu, record):
+            self.lu, self.record = lu, record
+
+        def __getattr__(self, attr):
+            return getattr(self.lu, attr)
+
+        def __del__(self):
+            self.record[3] = threading.get_ident()
+
+    class RecordingFactor(SpdFactor):
+        def __init__(self, A, name="system"):
+            record = [name, threading.get_ident(), threading.active_count(), None]
+            seen.append(record)
+            super().__init__(A, name=name)
+            self.lu = Tracked(self.lu, record)
+            if name == fail:
+                raise SolverError("factorization of %s failed" % name)
+
+    monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
+    return seen
+
+
+@pytest.mark.parametrize("epsilon", [1e-7, 1e-3])
+def test_standard_eg_factors_K_gamma_on_one_worker_thread(monkeypatch, epsilon):
+    # K_gamma is factored on one worker thread while the caller factors A00;
+    # A11, on the factor path, once K_gamma is made.  No more than one
+    # thread is started, and none is left alive once the solve returns or
+    # raises, whichever factor fails.  Every factor dies on the thread that
+    # made it, as SciPy's SuperLU leaks the L and U of a factor dropped on
+    # another: K_gamma's when the solve ends, A00's with its mesh.
+    before, caller = threading.active_count(), threading.get_ident()
+    mesh, spec, system = _comparator_problem(epsilon)
+    seen = _factor_threads(monkeypatch)
+    solve_standard_eg(mesh, spec, system=system)
+    assert threading.active_count() == before
+    names = ["A00", "K_gamma"] + (["A11"] if epsilon == 1e-3 else [])
+    assert sorted(name for name, *_ in seen) == sorted(names)
+    made = {name: (thread, alive) for name, thread, alive, _ in seen}
+    k_thread, k_alive = made["K_gamma"]
+    assert k_thread != caller and k_alive == before + 1
+    assert made["A00"] == made.get("A11", made["A00"]) == (caller, before + 1)
+    del mesh, system
+    gc.collect()
+    assert all(dropped == thread for _, thread, _, dropped in seen)
+
+    stiffness = egbp.solver.penalty_stiffness
+
+    def bad_stiffness(*args):
+        K = stiffness(*args).copy()
+        K[0, 0] = -K[0, 0]
+        return K
+
+    monkeypatch.setattr(egbp.solver, "penalty_stiffness", bad_stiffness)
+    with pytest.raises(SolverError, match="^matrix K_gamma has a nonpositive diagonal entry$"):
+        solve_standard_eg(*_comparator_problem(epsilon)[:2])
+    assert threading.active_count() == before
+    monkeypatch.undo()
+
+    mesh, spec, system = _comparator_problem(epsilon)
+    seen = _factor_threads(monkeypatch, fail="A00")
+    with pytest.raises(SolverError, match="^factorization of A00 failed$") as failed:
+        solve_standard_eg(mesh, spec, system=system)
+    assert threading.active_count() == before
+    del failed
+    gc.collect()
+    assert sorted((name, thread == caller, dropped == thread) for name, thread, _, dropped in seen) == [
+        ("A00", True, True),
+        ("K_gamma", False, True),
+    ]
+
+
+class _InlineExecutor:
+    """ThreadPoolExecutor's surface used by the solver, running each task in the caller at submit."""
+
+    def __init__(self, max_workers):
+        assert max_workers == 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+@pytest.mark.parametrize("epsilon", [1e-7, 1e-3])
+def test_standard_eg_on_a_worker_thread_equals_the_serial_solve(monkeypatch, epsilon):
+    # SuperLU is deterministic: factoring K_gamma on the worker thread or
+    # inline in the caller gives the same u, bit for bit.  Each solve runs
+    # on a fresh mesh, so each factors A00 too.
+    threaded = solve_standard_eg(*_comparator_problem(epsilon)[:2])
+    seen = _factor_threads(monkeypatch)
+    monkeypatch.setattr(egbp.solver, "ThreadPoolExecutor", _InlineExecutor)
+    serial = solve_standard_eg(*_comparator_problem(epsilon)[:2])
+    assert {thread for _, thread, _, _ in seen} == {threading.get_ident()}
+    assert threaded.linear_coeffs.tobytes() == serial.linear_coeffs.tobytes()
+    assert threaded.const_coeffs.tobytes() == serial.const_coeffs.tobytes()
 
 
 def _comparator_cg_steps(monkeypatch, refinements, gamma, epsilon):
@@ -913,11 +1040,14 @@ def test_every_factored_matrix_is_exactly_symmetric(monkeypatch, case):
     assert solve_bound_preserving(mesh, spec).trace.converged
     n_bp = len(names)
     solve_standard_eg(mesh, replace(spec, beta=1, alpha=0.0))
+    # the comparator factors K_gamma on a worker thread beside A00: its
+    # factors are compared as a sorted list
     if case == "jacobi":
-        assert names == [("A00", 4608), ("A00", 4608), ("K_gamma", 2209)]
+        assert names[:n_bp] == [("A00", 4608)]
+        assert sorted(names[n_bp:]) == [("A00", 4608), ("K_gamma", 2209)]
     else:
         assert names[:n_bp] == [("A11", 2209), ("A00", 4608)]
-        assert names[n_bp:] == [("A00", 4608), ("K_gamma", 2209), ("A11", 2209)]
+        assert sorted(names[n_bp:]) == [("A00", 4608), ("A11", 2209), ("K_gamma", 2209)]
 
 
 def test_step1_cg_solve_checks_its_answer():
