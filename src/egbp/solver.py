@@ -20,7 +20,8 @@ the current Newton iterate, and its free set picks only the preconditioner
 (see OrderedFactor).  Every matrix is factored in the order its mesh's
 assembly stencil keeps for its unknowns (see assembly._order), and each
 mesh keeps its last factor of A00 for every later solve whose A00 equals
-it bit for bit (see _a00_factor).  The standard solve factors K_gamma on
+it bit for bit (see _a00_factor).  No solve changes a factor: each
+returns its CG steps.  The standard solve factors K_gamma on
 one worker thread while the caller factors A00; the answers are those of a
 serial run, bit for bit.  Every linear solve is one routine, CG
 (_pcg) to normwise backward error _CG_TOL, on the system's blocks in the
@@ -73,8 +74,8 @@ class SolveTrace:
     Per outer sweep it records the Newton step sizes, the clamped-node
     count of the last Newton step, the worst feasibility slack
     min_i (b - over_i) - (a - under_i) and its Step-1 CG steps, whatever
-    preconditions them (see OrderedFactor); a solve whose start, the
-    current iterate, already meets the backward error adds 0.
+    preconditions them, as inner_richardson returns them; a solve whose
+    start, the current iterate, already meets the backward error adds 0.
     ``initial_cg_steps`` is those of the initial sweep's A11 solve, before
     the first outer sweep.
     ``a00_reused`` is True if the solve took the factor of A00 its mesh
@@ -154,7 +155,7 @@ class SpdFactor:
     its fill-reducing order (see assembly._order): SuperLU adds no column
     order of its own.  ``A`` is the matrix given, not a copy.  The solvers
     use the factor only as a preconditioner, ``lu_solve`` inside
-    OrderedFactor.inverse; ``solves`` counts its calls so far.
+    OrderedFactor.inverse.
     ``lu_solve`` takes SuperLU's transposed solve, which presumes A
     exactly symmetric.  ``solve`` has no caller in the package:
     perfbench's traced subclass wraps it.
@@ -172,7 +173,6 @@ class SpdFactor:
         except RuntimeError as exc:
             raise SolverError("factorization of %s failed: %s" % (name, exc)) from exc
         self.A = A
-        self.solves = 0
 
     def lu_solve(self, b):
         """The triangular solves with the factor for one vector b.
@@ -184,7 +184,6 @@ class SpdFactor:
         a K_gamma solve (9,025 unknowns) 1.0 ms against 1.4 ms (medians of
         1,000 interleaved solves, one thread, 2-vCPU VM).
         """
-        self.solves += 1
         return self.lu.solve(b, trans="T")
 
     def solve(self, b):
@@ -408,8 +407,8 @@ class OrderedFactor:
     Every solve is one CG (_pcg) on A[I, I], from a start given on the free
     nodes or from zero, to backward error against ||A||_inf, and the free
     set picks only its preconditioner M.  A CG step multiplies A itself
-    while every node is free, else only the rows A[I, :], cut from A when I
-    changes, by x~ = x padded with zeros on the clamped set C; each row
+    while every node is free, else only the rows A[I, :], cut from A by
+    each solve, by x~ = x padded with zeros on the clamped set C; each row
     keeps its stored entries in their order, so the product is the free
     part of the full one, bit for bit.  ``A`` is the matrix given, in CSR
     (a CSR one is not copied).  ``inverse`` applies the preconditioner of
@@ -425,8 +424,8 @@ class OrderedFactor:
     differ by a term of rank |C|, so in exact arithmetic CG takes at most
     |C| + 1 steps (Saad, Iterative Methods for Sparse Linear Systems,
     2003).  An empty I takes no step.  ``fill_nnz`` is the factor's stored
-    L and U entries (0 for Jacobi) and ``cg_steps`` the CG steps, off the
-    Jacobi path one triangular solve each.
+    L and U entries (0 for Jacobi).  A solve keeps nothing on the factor
+    and returns its CG steps, off the Jacobi path one triangular solve each.
     """
 
     def __init__(self, A, name, p=None):
@@ -443,10 +442,6 @@ class OrderedFactor:
             self.full = SpdFactor(ordered, name=name)
             self._q = np.empty_like(p)  # the inverse of p
             self._q[p] = np.arange(p.size)
-        self.free = np.ones(A.shape[0], dtype=bool)
-        self.ids = np.arange(A.shape[0])  # I = self.free
-        self.rows = A  # A[I, :], A itself while every node is free
-        self.cg_steps = 0
 
     @property
     def fill_nnz(self):
@@ -458,25 +453,19 @@ class OrderedFactor:
             return self._inv_diag * r
         return self.full.lu_solve(r[self._p])[self._q]
 
-    def solve(self, b, free, x0=None):
-        """A[free][:, free]^{-1} b by CG from ``x0`` (zero if None), b and x0 given on the free nodes."""
-        if not np.array_equal(free, self.free):
-            self.free, self.ids = free, np.flatnonzero(free)
-            self.rows = self.A if free.all() else self.A[self.ids]
-        if free.all():
-            x, steps = _pcg(self.A.dot, self.inverse, b, self.norm, self.name, x0)
-        else:
-            ids, rows = self.ids, self.rows
-            padded = np.zeros(free.size)  # stays zero on C
+    def solve(self, b, free=None, x0=None):
+        """(A[I, I]^{-1} b, CG steps), I = ``free`` (every node if None), by CG from ``x0`` (zero if None), b and x0 on I."""
+        if free is None or free.all():
+            return _pcg(self.A.dot, self.inverse, b, self.norm, self.name, x0)
+        ids = np.flatnonzero(free)
+        rows, padded = self.A[ids], np.zeros(free.size)  # padded stays zero on C
 
-            def pad(v):
-                padded[ids] = v
-                return padded
+        def pad(v):
+            padded[ids] = v
+            return padded
 
-            precond = lambda r: self.inverse(pad(r))[ids]
-            x, steps = _pcg(lambda v: rows @ pad(v), precond, b, self.norm, "%s[I, I]" % self.name, x0)
-        self.cg_steps += steps
-        return x
+        precond = lambda r: self.inverse(pad(r))[ids]
+        return _pcg(lambda v: rows @ pad(v), precond, b, self.norm, "%s[I, I]" % self.name, x0)
 
 
 def _a00_factor(mesh, system):
@@ -490,8 +479,7 @@ def _a00_factor(mesh, system):
     A00, such as the layer comparator's at beta = 1, drops the kept factor
     before it is factored, in the stencil's element order: a mesh holds one
     A00 factor, and the coarser meshes of a refinement hierarchy add at
-    most about 1/3 of the finest one's.  Solves that share the factor share
-    its ``cg_steps``, which a solve reads as a difference.
+    most about 1/3 of the finest one's.
     """
     A00 = system.A00.tocsr()
     kept = mesh._kept.pop("A00", None)
@@ -520,8 +508,9 @@ def inner_richardson(u1, w0, system, spec, extremes, a11_factor):
     values as the step used: that result solves Step 1 exactly
     (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13(3), 2002).
 
-    Returns (u1_new, step_count, step_sizes, converged), step sizes in the
-    L2 norm; converged is False if _MAX_INNER steps did not settle C.
+    Returns (u1_new, step_count, step_sizes, converged, cg_steps, clamped):
+    step sizes in the L2 norm, converged False if _MAX_INNER steps did not
+    settle C, the CG steps of all its solves and |C| of its last step.
     """
     rhs = system.b1 - system.A10 @ w0
     lo = spec.bounds[0] - extremes.under
@@ -532,35 +521,36 @@ def inner_richardson(u1, w0, system, spec, extremes, a11_factor):
 
     u = np.asarray(u1, dtype=float)
     c = clamp_values(u)
-    increments = []
+    increments, cg_steps = [], 0
     for _ in range(_MAX_INNER):
         free = np.isnan(c)
         clamped = ~free
         if np.any(system.S1[clamped] <= 0.0):
             raise SolverError("Step 1 is singular: a clamped node has no stabilizer (alpha = 0)")
         p = np.where(free, 0.0, c)
-        p[free] = a11_factor.solve((rhs - system.A11 @ p)[free], free, u[free])
+        p[free], steps = a11_factor.solve((rhs - system.A11 @ p)[free], free, u[free])
+        cg_steps += steps
         u_new = p.copy()
         u_new[clamped] += (rhs - system.A11 @ p)[clamped] / system.S1[clamped]
         d = u_new - u
         increments.append(float(np.sqrt(d @ (system.M1 @ d))))
         u, c_new = u_new, clamp_values(u_new)
         if np.array_equal(c_new, c, equal_nan=True):
-            return u, len(increments), increments, True
+            return u, len(increments), increments, True, cg_steps, int(clamped.sum())
         c = c_new
-    return u, len(increments), increments, False
+    return u, len(increments), increments, False, cg_steps, int(clamped.sum())
 
 
 def outer_constant_solve(u1_new, system, spec, extremes, a00_factor):
     """Constant-part solve (Step 2) against the truncated linear iterate.
 
     Solves A00 u0 = b0 - A10^T w1p by ``a00_factor``, an OrderedFactor of
-    A00 solving on its all-true free set, where w1p is the truncation of
-    u1_new against ``extremes``, the patch extremes of the frozen constants.
+    A00, on all its unknowns, where w1p is the truncation of u1_new against
+    ``extremes``, the patch extremes of the frozen constants.  Returns (u0,
+    CG steps).
     """
     w1p = truncate_values(np.asarray(u1_new, dtype=float), extremes, spec.bounds)
-    rhs = system.b0 - system.A10.T @ w1p
-    return a00_factor.solve(rhs, a00_factor.free)
+    return a00_factor.solve(system.b0 - system.A10.T @ w1p)
 
 
 def nonlinear_residual(system, solution):
@@ -595,29 +585,28 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     jacobi = _jacobi_pays(kappa, nnz, nnz**1.5)
     a11 = OrderedFactor(system.A11, "A11", None if jacobi else _order(mesh, system.dofs, "vertex"))
     a00, a00_reused = _a00_factor(mesh, system)
-    a00_steps = a00.cg_steps
 
-    u1 = a11.solve(system.b1, a11.free)
-    u0 = a00.solve(system.b0 - system.A10.T @ u1, a00.free)
+    u1, a11_steps = a11.solve(system.b1)
+    u0, a00_steps = a00.solve(system.b0 - system.A10.T @ u1)
 
     path = "jacobi" if jacobi else "factor"
     trace = SolveTrace(
-        stop_reason="max_outer", a11_path=path, kappa_bound=kappa, initial_cg_steps=a11.cg_steps, a00_reused=a00_reused
+        stop_reason="max_outer", a11_path=path, kappa_bound=kappa, initial_cg_steps=a11_steps, a00_reused=a00_reused
     )
     for _ in range(_MAX_OUTER):
         extremes = patch_extremes(mesh, u0, system.dofs)
         slack = feasibility_check(extremes, spec.bounds)
-        cg_steps = a11.cg_steps
-        u1, _, incs, inner_ok = inner_richardson(u1, u0, system, spec, extremes, a11)
-        u0_new = outer_constant_solve(u1, system, spec, extremes, a00)
+        u1, _, incs, inner_ok, cg_steps, clamped = inner_richardson(u1, u0, system, spec, extremes, a11)
+        u0_new, steps = outer_constant_solve(u1, system, spec, extremes, a00)
+        a11_steps, a00_steps = a11_steps + cg_steps, a00_steps + steps
         d = u0_new - u0
         u0 = u0_new
         outer_inc = float(np.sqrt(d @ (mesh.area * d)))
         trace.inner_residual_histories.append(incs)
         trace.outer_increments.append(outer_inc)
         trace.worst_slack_per_outer.append(slack)
-        trace.clamped_per_outer.append(int(np.count_nonzero(~a11.free)))
-        trace.cg_steps_per_outer.append(a11.cg_steps - cg_steps)
+        trace.clamped_per_outer.append(clamped)
+        trace.cg_steps_per_outer.append(cg_steps)
         if not inner_ok:
             trace.stop_reason = "inner_stalled"
             break
@@ -626,7 +615,7 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
             break
 
     trace.fill_nnz = a11.fill_nnz + (0 if a00_reused else a00.fill_nnz)
-    trace.triangular_solves = a00.cg_steps - a00_steps + (0 if jacobi else a11.cg_steps)
+    trace.triangular_solves = a00_steps + (0 if jacobi else a11_steps)
     u = _compose(system, u1, u0)
     u_plus = apply_P(mesh, system.dofs, u0, u, spec.bounds)
     solution = EGSolution(u=u, u_plus=u_plus, trace=trace)

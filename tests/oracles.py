@@ -391,8 +391,7 @@ def padded_restricted_solve(factor, b, free, x0=None):
     vector padded alike, restricted to I.  An all-free set is solved by CG
     on A preconditioned with ``factor.inverse``.  CG starts at ``x0``,
     given on the free nodes like b, or at zero.  Reads ``factor``'s
-    matrix, inverse, norm and name; of its counters only the full factor's
-    triangular solves move.
+    matrix, inverse, norm and name.
     """
     if not free.any():
         return np.zeros(0), 0

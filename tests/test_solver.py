@@ -63,6 +63,18 @@ def _a11_factor(mesh, system, jacobi=False):
     return OrderedFactor(system.A11, "A11", None if jacobi else _order(mesh, system.dofs, "vertex"))
 
 
+def _count_lu_solves(monkeypatch):
+    """{"lu_solve": n}, n the calls of SpdFactor.lu_solve from now on, on every factor."""
+    counted, lu_solve = {"lu_solve": 0}, SpdFactor.lu_solve
+
+    def counting(self, b):
+        counted["lu_solve"] += 1
+        return lu_solve(self, b)
+
+    monkeypatch.setattr(SpdFactor, "lu_solve", counting)
+    return counted
+
+
 def test_solve_spd_matches_dense_oracle():
     rng = np.random.default_rng(42)
     B = rng.normal(size=(50, 50))
@@ -85,10 +97,11 @@ def test_spd_factor_rejects_bad_matrices():
         SpdFactor(sp.csc_matrix(np.diag([1.0, -2.0, 3.0])))
 
 
-def test_spd_factor_corrects_a_factor_of_2A():
+def test_spd_factor_corrects_a_factor_of_2A(monkeypatch):
     # CG does not change when its preconditioner is scaled: with the LU of
     # 2A the solve meets backward error 1e-15 within n steps, one
     # triangular solve each
+    counted = _count_lu_solves(monkeypatch)
     A = sp.csc_matrix(np.diag([2.0, 3.0, 4.0]) + 0.5)
     factor = SpdFactor(A, name="A")
     factor.lu = spla.splu(sp.csc_matrix(2.0 * A))
@@ -96,17 +109,18 @@ def test_spd_factor_corrects_a_factor_of_2A():
     x = factor.solve(b)
     assert np.abs(b - A @ x).max() <= 1e-15 * (egbp.solver._inf_norm(A) * np.abs(x).max() + np.abs(b).max())
     assert np.abs(x - np.linalg.solve(A.toarray(), b)).max() <= 1e-15 * np.abs(x).max()
-    assert 1 <= factor.solves <= 3
+    assert 1 <= counted["lu_solve"] <= 3
 
 
-def test_spd_factor_raises_when_the_preconditioner_is_indefinite():
+def test_spd_factor_raises_when_the_preconditioner_is_indefinite(monkeypatch):
     # with the LU of -A the preconditioner is negative definite: CG breaks down at its first step
+    counted = _count_lu_solves(monkeypatch)
     A = sp.csc_matrix(np.diag([2.0, 3.0, 4.0]) + 0.5)
     factor = SpdFactor(A, name="A")
     factor.lu = spla.splu(sp.csc_matrix(-A))
     with pytest.raises(SolverError, match=r"CG on A broke down: r\^T z = .*preconditioner is not positive definite"):
         factor.solve(np.ones(3))
-    assert factor.solves == 1
+    assert counted["lu_solve"] == 1
 
 
 def test_spd_factor_raises_on_a_nan_rhs():
@@ -117,11 +131,12 @@ def test_spd_factor_raises_on_a_nan_rhs():
 
 
 @pytest.mark.parametrize("epsilon", [1.0, 1e-5])
-def test_factor_solves_take_one_cg_step(epsilon):
+def test_factor_solves_take_one_cg_step(monkeypatch, epsilon):
     # on the nested-dissection factors of A11 and A00 of 4,096 smooth
     # elements, an all-free solve meets backward error 1e-15 in one CG step
     # preconditioned with the factor: one triangular solve per right-hand side
     mesh, spec = _smooth_problem(refinements=3, epsilon=epsilon)
+    counted = _count_lu_solves(monkeypatch)
     system = assemble_system(mesh, spec)
     rng = np.random.default_rng(3)
     for A, kind, b in ((system.A11, "vertex", system.b1), (system.A00, "element", system.b0)):
@@ -131,10 +146,12 @@ def test_factor_solves_take_one_cg_step(epsilon):
         ordered = sp.csc_matrix(A)[p][:, p].tocsr()
         assert factor.A is A and factor.full.A.has_sorted_indices
         assert all(np.array_equal(getattr(factor.full.A, a), getattr(ordered, a)) for a in ("indptr", "indices", "data"))
+        counted["lu_solve"] = 0
         for rhs in (b, rng.normal(size=b.size)):
-            x = factor.solve(rhs, factor.free)
+            x, steps = factor.solve(rhs)
             assert np.abs(rhs - A @ x).max() <= 1e-15 * (factor.norm * np.abs(x).max() + np.abs(rhs).max())
-        assert (factor.full.solves, factor.cg_steps) == (2, 2)
+            assert steps == 1
+        assert counted["lu_solve"] == 2
 
 
 def test_standard_eg_zero_data_gives_zero():
@@ -337,9 +354,10 @@ def test_inner_richardson_stationary_at_unconstrained_solution():
     extremes = patch_extremes(mesh, w0, dofs)
     u_star = solve_spd(system.A11, system.b1 - system.A10 @ w0)
     a11 = _a11_factor(mesh, system)
-    u, n, incs, converged = inner_richardson(u_star, w0, system, spec, extremes, a11)
+    u, n, incs, converged, cg_steps, clamped = inner_richardson(u_star, w0, system, spec, extremes, a11)
     assert converged
-    assert n == 1
+    # no node clamped, and the start meets the backward error: no CG step
+    assert (n, cg_steps, clamped) == (1, 0, 0)
     assert incs[0] <= 1e-12
     assert np.allclose(u, u_star, atol=1e-11)
 
@@ -352,10 +370,11 @@ def test_inner_richardson_converges_from_zero():
     w0 = np.zeros(mesh.num_elements)
     extremes = patch_extremes(mesh, w0, dofs)
     a11 = _a11_factor(mesh, system)
-    u, n, incs, converged = inner_richardson(
+    u, n, incs, converged, cg_steps, clamped = inner_richardson(
         np.zeros(dofs.n_interior), w0, system, spec, extremes, a11
     )
-    assert converged
+    # 8 of the 9 nodes clamped: each Newton step solves for one free node, in one CG step
+    assert converged and (n, cg_steps, clamped) == (2, 2, 8)
     # the last step solved Step 1 exactly: A11 P(u) + S1 Q(u) = r
     p = np.maximum(spec.bounds[0] - extremes.under, np.minimum(u, spec.bounds[1] - extremes.over))
     r = system.b1 - system.A10 @ w0
@@ -372,7 +391,8 @@ def test_outer_constant_solve_block_consistency():
     w0 = np.zeros(mesh.num_elements)
     extremes = patch_extremes(mesh, w0, dofs)
     a00 = OrderedFactor(system.A00, "A00", _order(mesh, dofs, "element"))
-    u0 = outer_constant_solve(u1, system, spec, extremes, a00)
+    u0, steps = outer_constant_solve(u1, system, spec, extremes, a00)
+    assert steps == 1  # one CG step preconditioned with the factor
     # with the wide bounds the truncation is the identity
     res = system.A00 @ u0 - (system.b0 - system.A10.T @ u1)
     assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(system.b0)
@@ -473,12 +493,12 @@ def _factored_kinds(monkeypatch, mesh, spec):
 
     solve_free = OrderedFactor.solve
 
-    def recording_solve(self, b, free, x0=None):
+    def recording_solve(self, b, free=None, x0=None):
         if self.name != "A11":  # A00 always solves on all its unknowns, from zero
-            assert free.all() and x0 is None
-        x = solve_free(self, b, free, x0)
+            assert free is None and x0 is None
+        solved = solve_free(self, b, free, x0)
         assert all(ref() is not None for ref in a11_factors)
-        return x
+        return solved
 
     def monolithic(*args, **kwargs):
         raise AssertionError("the bound-preserving solve used the monolithic system")
@@ -803,12 +823,13 @@ def _step1_case(name):
 
 
 @pytest.mark.parametrize("name", ["smooth", "layer", "infeasible"])
-def test_step1_newton_matches_richardson_oracle(name):
+def test_step1_newton_matches_richardson_oracle(monkeypatch, name):
     system, spec, w0, extremes, a11 = _step1_case(name)
     a, b = spec.bounds
     lo, hi = a - extremes.under, b - extremes.over
     u0 = np.zeros(system.b1.shape[0])
-    u, n, incs, converged = inner_richardson(u0, w0, system, spec, extremes, a11)
+    counted = _count_lu_solves(monkeypatch)
+    u, n, incs, converged, cg_steps, clamped = inner_richardson(u0, w0, system, spec, extremes, a11)
     u_ref, _, _, ref_converged = richardson_step1_oracle(
         u0, w0, system, spec, extremes, tol=1e-14, max_iter=20000
     )
@@ -821,15 +842,15 @@ def test_step1_newton_matches_richardson_oracle(name):
     clamped_share = np.mean(p != u)
     # every free set is solved by CG on the full factor, one triangular
     # solve per step, and no submatrix is factored
-    assert a11.full.solves == a11.cg_steps and not a11.free.all()
+    assert counted["lu_solve"] == cg_steps and 0 < clamped == np.count_nonzero(p != u)
     if name == "smooth":
         # 4, 3 and 2 steps for the three Newton steps
         assert clamped_share < 0.1
-        assert a11.cg_steps == 9
+        assert cg_steps == 9
     elif name == "layer":
         # at least 90% of the 2,209 nodes clamped: 18 steps over the 4 Newton steps
         assert clamped_share >= 0.9
-        assert (n, a11.cg_steps) == (4, 18)
+        assert (n, cg_steps) == (4, 18)
     else:
         assert np.any(lo > hi)
 
@@ -840,8 +861,26 @@ def _random_free_set(n, clamped, seed):
     return free
 
 
+def _attributes(obj):
+    """{name: (value, content)} of the attributes of ``obj`` ({} for None): content
+    is the bytes of an array, or of a sparse matrix's arrays, else None."""
+
+    def content(v):
+        if sp.issparse(v):
+            return b"".join(a.tobytes() for a in (v.data, v.indices, v.indptr))
+        return v.tobytes() if isinstance(v, np.ndarray) else None
+
+    return {} if obj is None else {name: (v, content(v)) for name, v in vars(obj).items()}
+
+
+def _as_built(obj, built):
+    """True if ``obj`` has exactly the attributes of the snapshot ``built``, bound to the same objects, with the same content."""
+    now = _attributes(obj)
+    return now.keys() == built.keys() and all(now[k][0] is v and now[k][1] == c for k, (v, c) in built.items())
+
+
 @pytest.mark.parametrize("clamped", [3, 40])
-def test_a11_free_set_solve_matches_fresh_factor(clamped):
+def test_a11_free_set_solve_matches_fresh_factor(monkeypatch, clamped):
     # 225 nodes: CG on the full factor for every free set, at most |C| + 1
     # steps in exact arithmetic
     mesh = build_structured(16, 16)
@@ -850,16 +889,17 @@ def test_a11_free_set_solve_matches_fresh_factor(clamped):
     free = _random_free_set(n, clamped, seed=clamped)
     b = np.random.default_rng(7).normal(size=np.count_nonzero(free))
     a11 = _a11_factor(mesh, system)
-    x = a11.solve(b, free)
+    counted = _count_lu_solves(monkeypatch)
+    x, steps = a11.solve(b, free)
     sub = sp.csc_matrix(system.A11[free][:, free])
     x_ref = spla.splu(sub).solve(b)
     assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
     assert np.linalg.norm(sub @ x - b) <= 1e-13 * np.linalg.norm(b)
-    steps = 4 if clamped == 3 else 22
-    assert a11.cg_steps == a11.full.solves == steps
-    # the same free set runs CG with the same preconditioner again
-    a11.solve(b, free)
-    assert a11.cg_steps == a11.full.solves == 2 * steps
+    assert steps == counted["lu_solve"] == (4 if clamped == 3 else 22)
+    # the same free set runs CG with the same preconditioner again, to the same answer
+    again, steps_again = a11.solve(b, free)
+    assert again.tobytes() == x.tobytes()
+    assert steps_again == steps and counted["lu_solve"] == 2 * steps
 
 
 @pytest.mark.parametrize("clamped", [0, 3, 40])
@@ -874,26 +914,25 @@ def test_jacobi_free_set_solve_matches_fresh_factor(clamped):
     free = _random_free_set(system.A11.shape[0], clamped, seed=clamped)
     b = np.random.default_rng(7).normal(size=np.count_nonzero(free))
     a11 = _a11_factor(mesh, system, jacobi=True)
-    x = a11.solve(b, free)
+    x, steps = a11.solve(b, free)
     sub = sp.csc_matrix(system.A11[free][:, free])
     x_ref = spla.splu(sub).solve(b)
     assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
     assert (a11.fill_nnz, a11.full) == (0, None)
     lo, hi = egbp.solver._kappa_bound(system.A11, spec.mu * system.M1.diagonal())
-    assert 0 < a11.cg_steps <= 0.5 * np.sqrt(hi / lo) * np.log(2.0 / 1e-15)
+    assert 0 < steps <= 0.5 * np.sqrt(hi / lo) * np.log(2.0 / 1e-15)
 
 
 @pytest.mark.parametrize("jacobi", [True, False])
-def test_all_clamped_free_set_solves_nothing(jacobi):
+def test_all_clamped_free_set_solves_nothing(monkeypatch, jacobi):
     # an empty free set: no factorization, no CG step, no triangular solve
     mesh = build_structured(16, 16)
     system = assemble_system(mesh, make_spec(epsilon=1e-5, f=lambda x, y: 1.0 + 0.0 * x))
     a11 = _a11_factor(mesh, system, jacobi)
-    full = a11.full
-    x = a11.solve(np.zeros(0), np.zeros(system.A11.shape[0], dtype=bool))
+    built, counted = _attributes(a11), _count_lu_solves(monkeypatch)
+    x, steps = a11.solve(np.zeros(0), np.zeros(system.A11.shape[0], dtype=bool))
     assert x.shape == (0,)
-    assert (a11.full, a11.cg_steps) == (full, 0)
-    assert jacobi or a11.full.solves == 0
+    assert (steps, counted["lu_solve"]) == (0, 0) and _as_built(a11, built)
 
 
 @pytest.mark.parametrize("case", ["smooth", "layer"])
@@ -938,15 +977,17 @@ def _graded_a11(jacobi):
 @pytest.mark.parametrize("jacobi", [True, False])
 @pytest.mark.parametrize("clamped", [0, 1, 112, 218])  # none, one, half and 97% of 225 nodes
 def test_free_row_cg_matches_the_padded_full_product(jacobi, clamped):
-    # The Step-1 CG multiplies only the rows A[I, :] of the free set, cut
-    # again whenever the set changes: the answers and CG step counts equal,
-    # bit for bit, those of the padded product with the whole A.  Each count
+    # The Step-1 CG multiplies only the rows A[I, :] of the free set, which
+    # each solve cuts: the answers and CG step counts equal, bit for bit,
+    # those of the padded product with the whole A.  Each count
     # runs a set, another set of the same size, the first set again and the
     # all-free set.  On the factor path the full factor preconditions every
     # set: the all-free set takes one step, one clamped node |C| + 1 = 2,
     # half of the nodes 12 and 97% (7 free nodes) 7.  Each set is solved
-    # from zero and again from a random start.
+    # from zero and again from a random start.  No solve leaves anything
+    # on the factor: it keeps the attributes it was built with.
     system, a11 = _graded_a11(jacobi)
+    own, full = _attributes(a11), _attributes(a11.full)
     n = system.A11.shape[0]
     first, second = (_random_free_set(n, clamped, seed) for seed in (clamped, clamped + 1))
     rng = np.random.default_rng(7)
@@ -954,45 +995,43 @@ def test_free_row_cg_matches_the_padded_full_product(jacobi, clamped):
         b = rng.normal(size=np.count_nonzero(free))
         for x0 in (None, rng.normal(size=b.size)):
             x_ref, steps = padded_restricted_solve(a11, b, free, x0)
-            cg_steps = a11.cg_steps
-            x = a11.solve(b, free, x0)
+            x, cg_steps = a11.solve(b, free, x0)
             assert x.tobytes() == x_ref.tobytes()
-            assert a11.cg_steps - cg_steps == steps
+            assert cg_steps == steps
+            assert _as_built(a11, own) and _as_built(a11.full, full)
             assert steps > 0 if jacobi else steps == (1 if free.all() else {0: 1, 1: 2, 112: 12, 218: 7}[clamped])
 
 
 @pytest.mark.parametrize("jacobi", [True, False])
-def test_inverse_works_in_the_callers_numbering(jacobi):
+def test_inverse_works_in_the_callers_numbering(monkeypatch, jacobi):
     # inverse takes and returns vectors in A's own numbering: on the factor
     # path it recovers x from A x to round-off with one triangular solve, on
     # the Jacobi path it scales by the reciprocal diagonal, bit for bit
     system, a11 = _graded_a11(jacobi)
+    counted = _count_lu_solves(monkeypatch)
     A = system.A11
     x = np.random.default_rng(5).normal(size=A.shape[0])
     r = A @ x
     if jacobi:
         assert a11.inverse(r).tobytes() == ((1.0 / A.diagonal()) * r).tobytes()
     else:
-        solves = a11.full.solves
         assert np.abs(a11.inverse(r) - x).max() <= 1e-14 * np.abs(x).max()
-        assert a11.full.solves == solves + 1
-    assert a11.cg_steps == 0
+    assert counted["lu_solve"] == (0 if jacobi else 1)
 
 
 @pytest.mark.parametrize("jacobi", [True, False])
 @pytest.mark.parametrize("clamped", [0, 3, 112])
-def test_start_that_meets_the_backward_error_takes_no_step(jacobi, clamped):
+def test_start_that_meets_the_backward_error_takes_no_step(monkeypatch, jacobi, clamped):
     # A solve started at the answer of the same system returns that start,
     # bit for bit, after 0 CG steps (0 triangular solves on the factor path)
     system, a11 = _graded_a11(jacobi)
     free = _random_free_set(system.A11.shape[0], clamped, seed=clamped)
     b = np.random.default_rng(7).normal(size=np.count_nonzero(free))
-    x0 = a11.solve(b, free)
-    counts = lambda: (a11.cg_steps, 0 if jacobi else a11.full.solves)
-    before = counts()
-    x = a11.solve(b, free, x0)
+    x0, _ = a11.solve(b, free)
+    counted = _count_lu_solves(monkeypatch)
+    x, steps = a11.solve(b, free, x0)
     assert x.tobytes() == x0.tobytes() and x is not x0
-    assert counts() == before
+    assert (steps, counted["lu_solve"]) == (0, 0)
 
 
 @pytest.mark.parametrize("jacobi", [True, False])
@@ -1008,11 +1047,40 @@ def test_random_starts_meet_the_backward_error(jacobi):
             sub = system.A11[free][:, free]
             b = rng.normal(size=np.count_nonzero(free))
             x0 = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=b.size)
-            cold = a11.solve(b, free)
-            x = a11.solve(b, free, x0)
+            cold, _ = a11.solve(b, free)
+            x, _ = a11.solve(b, free, x0)
             norm = egbp.solver._inf_norm(sub)
             assert np.abs(b - sub @ x).max() <= 1e-15 * (norm * np.abs(x).max() + np.abs(b).max())
             assert np.linalg.norm(x - cold) <= 1e-13 * np.linalg.norm(cold)
+
+
+@pytest.mark.parametrize("refinements, path", [(0, "factor"), (1, "jacobi")])
+def test_solves_leave_every_factor_as_built(monkeypatch, refinements, path):
+    # A factor is a value: after the solves, every OrderedFactor and its
+    # SpdFactor hold the attributes they were built with, bound to the same
+    # objects with the same content.  On one layer mesh (288 elements: the
+    # factor path, most nodes clamped; 1,152: Jacobi) a bound-preserving
+    # solve, a second one that takes the A00 factor the mesh kept, and the
+    # comparator on that A00, which takes it too.  Only K_gamma's SpdFactor
+    # loses its SuperLU object, which the worker thread frees (_release).
+    built = []
+
+    class RecordingFactor(OrderedFactor):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append((self, _attributes(self), _attributes(self.full)))
+
+    monkeypatch.setattr(egbp.solver, "OrderedFactor", RecordingFactor)
+    mesh, spec = _layer_problem(refinements)
+    traces = [solve_bound_preserving(mesh, spec).trace for _ in range(2)]
+    solve_standard_eg(mesh, spec)
+    assert [(t.a11_path, t.a00_reused) for t in traces] == [(path, False), (path, True)]
+    assert min(traces[0].clamped_per_outer) > 0
+    assert [factor.name for factor, _, _ in built] == ["A11", "A00", "A11", "K_gamma", "A11"]
+    for factor, own, full in built:
+        if factor.name == "K_gamma":
+            del full["lu"]
+        assert _as_built(factor, own) and _as_built(factor.full, full), factor.name
 
 
 @pytest.mark.parametrize("case", ["jacobi", "factor"])
@@ -1050,7 +1118,7 @@ def test_every_factored_matrix_is_exactly_symmetric(monkeypatch, case):
         assert sorted(names[n_bp:]) == [("A00", 4608), ("A11", 2209), ("K_gamma", 2209)]
 
 
-def test_step1_cg_solve_checks_its_answer():
+def test_step1_cg_solve_checks_its_answer(monkeypatch):
     # CG does not change when its preconditioner is scaled: with the LU of
     # 2·A11 as the full factor the solve still meets backward error 1e-15.
     # With the LU of -A11 the preconditioner is negative definite: CG breaks
@@ -1062,9 +1130,10 @@ def test_step1_cg_solve_checks_its_answer():
     sub = system.A11[free][:, free]
     a11 = _a11_factor(mesh, system)
     a11.full.lu = spla.splu(sp.csc_matrix(2.0 * a11.full.A))
-    x = a11.solve(b, free)
+    counted = _count_lu_solves(monkeypatch)
+    x, steps = a11.solve(b, free)
     assert np.abs(b - sub @ x).max() <= 1e-15 * (a11.norm * np.abs(x).max() + np.abs(b).max())
-    assert a11.full.solves == a11.cg_steps == 4  # |C| + 1, as with the LU of A11
+    assert counted["lu_solve"] == steps == 4  # |C| + 1, as with the LU of A11
     a11 = _a11_factor(mesh, system)
     a11.full.lu = spla.splu(sp.csc_matrix(-a11.full.A))
     with pytest.raises(SolverError, match=r"CG on A11\[I, I\] broke down: r\^T z = .*preconditioner is not positive definite"):
@@ -1178,7 +1247,7 @@ def _free_sets_per_step1(monkeypatch, mesh, spec):
         sweeps.append([])
         return newton(*args, **kwargs)
 
-    def recording_solve(self, b, free, x0=None):
+    def recording_solve(self, b, free=None, x0=None):
         if sweeps and self.name == "A11":  # not the initial sweep, not A00
             sweeps[-1].append(free.copy())
         return solve_free(self, b, free, x0)
@@ -1406,19 +1475,26 @@ def _same_function(f, g):
 def test_one_system_solved_twice_reuses_the_a00_factor(monkeypatch, case):
     # The second solve of one system takes the factor of A00 its mesh kept:
     # u and u+ are bit-identical, and each trace counts the triangular
-    # solves made during its own solve, the same number for both
-    counted = _count_triangular_solves(monkeypatch)
+    # solves made during its own solve, the same number for both.  So does
+    # a third solve after the comparator took that factor too: a trace adds
+    # up the CG steps its own solves returned.  The triangular solves are
+    # counted as SuperLU's and as SpdFactor.lu_solve calls.
+    counted, lu_solves = _count_triangular_solves(monkeypatch), _count_lu_solves(monkeypatch)
     mesh, spec = _smooth_problem() if case == "smooth" else _layer_problem()
     system = assemble_system(mesh, spec)
     solutions = []
-    for _ in range(2):
-        counted["rhs"] = 0
+    for comparator_first in (False, False, True):
+        if comparator_first:
+            lu_solves["lu_solve"] = 0
+            solve_standard_eg(mesh, spec, system=system)
+            assert lu_solves["lu_solve"] > 0
+        counted["rhs"] = lu_solves["lu_solve"] = 0
         solutions.append(solve_bound_preserving(mesh, spec, system=system))
-        assert solutions[-1].trace.triangular_solves == counted["rhs"] > 0
-    a, b = solutions
-    assert _same_function(a.u, b.u) and _same_function(a.u_plus, b.u_plus)
-    assert (a.trace.a00_reused, b.trace.a00_reused) == (False, True)
-    assert a.trace.triangular_solves == b.trace.triangular_solves
+        assert solutions[-1].trace.triangular_solves == counted["rhs"] == lu_solves["lu_solve"] > 0
+    a, b, c = solutions
+    assert all(_same_function(a.u, s.u) and _same_function(a.u_plus, s.u_plus) for s in (b, c))
+    assert (a.trace.a00_reused, b.trace.a00_reused, c.trace.a00_reused) == (False, True, True)
+    assert a.trace.triangular_solves == b.trace.triangular_solves == c.trace.triangular_solves
 
 
 @pytest.mark.parametrize("scale", [2.0, 1.0 + 2.0**-52])
@@ -1618,7 +1694,7 @@ def test_stretched_mesh_solve_converges():
     assert a - 1e-10 <= vals[interior].min() and vals[interior].max() <= b + 1e-10
 
 
-def test_refinement_stops_at_backward_error():
+def test_refinement_stops_at_backward_error(monkeypatch):
     # b = A x with x the smoothest mode of the 1-D Laplacian: ||A|| ||x|| / ||b||
     # is 4e5, so ||r|| / ||b|| stalls near 4e-11 while the backward error is
     # at round-off; the solve must not raise
@@ -1628,11 +1704,12 @@ def test_refinement_stops_at_backward_error():
     b = A @ x
     factor = SpdFactor(A)
     assert factor.A is A and egbp.solver._inf_norm(A) == 4.0
+    counted = _count_lu_solves(monkeypatch)
     y = factor.solve(b)
     r = np.abs(b - A @ y).max()
     assert r <= 1e-12 * (4.0 * np.abs(y).max() + np.abs(b).max())
     assert np.abs(y - x).max() <= 1e-9
-    assert factor.solves >= 1
+    assert counted["lu_solve"] >= 1
 
 
 def _count_triangular_solves(monkeypatch):
@@ -1694,20 +1771,21 @@ def test_step1_start_that_meets_the_backward_error_factors_nothing(monkeypatch):
     norm = egbp.solver._inf_norm(system.A11)
     solve_free, met = OrderedFactor.solve, []
 
-    def recording_solve(self, b, free, x0=None):
+    def recording_solve(self, b, free=None, x0=None):
         if x0 is None:  # the initial sweep's A11 solve and every A00 solve
             return solve_free(self, b, free, x0)
         r = b - system.A11[free][:, free] @ x0
         meets = np.abs(r).max() <= 1e-15 * (norm * np.abs(x0).max() + np.abs(b).max())
         before = dict(counted)
-        x = solve_free(self, b, free, x0)
-        met.append((meets, counted["splu"] - before["splu"], counted["rhs"] - before["rhs"], x.tobytes() == x0.tobytes()))
-        return x
+        x, steps = solve_free(self, b, free, x0)
+        met.append((meets, counted["splu"] - before["splu"], counted["rhs"] - before["rhs"], x.tobytes() == x0.tobytes(), steps))
+        return x, steps
 
     monkeypatch.setattr(OrderedFactor, "solve", recording_solve)
     trace = solve_bound_preserving(mesh, spec, system=system).trace
     assert (mesh.num_elements, trace.a11_path, trace.inner_iters_per_outer) == (288, "factor", [3, 3, 1, 1])
     assert [bool(m[0]) for m in met] == [False, False, True, False, False, True, False, False]
     assert all(m[1] == 0 for m in met)
-    assert [m[1:] for m in met if m[0]] == [(0, 0, True)] * 2
+    assert [m[1:] for m in met if m[0]] == [(0, 0, True, 0)] * 2
+    assert all(m[2] == m[4] > 0 for m in met if not m[0])  # one triangular solve per CG step
     assert counted["splu"] == 2  # A11 and A00, before Step 1
