@@ -45,7 +45,9 @@ __all__ = ["ProblemSpec", "BlockSystem", "assemble_system", "penalty_stiffness"]
 class ProblemSpec:
     """Coefficients, data, penalty parameters, and solver controls.
 
-    The solve reads tol_outer.  ``omega`` and
+    The solve reads tol_outer, the bound on the outer loop's increment of
+    the constants and on its estimate of the error left (see
+    solver.solve_bound_preserving).  ``omega`` and
     ``tol_inner`` are read by no solve: Step 1 is solved exactly, without
     damping or a tolerance.  They are accepted (and omega validated) so
     that existing callers keep working.

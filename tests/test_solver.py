@@ -233,6 +233,17 @@ def test_standard_eg_raises_on_indefinite_schur_complement():
         solve_standard_eg(mesh, spec, system=replace(system, A10=3.0 * system.A10))
 
 
+def test_standard_eg_breakdown_names_the_penalty():
+    # On the mesh sheared by x -> x + 2y, at eps = 1, gamma = 10 and beta = 1
+    # the penalty is below its coercivity threshold: S is indefinite, and
+    # the error names the gamma and beta that made it so.
+    mesh = sheared(refine_uniform(build_structured(8, 8)), 2.0)
+    spec = make_spec(epsilon=1.0, gamma=10.0, beta=1, alpha=0.0, f=lambda x, y: 1.0 + 0.0 * x)
+    message = r"^CG on S broke down: p\^T A p = -.*, S is not positive definite \(penalty gamma = 10, beta = 1\)$"
+    with pytest.raises(SolverError, match=message):
+        solve_standard_eg(mesh, spec)
+
+
 def test_standard_eg_raises_when_the_monolithic_residual_misses(monkeypatch):
     # a Schur solve that returns c S^{-1} g leaves a monolithic backward
     # error above 1e-15, and the solve checks it once: c = 1/2, and
@@ -1270,6 +1281,63 @@ def test_step1_never_solves_twice_on_one_free_set(monkeypatch, case):
             assert not np.array_equal(prev, free)
 
 
+def _stop_reads(increments, tol_outer):
+    """How the outer loop's stop rule reads each sweep k of ``increments`` d:
+    "increment" if d_k <= tol_outer, else "estimate" if k >= 2, rho = d_k /
+    d_{k-1} < 1 and rho / (1 - rho) d_k <= tol_outer (the nonlinear residual
+    then decides), else ""."""
+    reads = []
+    for k, d in enumerate(increments):
+        rho = d / increments[k - 1] if k else np.inf
+        if d <= tol_outer:
+            reads.append("increment")
+        elif rho < 1.0 and rho / (1.0 - rho) * d <= tol_outer:
+            reads.append("estimate")
+        else:
+            reads.append("")
+    return reads
+
+
+def _meets_stop_rule(trace, tol_outer):
+    """True if the last sweep of ``trace`` meets the outer loop's stop rule."""
+    last = _stop_reads(trace.outer_increments, tol_outer)[-1]
+    return last == "increment" or (last == "estimate" and trace.nonlinear_residual <= tol_outer + 1e-12)
+
+
+@pytest.mark.parametrize("beta", [2, 4])
+@pytest.mark.parametrize("refinements", [1, 2, 3])
+@pytest.mark.parametrize("case", ["smooth", "layer"])
+def test_outer_loop_stops_at_the_first_sweep_that_meets_its_rule(monkeypatch, case, refinements, beta):
+    # The loop stops at d_k <= tol_outer, or where the error estimate
+    # rho / (1 - rho) d_k is within tol_outer and the residual of that
+    # iterate within tol_outer + 1e-12.  Each sweep the estimate passes
+    # computes one residual; every one but the last exceeds that bound, and
+    # the last is the solution's own, computed once.  u+ agrees with a solve
+    # at tol_outer = 1e-15.
+    mesh, spec = _smooth_problem(refinements) if case == "smooth" else _layer_problem(refinements)
+    spec = replace(spec, beta=beta, tol_outer=ProblemSpec.tol_outer)
+    residuals, residual = [], egbp.solver.nonlinear_residual
+
+    def recording(system, solution):
+        residuals.append(residual(system, solution))
+        return residuals[-1]
+
+    monkeypatch.setattr(egbp.solver, "nonlinear_residual", recording)
+    sol = solve_bound_preserving(mesh, spec)
+    t, tol = sol.trace, spec.tol_outer
+    assert t.converged and _meets_stop_rule(t, tol)
+    reads = _stop_reads(t.outer_increments, tol)
+    assert "increment" not in reads[:-1]
+    trials = reads.count("estimate")
+    assert len(residuals) == trials + (reads[-1] == "increment")
+    assert all(r > tol + 1e-12 for r in residuals[:-1])
+    assert residuals[-1] == t.nonlinear_residual
+    tight = solve_bound_preserving(mesh, replace(spec, tol_outer=1e-15)).u_plus
+    got = np.concatenate([sol.u_plus.linear_coeffs, sol.u_plus.const_coeffs])
+    want = np.concatenate([tight.linear_coeffs, tight.const_coeffs])
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
 def test_trace_bookkeeping(monkeypatch):
     mesh = build_structured(4, 4)
     spec = make_spec(epsilon=1e-3, f=lambda x, y: 1.0 + 0.0 * x, bounds=(0.0, 1.0))
@@ -1281,7 +1349,7 @@ def test_trace_bookkeeping(monkeypatch):
     assert t.outer_iters == len(t.inner_residual_histories)
     for n, incs in zip(t.inner_iters_per_outer, t.inner_residual_histories):
         assert n == len(incs)
-    assert t.outer_increments[-1] <= spec.tol_outer
+    assert _meets_stop_rule(t, spec.tol_outer)
     assert t.feasibility_violations == sum(1 for ok in t.feasible_per_outer if not ok)
     # per outer sweep: worst feasibility slack and clamped nodes
     assert t.outer_iters == len(t.worst_slack_per_outer) == len(t.clamped_per_outer)
@@ -1783,8 +1851,8 @@ def test_step1_start_that_meets_the_backward_error_factors_nothing(monkeypatch):
 
     monkeypatch.setattr(OrderedFactor, "solve", recording_solve)
     trace = solve_bound_preserving(mesh, spec, system=system).trace
-    assert (mesh.num_elements, trace.a11_path, trace.inner_iters_per_outer) == (288, "factor", [3, 3, 1, 1])
-    assert [bool(m[0]) for m in met] == [False, False, True, False, False, True, False, False]
+    assert (mesh.num_elements, trace.a11_path, trace.inner_iters_per_outer) == (288, "factor", [3, 3, 1])
+    assert [bool(m[0]) for m in met] == [False, False, True, False, False, True, False]
     assert all(m[1] == 0 for m in met)
     assert [m[1:] for m in met if m[0]] == [(0, 0, True, 0)] * 2
     assert all(m[2] == m[4] > 0 for m in met if not m[0])  # one triangular solve per CG step
