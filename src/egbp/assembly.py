@@ -12,7 +12,8 @@ np.bincount in a fixed order (deterministic), and each off-diagonal value
 is stored once for both of its entries (exactly symmetric).  Dirichlet data
 are imposed weakly (Nitsche): the right-hand side keeps the penalty and the
 symmetric consistency term of the data, taken as the trace of the lift, and
-subtracts the rest of a_h(lift, v).
+subtracts the rest of a_h(lift, v), each summed from the terms that remain,
+so no penalty-sized term cancels.
 
 The stencil's index structure depends only on the mesh and the interior
 vertices, so each mesh keeps it (see _Stencil and Mesh): the first
@@ -50,7 +51,10 @@ class ProblemSpec:
     solver.solve_bound_preserving).  ``omega`` and
     ``tol_inner`` are read by no solve: Step 1 is solved exactly, without
     damping or a tolerance.  They are accepted (and omega validated) so
-    that existing callers keep working.
+    that existing callers keep working.  ValueError on a non-finite
+    coefficient, nonpositive eps, mu or gamma, negative alpha, beta not an
+    integer >= 1, bounds a > b, an unknown f_quadrature, or a negative or
+    non-finite tol_outer.
     """
 
     epsilon: float

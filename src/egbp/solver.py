@@ -21,9 +21,7 @@ the current Newton iterate, and its free set picks only the preconditioner
 assembly stencil keeps for its unknowns (see assembly._order), and each
 mesh keeps its last factor of A00 for every later solve whose A00 equals
 it bit for bit (see _a00_factor).  No solve changes a factor: each
-returns its CG steps.  The standard solve factors K_gamma on
-one worker thread while the caller factors A00; the answers are those of a
-serial run, bit for bit.  Every linear solve is one routine, CG
+returns its CG steps.  Every linear solve is one routine, CG
 (_pcg) to normwise backward error _CG_TOL, on the system's blocks in the
 system's numbering; a factor enters only as its preconditioner
 (OrderedFactor.inverse), and its order only inside that.
@@ -31,7 +29,6 @@ system's numbering; a factor enters only as its preconditioner
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,7 +181,7 @@ class SpdFactor:
         symmetric.  SuperLU's transposed solve is the faster one: on the
         18,432-element layer mesh an A00 solve takes 1.5 ms against 2.1 ms,
         a K_gamma solve (9,025 unknowns) 1.0 ms against 1.4 ms (medians of
-        1,000 interleaved solves, one thread, 2-vCPU VM).
+        1,000 interleaved solves on one core of a 2-vCPU VM).
         """
         return self.lu.solve(b, trans="T")
 
@@ -202,7 +199,7 @@ def _inf_norm(A):
 def _prepare(mesh, spec, dofs, system, lift):
     """``system``, or one assembled from dofs and lift; a dofs or lift given
     with a system must equal the system's own, and the system's dofs and A00
-    must fit the mesh."""
+    must fit the mesh, else ValueError."""
     if system is None:
         return assemble_system(mesh, spec, dofs, lift)
     _check_dofs(mesh, system.dofs)
@@ -343,46 +340,30 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     one K_gamma triangular solve, f = K_gamma's fill, per step, against the
     f^2 / n1 flops that a factor of A11 takes at least (f entries over n1
     columns), which has K_gamma's pattern and order and so its fill.  The
-    A00 factor is the mesh's kept one if equal (see _a00_factor).  K_gamma
-    is factored on one worker thread while the caller factors A00 and
-    computes _kappa_bound: SuperLU's factorization releases the GIL, so the
-    two, about half of the 18,432-element comparator, share two cores.  The
-    caller makes both orders and K_gamma first, so the worker writes
-    nothing shared, and the worker's SolverError is raised here.  On every
-    exit the worker frees the factor it made (see _release) and is joined.
-    SuperLU is deterministic, so the answers are a serial run's, bit for
-    bit; K_gamma's factor, about 6 MB at 18,432 elements, is alive while
-    A00 is factored.
+    A00 factor is the mesh's kept one if equal (see _a00_factor).
     Every inverse is an OrderedFactor's, in the system's numbering.
     Returns the full discrete solution including the Dirichlet lift.
     """
     system = _prepare(mesh, spec, dofs, system, lift)
     n1 = system.dofs.n_interior
     p1 = _order(mesh, system.dofs, "vertex")
-    _order(mesh, system.dofs, "element")  # made before the worker starts, as is K
-    K = penalty_stiffness(mesh, spec, system.dofs)
     A11, A10, A00 = system.A11, system.A10, system.A00
     b1, b0 = system.b1, system.b0
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        made = worker.submit(OrderedFactor, K, "K_gamma", p1)
-        try:
-            a00 = _a00_factor(mesh, system)[0]
-            lo, hi = _kappa_bound(A11, spec.mu * system.M1.diagonal())
-            k_gamma = made.result()
-            fill = k_gamma.fill_nnz
-            jacobi = _jacobi_pays(hi / lo, fill, fill**2 / max(n1, 1))
-            a11 = OrderedFactor(A11, "A11", None if jacobi else p1)
-            a11_inverse = _chebyshev(a11, lo, hi) if jacobi else a11.inverse
+    k_gamma = OrderedFactor(penalty_stiffness(mesh, spec, system.dofs), "K_gamma", p1)
+    a00 = _a00_factor(mesh, system)[0]
+    lo, hi = _kappa_bound(A11, spec.mu * system.M1.diagonal())
+    fill = k_gamma.fill_nnz
+    jacobi = _jacobi_pays(hi / lo, fill, fill**2 / max(n1, 1))
+    a11 = OrderedFactor(A11, "A11", None if jacobi else p1)
+    a11_inverse = _chebyshev(a11, lo, hi) if jacobi else a11.inverse
 
-            schur = lambda p: A11 @ p - A10 @ a00.inverse(A10.T @ p)  # ||S||_2 <= ||A11||_inf
-            precond = lambda r: a11_inverse(r) + k_gamma.inverse(r)
-            try:
-                u1 = _pcg(schur, precond, b1 - A10 @ a00.inverse(b0), a11.norm, "S")[0]
-            except SolverError as exc:  # a penalty below its coercivity threshold leaves S indefinite
-                raise SolverError("%s (penalty gamma = %g, beta = %d)" % (exc, spec.gamma, spec.beta)) from exc
-            u0 = a00.inverse(b0 - A10.T @ u1)
-        finally:
-            worker.submit(_release, made).result()
+    schur = lambda p: A11 @ p - A10 @ a00.inverse(A10.T @ p)  # ||S||_2 <= ||A11||_inf
+    precond = lambda r: a11_inverse(r) + k_gamma.inverse(r)
+    try:
+        u1 = _pcg(schur, precond, b1 - A10 @ a00.inverse(b0), a11.norm, "S")[0]
+    except SolverError as exc:  # a penalty below its coercivity threshold leaves S indefinite
+        raise SolverError("%s (penalty gamma = %g, beta = %d)" % (exc, spec.gamma, spec.beta)) from exc
+    u0 = a00.inverse(b0 - A10.T @ u1)
     o1, o0 = np.ones(n1), np.ones(b0.size)  # ||A||_inf, one block's |.| alive at a time
     norm = np.concatenate([abs(A11) @ o1 + abs(A10) @ o0, abs(A10.T) @ o1 + abs(A00) @ o0]).max()
     x, b = np.concatenate([u1, u0]), np.concatenate([b1, b0])
@@ -391,19 +372,6 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     if not res <= _CG_TOL * scale:
         raise SolverError("standard EG system missed backward error %.0e: residual %.3e, scale %.3e" % (_CG_TOL, res, scale))
     return _compose(system, u1, u0)
-
-
-def _release(made):
-    """Drop the SuperLU factor of the OrderedFactor that the done future ``made`` holds, if it made one.
-
-    SciPy's SuperLU frees a factor's L and U only on the thread that made
-    them: dropped on another thread, they leak (SciPy 1.17.1; 7 MB per
-    factor of a 10,000-unknown Laplacian, and about 10 MB per layer pass
-    when the caller dropped each K_gamma factor).  So the worker that made
-    the factor runs this, last, on every exit.
-    """
-    if made.exception() is None:
-        del made.result().full.lu
 
 
 class OrderedFactor:

@@ -67,17 +67,11 @@ def test_traced_pass_passes_the_benchmark_gate(monkeypatch, name):
         reached.add("solve_standard_eg")
     assert all(tracer.calls(fn) > 0 for fn in reached)
 
-    def caller(par):
-        # The comparator factors K_gamma on a worker thread beside A00, and
-        # the span stack is shared, so either factor span may open inside
-        # the other: a factor's caller is its nearest ancestor that is not
-        # a factor span.  Each link is an earlier span, so the walk ends.
-        while par >= 0 and tracer.spans[par][0].startswith("factor:"):
-            par = tracer.spans[par][4]
-        return tracer.spans[par][0] if par >= 0 else None
-
     def factored(kind, parent):
-        return sum(1 for n, _, _, _, par in tracer.spans if n == "factor:" + kind and caller(par) == parent)
+        # A factor span's parent span is the solve or the step that made it:
+        # the comparator makes its factors one after another, so no factor
+        # span opens inside another.
+        return sum(1 for n, _, _, _, par in tracer.spans if n == "factor:" + kind and par >= 0 and tracer.spans[par][0] == parent)
 
     # A bound-preserving solve factors A00 unless an earlier solve on its
     # mesh did (tol_sweep solves its mesh three times) and, on the factor

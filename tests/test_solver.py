@@ -1,7 +1,6 @@
 import gc
 import threading
 import weakref
-from concurrent.futures import Future
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -548,8 +547,8 @@ def test_standard_eg_factors_only_A11_and_A00(monkeypatch):
     # builds the monolithic matrix.  On 4,608 layer elements eps = 1e-7 takes
     # diag(A11)^{-1} in place of the A11 factor, eps = 1e-3 the factor.  The
     # mesh's stencil keeps both orders: the second solve makes neither again.
-    # K_gamma is factored on a worker thread beside A00, so the factors are
-    # read by name, each made once; the caller makes both orders, A11's first.
+    # The comparator makes its factors in turn, K_gamma, A00, then A11, and
+    # A11's order, for K_gamma, before A00's.
     mesh, layer_spec = _layer_problem(refinements=2)
     orders, factored = [], []
     dissection = egbp.assembly._nested_dissection
@@ -569,13 +568,13 @@ def test_standard_eg_factors_only_A11_and_A00(monkeypatch):
     monkeypatch.setattr(egbp.assembly, "_nested_dissection", recording_dissection)
     monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
     monkeypatch.setattr(BlockSystem, "full_matrix", monolithic)
-    for epsilon, names in ((1e-7, ["A00", "K_gamma"]), (1e-3, ["A00", "K_gamma", "A11"])):
+    for epsilon, names in ((1e-7, ["K_gamma", "A00"]), (1e-3, ["K_gamma", "A00", "A11"])):
         spec = replace(layer_spec, epsilon=epsilon, beta=1, alpha=0.0)
         system = assemble_system(mesh, spec)
         orders.clear()
         factored.clear()
         u = solve_standard_eg(mesh, spec, system=system)
-        assert sorted(name for name, _ in factored) == sorted(names)
+        assert [name for name, _ in factored] == names
         if epsilon == 1e-7:
             p1, p0 = orders
         assert len(orders) == (2 if epsilon == 1e-7 else 0)
@@ -630,27 +629,24 @@ def _factor_threads(monkeypatch, fail=None):
 
 
 @pytest.mark.parametrize("epsilon", [1e-7, 1e-3])
-def test_standard_eg_factors_K_gamma_on_one_worker_thread(monkeypatch, epsilon):
-    # K_gamma is factored on one worker thread while the caller factors A00;
-    # A11, on the factor path, once K_gamma is made.  No more than one
-    # thread is started, and none is left alive once the solve returns or
-    # raises, whichever factor fails.  Every factor dies on the thread that
-    # made it, as SciPy's SuperLU leaks the L and U of a factor dropped on
-    # another: K_gamma's when the solve ends, A00's with its mesh.
+def test_standard_eg_factors_on_the_calling_thread(monkeypatch, epsilon):
+    # The comparator starts no thread: K_gamma, A00 and, on the factor path,
+    # A11 are made in that order on the caller, with no other thread alive,
+    # and each dies there: K_gamma's and A11's when the solve ends, A00's
+    # with its mesh.  SciPy's SuperLU leaks the L and U of a factor dropped
+    # on another thread than the one that made it.  A failing K_gamma factor
+    # raises before anything else is factored, a failing A00 factor after
+    # K_gamma, and both factors still die on the caller.
     before, caller = threading.active_count(), threading.get_ident()
     mesh, spec, system = _comparator_problem(epsilon)
     seen = _factor_threads(monkeypatch)
     solve_standard_eg(mesh, spec, system=system)
     assert threading.active_count() == before
-    names = ["A00", "K_gamma"] + (["A11"] if epsilon == 1e-3 else [])
-    assert sorted(name for name, *_ in seen) == sorted(names)
-    made = {name: (thread, alive) for name, thread, alive, _ in seen}
-    k_thread, k_alive = made["K_gamma"]
-    assert k_thread != caller and k_alive == before + 1
-    assert made["A00"] == made.get("A11", made["A00"]) == (caller, before + 1)
+    names = ["K_gamma", "A00"] + (["A11"] if epsilon == 1e-3 else [])
+    assert [(name, thread, alive) for name, thread, alive, _ in seen] == [(name, caller, before) for name in names]
     del mesh, system
     gc.collect()
-    assert all(dropped == thread for _, thread, _, dropped in seen)
+    assert [dropped for *_, dropped in seen] == [caller] * len(names)
 
     stiffness = egbp.solver.penalty_stiffness
 
@@ -659,10 +655,12 @@ def test_standard_eg_factors_K_gamma_on_one_worker_thread(monkeypatch, epsilon):
         K[0, 0] = -K[0, 0]
         return K
 
+    seen.clear()
     monkeypatch.setattr(egbp.solver, "penalty_stiffness", bad_stiffness)
     with pytest.raises(SolverError, match="^matrix K_gamma has a nonpositive diagonal entry$"):
         solve_standard_eg(*_comparator_problem(epsilon)[:2])
     assert threading.active_count() == before
+    assert [(name, thread, alive) for name, thread, alive, _ in seen] == [("K_gamma", caller, before)]
     monkeypatch.undo()
 
     mesh, spec, system = _comparator_problem(epsilon)
@@ -672,45 +670,7 @@ def test_standard_eg_factors_K_gamma_on_one_worker_thread(monkeypatch, epsilon):
     assert threading.active_count() == before
     del failed
     gc.collect()
-    assert sorted((name, thread == caller, dropped == thread) for name, thread, _, dropped in seen) == [
-        ("A00", True, True),
-        ("K_gamma", False, True),
-    ]
-
-
-class _InlineExecutor:
-    """ThreadPoolExecutor's surface used by the solver, running each task in the caller at submit."""
-
-    def __init__(self, max_workers):
-        assert max_workers == 1
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
-@pytest.mark.parametrize("epsilon", [1e-7, 1e-3])
-def test_standard_eg_on_a_worker_thread_equals_the_serial_solve(monkeypatch, epsilon):
-    # SuperLU is deterministic: factoring K_gamma on the worker thread or
-    # inline in the caller gives the same u, bit for bit.  Each solve runs
-    # on a fresh mesh, so each factors A00 too.
-    threaded = solve_standard_eg(*_comparator_problem(epsilon)[:2])
-    seen = _factor_threads(monkeypatch)
-    monkeypatch.setattr(egbp.solver, "ThreadPoolExecutor", _InlineExecutor)
-    serial = solve_standard_eg(*_comparator_problem(epsilon)[:2])
-    assert {thread for _, thread, _, _ in seen} == {threading.get_ident()}
-    assert threaded.linear_coeffs.tobytes() == serial.linear_coeffs.tobytes()
-    assert threaded.const_coeffs.tobytes() == serial.const_coeffs.tobytes()
+    assert seen == [["K_gamma", caller, before, caller], ["A00", caller, before, caller]]
 
 
 def _comparator_cg_steps(monkeypatch, refinements, gamma, epsilon):
@@ -1072,8 +1032,7 @@ def test_solves_leave_every_factor_as_built(monkeypatch, refinements, path):
     # objects with the same content.  On one layer mesh (288 elements: the
     # factor path, most nodes clamped; 1,152: Jacobi) a bound-preserving
     # solve, a second one that takes the A00 factor the mesh kept, and the
-    # comparator on that A00, which takes it too.  Only K_gamma's SpdFactor
-    # loses its SuperLU object, which the worker thread frees (_release).
+    # comparator on that A00, which takes it too.
     built = []
 
     class RecordingFactor(OrderedFactor):
@@ -1089,8 +1048,6 @@ def test_solves_leave_every_factor_as_built(monkeypatch, refinements, path):
     assert min(traces[0].clamped_per_outer) > 0
     assert [factor.name for factor, _, _ in built] == ["A11", "A00", "A11", "K_gamma", "A11"]
     for factor, own, full in built:
-        if factor.name == "K_gamma":
-            del full["lu"]
         assert _as_built(factor, own) and _as_built(factor.full, full), factor.name
 
 
@@ -1119,14 +1076,13 @@ def test_every_factored_matrix_is_exactly_symmetric(monkeypatch, case):
     assert solve_bound_preserving(mesh, spec).trace.converged
     n_bp = len(names)
     solve_standard_eg(mesh, replace(spec, beta=1, alpha=0.0))
-    # the comparator factors K_gamma on a worker thread beside A00: its
-    # factors are compared as a sorted list
+    # the comparator factors K_gamma, A00, then A11
     if case == "jacobi":
         assert names[:n_bp] == [("A00", 4608)]
-        assert sorted(names[n_bp:]) == [("A00", 4608), ("K_gamma", 2209)]
+        assert names[n_bp:] == [("K_gamma", 2209), ("A00", 4608)]
     else:
         assert names[:n_bp] == [("A11", 2209), ("A00", 4608)]
-        assert sorted(names[n_bp:]) == [("A00", 4608), ("A11", 2209), ("K_gamma", 2209)]
+        assert names[n_bp:] == [("K_gamma", 2209), ("A00", 4608), ("A11", 2209)]
 
 
 def test_step1_cg_solve_checks_its_answer(monkeypatch):
