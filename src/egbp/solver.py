@@ -10,20 +10,20 @@ Newton solve stops at its first step that leaves the clamped set
 unchanged, since that step solved Step 1 exactly; it has no tolerance.
 Where A11 is a perturbed mass matrix (eps small against mu h^2), every
 Step-1 solve is CG preconditioned by the diagonal of A11, and A11 is never
-factored; an a-priori bound on the condition number picks that path (see
-_jacobi_pays).  There the standard solve's Schur preconditioner takes a
-Chebyshev polynomial of diag(A11)^{-1} A11 over that bound's interval in
-place of A11^{-1} (see _chebyshev).  Otherwise A11 is factored once per
-solve, and that one factor preconditions every free set; no submatrix is
-factored.  Each Step-1 solve is one CG on the free rows of A11, started at
-the current Newton iterate, and its free set picks only the preconditioner
-(see OrderedFactor).  Every matrix is factored in the order its mesh's
-assembly stencil keeps for its unknowns (see assembly._order), and each
-mesh keeps its last factor of A00 for every later solve whose A00 equals
-it bit for bit (see _a00_factor).  No solve changes a factor: each
-returns its CG steps.  Every linear solve is one routine, CG
-(_pcg) to normwise backward error _CG_TOL, on the system's blocks in the
-system's numbering; a factor enters only as its preconditioner
+factored; an a-priori bound on the condition number picks that path for
+both solves (see _a11_factor).  There the standard solve's Schur
+preconditioner takes a Chebyshev polynomial of diag(A11)^{-1} A11 over that
+bound's interval in place of A11^{-1} (see _chebyshev).  Otherwise A11 is
+factored once per solve, and that one factor preconditions every free set;
+no submatrix is factored.  Each Step-1 solve is one CG on the free rows of
+A11, started at the current Newton iterate, and its free set picks only the
+preconditioner (see OrderedFactor).  Every matrix is factored in the order
+its mesh's assembly stencil keeps for its unknowns (see assembly._order),
+and each mesh keeps its last factor of A00 for every later solve whose A00
+equals it bit for bit (see _a00_factor).  No solve changes a factor: each
+returns its CG steps.  Every linear solve is one routine, CG (_pcg) to
+normwise backward error _CG_TOL, on the system's blocks in the system's
+numbering; a factor enters only as its preconditioner
 (OrderedFactor.inverse), and its order only inside that.
 """
 
@@ -69,7 +69,7 @@ class SolveTrace:
     ``a11_path`` is "jacobi" if Step 1 solved by Jacobi-preconditioned CG
     with no A11 factor, "factor" if it used the factor of A11, and
     ``kappa_bound`` the bound on the condition number of diag(A11)^{-1} A11
-    that chose the path (see _jacobi_pays).
+    that chose the path (see _a11_factor).
     Per outer sweep it records the Newton step sizes, the clamped-node
     count of the last Newton step, the worst feasibility slack
     min_i (b - over_i) - (a - under_i) and its Step-1 CG steps, whatever
@@ -139,9 +139,9 @@ class EGSolution:
 # Normwise backward error of every solve: factors, Step-1 CG, the Schur CG and
 # the standard solve's check.  At 1e-12 the layer comparator's extremes moved by 2e-12.
 _CG_TOL = 1e-15
-# Chebyshev steps of the comparator's A11 block on the Jacobi path: at 18,432 layer
-# elements 2, 3 and 4 gave 20, 17 and 17 Schur steps in 98, 94 and 96 ms.
-_CHEBYSHEV_STEPS = 3
+# Error bound that sets the comparator's Chebyshev degree (see _chebyshev): 3, 5, 9 and 17
+# at kappa bound 4.0, 8.7, 30.8 and 119; any bound in [0.0851, 0.2195) keeps 3 at 4.0-4.3.
+_CHEBYSHEV_ERROR = 0.1
 # Newton steps per Step-1 solve and outer sweeps per bound-preserving solve.
 _MAX_INNER = 500
 _MAX_OUTER = 200
@@ -281,33 +281,46 @@ def _kappa_bound(A, mass_diag):
 def _jacobi_pays(kappa, step_cost, factor_cost):
     """True if CG's step bound 1/2 sqrt(kappa) ln(2 / _CG_TOL) times the cost
     of a step is at most the cost of a factor (the bound from ||e_k||_A <=
-    2 ((sqrt(kappa) - 1) / (sqrt(kappa) + 1))^k ||e_0||_A; Saad 2003, 6.11).
-    For the comparator, whose Chebyshev block (see _chebyshev) takes fewer
-    steps than plain Jacobi, the bound is conservative."""
+    2 ((sqrt(kappa) - 1) / (sqrt(kappa) + 1))^k ||e_0||_A; Saad 2003, 6.11)."""
     return 0.5 * np.sqrt(kappa) * np.log(2.0 / _CG_TOL) * step_cost <= factor_cost
 
 
+def _a11_factor(mesh, spec, system):
+    """(OrderedFactor of A11, lo, hi) for both solves, [lo, hi] _kappa_bound's interval.
+
+    The Jacobi mode where _jacobi_pays, charging a Jacobi-CG step one
+    mat-vec, about nnz(A11) flops, and a nested-dissection factor of a planar
+    mesh's matrix about nnz(A11)^{3/2} (George 1973; Lipton, Rose & Tarjan,
+    SIAM J. Numer. Anal. 16(2), 1979); else A11 factored in the vertex order.
+    """
+    lo, hi = _kappa_bound(system.A11, spec.mu * system.M1.diagonal())
+    jacobi = _jacobi_pays(hi / lo, system.A11.nnz, system.A11.nnz**1.5)
+    return OrderedFactor(system.A11, "A11", None if jacobi else _order(mesh, system.dofs, "vertex")), lo, hi
+
+
 def _chebyshev(jacobi, lo, hi):
-    """r -> q(D^{-1} A) D^{-1} r: _CHEBYSHEV_STEPS steps from zero of the
-    Chebyshev semi-iteration on D^{-1} A over [lo, hi], ``jacobi`` an
-    OrderedFactor of A with no order, whose ``inverse`` is D^{-1}.
+    """r -> q(D^{-1} A) D^{-1} r: k steps from zero of the Chebyshev
+    semi-iteration on D^{-1} A over [lo, hi], ``jacobi`` an OrderedFactor of
+    A with no order, whose ``inverse`` is D^{-1}.
 
     Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., Algorithm
     12.1 (Golub & Varga 1961), with theta and delta the interval's centre
     and half-width; each step after the first costs one product with A.
     The error polynomial 1 - lam q(lam) = T_k((theta - lam) / delta) /
-    T_k(theta / delta) is at most e = 1 / T_k(theta / delta) in modulus on
-    [lo, hi], so the eigenvalues of q(D^{-1} A) D^{-1} A lie in [1 - e,
-    1 + e] if the interval encloses those of D^{-1} A.  The map is
-    symmetric, and positive definite whenever A is SPD with hi a
+    T_k(theta / delta) is at most e_k = 1 / T_k(theta / delta) in modulus
+    on [lo, hi], so the eigenvalues of q(D^{-1} A) D^{-1} A lie in [1 - e_k,
+    1 + e_k] if the interval encloses those of D^{-1} A.  k is the smallest
+    degree with e_k <= _CHEBYSHEV_ERROR, and 1 where lo = hi (e_1 = 0).  The
+    map is symmetric, and positive definite whenever A is SPD with hi a
     Gershgorin bound: q > 0 on (0, lo + hi), whatever lo.
     """
     A, theta, delta = jacobi.A, 0.5 * (hi + lo), 0.5 * (hi - lo)
+    k = 1 if delta == 0.0 else max(1, int(np.ceil(np.arccosh(1.0 / _CHEBYSHEV_ERROR) / np.arccosh(theta / delta))))
 
     def apply(r):
         d = jacobi.inverse(r) / theta
         z, rho = d, delta / theta
-        for _ in range(_CHEBYSHEV_STEPS - 1):
+        for _ in range(k - 1):
             r = r - A @ d
             c = 1.0 / (2.0 * theta - delta * rho)  # rho_j / delta
             d = (delta * c * rho) * d + (2.0 * c) * jacobi.inverse(r)
@@ -330,32 +343,24 @@ def solve_standard_eg(mesh, spec, dofs=None, system=None, lift=None):
     Winther, Numer. Linear Algebra Appl. 18(1), 2011): S acts like A11 on
     oscillatory modes and like the penalty's stiffness K_gamma (see
     penalty_stiffness, factored in A11's order) on smooth ones, so the step
-    count barely grows with refinement.  Where A11 is mass-dominated, A11
-    is not factored: _CHEBYSHEV_STEPS steps of the Chebyshev semi-iteration
-    on D^{-1} A11, D = diag(A11), over _kappa_bound's interval stand in for
-    A11^{-1} (see _chebyshev), two A11 products in place of a triangular
-    solve.  On the layer meshes of 4,608 to 73,728 elements the Schur CG
-    takes 15, 17 and 19 steps, against 25, 25 and 24 with D^{-1} alone.
-    _jacobi_pays charges the plain Jacobi step bound, now conservative, at
-    one K_gamma triangular solve, f = K_gamma's fill, per step, against the
-    f^2 / n1 flops that a factor of A11 takes at least (f entries over n1
-    columns), which has K_gamma's pattern and order and so its fill.  The
-    A00 factor is the mesh's kept one if equal (see _a00_factor).
+    count barely grows with refinement.  A11 is factored, or not, by the
+    bound-preserving solve's rule (see _a11_factor); where it is not, a
+    Chebyshev polynomial of D^{-1} A11, D = diag(A11), over _kappa_bound's
+    interval stands in for A11^{-1} (see _chebyshev).  On the layer meshes
+    of 4,608 to 73,728 elements the Schur CG takes 15, 17 and 19 steps,
+    against 25, 25 and 24 with D^{-1} alone.  The A00 factor is the mesh's
+    kept one if equal (see _a00_factor).
     Every inverse is an OrderedFactor's, in the system's numbering.
     Returns the full discrete solution including the Dirichlet lift.
     """
     system = _prepare(mesh, spec, dofs, system, lift)
     n1 = system.dofs.n_interior
-    p1 = _order(mesh, system.dofs, "vertex")
     A11, A10, A00 = system.A11, system.A10, system.A00
     b1, b0 = system.b1, system.b0
-    k_gamma = OrderedFactor(penalty_stiffness(mesh, spec, system.dofs), "K_gamma", p1)
+    k_gamma = OrderedFactor(penalty_stiffness(mesh, spec, system.dofs), "K_gamma", _order(mesh, system.dofs, "vertex"))
     a00 = _a00_factor(mesh, system)[0]
-    lo, hi = _kappa_bound(A11, spec.mu * system.M1.diagonal())
-    fill = k_gamma.fill_nnz
-    jacobi = _jacobi_pays(hi / lo, fill, fill**2 / max(n1, 1))
-    a11 = OrderedFactor(A11, "A11", None if jacobi else p1)
-    a11_inverse = _chebyshev(a11, lo, hi) if jacobi else a11.inverse
+    a11, lo, hi = _a11_factor(mesh, spec, system)
+    a11_inverse = _chebyshev(a11, lo, hi) if a11.full is None else a11.inverse
 
     schur = lambda p: A11 @ p - A10 @ a00.inverse(A10.T @ p)  # ||S||_2 <= ||A11||_inf
     precond = lambda r: a11_inverse(r) + k_gamma.inverse(r)
@@ -542,11 +547,8 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
 
     Factors only A00, unless the mesh kept an equal factor (see
     _a00_factor), and, unless A11 is mass-dominated, A11 once, whose
-    factor preconditions every Step-1 free set (see OrderedFactor).
-    Jacobi-CG takes the place of the A11 factor where
-    _jacobi_pays: its step costs a mat-vec, about nnz(A11) flops, and a
-    nested-dissection factor of a planar mesh's matrix about nnz(A11)^{3/2}
-    (George 1973; Lipton, Rose & Tarjan, SIAM J. Numer. Anal. 16(2), 1979).
+    factor preconditions every Step-1 free set (see OrderedFactor);
+    Jacobi-CG takes the place of the A11 factor where _a11_factor says so.
     Starts from one decoupled sweep u1 = A11^{-1} b1,
     u0 = A00^{-1} (b0 - A10^T u1), and alternates the Step-1 Newton solve
     with the decoupled constant-part solve.  With d_k the M0-norm increment
@@ -560,18 +562,15 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
     acceptance gate's budget 10 (tol_outer + 1e-12).
     """
     system = _prepare(mesh, spec, dofs, system, lift)
-    lo, hi = _kappa_bound(system.A11, spec.mu * system.M1.diagonal())
-    kappa, nnz = hi / lo, system.A11.nnz
-    jacobi = _jacobi_pays(kappa, nnz, nnz**1.5)
-    a11 = OrderedFactor(system.A11, "A11", None if jacobi else _order(mesh, system.dofs, "vertex"))
+    a11, lo, hi = _a11_factor(mesh, spec, system)
     a00, a00_reused = _a00_factor(mesh, system)
 
     u1, a11_steps = a11.solve(system.b1)
     u0, a00_steps = a00.solve(system.b0 - system.A10.T @ u1)
 
-    path = "jacobi" if jacobi else "factor"
+    path = "jacobi" if a11.full is None else "factor"
     trace = SolveTrace(
-        stop_reason="max_outer", a11_path=path, kappa_bound=kappa, initial_cg_steps=a11_steps, a00_reused=a00_reused
+        stop_reason="max_outer", a11_path=path, kappa_bound=hi / lo, initial_cg_steps=a11_steps, a00_reused=a00_reused
     )
     solution = None
     for _ in range(_MAX_OUTER):
@@ -603,7 +602,7 @@ def solve_bound_preserving(mesh, spec, dofs=None, system=None, lift=None):
             solution = None
 
     trace.fill_nnz = a11.fill_nnz + (0 if a00_reused else a00.fill_nnz)
-    trace.triangular_solves = a00_steps + (0 if jacobi else a11_steps)
+    trace.triangular_solves = a00_steps + (0 if a11.full is None else a11_steps)
     return solution if solution is not None else _solution(mesh, spec, system, u1, u0, trace)
 
 

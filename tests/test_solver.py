@@ -705,32 +705,71 @@ def test_standard_eg_cg_steps_do_not_grow_with_refinement(monkeypatch):
     assert _comparator_cg_steps(monkeypatch, 3, 2.0, 1e-7) == (18432, 19)
 
 
-@pytest.mark.parametrize("steps", [1, 2, egbp.solver._CHEBYSHEV_STEPS, 6])
+def _chebyshev_degree(A, lo, hi):
+    """The degree of _chebyshev's block C of A over [lo, hi], checked densely.
+
+    The degree, read off the D^{-1} applications of one C r, is the smallest
+    k whose error bound e_k = 1 / T_k(theta / delta) meets _CHEBYSHEV_ERROR,
+    1 if lo = hi; C is symmetric positive definite, and the eigenvalues of
+    C A lie within e_k of 1, given that [lo, hi] encloses those of D^{-1} A.
+    """
+    d = A.diagonal()
+    lam = np.linalg.eigvalsh(A.toarray() / np.sqrt(d)[:, None] / np.sqrt(d)[None, :])
+    assert lo <= lam[0] and lam[-1] <= hi
+    jacobi, calls = OrderedFactor(A, "A11"), []
+    inverse = jacobi.inverse
+    jacobi.inverse = lambda r: calls.append(1) or inverse(r)
+    apply = egbp.solver._chebyshev(jacobi, lo, hi)
+    C = np.column_stack([apply(col) for col in np.eye(d.size)])
+    k, target = len(calls) // d.size, egbp.solver._CHEBYSHEV_ERROR
+    assert len(calls) == k * d.size
+    e = lambda k: 0.0 if hi == lo else 1.0 / np.cosh(k * np.arccosh((hi + lo) / (hi - lo)))
+    assert e(k) <= target and (k == 1 or e(k - 1) > target)
+    assert np.abs(C - C.T).max() <= 1e-14 * np.abs(C).max()
+    assert np.linalg.eigvalsh(0.5 * (C + C.T)).min() > 0.0
+    L = np.linalg.cholesky(A.toarray())
+    mu = np.linalg.eigvalsh(L.T @ C @ L)  # the eigenvalues of C A
+    assert 1.0 - e(k) - 1e-13 <= mu[0] and mu[-1] <= 1.0 + e(k) + 1e-13
+    return k
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 6])
 @pytest.mark.parametrize("epsilon", [1e-7, 1e-4])
 @pytest.mark.parametrize(
     "mesh",
     [build_structured(8, 8), sheared(build_structured(8, 8), 2.0), stretched(build_structured(12, 12))],
     ids=["structured", "sheared", "stretched"],
 )
-def test_chebyshev_preconditioner_is_spd_and_near_inverse(monkeypatch, mesh, epsilon, steps):
-    # Dense, on a mass-dominated A11 of at most 121 nodes: _kappa_bound's
-    # interval encloses the eigenvalues of D^{-1} A11, the comparator's A11
-    # block C = q(D^{-1} A11) D^{-1} is symmetric positive definite, and the
-    # eigenvalues of C A11 lie within e = 1 / T_k(theta / delta) of 1
+def test_chebyshev_preconditioner_is_spd_and_near_inverse(monkeypatch, mesh, epsilon, degree):
+    # Dense, on a mass-dominated A11 of at most 121 nodes: an error target
+    # between e_degree and e_(degree - 1) of _kappa_bound's interval picks
+    # that degree, whose block meets the target (see _chebyshev_degree)
     system = assemble_system(mesh, make_spec(epsilon=epsilon, f=lambda x, y: 1.0 + 0.0 * x))
-    A, d = system.A11.toarray(), system.A11.diagonal()
     lo, hi = egbp.solver._kappa_bound(system.A11, system.M1.diagonal())
-    lam = np.linalg.eigvalsh(A / np.sqrt(d)[:, None] / np.sqrt(d)[None, :])
-    assert lo <= lam[0] and lam[-1] <= hi
-    monkeypatch.setattr(egbp.solver, "_CHEBYSHEV_STEPS", steps)
-    apply = egbp.solver._chebyshev(OrderedFactor(system.A11, "A11"), lo, hi)
-    C = np.column_stack([apply(col) for col in np.eye(d.size)])
-    assert np.abs(C - C.T).max() <= 1e-14 * np.abs(C).max()
-    assert np.linalg.eigvalsh(0.5 * (C + C.T)).min() > 0.0
-    L = np.linalg.cholesky(A)
-    mu = np.linalg.eigvalsh(L.T @ C @ L)  # the eigenvalues of C A11
-    e = 1.0 / np.cosh(steps * np.arccosh((hi + lo) / (hi - lo)))
-    assert 1.0 - e - 1e-13 <= mu[0] and mu[-1] <= 1.0 + e + 1e-13
+    e = lambda k: 1.0 / np.cosh(k * np.arccosh((hi + lo) / (hi - lo)))
+    monkeypatch.setattr(egbp.solver, "_CHEBYSHEV_ERROR", np.sqrt(e(degree) * (e(degree - 1) if degree > 1 else 1.0)))
+    assert _chebyshev_degree(system.A11, lo, hi) == degree
+
+
+@pytest.mark.parametrize(
+    "case, degree",
+    [("point", 1), ("structured", 3), ("sheared", 9), ("stretched", 16)],
+)
+def test_chebyshev_degree_follows_the_kappa_interval(case, degree):
+    # At the shipped error target: one step where the interval is a point (here
+    # D^{-1} A = I; a mesh with no interior vertex has lo = hi = 1 too), and
+    # more as kappa grows: 3, 9 and 16 at kappa bound 4.0, 32 and 106
+    if case == "point":
+        A, lo, hi = sp.csr_matrix(np.diag([1.0, 4.0, 9.0])), 1.0, 1.0
+    else:
+        mesh, epsilon = {
+            "structured": (build_structured(8, 8), 1e-7),
+            "sheared": (sheared(build_structured(8, 8), 2.0), 3e-3),
+            "stretched": (stretched(build_structured(12, 12)), 1e-3),
+        }[case]
+        system = assemble_system(mesh, make_spec(epsilon=epsilon, f=lambda x, y: 1.0 + 0.0 * x))
+        A, (lo, hi) = system.A11, egbp.solver._kappa_bound(system.A11, system.M1.diagonal())
+    assert _chebyshev_degree(A, lo, hi) == degree
 
 
 @pytest.mark.parametrize("p", [None, np.array([1, 0])], ids=["jacobi", "factor"])
@@ -768,6 +807,29 @@ def test_bound_preserving_path_follows_the_kappa_bound(monkeypatch, epsilon, pat
     else:
         assert names == ["A11", "A00"]
         assert 8000.0 < t.kappa_bound < 8400.0
+
+
+@pytest.mark.parametrize("epsilon", [1e-7, 1e-4, 4e-4, 1e-3])
+@pytest.mark.parametrize("refinements", [1, 2])
+def test_comparator_factors_A11_where_the_bound_preserving_solve_does(monkeypatch, refinements, epsilon):
+    # One A11 rule for both solves (_a11_factor): on one layer system the
+    # comparator factors A11 exactly where the bound-preserving solve does,
+    # here only at eps = 1e-3 on 1,152 and 4,608 elements
+    mesh, spec = _layer_problem(refinements)
+    spec = replace(spec, epsilon=epsilon)
+    system = assemble_system(mesh, spec)
+    path = solve_bound_preserving(mesh, spec, system=system).trace.a11_path
+    names = []
+
+    class RecordingFactor(SpdFactor):
+        def __init__(self, A, name="system"):
+            names.append(name)
+            super().__init__(A, name=name)
+
+    monkeypatch.setattr(egbp.solver, "SpdFactor", RecordingFactor)
+    solve_standard_eg(mesh, spec, system=system)
+    assert ("A11" in names) == (path == "factor")
+    assert (mesh.num_elements, path) == ((1152, 4608)[refinements - 1], "factor" if epsilon == 1e-3 else "jacobi")
 
 
 def _step1_case(name):
